@@ -24,7 +24,7 @@ from .lower import (CUBIC_NEWTON, GRADIENT_DESCENT, LowerSolverConfig,
                     run_lower_lean)
 from .outer import (OuterConfig, canonical_json, constant_schedules,
                     gradient_mapping, run_scinbio, tail_stability,
-                    write_summary_json, write_trace_csv)
+                    validate_run, write_summary_json, write_trace_csv)
 from .problems import LOWER_DEFAULTS, PROBLEM_NAMES, get_problem
 from .smoothing import SmoothingConfig, estimate_hypergradient, gradient_norm_bound
 from .svg import SvgCanvas
@@ -272,17 +272,24 @@ def _phase_points(problem, xs, lower_cfg, stride):
     return pts
 
 
+def _outer_config(cfg):
+    return OuterConfig(T=cfg["outer.T"], beta=cfg["outer.beta"],
+                       schedules=constant_schedules(cfg["sampling.N"], cfg["lower.K"]),
+                       output_rule=cfg["outer.output_rule"])
+
+
+def _smoothing_config(cfg, seed):
+    return SmoothingConfig(xi=cfg["smoothing.xi"],
+                           master_seed=cfg["smoothing.master_seed"] + seed)
+
+
 def _run_one_seed(cfg, seed, out):
     name = cfg["problem"]
     problem = get_problem(name)
     x0 = experiment_initialization(name, problem, seed)
     lower = lower_config(cfg)
-    smoothing = SmoothingConfig(xi=cfg["smoothing.xi"],
-                                master_seed=cfg["smoothing.master_seed"] + seed)
-    outer = OuterConfig(T=cfg["outer.T"], beta=cfg["outer.beta"],
-                        schedules=constant_schedules(cfg["sampling.N"], cfg["lower.K"]),
-                        output_rule=cfg["outer.output_rule"])
-    trace = run_scinbio(problem, outer, lower, smoothing, x0=x0)
+    smoothing = _smoothing_config(cfg, seed)
+    trace = run_scinbio(problem, _outer_config(cfg), lower, smoothing, x0=x0)
     xs = trace.x_history()
 
     result = {"seed": seed, "x_final": [float(v) for v in trace.x_final],
@@ -355,6 +362,8 @@ def _run_one_seed(cfg, seed, out):
 
 
 def cmd_run(cfg):
+    # checked once here: inside a seed, a ConfigError would count as that seed's failure
+    validate_run(get_problem(cfg["problem"]), _outer_config(cfg), _smoothing_config(cfg, 0))
     out = _ensure_outdir(cfg)
     results = {}
     with ThreadPoolExecutor(max_workers=max(1, cfg["workers"])) as pool:
@@ -413,7 +422,8 @@ def cmd_scan(cfg):
             for j in range(res):
                 lam = scan.lambda_min_grid[i, j]
                 lam_txt = repr(float(lam)) if np.isfinite(lam) else ""
-                lines.append(f"{c1[i]!r},{c2[j]!r},{int(scan.indicator[i, j])},{lam_txt}")
+                lines.append(f"{float(c1[i])!r},{float(c2[j])!r},"
+                             f"{int(scan.indicator[i, j])},{lam_txt}")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         files["csv"] = path
@@ -492,7 +502,7 @@ def cmd_gda(cfg):
             stride = cfg["stride"]
             lines = [f"# schema: {GDA_CSV_SCHEMA}", "k,x,y"]
             for k, (x, y) in enumerate(trace.points[::stride]):
-                lines.append(f"{k * stride},{x!r},{y!r}")
+                lines.append(f"{k * stride},{float(x)!r},{float(y)!r}")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(lines) + "\n")
             files["csv"] = f"gda_seed{seed}.csv"

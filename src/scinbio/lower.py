@@ -106,15 +106,37 @@ def _canonical_eigvec(v):
     return -v if v[k] < 0 else v
 
 
+def _eigenpairs(hess):
+    """Ascending eigenvalues and eigenvectors of the symmetric part of hess.
+
+    A 1x1 matrix is its own eigendecomposition: (h, [[1]]) is bit for bit
+    what LAPACK returns, without the cost of the call.
+    """
+    if hess.shape == (1, 1):
+        return hess[0].copy(), np.ones((1, 1))
+    return np.linalg.eigh(0.5 * (hess + hess.T))
+
+
 def solve_cubic_subproblem(grad, hess, M, _eig=None) -> CubicStep:
     """Global minimizer of g^T s + 1/2 s^T H s + (M/6)||s||^3.
 
-    Via eigendecomposition of H: the minimizer satisfies
-    (H + (M r / 2) I) s = -g with r = ||s||, solved as a scalar secular
-    equation in r on [max(0, -2 lambda_min / M), inf) by safeguarded
-    bisection + Newton.  When g is orthogonal to the bottom eigenspace and
+    For m = 1 the minimizer has a closed form (Nesterov & Polyak, Math.
+    Program. 108, 2006, sec. 5): s = -sign(g) r, where r >= 0 is the positive
+    root of (M/2) r^2 + h r - |g| = 0,
+
+        r = 2|g| / (h + sqrt(h^2 + 2M|g|))   (h >= 0)
+          = (-h + sqrt(h^2 + 2M|g|)) / M     (h < 0, the same root),
+
+    each form free of cancellation on its side.  When |g| <= 1e-13 (|g| + 1)
+    the step is s = 0 for h >= 0 and the hard-case step s = -2h/M for h < 0.
+
+    For m > 1 the step comes from the eigendecomposition of H: the minimizer
+    satisfies (H + (M r / 2) I) s = -g with r = ||s|| >= max(0, -2 lambda_min / M),
+    solved as a scalar secular equation in the shift a = lambda_min + M r / 2
+    by safeguarded bisection + Newton.  When g is orthogonal to the bottom eigenspace and
     the secular root is infeasible (hard case), an eigenvector component of
-    the exact magnitude closing ||s|| = r is added.
+    the exact magnitude closing ||s|| = r is added.  `_eig` passes a
+    precomputed (evals, evecs) of H; it is unused for m = 1.
     """
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
     hess = np.atleast_2d(np.asarray(hess, dtype=float))
@@ -129,11 +151,34 @@ def solve_cubic_subproblem(grad, hess, M, _eig=None) -> CubicStep:
     scale = np.max(np.abs(hess)) + 1.0
     if np.max(np.abs(hess - hess.T)) > 1e-8 * scale:
         raise ValueError("hess must be symmetric")
+    if m == 1:
+        return _cubic_step_1d(float(grad[0]), float(hess[0, 0]), M)
+    return _solve_cubic_secular(grad, hess, M, _eig)
 
-    if _eig is None:
-        evals, evecs = np.linalg.eigh(0.5 * (hess + hess.T))
+
+def _cubic_step_1d(g, h, M):
+    ag = abs(g)
+    if ag <= 1e-13 * (ag + 1.0):
+        if h >= 0.0:
+            return CubicStep(np.zeros(1), 0.0, 0.0, False)
+        r = -2.0 * h / M
+        s, hard = r, True
     else:
-        evals, evecs = _eig
+        root = math.hypot(h, math.sqrt(2.0 * M * ag))
+        r = 2.0 * ag / (h + root) if h >= 0.0 else (root - h) / M
+        s, hard = -math.copysign(r, g), False
+    value = g * s + 0.5 * h * s * s + (M / 6.0) * r ** 3
+    return CubicStep(np.array([s]), value, r, hard)
+
+
+def _solve_cubic_secular(grad, hess, M, eig=None) -> CubicStep:
+    """Eigendecomposition + secular-equation solve of the cubic model, any m.
+
+    Takes inputs already checked by `solve_cubic_subproblem`; for m = 1 it is
+    the reference the closed form is tested against.
+    """
+    m = grad.shape[0]
+    evals, evecs = _eigenpairs(hess) if eig is None else eig
     lam_min = float(evals[0])
     ghat = evecs.T @ grad
     r_lo = max(0.0, -2.0 * lam_min / M)
@@ -143,20 +188,6 @@ def solve_cubic_subproblem(grad, hess, M, _eig=None) -> CubicStep:
     g_bottom = float(np.linalg.norm(ghat[bottom]))
     g_scale = float(np.linalg.norm(grad))
 
-    def s_of_r(r):
-        denom = evals + 0.5 * M * r
-        return evecs @ (-ghat / denom)
-
-    def w_and_deriv(r):
-        denom = evals + 0.5 * M * r
-        t = ghat / denom
-        w = float(np.linalg.norm(t))
-        if w == 0.0:
-            return 0.0, 0.0
-        dw = -0.5 * M * float(np.sum(t * t / denom)) / w
-        return w, dw
-
-    hard = False
     if g_bottom <= 1e-13 * (g_scale + 1.0):
         # pseudo-inverse length on the complement of the bottom eigenspace
         denom = evals[~bottom] + 0.5 * M * r_lo
@@ -176,33 +207,44 @@ def solve_cubic_subproblem(grad, hess, M, _eig=None) -> CubicStep:
         zero_bottom = ghat.copy()
         zero_bottom[bottom] = 0.0
         ghat = zero_bottom
-    # regular case: bracket the secular root w(r) = r on (r_lo, inf)
-    lo = r_lo
-    if lo == 0.0 and lam_min > 0:
-        w0, _ = w_and_deriv(0.0)
-        if w0 <= 0.0:
-            return CubicStep(np.zeros(m), 0.0, 0.0, False)
-    hi = max(2.0 * r_lo, 2.0 * math.sqrt(g_scale / M) + 1e-8)
+    if not np.any(ghat):
+        return CubicStep(np.zeros(m), 0.0, 0.0, False)
+
+    # regular case: solve ||ghat / (delta + a)|| = r(a) for the shift
+    # a = lambda_min + M r / 2 on (max(0, lambda_min), inf).  With delta = evals -
+    # lambda_min the bottom denominators are a itself, free of the cancellation in
+    # lambda_min + M r / 2 that ruins s when g is almost orthogonal to the bottom
+    # eigenspace and the root sits next to the pole.
+    delta = evals - lam_min
+
+    def r_of(a):
+        return 2.0 * (a - lam_min) / M
+
+    def residual_and_deriv(a):
+        d = delta + a
+        t = ghat / d
+        w = float(np.linalg.norm(t))
+        return w - r_of(a), -float(np.sum(t * t / d)) / w - 2.0 / M
+
+    lo = max(0.0, lam_min)
+    hi = lam_min + 0.5 * M * max(2.0 * r_lo, 2.0 * math.sqrt(g_scale / M) + 1e-8)
     for _ in range(200):
-        w_hi, _ = w_and_deriv(hi)
-        if w_hi < hi:
+        if residual_and_deriv(hi)[0] < 0:
             break
-        hi *= 2.0
-    r = min(max(0.5 * (lo + hi), lo + 1e-16), hi)
+        hi = lam_min + 2.0 * (hi - lam_min)  # doubles r
+    a = min(max(0.5 * (lo + hi), lo + 1e-16), hi)
     for _ in range(200):
-        w, dw = w_and_deriv(r)
-        res = w - r
-        if abs(res) <= 1e-10 * (1.0 + r):
+        res, dres = residual_and_deriv(a)
+        if abs(res) <= 1e-10 * (1.0 + r_of(a)):
             break
         if res > 0:
-            lo = r
+            lo = a
         else:
-            hi = r
-        step_denom = dw - 1.0
-        r_newton = r - res / step_denom if step_denom != 0 else r
-        r = r_newton if lo < r_newton < hi else 0.5 * (lo + hi)
-    s = s_of_r(r)
-    return CubicStep(s, _model_value(s, grad, hess, M), r, hard)
+            hi = a
+        a_newton = a - res / dres
+        a = a_newton if lo < a_newton < hi else 0.5 * (lo + hi)
+    s = evecs @ (-ghat / (delta + a))
+    return CubicStep(s, _model_value(s, grad, hess, M), r_of(a), False)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +278,7 @@ def cubic_newton_solve(problem, x, config: LowerSolverConfig) -> LowerSolveResul
         n_hess += 1
         _check_finite(gk, k, "gradient")
         _check_finite(Hk, k, "Hessian")
-        evals, evecs = np.linalg.eigh(0.5 * (Hk + Hk.T))
+        evals, evecs = _eigenpairs(Hk)
         gnorm = float(np.linalg.norm(gk))
         grad_norms.append(gnorm)
         lambda_mins.append(float(evals[0]))
@@ -327,7 +369,8 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
 
 def run_lower_lean(problem, x, config: LowerSolverConfig):
     """Return (y_hat, oracle_counts) without storing the iterate trace."""
-    if config.method == GRADIENT_DESCENT and problem.m == 1 and config.grad_tol == 0:
+    if (config.method == GRADIENT_DESCENT and problem.m == 1 and config.grad_tol == 0
+            and config.resolved_selection() == SELECT_LAST):
         return _gd_lean_1d(problem, x, config)
     res = solve_lower(problem, x, config)
     return res.y_hat, res.oracle_counts
@@ -337,17 +380,24 @@ def _gd_lean_1d(problem, x, config):
     # scalar fast path: the minimax experiment runs ~10^6 of these solves
     grad = problem.grad_y_g
     eta = config.eta
+    K = config.max_iters
     ybuf = np.array(problem.y0, dtype=float)
     yv = ybuf[0]
-    for k in range(config.max_iters):
+    for k in range(K):
         ybuf[0] = yv
         gk = grad(x, ybuf)
         yv = yv - eta * gk[0]
         if not math.isfinite(yv):
+            # name the same step and cause as the recording solver
+            if not math.isfinite(gk[0]):
+                raise LowerSolveError(f"non-finite gradient at lower-level step {k}",
+                                      iterate_index=k)
             raise LowerSolveError(f"non-finite iterate at lower-level step {k + 1}",
                                   iterate_index=k + 1)
     ybuf[0] = yv
-    # one more gradient evaluation mirrors the recording solver's final trace entry
-    grad(x, ybuf)
-    counts = {"g": 0, "grad": config.max_iters + 1, "hess": 0}
+    # the recording solver evaluates and checks the gradient at the last iterate too
+    if not math.isfinite(grad(x, ybuf)[0]):
+        raise LowerSolveError(f"non-finite gradient at lower-level step {K}",
+                              iterate_index=K)
+    counts = {"g": 0, "grad": K + 1, "hess": 0}
     return ybuf, counts

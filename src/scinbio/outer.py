@@ -22,7 +22,7 @@ from .smoothing import SmoothingConfig, estimate_hypergradient, lipschitz_bound
 
 __all__ = [
     "OuterConfig", "OuterTrace", "Schedules", "default_schedules",
-    "gradient_mapping", "run_scinbio", "random_index_pmf",
+    "gradient_mapping", "run_scinbio", "random_index_pmf", "validate_run",
     "tail_stability", "write_trace_csv", "write_summary_json",
     "TRACE_SCHEMA",
 ]
@@ -170,6 +170,18 @@ def random_index_pmf(betas, l_hat):
     return w / w.sum()
 
 
+def validate_run(problem, outer: OuterConfig, smoothing: SmoothingConfig):
+    """Raise ConfigError for a configuration `run_scinbio` cannot run.
+
+    Besides `outer.validate()`, the random-index output rule needs every
+    beta_t < 1/L with L = f_bar / xi^2 (see `random_index_pmf`).
+    """
+    outer.validate()
+    if outer.output_rule == OUTPUT_RANDOM_INDEX and outer.T > 0:
+        random_index_pmf([outer.beta_at(t) for t in range(outer.T)],
+                         lipschitz_bound(problem.f_bar, smoothing.xi))
+
+
 def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
                 smoothing: SmoothingConfig, x0=None,
                 phi: Optional[Callable] = None) -> OuterTrace:
@@ -179,7 +191,7 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
     and per-sample values come from phi, with the feasibility cap still
     applied through the problem's feasible set and f_bar.
     """
-    outer.validate()
+    validate_run(problem, outer, smoothing)
     fs = problem.feasible_set
     if x0 is None:
         lo, hi = fs.bbox
@@ -189,8 +201,6 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
     sched = outer.schedules or constant_schedules(1, lower.max_iters)
     T = outer.T
     betas = [outer.beta_at(t) for t in range(T)]
-    if outer.output_rule == OUTPUT_RANDOM_INDEX and T > 0:
-        random_index_pmf(betas, lipschitz_bound(problem.f_bar, smoothing.xi))
 
     rows = []
     totals = {"f": 0, "g": 0, "grad": 0, "hess": 0}

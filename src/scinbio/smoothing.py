@@ -56,6 +56,20 @@ def gaussian_kernel(z, xi):
     return (2.0 * math.pi * xi * xi) ** (-0.5 * n) * math.exp(-q)
 
 
+def _checked_point(problem, x, n_samples, lower, phi):
+    """x as a 1-D float array, after the checks both estimators share."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if problem is None and phi is None:
+        raise ValueError("need a problem or a direct phi hook")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if problem is not None and x.shape[0] != problem.n:
+        raise ValueError(f"x must have dimension {problem.n}")
+    if phi is None and lower is None:
+        raise ValueError("a lower-solver config is required without a phi hook")
+    return x
+
+
 def _draw_directions(smoothing, stream_tag, n_samples, n):
     gen = rng.stream(smoothing.master_seed, rng.DOMAIN_ESTIMATOR, stream_tag)
     return gen.standard_normal((n_samples, n))
@@ -107,17 +121,8 @@ def estimate_hypergradient(problem, x, n_samples, smoothing: SmoothingConfig,
     pipeline with a direct scalar function; pass problem=None with it to
     disable the feasibility cap entirely.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if problem is None and phi is None:
-        raise ValueError("need a problem or a direct phi hook")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = x.shape[0]
-    if problem is not None and n != problem.n:
-        raise ValueError(f"x must have dimension {problem.n}")
-    if phi is None and lower is None:
-        raise ValueError("a lower-solver config is required without a phi hook")
-    u = _draw_directions(smoothing, stream_tag, n_samples, n)
+    x = _checked_point(problem, x, n_samples, lower, phi)
+    u = _draw_directions(smoothing, stream_tag, n_samples, x.shape[0])
     values, infeasible, counts = _sample_values(problem, x, u, smoothing, lower, phi)
     est = (u * values[:, None]).sum(axis=0) / (n_samples * smoothing.xi)
     return GradientEstimate(value=est, samples_used=n_samples,
@@ -135,11 +140,7 @@ def estimate_smoothed_value(problem, x, n_samples, smoothing: SmoothingConfig,
     Shares the sampling scheme and f_bar convention of the gradient estimator:
     the same (master_seed, stream_tag) reproduces the same sample points.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if problem is None and phi is None:
-        raise ValueError("need a problem or a direct phi hook")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _checked_point(problem, x, n_samples, lower, phi)
     u = _draw_directions(smoothing, stream_tag, n_samples, x.shape[0])
     values, _, _ = _sample_values(problem, x, u, smoothing, lower, phi)
     return float(values.mean())

@@ -54,6 +54,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "whatever" in capsys.readouterr().err
 
 
+def test_random_index_step_condition_exits_2_before_any_seed(tmp_path, capsys):
+    # beta = 0.005 is above 1/L = xi^2 / f_bar for minimax
+    out = tmp_path / "o"
+    code = run_cli("run", "--problem", "minimax", "--seed", "0,1", "--out", str(out),
+                   "--set", "outer.T=5", "--set", "outer.output_rule=random_index")
+    assert code == 2
+    assert "config error: random_index output rule needs beta_t < 1/L" in \
+        capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_config_file_with_comments_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -194,6 +205,26 @@ def test_scan_fold_dimension_in_range(tmp_path, capsys):
     assert lines[0] == "# schema: scinbio-scan-v1"
     assert lines[1] == "x1,x2,marked,lambda_min_abs"
     assert len(lines) == 2 + 100 * 100
+
+
+def assert_csv_fields_are_numbers(path, optional_columns=()):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# schema:")
+    header = lines[1].split(",")
+    for line in lines[2:]:
+        for name, field in zip(header, line.split(","), strict=True):
+            if field or name not in optional_columns:
+                float(field)
+
+
+def test_scan_and_gda_csvs_hold_plain_numbers(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("scan", "--problem", "fold", "--out", str(out), "--set", "emit=csv",
+                   "--set", "scan.grid_resolution=6", "--set", "scan.y_resolution=40") == 0
+    assert_csv_fields_are_numbers(out / "scan_fold.csv", optional_columns=("lambda_min_abs",))
+    assert run_cli("gda", "--problem", "minimax", "--seed", "0", "--out", str(out),
+                   "--set", "emit=csv", "--set", "gda.max_steps=50") == 0
+    assert_csv_fields_are_numbers(out / "gda_seed0.csv")
 
 
 def test_scan_rejects_minimax(tmp_path, capsys):

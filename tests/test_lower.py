@@ -1,14 +1,19 @@
+import dataclasses
+import decimal
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from scinbio import (LowerSolverConfig, cubic_newton_solve,
                      gradient_descent_solve, solve_cubic_subproblem,
                      solve_lower, stationarity_measure)
 from scinbio.errors import LowerSolveError
-from scinbio.lower import SELECT_MIN_GRAD, run_lower_lean
+from scinbio.lower import (SELECT_LAST, SELECT_MIN_GRAD, SELECT_STATIONARITY,
+                           _eigenpairs, _solve_cubic_secular, run_lower_lean)
 
 from conftest import quadratic_problem
 
@@ -138,6 +143,81 @@ def test_subproblem_hard_cases():
         r = step.boundary_multiplier
         assert abs(np.linalg.norm(step.s) - r) <= 1e-8 * (1.0 + r)
     assert n_hard >= 10
+
+
+def closed_form_cases():
+    """Random 1-D (g, h, M) plus the edge cases of the closed form."""
+    rng = np.random.default_rng(307)
+    cases = [(0.0, -2.0, 3.0), (0.0, 0.0, 1.0), (0.0, 5.0, 2.0), (-0.0, -1.0, 1.0),
+             (1e-14, -1.0, 2.0), (-5e-14, 0.0, 1.0), (8e-14, 4.0, 1.0),
+             (1e-12, -1.0, 2.0), (-1e-12, 0.0, 2.0), (3.0, 0.0, 1.0), (-3.0, 0.0, 5.0),
+             (2.0, -1e-9, 1e6), (-0.5, 7.0, 1e8), (1e-6, -3.0, 1e7), (4.0, 1e-6, 1e-6)]
+    for _ in range(300):
+        g = float(rng.normal() * 10.0 ** rng.integers(-6, 3))
+        h = float(rng.normal() * 10.0 ** rng.integers(-6, 3))
+        M = float(10.0 ** rng.uniform(-3, 8))
+        cases.append((g, h, M))
+    return cases
+
+
+def test_subproblem_1d_closed_form_matches_secular_reference():
+    for g, h, M in closed_form_cases():
+        step = solve_cubic_subproblem([g], [[h]], M)
+        ref = _solve_cubic_secular(np.array([g]), np.array([[h]]), M)
+        r = step.boundary_multiplier
+        tol = 1e-9 * (1.0 + r)
+        assert abs(step.s[0] - ref.s[0]) <= tol, (g, h, M)
+        assert abs(r - ref.boundary_multiplier) <= tol, (g, h, M)
+        assert step.hard_case == ref.hard_case, (g, h, M)
+        assert step.model_value <= ref.model_value + 1e-12 * (1.0 + abs(ref.model_value))
+
+
+def test_subproblem_1d_closed_form_is_the_exact_root():
+    # 60-digit evaluation of the positive root of (M/2) r^2 + h r - |g| = 0
+    ctx = decimal.Context(prec=60)
+    for g, h, M in closed_form_cases():
+        if abs(g) <= 1e-13 * (abs(g) + 1.0):
+            continue  # below the threshold the step follows the |g| = 0 convention
+        gd, hd, Md = (decimal.Decimal(v) for v in (abs(g), h, M))
+        root = ctx.sqrt(ctx.add(ctx.multiply(hd, hd), ctx.multiply(2 * Md, gd)))
+        r_exact = float(ctx.divide(ctx.subtract(root, hd), Md))
+        step = solve_cubic_subproblem([g], [[h]], M)
+        assert step.boundary_multiplier == pytest.approx(r_exact, rel=1e-13), (g, h, M)
+        assert step.s[0] == -math.copysign(step.boundary_multiplier, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       g_scale=st.floats(0.0, 10.0), h_scale=st.floats(0.0, 10.0),
+       M=st.floats(0.05, 100.0))
+def test_subproblem_property_global_min_on_its_radius(m, seed, g_scale, h_scale, M):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, m))
+    hess = h_scale * 0.5 * (A + A.T)
+    grad = g_scale * rng.normal(size=m)
+    step = solve_cubic_subproblem(grad, hess, M)
+    lam = float(np.linalg.eigvalsh(hess)[0])
+    # every minimizer has (M/2) r^2 <= |lambda_min| r + ||g||
+    radius = (abs(lam) + math.sqrt(lam * lam + 2.0 * M * np.linalg.norm(grad))) / M
+    _, v_ref = brute_force_min(grad, hess, M, span=1.5 * radius + 1e-3, n_random=4000,
+                               seed=seed % 1000)
+    assert step.model_value <= v_ref + 1e-9 * (1.0 + abs(v_ref))
+    r = step.boundary_multiplier
+    assert abs(np.linalg.norm(step.s) - r) <= 1e-9 * (1.0 + r)
+
+
+def test_eigenpairs_1x1_equals_lapack_exactly():
+    values = [0.0, -0.0, 1.0, -1.0, 2.5e-3, -7.25, 5e-324, -5e-324, 1e-300,
+              -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+    values += list(np.random.default_rng(5).normal(size=50) * 1e3)
+    for h in values:
+        H = np.array([[h]])
+        w, v = _eigenpairs(H)
+        w_ref, v_ref = np.linalg.eigh(H)
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+        if abs(h) < 1e300:  # the symmetrized matrix cubic Newton diagonalized before
+            w_sym, v_sym = np.linalg.eigh(0.5 * (H + H.T))
+            assert w.tobytes() == w_sym.tobytes() and v.tobytes() == v_sym.tobytes()
 
 
 def test_subproblem_rejects_bad_inputs():
@@ -281,6 +361,39 @@ def test_lean_path_matches_recording_solver(minimax, double_well):
         lean_y, lean_counts = run_lower_lean(problem, x, cfg)
         assert np.array_equal(lean_y, full.y_hat)
         assert lean_counts == full.oracle_counts
+
+
+@pytest.mark.parametrize("method,selection", [
+    ("gradient_descent", SELECT_LAST), ("gradient_descent", SELECT_MIN_GRAD),
+    ("cubic_newton", SELECT_STATIONARITY), ("cubic_newton", SELECT_MIN_GRAD),
+    ("cubic_newton", SELECT_LAST)])
+def test_lean_path_honours_selection(minimax, double_well, method, selection):
+    # minimax at x = -0.1 with eta = 0.2, K = 20: min_grad picks y_1 = 0.0040, not
+    # the last iterate y_20 = 0.1157
+    for problem, x in [(minimax, [-0.1]), (double_well, [0.3])]:
+        cfg = LowerSolverConfig(method=method, eta=0.2, M=24.0, max_iters=20,
+                                selection=selection)
+        full = solve_lower(problem, np.array(x), cfg)
+        lean_y, lean_counts = run_lower_lean(problem, np.array(x), cfg)
+        assert np.array_equal(lean_y, full.y_hat)
+        assert lean_counts == full.oracle_counts
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_lean_path_checks_every_gradient(K):
+    # finite gradient below y = 0.25, NaN from y_1 = 0.25 on: the last gradient
+    # for K = 1, a mid-loop one for K = 3
+    p = dataclasses.replace(
+        quadratic_problem(m=1, y0=[0.0]),
+        grad_y_g=lambda x, y: np.array([-1.0 if y[0] < 0.25 else math.nan]))
+    cfg = LowerSolverConfig(method="gradient_descent", eta=0.25, max_iters=K)
+    x = np.array([0.0])
+    with pytest.raises(LowerSolveError) as lean:
+        run_lower_lean(p, x, cfg)
+    with pytest.raises(LowerSolveError) as full:
+        gradient_descent_solve(p, x, cfg)
+    assert str(lean.value) == str(full.value) == "non-finite gradient at lower-level step 1"
+    assert lean.value.iterate_index == full.value.iterate_index == 1
 
 
 def test_solve_lower_dispatch(double_well):

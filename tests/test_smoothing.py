@@ -127,11 +127,17 @@ def test_estimator_determinism():
     assert not np.array_equal(a.value, c.value)
 
 
-def test_estimator_validates_inputs():
-    with pytest.raises(ValueError):
-        estimate_hypergradient(None, [0.0], 0, SmoothingConfig(), phi=step_phi)
-    with pytest.raises(ValueError):
-        estimate_hypergradient(None, [0.0], 10, SmoothingConfig())
+def test_estimator_validates_inputs(minimax):
+    cfg = SmoothingConfig()
+    for estimator in (estimate_hypergradient, estimate_smoothed_value):
+        with pytest.raises(ValueError, match="n_samples"):
+            estimator(None, [0.0], 0, cfg, phi=step_phi)
+        with pytest.raises(ValueError, match="problem or a direct phi"):
+            estimator(None, [0.0], 10, cfg)
+        with pytest.raises(ValueError, match="lower-solver config"):
+            estimator(minimax, [0.0], 10, cfg)
+        with pytest.raises(ValueError, match="dimension 1"):
+            estimator(minimax, [0.0, 0.0], 10, cfg, LowerSolverConfig())
 
 
 # ---------------------------------------------------------------------------
