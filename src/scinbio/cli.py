@@ -1,15 +1,17 @@
 """Command-line front end: run | scan | gda | estimate.
 
-Configuration comes from an optional key = value file (dotted keys for
-nesting, '#' comments) plus flag overrides; flags win.  Every output JSON
-embeds the fully resolved configuration so runs are self-describing.
+`_KEYS` is the one list of settable keys, with each key's parser and default.
+Values come from an optional key = value file ('#' comments), then `--set
+key=value`, then the dedicated flags; later sources win.  The problem's own
+defaults (the follower's eta and M, the scan grid) are resolved into the
+configuration, so every output JSON echoes the values the run used.  The
+outer, lower and smoothing keys are checked by their config dataclasses.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O failure.
 """
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,8 +22,7 @@ from . import rng
 from .baselines import BUDGET_EXHAUSTED, CYCLING, gda_field, run_gda
 from .errors import ConfigError, NumericalError
 from .geometry import box_counting_dimension, neighborhood_measure, scan_bifurcation_set
-from .lower import (CUBIC_NEWTON, GRADIENT_DESCENT, LowerSolverConfig,
-                    run_lower_lean)
+from .lower import GRADIENT_DESCENT, LowerSolverConfig, run_lower_lean
 from .outer import (OuterConfig, canonical_json, constant_schedules,
                     gradient_mapping, run_scinbio, tail_stability,
                     validate_run, write_summary_json, write_trace_csv)
@@ -37,49 +38,6 @@ EXIT_IO = 4
 REPORT_SCHEMA = "scinbio-report-v1"
 SCAN_CSV_SCHEMA = "scinbio-scan-v1"
 GDA_CSV_SCHEMA = "scinbio-gda-v1"
-
-_DEFAULTS = {
-    "problem": "minimax",
-    "seeds": list(range(15)),
-    "out": "out",
-    "stride": 1,
-    "audit": False,
-    "workers": 1,
-    "emit": ["csv", "json", "svg"],
-    "outer.T": 10000,
-    "outer.beta": 0.005,
-    "outer.output_rule": "last",
-    "lower.method": GRADIENT_DESCENT,
-    "lower.eta": None,     # problem default when unset
-    "lower.M": None,
-    "lower.K": 200,
-    "lower.grad_tol": 0.0,
-    "smoothing.xi": 0.05,
-    "smoothing.master_seed": 2024,
-    "sampling.N": 3,
-    "scan.grid_resolution": None,  # problem default when unset
-    "scan.y_lo": None,
-    "scan.y_hi": None,
-    "scan.y_resolution": None,
-    "gda.step": 0.01,
-    "gda.max_steps": 50000,
-    "gda.integrator": "rk4",
-    "estimate.N": 1000,
-    "estimate.batches": 10,
-}
-
-_SCAN_DEFAULTS = {
-    "fold": {"grid_resolution": 200, "y_lo": -1.0, "y_hi": 1.0, "y_resolution": 400},
-    "quartic": {"grid_resolution": 300, "y_lo": -250.0, "y_hi": 250.0,
-                "y_resolution": 2000},
-}
-
-_INT_KEYS = {"stride", "workers", "outer.T", "lower.K", "smoothing.master_seed",
-             "sampling.N", "scan.grid_resolution", "scan.y_resolution",
-             "gda.max_steps", "estimate.N", "estimate.batches"}
-_FLOAT_KEYS = {"outer.beta", "lower.eta", "lower.M", "lower.grad_tol",
-               "smoothing.xi", "scan.y_lo", "scan.y_hi", "gda.step"}
-_BOOL_KEYS = {"audit"}
 
 
 def parse_seed_list(text):
@@ -97,6 +55,61 @@ def parse_seed_list(text):
     return seeds
 
 
+def _parse_bool(text):
+    return text.strip().lower() in ("1", "true", "yes", "on")
+
+
+def _parse_list(text):
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+# The one list of settable keys: key -> (parser of its text form, default).
+# A default of None is filled from the problem, where it has one, by `resolve_config`.
+_KEYS = {
+    "problem": (str, "minimax"),
+    "seeds": (parse_seed_list, list(range(15))),
+    "out": (str, "out"),
+    "stride": (int, 1),
+    "audit": (_parse_bool, False),
+    "workers": (int, 1),
+    "emit": (_parse_list, ["csv", "json", "svg"]),
+    "outer.T": (int, 10000),
+    "outer.beta": (float, 0.005),
+    "outer.output_rule": (str, "last"),
+    "lower.method": (str, GRADIENT_DESCENT),
+    "lower.eta": (float, None),
+    "lower.M": (float, None),
+    "lower.K": (int, 200),
+    "lower.grad_tol": (float, 0.0),
+    "smoothing.xi": (float, 0.05),
+    "smoothing.master_seed": (int, 2024),
+    "sampling.N": (int, 3),
+    "scan.grid_resolution": (int, None),
+    "scan.y_lo": (float, None),
+    "scan.y_hi": (float, None),
+    "scan.y_resolution": (int, None),
+    "gda.step": (float, 0.01),
+    "gda.max_steps": (int, 50000),
+    "gda.integrator": (str, "rk4"),
+    "estimate.N": (int, 1000),
+    "estimate.batches": (int, 10),
+}
+
+_SCAN_DEFAULTS = {
+    "fold": {"scan.grid_resolution": 200, "scan.y_lo": -1.0, "scan.y_hi": 1.0,
+             "scan.y_resolution": 400},
+    "quartic": {"scan.grid_resolution": 300, "scan.y_lo": -250.0, "scan.y_hi": 250.0,
+                "scan.y_resolution": 2000},
+}
+
+# config dataclass fields whose key is not `section.field`
+_FIELD_KEYS = {"lower.max_iters": "lower.K"}
+
+# integer keys with no config object: key -> least allowed value
+_AT_LEAST = {"stride": 1, "sampling.N": 1, "gda.max_steps": 1, "estimate.N": 1,
+             "estimate.batches": 2, "scan.grid_resolution": 2, "scan.y_resolution": 2}
+
+
 def parse_config_file(path):
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -111,106 +124,71 @@ def parse_config_file(path):
     return values
 
 
-def _coerce(key, value, errors):
-    if value is None:
-        return None
-    try:
-        if key == "seeds":
-            return parse_seed_list(value) if isinstance(value, str) else list(value)
-        if key == "emit":
-            items = value.split(",") if isinstance(value, str) else value
-            return [s.strip() for s in items if str(s).strip()]
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            if isinstance(value, bool):
-                return value
-            return str(value).strip().lower() in ("1", "true", "yes", "on")
-        return str(value)
-    except (TypeError, ValueError):
-        errors.append(f"config key {key!r}: cannot parse {value!r}")
-        return None
-
-
 def resolve_config(args):
-    """Defaults <- config file <- --set overrides <- dedicated flags."""
+    """Defaults <- config file <- --set overrides <- dedicated flags, then
+    the problem's defaults; reports every invalid value at once."""
     errors = []
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (_, default) in _KEYS.items()}
+
+    def assign(key, text):
+        if key not in _KEYS:
+            errors.append(f"unknown config key {key!r}")
+            return
+        try:
+            cfg[key] = _KEYS[key][0](text)
+        except ValueError:
+            errors.append(f"config key {key!r}: cannot parse {text!r}")
+
     if args.config:
         try:
             file_values = parse_config_file(args.config)
         except OSError as exc:
             raise ConfigError([f"cannot read config file: {exc}"])
-        for key, value in file_values.items():
-            if key not in _DEFAULTS:
-                errors.append(f"unknown config key {key!r}")
-                continue
-            cfg[key] = _coerce(key, value, errors)
+        for key, text in file_values.items():
+            assign(key, text)
     for item in args.set or []:
         if "=" not in item:
             errors.append(f"--set expects key=value, got {item!r}")
             continue
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _DEFAULTS:
-            errors.append(f"unknown config key {key!r}")
-            continue
-        cfg[key] = _coerce(key, value, errors)
-    if args.problem is not None:
-        cfg["problem"] = args.problem
-    if args.seed is not None:
-        cfg["seeds"] = _coerce("seeds", args.seed, errors)
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.stride is not None:
-        cfg["stride"] = args.stride
-    if args.audit:
-        cfg["audit"] = True
+        assign(*(part.strip() for part in item.split("=", 1)))
+    for key in ("problem", "seeds", "out", "stride", "audit"):  # the dedicated flags
+        if getattr(args, key) is not None:
+            assign(key, getattr(args, key))
 
-    # validation: report every problem at once
-    if cfg["problem"] not in PROBLEM_NAMES:
-        errors.append(f"problem must be one of {', '.join(PROBLEM_NAMES)}")
+    name = cfg["problem"]
+    if name not in PROBLEM_NAMES:
+        raise ConfigError(errors + [f"problem must be one of {', '.join(PROBLEM_NAMES)}"])
+    problem_defaults = {"lower.eta": LOWER_DEFAULTS[name]["eta"],
+                        "lower.M": LOWER_DEFAULTS[name]["M"],
+                        **_SCAN_DEFAULTS.get(name, {})}
+    for key, value in problem_defaults.items():
+        if cfg[key] is None:
+            cfg[key] = value
+
+    for section, check in (("outer", lambda: _outer_config(cfg).validate()),
+                           ("lower", lambda: lower_config(cfg)),
+                           ("smoothing", lambda: _smoothing_config(cfg, 0))):
+        try:
+            check()
+        except ConfigError as exc:  # each message begins with the field at fault
+            for msg in exc.messages:
+                field, _, rest = msg.partition(" ")
+                key = f"{section}.{field}"
+                errors.append(f"{_FIELD_KEYS.get(key, key)} {rest}")
     if not cfg["seeds"]:
         errors.append("seeds must be nonempty")
-    if cfg["outer.T"] < 0:
-        errors.append("outer.T must be nonnegative")
-    if not cfg["outer.beta"] > 0:
-        errors.append("outer.beta must be positive")
-    if cfg["outer.output_rule"] not in ("last", "random_index", "best_mapping"):
-        errors.append("outer.output_rule must be last|random_index|best_mapping")
-    if cfg["lower.method"] not in (GRADIENT_DESCENT, CUBIC_NEWTON):
-        errors.append("lower.method must be gradient_descent|cubic_newton")
-    if cfg["lower.K"] < 0:
-        errors.append("lower.K must be nonnegative")
-    if cfg["lower.eta"] is not None and not cfg["lower.eta"] > 0:
-        errors.append("lower.eta must be positive")
-    if cfg["lower.M"] is not None and not cfg["lower.M"] > 0:
-        errors.append("lower.M must be positive")
-    if not cfg["smoothing.xi"] > 0:
-        errors.append("smoothing.xi must be positive")
-    if cfg["sampling.N"] < 1:
-        errors.append("sampling.N must be at least 1")
-    if cfg["stride"] < 1:
-        errors.append("stride must be at least 1")
-    if cfg["gda.step"] <= 0:
+    if any(seed < 0 for seed in cfg["seeds"]):
+        errors.append("seeds must be nonnegative")
+    for key, least in _AT_LEAST.items():
+        if cfg[key] is not None and cfg[key] < least:
+            errors.append(f"{key} must be at least {least}")
+    if not cfg["gda.step"] > 0:
         errors.append("gda.step must be positive")
-    if cfg["gda.max_steps"] < 1:
-        errors.append("gda.max_steps must be at least 1")
     if cfg["gda.integrator"] not in ("euler", "rk4"):
         errors.append("gda.integrator must be euler|rk4")
-    if cfg["estimate.N"] < 1:
-        errors.append("estimate.N must be at least 1")
-    if cfg["estimate.batches"] < 2:
-        errors.append("estimate.batches must be at least 2")
     bad_emit = set(cfg["emit"]) - {"csv", "json", "svg"}
     if bad_emit:
         errors.append(f"emit entries must be csv|json|svg, got {sorted(bad_emit)}")
-    scan_res = cfg["scan.grid_resolution"]
-    if scan_res is not None and scan_res < 2:
-        errors.append("scan.grid_resolution must be at least 2")
-    if cfg["scan.y_resolution"] is not None and cfg["scan.y_resolution"] < 2:
-        errors.append("scan.y_resolution must be at least 2")
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -228,12 +206,8 @@ def _ensure_outdir(cfg):
 
 
 def lower_config(cfg):
-    name = cfg["problem"]
-    defaults = LOWER_DEFAULTS.get(name, {})
-    eta = cfg["lower.eta"] if cfg["lower.eta"] is not None else defaults.get("eta", 0.01)
-    M = cfg["lower.M"] if cfg["lower.M"] is not None else defaults.get("M", 1.0)
-    return LowerSolverConfig(method=cfg["lower.method"], eta=eta, M=M,
-                             max_iters=cfg["lower.K"],
+    return LowerSolverConfig(method=cfg["lower.method"], eta=cfg["lower.eta"],
+                             M=cfg["lower.M"], max_iters=cfg["lower.K"],
                              grad_tol=cfg["lower.grad_tol"])
 
 
@@ -251,13 +225,6 @@ def experiment_initialization(problem_name, problem, seed):
         return np.array([rng.seeded_initialization(seed)[0]])
     lo, hi = problem.feasible_set.bbox
     return rng.init_stream(seed).uniform(lo, hi)
-
-
-def _config_echo(cfg):
-    echo = {}
-    for key, value in sorted(cfg.items()):
-        echo[key] = value
-    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +295,7 @@ def _run_one_seed(cfg, seed, out):
             write_trace_csv(trace, os.path.join(out, f"trace_seed{seed}.csv"))
         files["trace"] = f"trace_seed{seed}.csv"
     if "json" in cfg["emit"]:
-        extra = {"seed": seed, "run_config": _config_echo(cfg), "result": result}
+        extra = {"seed": seed, "run_config": cfg, "result": result}
         if cfg["audit"]:
             audit_n = 1024
             est = estimate_hypergradient(problem, trace.x_final, audit_n,
@@ -378,7 +345,7 @@ def cmd_run(cfg):
     report = {
         "schema": REPORT_SCHEMA,
         "command": "run",
-        "config": _config_echo(cfg),
+        "config": cfg,
         "results": {str(seed): results[seed] for seed in sorted(results)},
         "counts": {
             "converged": verdicts.count("converged"),
@@ -402,14 +369,11 @@ def cmd_scan(cfg):
     name = cfg["problem"]
     if name not in _SCAN_DEFAULTS:
         raise ConfigError([f"scan supports problems {sorted(_SCAN_DEFAULTS)}, got {name!r}"])
-    defaults = _SCAN_DEFAULTS[name]
-    res = cfg["scan.grid_resolution"] or defaults["grid_resolution"]
-    y_lo = cfg["scan.y_lo"] if cfg["scan.y_lo"] is not None else defaults["y_lo"]
-    y_hi = cfg["scan.y_hi"] if cfg["scan.y_hi"] is not None else defaults["y_hi"]
-    y_res = cfg["scan.y_resolution"] or defaults["y_resolution"]
+    res = cfg["scan.grid_resolution"]
     out = _ensure_outdir(cfg)
     problem = get_problem(name)
-    scan = scan_bifurcation_set(problem, res, (y_lo, y_hi), y_res)
+    scan = scan_bifurcation_set(problem, res, (cfg["scan.y_lo"], cfg["scan.y_hi"]),
+                                cfg["scan.y_resolution"])
 
     marked = scan.marked_centers()
     lo, hi = scan.bbox
@@ -441,7 +405,7 @@ def cmd_scan(cfg):
         files["svg"] = path
 
     dim_payload = {"schema": "scinbio-dimension-v1", "problem": name,
-                   "config": _config_echo(cfg), "n_marked_cells": int(len(marked))}
+                   "config": cfg, "n_marked_cells": int(len(marked))}
     if len(marked) >= 2:
         extent = float(max(hi[0] - lo[0], hi[1] - lo[1]))
         radii = [extent / 20 / (2 ** k) for k in range(4)]
@@ -508,7 +472,7 @@ def cmd_gda(cfg):
             files["csv"] = f"gda_seed{seed}.csv"
         if "svg" in cfg["emit"]:
             path = os.path.join(out, f"gda_seed{seed}.svg")
-            _write_gda_svg(problem, trace, path, out, seed)
+            _write_gda_svg(problem, trace, path, seed)
             files["svg"] = f"gda_seed{seed}.svg"
         entry["files"] = files
         results[seed] = entry
@@ -516,7 +480,7 @@ def cmd_gda(cfg):
     report = {
         "schema": REPORT_SCHEMA,
         "command": "gda",
-        "config": _config_echo(cfg),
+        "config": cfg,
         "results": {str(seed): results[seed] for seed in sorted(results)},
         "counts": {
             "cycling": verdicts.count(CYCLING),
@@ -530,7 +494,7 @@ def cmd_gda(cfg):
     return EXIT_OK
 
 
-def _write_gda_svg(problem, trace, path, out_dir, seed):
+def _write_gda_svg(problem, trace, path, seed):
     pts = trace.points
     lo = pts.min(axis=0) - 0.5
     hi = pts.max(axis=0) + 0.5
@@ -544,15 +508,6 @@ def _write_gda_svg(problem, trace, path, out_dir, seed):
     stride = max(1, len(pts) // 4000)
     canvas.polyline(pts[::stride, 0], pts[::stride, 1], color="#d62728", width=1.4)
     canvas.circle(pts[0, 0], pts[0, 1], r=4, color="#2ca02c")
-    overlay = os.path.join(out_dir, f"trace_seed{seed}.csv")
-    if os.path.exists(overlay):
-        try:
-            data = np.genfromtxt(overlay, delimiter=",", names=True, comments="#")
-            canvas.polyline(np.atleast_1d(data["x0"]),
-                            np.zeros_like(np.atleast_1d(data["x0"])) + lo[1] + 0.1,
-                            color="#1f77b4", width=1.0, opacity=0.8)
-        except Exception:
-            pass
     canvas.write(path)
 
 
@@ -571,8 +526,7 @@ def cmd_estimate(cfg, x_text):
     if not problem.feasible_set.contains(x):
         raise ConfigError([f"x = {x.tolist()} is outside the feasible set"])
     lower = lower_config(cfg)
-    smoothing = SmoothingConfig(xi=cfg["smoothing.xi"],
-                                master_seed=cfg["smoothing.master_seed"])
+    smoothing = _smoothing_config(cfg, 0)
     n = cfg["estimate.N"]
     batches = cfg["estimate.batches"]
     estimates = []
@@ -587,7 +541,7 @@ def cmd_estimate(cfg, x_text):
     se = estimates.std(axis=0, ddof=1) / np.sqrt(batches)
     payload = {
         "schema": "scinbio-estimate-v1",
-        "config": _config_echo(cfg),
+        "config": cfg,
         "x": [float(v) for v in x],
         "estimate": [float(v) for v in estimates[0]],
         "estimate_norm": float(np.linalg.norm(estimates[0])),
@@ -618,10 +572,10 @@ def build_parser():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--problem", choices=list(PROBLEM_NAMES))
-        p.add_argument("--seed", help="seed list, e.g. 0,1,2 or 0-14")
+        p.add_argument("--seed", dest="seeds", help="seed list, e.g. 0,1,2 or 0-14")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--stride", type=int, help="thin CSV traces by this factor")
-        p.add_argument("--audit", action="store_true",
+        p.add_argument("--stride", help="thin CSV traces by this factor")
+        p.add_argument("--audit", action="store_const", const="true",
                        help="re-estimate the gradient mapping at the final point")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key")

@@ -22,7 +22,10 @@ class EstimatorError(NumericalError):
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; carries the full list of validation messages."""
+    """Invalid configuration; carries the full list of validation messages.
+
+    A config dataclass begins each message with the name of the field at fault.
+    """
 
     def __init__(self, messages):
         if isinstance(messages, str):

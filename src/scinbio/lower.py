@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import LowerSolveError
+from .errors import ConfigError, LowerSolveError
 
 __all__ = [
     "LowerSolverConfig", "LowerSolveResult", "CubicStep",
@@ -49,16 +49,19 @@ class LowerSolverConfig:
     selection: Optional[str] = None
 
     def __post_init__(self):
+        msgs = []
         if self.method not in (GRADIENT_DESCENT, CUBIC_NEWTON):
-            raise ValueError(f"unknown lower-level method {self.method!r}")
-        if self.method == GRADIENT_DESCENT and not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if self.method == CUBIC_NEWTON and not self.M > 0:
-            raise ValueError("M must be positive")
+            msgs.append(f"method must be {GRADIENT_DESCENT}|{CUBIC_NEWTON}, got {self.method!r}")
+        if not self.eta > 0:
+            msgs.append("eta must be positive")
+        if not self.M > 0:
+            msgs.append("M must be positive")
         if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be nonnegative")
+            msgs.append("max_iters must be nonnegative")
+        if not self.grad_tol >= 0:
+            msgs.append("grad_tol must be nonnegative")
+        if msgs:
+            raise ConfigError(msgs)
 
     def resolved_selection(self):
         if self.selection is not None:

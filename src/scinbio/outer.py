@@ -107,12 +107,12 @@ class OuterConfig:
         betas = ([float(self.beta)] * max(self.T, 1) if np.isscalar(self.beta)
                  else list(map(float, self.beta)))
         if not np.isscalar(self.beta) and len(betas) < self.T:
-            msgs.append(f"beta schedule has {len(betas)} entries but T={self.T}")
+            msgs.append(f"beta has {len(betas)} entries but T = {self.T}")
         if any(not b > 0 for b in betas):
-            msgs.append("all step sizes beta_t must be positive")
-        if self.output_rule not in (OUTPUT_LAST, OUTPUT_RANDOM_INDEX,
-                                    OUTPUT_BEST_MAPPING):
-            msgs.append(f"unknown output rule {self.output_rule!r}")
+            msgs.append("beta must be positive at every t")
+        rules = (OUTPUT_LAST, OUTPUT_RANDOM_INDEX, OUTPUT_BEST_MAPPING)
+        if self.output_rule not in rules:
+            msgs.append(f"output_rule must be {'|'.join(rules)}, got {self.output_rule!r}")
         if msgs:
             raise ConfigError(msgs)
 

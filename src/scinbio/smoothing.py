@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import rng
-from .errors import EstimatorError, LowerSolveError
+from .errors import ConfigError, EstimatorError, LowerSolveError
 from .lower import LowerSolverConfig, run_lower_lean
 
 __all__ = [
@@ -33,8 +33,13 @@ class SmoothingConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        msgs = []
         if not self.xi > 0:
-            raise ValueError("xi must be positive")
+            msgs.append("xi must be positive")
+        if self.master_seed < 0:
+            msgs.append("master_seed must be nonnegative")
+        if msgs:
+            raise ConfigError(msgs)
 
 
 @dataclass

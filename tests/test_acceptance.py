@@ -30,6 +30,8 @@ from scinbio.problems import PROBLEM_NAMES
 from test_lower import brute_force_min, cubic_model, make_hard_case
 from test_outer import hook_problem, quad_phi
 
+pytestmark = pytest.mark.slow
+
 SEEDS = list(range(15))
 MASTER_SEED = 2024
 

@@ -34,10 +34,34 @@ def test_invalid_beta_exits_2_and_names_field(tmp_path, capsys):
 def test_validation_reports_all_errors_at_once(tmp_path, capsys):
     code = run_cli("run", "--out", str(tmp_path),
                    "--set", "outer.beta=-1", "--set", "outer.T=-5",
-                   "--set", "smoothing.xi=0")
+                   "--set", "lower.K=-1", "--set", "lower.grad_tol=-1",
+                   "--set", "smoothing.xi=0", "--set", "smoothing.master_seed=-2")
     assert code == 2
     err = capsys.readouterr().err
-    assert "outer.beta" in err and "outer.T" in err and "smoothing.xi" in err
+    # each message names the key as typed, not the config dataclass field
+    for key in ("lower.K", "lower.grad_tol", "outer.T", "outer.beta",
+                "smoothing.xi", "smoothing.master_seed"):
+        assert f"config error: {key} " in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("run", "--seed", "0", "--set", "lower.grad_tol=-1"), "lower.grad_tol"),
+    (("estimate", "--x", "0.0", "--set", "lower.grad_tol=-1"), "lower.grad_tol"),
+    (("run", "--seed", "0", "--set", "smoothing.master_seed=-2"), "smoothing.master_seed"),
+    (("estimate", "--x", "0.0", "--set", "smoothing.master_seed=-2"),
+     "smoothing.master_seed"),
+    (("run", "--seed=-1"), "seeds"),
+    (("gda", "--seed=-1"), "seeds"),
+])
+def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys, argv, key):
+    out = tmp_path / "o"
+    code = run_cli(*argv, "--out", str(out), "--set", "outer.T=5", "--set", "lower.K=5",
+                   "--set", "gda.max_steps=10", "--set", "estimate.N=2")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"config error: {key} must be nonnegative" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_empty_seed_list_rejected(tmp_path, capsys):
@@ -138,6 +162,21 @@ def test_run_config_echo_is_resolved(tmp_path):
     assert cfg["outer.beta"] == 0.005
     assert cfg["smoothing.xi"] == 0.05
     assert cfg["lower.method"] == "gradient_descent"
+
+
+def test_problem_defaults_are_echoed(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--problem", "minimax", "--seed", "0", "--out", str(out),
+                   "--set", "outer.T=0", "--set", "emit=json") == 0
+    cfg = json.loads((out / "report.json").read_text())["config"]
+    assert cfg["lower.eta"] == 0.01 and cfg["lower.M"] == 32.0
+    # minimax has no scan grid
+    assert cfg["scan.y_resolution"] is None
+    assert run_cli("scan", "--problem", "fold", "--out", str(out), "--set", "emit=json",
+                   "--set", "scan.grid_resolution=4") == 0
+    cfg = json.loads((out / "dimension_fold.json").read_text())["config"]
+    assert cfg["scan.y_resolution"] == 400
+    assert cfg["scan.grid_resolution"] == 4
 
 
 def test_run_trace_stride(tmp_path):
@@ -243,6 +282,7 @@ def test_scan_rejects_resolution_one(tmp_path, capsys):
 # gda
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_gda_counts_cycles_on_seed_population(tmp_path):
     out = tmp_path / "gda"
     code = run_cli("gda", "--problem", "minimax", "--seed", "0-14",
@@ -276,3 +316,14 @@ def test_gda_svg_written(tmp_path):
     svg = (out / "gda_seed0.svg").read_text()
     assert svg.startswith("<?xml")
     assert "<svg" in svg and "polyline" in svg
+
+
+def test_gda_svg_ignores_other_files_in_out(tmp_path):
+    gda = ("gda", "--problem", "minimax", "--seed", "0", "--set", "emit=svg",
+           "--set", "gda.max_steps=200")
+    empty, shared = tmp_path / "empty", tmp_path / "shared"
+    shared.mkdir()
+    (shared / "trace_seed0.csv").write_text("t,x0\n0,0.5\n1,0.25\n")
+    assert run_cli(*gda, "--out", str(empty)) == 0
+    assert run_cli(*gda, "--out", str(shared)) == 0
+    assert (shared / "gda_seed0.svg").read_bytes() == (empty / "gda_seed0.svg").read_bytes()

@@ -90,11 +90,13 @@ def test_fold_eigenvalue_sqrt_scaling(fold):
 # bifurcation scan
 # ---------------------------------------------------------------------------
 
+# a 15 s build: the tests that use it are marked slow
 @pytest.fixture(scope="session")
 def fold_scan(fold):
     return scan_bifurcation_set(fold, 200, (-1.0, 1.0), 400)
 
 
+@pytest.mark.slow
 def test_fold_scan_marks_line(fold_scan):
     marked = fold_scan.marked_centers()
     assert len(marked) >= 150
@@ -108,6 +110,7 @@ def test_fold_scan_marks_line(fold_scan):
         assert abs(r.y[0]) <= 1e-6
 
 
+@pytest.mark.slow
 def test_scan_indicator_backed_by_degenerate_records(fold_scan):
     lo, hi = fold_scan.bbox
     w1, w2 = fold_scan.cell_size
@@ -217,6 +220,7 @@ def test_fold_conditions_require_degenerate_record(fold):
         check_fold_conditions(fold, rec)
 
 
+@pytest.mark.slow
 def test_scanned_fold_points_classify_as_folds(fold, fold_scan):
     degenerate = [r for r in fold_scan.branch_points if r.degenerate]
     for rec in degenerate[::40]:
@@ -242,6 +246,7 @@ def test_dimension_of_filled_square():
     assert abs(est.d_hat - 2.0) <= 0.15
 
 
+@pytest.mark.slow
 def test_dimension_of_fold_scan(fold_scan):
     est = box_counting_dimension(fold_scan.marked_centers(),
                                  [0.1, 0.05, 0.025, 0.0125])
@@ -272,24 +277,28 @@ def test_dimension_validates_radii():
 # neighborhood measure
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_tube_measure_around_fold_line(fold_scan):
     (delta, measure), = neighborhood_measure(fold_scan, [0.1])
     # tube of half-width 0.1 around the segment {x1 = 1/2} x [-1, 1]
     assert measure == pytest.approx(2 * 0.1 * 2.0, rel=0.2)
 
 
+@pytest.mark.slow
 def test_tube_measure_zero_delta(fold_scan):
     (_, measure), = neighborhood_measure(fold_scan, [0.0])
     w1, w2 = fold_scan.cell_size
     assert measure == pytest.approx(fold_scan.indicator.sum() * w1 * w2, rel=1e-12)
 
 
+@pytest.mark.slow
 def test_tube_measure_monotone(fold_scan):
     out = neighborhood_measure(fold_scan, [0.02, 0.05, 0.1, 0.2, 0.4])
     measures = [m for _, m in out]
     assert all(b >= a for a, b in zip(measures, measures[1:]))
 
 
+@pytest.mark.slow
 def test_tube_measure_scaling_and_covering_bound(fold_scan):
     deltas = [0.04, 0.08, 0.16, 0.32]
     out = neighborhood_measure(fold_scan, deltas)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scinbio import (ball_set, box_set, custom_set, get_problem, perturb_linear,
                      problem_library)
@@ -221,6 +223,33 @@ def test_projection_is_nearest(feasible):
             w = rng.uniform(lo, hi)
             if feasible.contains(w):
                 assert np.linalg.norm(p - z) <= np.linalg.norm(w - z) + 1e-12
+
+
+def _vectors(m, bound=10.0):
+    return st.lists(st.floats(-bound, bound), min_size=m, max_size=m).map(np.array)
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_projection_nearest_point_property(kind, data):
+    # P(z) is the nearest point iff (z - P(z)) . (w - P(z)) <= 0 for every feasible w
+    m = data.draw(st.integers(1, 3), label="m")
+    z = data.draw(_vectors(m), label="z")
+    if kind == "box":
+        a, b = data.draw(_vectors(m), label="a"), data.draw(_vectors(m), label="b")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        t = data.draw(_vectors(m, 1.0), label="t")
+        feasible = box_set(lo, hi)
+        w = np.clip(lo + 0.5 * (t + 1.0) * (hi - lo), lo, hi)
+    else:
+        center = data.draw(_vectors(m), label="center")
+        radius = data.draw(st.floats(1e-3, 10.0), label="radius")
+        d = data.draw(_vectors(m, 1.0), label="d")
+        feasible = ball_set(center, radius)
+        w = center + radius * d / max(1.0, float(np.linalg.norm(d)))
+    p = feasible.project(z)
+    assert float((z - p) @ (w - p)) <= 1e-12 * (1.0 + float(z @ z))
 
 
 # ---------------------------------------------------------------------------
