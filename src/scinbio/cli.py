@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,6 +70,8 @@ _KEYS = {
     "out": (str, "out"),
     "stride": (int, 1),
     "audit": (_parse_bool, False),
+    # no effect: `run` advances all seeds in lockstep in one thread; kept so
+    # that existing configurations still parse
     "workers": (int, 1),
     "emit": (_parse_list, ["csv", "json", "svg"]),
     "outer.T": (int, 10000),
@@ -106,8 +107,9 @@ _SCAN_DEFAULTS = {
 _FIELD_KEYS = {"lower.max_iters": "lower.K"}
 
 # integer keys with no config object: key -> least allowed value
-_AT_LEAST = {"stride": 1, "sampling.N": 1, "gda.max_steps": 1, "estimate.N": 1,
-             "estimate.batches": 2, "scan.grid_resolution": 2, "scan.y_resolution": 2}
+_AT_LEAST = {"stride": 1, "workers": 1, "sampling.N": 1, "gda.max_steps": 1,
+             "estimate.N": 1, "estimate.batches": 2, "scan.grid_resolution": 2,
+             "scan.y_resolution": 2}
 
 
 def parse_config_file(path):
@@ -231,12 +233,20 @@ def experiment_initialization(problem_name, problem, seed):
 # run
 # ---------------------------------------------------------------------------
 
+def _solve_points(problem, xs, lower_cfg):
+    """y_hat at each row of xs from one batched solve; a failed point raises
+    the error its own solve would."""
+    res = run_lower_lean(problem, xs, lower_cfg)
+    for exc in res.errors:
+        if exc is not None:
+            raise exc
+    return res.y_hat
+
+
 def _phase_points(problem, xs, lower_cfg, stride):
-    pts = []
-    for x in xs[::stride]:
-        y_hat, _ = run_lower_lean(problem, x, lower_cfg)
-        pts.append((float(x[0]), float(y_hat[0])))
-    return pts
+    xs = xs[::stride]
+    y_hat = _solve_points(problem, xs, lower_cfg)
+    return list(zip(xs[:, 0].tolist(), y_hat[:, 0].tolist()))
 
 
 def _outer_config(cfg):
@@ -250,13 +260,9 @@ def _smoothing_config(cfg, seed):
                            master_seed=cfg["smoothing.master_seed"] + seed)
 
 
-def _run_one_seed(cfg, seed, out):
+def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
+    """Verdict, best point and output files of one seed's finished run."""
     name = cfg["problem"]
-    problem = get_problem(name)
-    x0 = experiment_initialization(name, problem, seed)
-    lower = lower_config(cfg)
-    smoothing = _smoothing_config(cfg, seed)
-    trace = run_scinbio(problem, _outer_config(cfg), lower, smoothing, x0=x0)
     xs = trace.x_history()
 
     result = {"seed": seed, "x_final": [float(v) for v in trace.x_final],
@@ -274,16 +280,13 @@ def _run_one_seed(cfg, seed, out):
     # best of the last 100 iterations by hyperfunction value
     if problem.m == 1 and len(xs) > 1:
         tail = xs[:-1][-100:]
-        best_val, best_point = None, None
         offset = len(xs) - 1 - len(tail)
-        for k, x in enumerate(tail):
-            y_hat, _ = run_lower_lean(problem, x, lower)
-            val = problem.f(x, y_hat)
-            if best_val is None or val < best_val:
-                best_val = val
-                best_point = {"t": offset + k, "x": [float(v) for v in x],
-                              "y_hat": [float(v) for v in y_hat], "f": float(val)}
-        result["best_of_last_100"] = best_point
+        y_hat = _solve_points(problem, tail, lower)
+        vals = problem.f(tail, y_hat)
+        k = int(np.argmin(vals))
+        result["best_of_last_100"] = {"t": offset + k, "x": [float(v) for v in tail[k]],
+                                      "y_hat": [float(v) for v in y_hat[k]],
+                                      "f": float(vals[k])}
 
     files = {}
     if "csv" in cfg["emit"]:
@@ -329,18 +332,29 @@ def _run_one_seed(cfg, seed, out):
 
 
 def cmd_run(cfg):
+    name = cfg["problem"]
+    problem = get_problem(name)
+    seeds = cfg["seeds"]
+    outer = _outer_config(cfg)
+    lower = lower_config(cfg)
+    smoothings = [_smoothing_config(cfg, seed) for seed in seeds]
     # checked once here: inside a seed, a ConfigError would count as that seed's failure
-    validate_run(get_problem(cfg["problem"]), _outer_config(cfg), _smoothing_config(cfg, 0))
+    validate_run(problem, outer, smoothings[0])
     out = _ensure_outdir(cfg)
+    x0s = [experiment_initialization(name, problem, seed) for seed in seeds]
+    try:
+        outcomes = run_scinbio(problem, outer, lower, smoothings, x0=x0s).traces
+    except Exception as exc:  # not one seed's failure: every seed reports it
+        outcomes = [exc] * len(seeds)
     results = {}
-    with ThreadPoolExecutor(max_workers=max(1, cfg["workers"])) as pool:
-        futures = {seed: pool.submit(_run_one_seed, cfg, seed, out)
-                   for seed in cfg["seeds"]}
-        for seed, fut in futures.items():
-            try:
-                results[seed] = fut.result()
-            except Exception as exc:  # per-seed failures must not abort the sweep
-                results[seed] = {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+    for seed, smoothing, outcome in zip(seeds, smoothings, outcomes):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            results[seed] = _run_one_seed(cfg, seed, problem, lower, smoothing,
+                                          outcome, out)
+        except Exception as exc:  # per-seed failures must not abort the sweep
+            results[seed] = {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
     verdicts = [r.get("verdict") for r in results.values()]
     report = {
         "schema": REPORT_SCHEMA,

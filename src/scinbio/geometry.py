@@ -92,24 +92,10 @@ def _scalar_hess(problem, x, y):
     return float(np.atleast_2d(problem.hess_yy_g(x, ybuf))[0, 0])
 
 
-def _grad_on_grid(problem, x, ys, vectorized):
-    """Gradient values on a y-grid; vectorized when the oracle broadcasts."""
-    if vectorized:
-        out = np.asarray(problem.grad_y_g(x, ys))
-        if out.shape == ys.shape:
-            return out, True
-    out = np.empty_like(ys)
-    for i, y in enumerate(ys):
-        out[i] = _scalar_grad(problem, x, y)
-    return out, False
-
-
-def _probe_vectorized(problem, x, ys):
-    try:
-        out = np.asarray(problem.grad_y_g(x, ys[:4]))
-        return out.shape == ys[:4].shape
-    except Exception:
-        return False
+def _grad_on_grid(problem, x, ys):
+    """grad_y g(x, y) at every y of a grid, as one lane call."""
+    lanes = np.broadcast_to(x, (ys.shape[0], x.shape[0]))
+    return np.asarray(problem.grad_y_g(lanes, ys[:, None]))[:, 0]
 
 
 def _refine_root(problem, x, a, b, fa, fb):
@@ -150,13 +136,11 @@ def _refine_root(problem, x, a, b, fa, fb):
     return y
 
 
-def _stationary_roots(problem, x, y_range, resolution, vectorized=None):
+def _stationary_roots(problem, x, y_range, resolution):
     """Sorted (y, grad, lambda) triples of the stationary points on y_range."""
     lo, hi = float(y_range[0]), float(y_range[1])
     ys = np.linspace(lo, hi, resolution)
-    if vectorized is None:
-        vectorized = _probe_vectorized(problem, x, ys)
-    vals, _ = _grad_on_grid(problem, x, ys, vectorized)
+    vals = _grad_on_grid(problem, x, ys)
     roots = []
     zero_hits = np.flatnonzero(vals == 0.0)
     for i in zero_hits:
@@ -305,9 +289,6 @@ def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> Bif
     c2 = lo[1] + (np.arange(r) + 0.5) * w[1]
     y_lo, y_hi = float(y_range[0]), float(y_range[1])
 
-    probe_x = np.array([c1[0], c2[0]])
-    vectorized = _probe_vectorized(problem, probe_x, np.linspace(y_lo, y_hi, 8))
-
     roots = {}
     indicator = np.zeros((r, r), dtype=bool)
     lam_grid = np.full((r, r), np.nan)
@@ -315,8 +296,7 @@ def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> Bif
     for i in range(r):
         for j in range(r):
             x = np.array([c1[i], c2[j]])
-            rs = _stationary_roots(problem, x, (y_lo, y_hi), y_resolution,
-                                   vectorized=vectorized)
+            rs = _stationary_roots(problem, x, (y_lo, y_hi), y_resolution)
             roots[(i, j)] = rs
             if rs:
                 lam_grid[i, j] = min(abs(l) for (_, _, l) in rs)

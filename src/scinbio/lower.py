@@ -1,5 +1,13 @@
 """Lower-level solvers: gradient descent and cubic-regularized Newton.
 
+There is one solver per method, and it advances a batch of lanes together:
+x of shape (L, n) holds L parameter points, every lane starts from y0, and
+each oracle call serves every lane still iterating (the lane convention of
+`problems`).  Inputs are checked once per solve.  Lanes stop on their own
+(early exit on grad_tol), fail on their own (a non-finite value is reported
+for that lane only) and select their own iterate.  A single point x of shape
+(n,) runs as one lane and returns the list-shaped result of one solve.
+
 The cubic method minimizes the model  m(s) = g^T s + 1/2 s^T H s + (M/6)||s||^3
 at every step and afterwards selects the iterate with the smallest
 second-order stationarity measure
@@ -10,8 +18,8 @@ Solvers are reentrant: each solve owns its trace and oracles are pure.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -71,12 +79,25 @@ class LowerSolverConfig:
 
 @dataclass
 class LowerSolveResult:
+    """Iterates, measures and selection of one solve.
+
+    For a single point: y_hat (m,), the iterates y_0..y_k as a list, one
+    gradient norm (and for cubic Newton one nu_M) per iterate, the selected
+    index and integer oracle counts; a failure raises LowerSolveError.  For
+    L lanes: y_hat (L, m); iterates (K + 1, L, m), grad_norms and
+    stationarity_measures (K + 1, L), NaN past each lane's last iterate;
+    selected_index and each oracle count an (L,) integer array; errors[l] the
+    LowerSolveError that stopped lane l, or None.  stationarity_measures is
+    empty for gradient descent.
+    """
+
     y_hat: np.ndarray
-    iterates: List[np.ndarray]
-    grad_norms: List[float]
-    stationarity_measures: List[float]   # empty for gradient descent
+    iterates: list
+    grad_norms: list
+    stationarity_measures: list
     selected_index: int
     oracle_counts: dict = field(default_factory=dict)
+    errors: Optional[list] = None
 
 
 @dataclass(frozen=True)
@@ -88,10 +109,10 @@ class CubicStep:
 
 
 def stationarity_measure(grad_norm, lambda_min, M):
-    """nu_M: max of sqrt(grad_norm / M) and -(2 / (3 M)) lambda_min."""
-    if grad_norm < 0 or M <= 0:
+    """nu_M: max of sqrt(grad_norm / M) and -(2 / (3 M)) lambda_min (elementwise)."""
+    if np.any(np.asarray(grad_norm) < 0) or M <= 0:
         raise ValueError("grad_norm must be >= 0 and M > 0")
-    return max(math.sqrt(grad_norm / M), -(2.0 / (3.0 * M)) * lambda_min)
+    return np.maximum(np.sqrt(grad_norm / M), -(2.0 / (3.0 * M)) * lambda_min)
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +131,15 @@ def _canonical_eigvec(v):
 
 
 def _eigenpairs(hess):
-    """Ascending eigenvalues and eigenvectors of the symmetric part of hess.
+    """Ascending eigenvalues and eigenvectors of the symmetric part of hess,
+    one (m, m) matrix or a stack (..., m, m).
 
     A 1x1 matrix is its own eigendecomposition: (h, [[1]]) is bit for bit
     what LAPACK returns, without the cost of the call.
     """
-    if hess.shape == (1, 1):
-        return hess[0].copy(), np.ones((1, 1))
-    return np.linalg.eigh(0.5 * (hess + hess.T))
+    if hess.shape[-2:] == (1, 1):
+        return hess[..., 0].copy(), np.ones(hess.shape)
+    return np.linalg.eigh(0.5 * (hess + np.swapaxes(hess, -1, -2)))
 
 
 def solve_cubic_subproblem(grad, hess, M, _eig=None) -> CubicStep:
@@ -155,23 +177,30 @@ def solve_cubic_subproblem(grad, hess, M, _eig=None) -> CubicStep:
     if np.max(np.abs(hess - hess.T)) > 1e-8 * scale:
         raise ValueError("hess must be symmetric")
     if m == 1:
-        return _cubic_step_1d(float(grad[0]), float(hess[0, 0]), M)
+        g, h = grad, hess[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where drops
+            s, r, hard = _cubic_step_1d(g, h, M)
+        value = g * s + 0.5 * h * s * s + (M / 6.0) * r ** 3
+        return CubicStep(s, float(value[0]), float(r[0]), bool(hard[0]))
     return _solve_cubic_secular(grad, hess, M, _eig)
 
 
 def _cubic_step_1d(g, h, M):
-    ag = abs(g)
-    if ag <= 1e-13 * (ag + 1.0):
-        if h >= 0.0:
-            return CubicStep(np.zeros(1), 0.0, 0.0, False)
-        r = -2.0 * h / M
-        s, hard = r, True
-    else:
-        root = math.hypot(h, math.sqrt(2.0 * M * ag))
-        r = 2.0 * ag / (h + root) if h >= 0.0 else (root - h) / M
-        s, hard = -math.copysign(r, g), False
-    value = g * s + 0.5 * h * s * s + (M / 6.0) * r ** 3
-    return CubicStep(np.array([s]), value, r, hard)
+    """Closed-form cubic step (s, r, hard_case) for arrays of 1-D (g, h).
+
+    np.where evaluates both forms of r; the one it drops may divide by zero,
+    so callers run this under np.errstate.
+    """
+    ag = np.abs(g)
+    tiny = ag <= 1e-13 * (ag + 1.0)
+    root = np.hypot(h, np.sqrt(2.0 * M * ag))
+    r = np.where(h >= 0.0, 2.0 * ag / (h + root), (root - h) / M)
+    s = -np.copysign(r, g)
+    # |g| ~ 0: no step for h >= 0, the hard-case step s = r = -2h/M for h < 0
+    hard = tiny & (h < 0.0)
+    r = np.where(tiny, np.where(hard, -2.0 * h / M, 0.0), r)
+    s = np.where(tiny, r, s)
+    return s, r, hard
 
 
 def _solve_cubic_secular(grad, hess, M, eig=None) -> CubicStep:
@@ -251,156 +280,179 @@ def _solve_cubic_secular(grad, hess, M, eig=None) -> CubicStep:
 
 
 # ---------------------------------------------------------------------------
-# Full solvers (trace-recording)
+# Batched solvers
 # ---------------------------------------------------------------------------
 
-def _check_finite(y, k, what="iterate"):
-    if not np.all(np.isfinite(y)):
-        raise LowerSolveError(f"non-finite {what} at lower-level step {k}",
-                              iterate_index=k)
+_SELECTIONS = {GRADIENT_DESCENT: (SELECT_LAST, SELECT_MIN_GRAD),
+               CUBIC_NEWTON: (SELECT_STATIONARITY, SELECT_MIN_GRAD, SELECT_LAST)}
+
+
+def _norms(g):
+    return np.sqrt((g * g).sum(axis=-1))
+
+
+def _oracle(fn, x, y, shape, what):
+    out = np.asarray(fn(x, y), dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{what} returned shape {out.shape} for {x.shape[0]} lanes, "
+                         f"expected {shape}")
+    return out
+
+
+def _curvature_and_step(g, H, M, with_step):
+    """lambda_min of each lane's Hessian (NaN where H is not finite) and, when
+    with_step, each lane's cubic step: the closed form for m = 1, the secular
+    solve lane by lane for m > 1."""
+    m = g.shape[1]
+    if m == 1:
+        lam = H[:, 0, 0]
+        return lam, (_cubic_step_1d(g[:, 0], lam, M)[0][:, None] if with_step else None)
+    ok = np.isfinite(H).all(axis=(1, 2))
+    evals, evecs = _eigenpairs(np.where(ok[:, None, None], H, 0.0))
+    lam = np.where(ok, evals[:, 0], np.nan)
+    if not with_step:
+        return lam, None
+    steps = np.full(g.shape, np.nan)
+    for i in np.flatnonzero(ok & np.isfinite(g).all(axis=1)):
+        steps[i] = _solve_cubic_secular(g[i], H[i], M, (evals[i], evecs[i])).s
+    return lam, steps
+
+
+def _iterate(problem, x, config):
+    """Run every lane from y0 for up to K steps.
+
+    Returns the iterates (K + 1, L, m), gradients (K + 1, L, m), Hessian
+    lambda_min (K + 1, L) and each lane's last step, NaN past it.  A lane that
+    turns non-finite runs on; `_lane_errors` finds its first bad value.
+    """
+    cubic = config.method == CUBIC_NEWTON
+    L, m, K = x.shape[0], problem.m, config.max_iters
+    eta, tol = config.eta, config.grad_tol
+    ys = np.full((K + 1, L, m), np.nan)
+    gs = np.full((K + 1, L, m), np.nan)
+    lams = np.full((K + 1, L), np.nan)
+    last = np.full(L, K)
+    ys[0] = problem.y0
+    rows = slice(None)  # the lanes still iterating
+    xa, ya = x, ys[0].copy()
+    with np.errstate(all="ignore"):
+        for k in range(K + 1):
+            g = _oracle(problem.grad_y_g, xa, ya, ya.shape, "grad_y_g")
+            gs[k, rows] = g
+            if cubic:
+                H = _oracle(problem.hess_yy_g, xa, ya, ya.shape + (m,), "hess_yy_g")
+                lam, step = _curvature_and_step(g, H, config.M, k < K)
+                lams[k, rows] = lam
+            if tol > 0:
+                done = _norms(g) <= tol
+                if done.any():
+                    lanes = np.arange(L)[rows]
+                    last[lanes[done]] = k
+                    keep = ~done
+                    rows, xa, ya, g = lanes[keep], xa[keep], ya[keep], g[keep]
+                    if cubic and step is not None:
+                        step = step[keep]
+                    if rows.size == 0:
+                        break
+            if k == K:
+                break
+            ya = ya + step if cubic else ya - eta * g
+            ys[k + 1, rows] = ya
+    return ys, gs, lams, last
+
+
+def _lane_errors(ys, gs, lams, last, cubic):
+    """Per lane, the first non-finite value in the order one solve meets them
+    (gradient at step k, Hessian at step k, iterate k + 1), or None."""
+    K1, L = gs.shape[:2]
+    ran = np.arange(K1)[:, None] <= last
+    bad = np.zeros((K1, 3, L), dtype=bool)
+    bad[:, 0] = ran & ~np.isfinite(gs).all(axis=-1)
+    if cubic:
+        bad[:, 1] = ran & ~np.isfinite(lams)
+    bad[:-1, 2] = ran[1:] & ~np.isfinite(ys[1:]).all(axis=-1)
+    bad = bad.reshape(3 * K1, L)
+    errors = [None] * L
+    for lane in np.flatnonzero(bad.any(axis=0)):
+        k, kind = divmod(int(np.argmax(bad[:, lane])), 3)
+        k += kind == 2
+        what = ("gradient", "Hessian", "iterate")[kind]
+        errors[lane] = LowerSolveError(f"non-finite {what} at lower-level step {k}",
+                                       iterate_index=k)
+    return errors
+
+
+def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
+    """K steps of config.method from y0 at each point of x, (n,) or (L, n).
+
+    Gradient descent: y_{k+1} = y_k - eta grad_y g(x, y_k); cubic Newton:
+    y_{k+1} = y_k + the cubic-model step.  A lane stops early once
+    ||grad_y g|| <= grad_tol (when grad_tol > 0).  The selection rule then
+    picks each lane's y_hat: `last`, `min_grad` (argmin over k >= 1) or, for
+    cubic Newton, `stationarity` (argmin nu_M over k >= 0); ties go to the
+    smallest k.  Returns the single-point or the lane form of
+    LowerSolveResult, following the shape of x.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim > 2 or x.shape[-1] != problem.n:
+        raise ValueError(f"x must have shape ({problem.n},) or (L, {problem.n}), "
+                         f"got {x.shape}")
+    cubic = config.method == CUBIC_NEWTON
+    selection = config.resolved_selection()
+    if selection not in _SELECTIONS[config.method]:
+        raise ValueError(f"selection rule {selection!r} not supported for {config.method}")
+
+    ys, gs, lams, last = _iterate(problem, np.atleast_2d(x), config)
+    errors = _lane_errors(ys, gs, lams, last, cubic)
+    K1, L = gs.shape[:2]
+    unran = np.arange(K1)[:, None] > last
+    with np.errstate(all="ignore"):  # failed lanes
+        grad_norms = _norms(gs)
+        nus = stationarity_measure(grad_norms, lams, config.M) if cubic else []
+    if selection == SELECT_LAST:
+        k_star = last
+    elif selection == SELECT_MIN_GRAD:
+        masked = np.where(unran, np.inf, grad_norms)
+        k_star = np.where(last > 0, masked[1:].argmin(axis=0) + 1, 0) if K1 > 1 else last
+    else:
+        k_star = np.where(unran, np.inf, nus).argmin(axis=0)
+    counts = {"g": np.zeros(L, dtype=int), "grad": last + 1,
+              "hess": last + 1 if cubic else np.zeros(L, dtype=int)}
+    result = LowerSolveResult(y_hat=ys[k_star, np.arange(L)], iterates=ys,
+                              grad_norms=grad_norms, stationarity_measures=nus,
+                              selected_index=k_star, oracle_counts=counts,
+                              errors=errors)
+    if x.ndim == 2:
+        return result
+    if errors[0] is not None:
+        raise errors[0]
+    n = int(last[0]) + 1
+    return LowerSolveResult(
+        y_hat=result.y_hat[0], iterates=list(ys[:n, 0]),
+        grad_norms=grad_norms[:n, 0].tolist(),
+        stationarity_measures=nus[:n, 0].tolist() if cubic else [],
+        selected_index=int(k_star[0]),
+        oracle_counts={key: int(v[0]) for key, v in counts.items()})
 
 
 def cubic_newton_solve(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
-    """K full cubic-Newton steps from y0; best iterate by nu_M over k = 0..K."""
+    """K cubic-Newton steps from y0; best iterate by nu_M over k = 0..K."""
     if config.method != CUBIC_NEWTON:
         raise ValueError("config.method must be 'cubic_newton'")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    M = config.M
-    K = config.max_iters
-    y = np.array(problem.y0, dtype=float)
-    iterates = [y.copy()]
-    grad_norms = []
-    nus = []
-    lambda_mins = []
-    n_grad = n_hess = 0
-
-    for k in range(K + 1):
-        gk = np.atleast_1d(np.asarray(problem.grad_y_g(x, y), dtype=float))
-        Hk = np.atleast_2d(np.asarray(problem.hess_yy_g(x, y), dtype=float))
-        n_grad += 1
-        n_hess += 1
-        _check_finite(gk, k, "gradient")
-        _check_finite(Hk, k, "Hessian")
-        evals, evecs = _eigenpairs(Hk)
-        gnorm = float(np.linalg.norm(gk))
-        grad_norms.append(gnorm)
-        lambda_mins.append(float(evals[0]))
-        nus.append(stationarity_measure(gnorm, float(evals[0]), M))
-        if config.grad_tol > 0 and gnorm <= config.grad_tol:
-            break
-        if k == K:
-            break
-        step = solve_cubic_subproblem(gk, Hk, M, _eig=(evals, evecs))
-        y = y + step.s
-        _check_finite(y, k + 1)
-        iterates.append(y.copy())
-
-    selection = config.resolved_selection()
-    if selection == SELECT_STATIONARITY:
-        k_star = int(np.argmin(nus))
-    elif selection == SELECT_MIN_GRAD:
-        k_star = 1 + int(np.argmin(grad_norms[1:])) if len(grad_norms) > 1 else 0
-    elif selection == SELECT_LAST:
-        k_star = len(iterates) - 1
-    else:
-        raise ValueError(f"unknown selection rule {selection!r}")
-
-    return LowerSolveResult(
-        y_hat=iterates[k_star].copy(),
-        iterates=iterates,
-        grad_norms=grad_norms,
-        stationarity_measures=nus,
-        selected_index=k_star,
-        oracle_counts={"g": 0, "grad": n_grad, "hess": n_hess},
-    )
+    return solve_lower(problem, x, config)
 
 
 def gradient_descent_solve(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
     """y_{k+1} = y_k - eta grad_y g(x, y_k) for K steps; returns the last iterate."""
     if config.method != GRADIENT_DESCENT:
         raise ValueError("config.method must be 'gradient_descent'")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    eta = config.eta
-    K = config.max_iters
-    y = np.array(problem.y0, dtype=float)
-    iterates = [y.copy()]
-    grad_norms = []
-    n_grad = 0
-
-    for k in range(K + 1):
-        gk = np.atleast_1d(np.asarray(problem.grad_y_g(x, y), dtype=float))
-        n_grad += 1
-        _check_finite(gk, k, "gradient")
-        gnorm = float(np.linalg.norm(gk))
-        grad_norms.append(gnorm)
-        if config.grad_tol > 0 and gnorm <= config.grad_tol:
-            break
-        if k == K:
-            break
-        y = y - eta * gk
-        _check_finite(y, k + 1)
-        iterates.append(y.copy())
-
-    selection = config.resolved_selection()
-    if selection == SELECT_LAST:
-        k_star = len(iterates) - 1
-    elif selection == SELECT_MIN_GRAD:
-        k_star = 1 + int(np.argmin(grad_norms[1:])) if len(grad_norms) > 1 else 0
-    else:
-        raise ValueError(f"selection rule {selection!r} not supported for gradient descent")
-
-    return LowerSolveResult(
-        y_hat=iterates[k_star].copy(),
-        iterates=iterates,
-        grad_norms=grad_norms,
-        stationarity_measures=[],
-        selected_index=k_star,
-        oracle_counts={"g": 0, "grad": n_grad, "hess": 0},
-    )
+    return solve_lower(problem, x, config)
 
 
-def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
-    if config.method == CUBIC_NEWTON:
-        return cubic_newton_solve(problem, x, config)
-    return gradient_descent_solve(problem, x, config)
+def run_lower_lean(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
+    """`solve_lower` under the name the estimator and the CLI call it by.
 
-
-# ---------------------------------------------------------------------------
-# Lean path used by the hypergradient estimator: no per-iterate recording.
-# Arithmetic matches the recording solvers exactly.
-# ---------------------------------------------------------------------------
-
-def run_lower_lean(problem, x, config: LowerSolverConfig):
-    """Return (y_hat, oracle_counts) without storing the iterate trace."""
-    if (config.method == GRADIENT_DESCENT and problem.m == 1 and config.grad_tol == 0
-            and config.resolved_selection() == SELECT_LAST):
-        return _gd_lean_1d(problem, x, config)
-    res = solve_lower(problem, x, config)
-    return res.y_hat, res.oracle_counts
-
-
-def _gd_lean_1d(problem, x, config):
-    # scalar fast path: the minimax experiment runs ~10^6 of these solves
-    grad = problem.grad_y_g
-    eta = config.eta
-    K = config.max_iters
-    ybuf = np.array(problem.y0, dtype=float)
-    yv = ybuf[0]
-    for k in range(K):
-        ybuf[0] = yv
-        gk = grad(x, ybuf)
-        yv = yv - eta * gk[0]
-        if not math.isfinite(yv):
-            # name the same step and cause as the recording solver
-            if not math.isfinite(gk[0]):
-                raise LowerSolveError(f"non-finite gradient at lower-level step {k}",
-                                      iterate_index=k)
-            raise LowerSolveError(f"non-finite iterate at lower-level step {k + 1}",
-                                  iterate_index=k + 1)
-    ybuf[0] = yv
-    # the recording solver evaluates and checks the gradient at the last iterate too
-    if not math.isfinite(grad(x, ybuf)[0]):
-        raise LowerSolveError(f"non-finite gradient at lower-level step {K}",
-                              iterate_index=K)
-    counts = {"g": 0, "grad": K + 1, "hess": 0}
-    return ybuf, counts
+    A profiler that wraps this name times the solves of a run apart from
+    direct `solve_lower` calls (benchmarks/tracing.py does).
+    """
+    return solve_lower(problem, x, config)

@@ -3,7 +3,9 @@
 Per iteration t: draw N_t Gaussian directions, estimate the hypergradient with
 K_t-step lower solves, take a projected step x_{t+1} = proj(x_t - beta_t ghat),
 and record the projected gradient mapping norm.  The loop is deterministic
-given (master_seed, config); independent runs may execute concurrently.
+given (master_seed, config).  Several seeds run in lockstep: one estimator
+call per iteration serves every seed, so all their lower solves share each
+oracle call, and each seed's numbers are those of the seed run alone.
 """
 
 import dataclasses
@@ -18,10 +20,11 @@ import numpy as np
 from . import rng
 from .errors import ConfigError
 from .lower import LowerSolverConfig
-from .smoothing import SmoothingConfig, estimate_hypergradient, lipschitz_bound
+from .smoothing import (GradientEstimate, SmoothingConfig, estimate_hypergradient,
+                        lipschitz_bound)
 
 __all__ = [
-    "OuterConfig", "OuterTrace", "Schedules", "default_schedules",
+    "OuterConfig", "OuterTrace", "LockstepRun", "Schedules", "default_schedules",
     "gradient_mapping", "run_scinbio", "random_index_pmf", "validate_run",
     "tail_stability", "write_trace_csv", "write_summary_json",
     "TRACE_SCHEMA",
@@ -126,7 +129,7 @@ class TraceRow:
     n_samples: int
     k_steps: int
     infeasible_count: int
-    wall_time: float
+    wall_time: float  # seconds into the (lockstep) iteration when the row was made
 
 
 @dataclass
@@ -182,48 +185,100 @@ def validate_run(problem, outer: OuterConfig, smoothing: SmoothingConfig):
                          lipschitz_bound(problem.f_bar, smoothing.xi))
 
 
+@dataclass
+class LockstepRun:
+    """Seeds run in lockstep by one `run_scinbio` call, in the order given:
+    traces[s] is seed s's OuterTrace, or the error that stopped that seed."""
+
+    traces: list
+
+    @property
+    def rows(self):
+        """Every recorded iteration of the seeds that finished."""
+        return [row for trace in self.traces if isinstance(trace, OuterTrace)
+                for row in trace.rows]
+
+
 def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
-                smoothing: SmoothingConfig, x0=None,
-                phi: Optional[Callable] = None) -> OuterTrace:
+                smoothing, x0=None, phi: Optional[Callable] = None):
     """Run the outer loop from x0 (projected to the feasible set first).
+
+    With one SmoothingConfig this is one run: x0 is one point (default: the
+    center of the feasible box) and the result its OuterTrace; a failed
+    estimate raises.  With a sequence of configs, one per seed, and x0 a
+    matching sequence of starts, the seeds run in lockstep and the result is
+    a LockstepRun: at iteration t one estimator call draws every running
+    seed's N_t directions from that seed's stream and solves all their
+    samples together.  A seed whose estimate fails stops there; the others
+    run on, each with the numbers it gets when run alone.
 
     phi forwards the direct-hook of the estimator: lower solves are skipped
     and per-sample values come from phi, with the feasibility cap still
     applied through the problem's feasible set and f_bar.
     """
-    validate_run(problem, outer, smoothing)
+    single = isinstance(smoothing, SmoothingConfig)
+    configs = [smoothing] if single else list(smoothing)
+    for config in configs:
+        validate_run(problem, outer, config)
     fs = problem.feasible_set
     if x0 is None:
         lo, hi = fs.bbox
-        x0 = 0.5 * (lo + hi)
-    x = fs.project(np.atleast_1d(np.asarray(x0, dtype=float)))
+        starts = [0.5 * (lo + hi)] * len(configs)
+    else:
+        starts = [x0] if single else list(x0)
+    if len(starts) != len(configs):
+        raise ValueError(f"{len(starts)} starts for {len(configs)} seeds")
+    xs = [fs.project(np.atleast_1d(np.asarray(x, dtype=float))) for x in starts]
 
     sched = outer.schedules or constant_schedules(1, lower.max_iters)
     T = outer.T
     betas = [outer.beta_at(t) for t in range(T)]
 
-    rows = []
-    totals = {"f": 0, "g": 0, "grad": 0, "hess": 0}
+    rows = [[] for _ in configs]
+    totals = [{"f": 0, "g": 0, "grad": 0, "hess": 0} for _ in configs]
+    failures = [None] * len(configs)
     for t in range(T):
+        running = [s for s, err in enumerate(failures) if err is None]
+        if not running:
+            break
         t0 = time.perf_counter()
         n_t = int(sched.n_t(t))
         k_t = int(sched.k_t(t))
         lower_t = dataclasses.replace(lower, max_iters=k_t)
-        est = estimate_hypergradient(problem, x, n_t, smoothing, lower_t,
-                                     stream_tag=t, phi=phi)
+        ests = estimate_hypergradient(problem, np.array([xs[s] for s in running]), n_t,
+                                      [configs[s] for s in running], lower_t,
+                                      stream_tag=t, phi=phi)
         beta_t = betas[t]
-        gm = gradient_mapping(x, est.value, beta_t, fs)
-        rows.append(TraceRow(
-            t=t, x=x.copy(), estimate=est.value.copy(),
-            mapping_norm=float(np.linalg.norm(gm)),
-            n_samples=n_t, k_steps=k_t,
-            infeasible_count=est.infeasible_count,
-            wall_time=time.perf_counter() - t0,
-        ))
-        for key in totals:
-            totals[key] += est.oracle_counts.get(key, 0)
-        x = fs.project(x - beta_t * est.value)
+        for s, est in zip(running, ests.per_point):
+            if not isinstance(est, GradientEstimate):
+                failures[s] = est
+                continue
+            x = xs[s]
+            gm = gradient_mapping(x, est.value, beta_t, fs)
+            rows[s].append(TraceRow(
+                t=t, x=x.copy(), estimate=est.value.copy(),
+                mapping_norm=float(np.linalg.norm(gm)),
+                n_samples=n_t, k_steps=k_t,
+                infeasible_count=est.infeasible_count,
+                wall_time=time.perf_counter() - t0,
+            ))
+            for key in totals[s]:
+                totals[s][key] += est.oracle_counts.get(key, 0)
+            xs[s] = fs.project(x - beta_t * est.value)
 
+    traces = [failures[s] or _finish(problem, outer, lower, configs[s], rows[s],
+                                     xs[s], betas, totals[s])
+              for s in range(len(configs))]
+    if not single:
+        return LockstepRun(traces)
+    if failures[0] is not None:
+        raise failures[0]
+    return traces[0]
+
+
+def _finish(problem, outer, lower, smoothing, rows, x, betas, totals):
+    """One seed's OuterTrace: its output point and configuration echo."""
+    T = outer.T
     x_final = x.copy()
     r_index = None
     if outer.output_rule == OUTPUT_BEST_MAPPING and rows:

@@ -4,8 +4,15 @@ A problem is a bundle of pure oracles for the upper objective f(x, y), the
 lower objective g(x, y) and its y-derivatives, together with a fixed
 lower-level initialization y0, a uniform value cap f_bar on |f| over the
 reachable region, and a convex compact feasible set for x.  Oracles must be
-pure functions of (x, y): solvers may hand them reused scratch buffers and
-may call them concurrently.
+pure functions of (x, y): solvers may hand them reused scratch buffers.
+
+Lane convention.  An oracle evaluates L independent points at once: x has
+shape (L, n) and y shape (L, m), and f and g return shape (L,), grad_y_g
+(L, m) and hess_yy_g (L, m, m).  A single point, x of shape (n,) and y of
+shape (m,), is the L-less case: the same shapes without the leading axis.
+The solvers and the estimator call oracles with lanes; the GDA baseline and
+the geometry's root polish call them with single points.  A feasible set's
+`project` and `contains` act on the last axis in the same way.
 """
 
 import dataclasses
@@ -22,11 +29,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Convex compact set with Euclidean projection, membership, bounding box."""
+    """Convex compact set with Euclidean projection, membership, bounding box.
+
+    `project` and `contains` take a point (n,) or points (..., n); `contains`
+    returns one boolean per point.
+    """
 
     kind: str
     project: Callable[[np.ndarray], np.ndarray]
-    contains: Callable[[np.ndarray], bool]
+    contains: Callable[[np.ndarray], np.ndarray]
     bbox: tuple
 
 
@@ -35,14 +46,15 @@ def box_set(lo, hi) -> FeasibleSet:
     hi = np.asarray(hi, dtype=float)
     if lo.shape != hi.shape or np.any(lo > hi):
         raise ValueError("box bounds must have equal shape with lo <= hi")
+    slack = 1e-12 * (1.0 + np.abs(hi - lo))
+    lo_in, hi_in = lo - slack, hi + slack
 
     def project(z):
         return np.clip(np.asarray(z, dtype=float), lo, hi)
 
     def contains(z):
         z = np.asarray(z, dtype=float)
-        slack = 1e-12 * (1.0 + np.abs(hi - lo))
-        return bool(np.all(z >= lo - slack) and np.all(z <= hi + slack))
+        return np.all((z >= lo_in) & (z <= hi_in), axis=-1)
 
     return FeasibleSet("box", project, contains, (lo.copy(), hi.copy()))
 
@@ -56,20 +68,20 @@ def ball_set(center, radius) -> FeasibleSet:
     def project(z):
         z = np.asarray(z, dtype=float)
         d = z - center
-        nrm = float(np.linalg.norm(d))
-        if nrm <= radius:
-            return z.copy()
-        return center + d * (radius / nrm)
+        nrm = np.linalg.norm(d, axis=-1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(nrm <= radius, z, center + d * (radius / nrm))
 
     def contains(z):
         z = np.asarray(z, dtype=float)
-        return bool(np.linalg.norm(z - center) <= radius * (1.0 + 1e-12) + 1e-12)
+        return np.linalg.norm(z - center, axis=-1) <= radius * (1.0 + 1e-12) + 1e-12
 
     return FeasibleSet("ball", project, contains,
                        (center - radius, center + radius))
 
 
 def custom_set(project, contains, bbox) -> FeasibleSet:
+    """Feasible set from callables that act on the last axis (see FeasibleSet)."""
     lo, hi = (np.asarray(bbox[0], dtype=float), np.asarray(bbox[1], dtype=float))
     return FeasibleSet("custom", project, contains, (lo, hi))
 
@@ -82,9 +94,12 @@ def custom_set(project, contains, bbox) -> FeasibleSet:
 class BilevelProblem:
     """Oracle bundle for min_{x in X} f(x, y^alg(x)) with algorithmic lower level.
 
+    f, g, grad_y_g and hess_yy_g follow the lane convention of this module:
+    (L, n) and (L, m) inputs give (L,), (L, m) and (L, m, m) outputs, and a
+    single point (n,), (m,) gives the same shapes without the L axis.
     grad_x_grad_y_g, when present, returns the (m, n) cross-derivative block
-    d/dx of grad_y g; it is only consulted by the fold-condition checker and
-    may be omitted (finite differences are used instead).
+    d/dx of grad_y g at a single point; it is only consulted by the geometry
+    diagnostics and may be omitted (finite differences are used instead).
     """
 
     n: int
@@ -113,22 +128,30 @@ class ProblemLibraryEntry:
     notes: str
 
 
+def _part(v, j):
+    """Component j of each lane: a scalar for a single point, else an (L,) array.
+
+    A scalar keeps single-point calls at scalar arithmetic speed.
+    """
+    return v[..., j][()]
+
+
 # ---------------------------------------------------------------------------
 # Builtin: nonconvex-nonconcave minimax  f(x,y) = (x^2-y^2) sin(x+y) + xy sin(x-y)
 # ---------------------------------------------------------------------------
 # The minimax problem min_x max_y f is cast as a bilevel problem with lower
-# objective g = -f.  Scalar math is used in the oracles because the inner
-# gradient-descent loop evaluates them millions of times per run.
+# objective g = -f.  The partials take scalars with `math` or lane arrays with
+# numpy: the GDA baseline evaluates single points ~10^5 times per run, where
+# numpy's per-call cost on scalars would dominate.
 
-def _mm_f(x, y):
-    a = x[0]
-    b = y[0]
-    return (a * a - b * b) * math.sin(a + b) + a * b * math.sin(a - b)
+def _mm_f(a, b, lib=math):
+    return (a * a - b * b) * lib.sin(a + b) + a * b * lib.sin(a - b)
 
 
-def _mm_fy(a, b):
-    return (-a * b * math.cos(a - b) + a * math.sin(a - b)
-            - 2.0 * b * math.sin(a + b) + (a * a - b * b) * math.cos(a + b))
+def _mm_fy(a, b, lib=math):
+    d, s = a - b, a + b
+    return (-a * b * lib.cos(d) + a * lib.sin(d)
+            - 2.0 * b * lib.sin(s) + (a * a - b * b) * lib.cos(s))
 
 
 def _mm_fx(a, b):
@@ -136,10 +159,10 @@ def _mm_fx(a, b):
             + b * math.sin(a - b) + (a * a - b * b) * math.cos(a + b))
 
 
-def _mm_fyy(a, b):
-    return (-a * b * math.sin(a - b) - 2.0 * a * math.cos(a - b)
-            - 4.0 * b * math.cos(a + b) - (a * a - b * b) * math.sin(a + b)
-            - 2.0 * math.sin(a + b))
+def _mm_fyy(a, b, lib=math):
+    return (-a * b * lib.sin(a - b) - 2.0 * a * lib.cos(a - b)
+            - 4.0 * b * lib.cos(a + b) - (a * a - b * b) * lib.sin(a + b)
+            - 2.0 * lib.sin(a + b))
 
 
 def _mm_fxy(a, b):
@@ -155,7 +178,7 @@ def minimax_value_and_gradients(x, y):
     The gradient-descent-ascent baseline uses these directly; the bilevel
     bundle only exposes y-derivatives of g = -f.
     """
-    return (_mm_f((x,), (y,)), _mm_fx(x, y), _mm_fy(x, y))
+    return (_mm_f(x, y), _mm_fx(x, y), _mm_fy(x, y))
 
 
 # Value cap: 1.5 x max|f| over a 400-point grid of [-3,3] x the sublevel
@@ -166,21 +189,30 @@ _MINIMAX_F_BAR = 62.13
 def builtin_minimax() -> BilevelProblem:
     """Nonconvex-nonconcave minimax test problem as a bilevel bundle (n=m=1)."""
 
+    def f(x, y):
+        if x.ndim == 1:
+            return _mm_f(x[0], y[0])
+        return _mm_f(x[:, 0], y[:, 0], np)
+
     def g(x, y):
-        return -_mm_f(x, y)
+        return -f(x, y)
 
     def grad_y_g(x, y):
-        return np.array([-_mm_fy(x[0], y[0])])
+        if x.ndim == 1:
+            return np.array([-_mm_fy(x[0], y[0])])
+        return -_mm_fy(x[:, 0], y[:, 0], np)[:, None]
 
     def hess_yy_g(x, y):
-        return np.array([[-_mm_fyy(x[0], y[0])]])
+        if x.ndim == 1:
+            return np.array([[-_mm_fyy(x[0], y[0])]])
+        return -_mm_fyy(x[:, 0], y[:, 0], np)[:, None, None]
 
     def grad_x_grad_y_g(x, y):
         return np.array([[-_mm_fxy(x[0], y[0])]])
 
     return BilevelProblem(
         n=1, m=1,
-        f=_mm_f, g=g,
+        f=f, g=g,
         grad_y_g=grad_y_g, hess_yy_g=hess_yy_g,
         grad_x_grad_y_g=grad_x_grad_y_g,
         y0=np.array([0.0]),
@@ -194,27 +226,31 @@ def builtin_minimax() -> BilevelProblem:
 # ---------------------------------------------------------------------------
 # f(x,y) = y separates the two lower-level branches, so the hyperfunction
 # jumps at x = 0 where gradient descent from y0 = 0 stalls on the hump.
+# Like the other builtins below, the oracles compute on the components
+# _part(x, j), _part(y, 0) and add the trailing axes of the lane convention
+# at the end.  Gradients spell powers np.power: on a scalar, `**` rounds
+# differently from numpy's array power in a few percent of cases, and
+# np.power rounds a single point as it rounds a lane.
 
 _DOUBLE_WELL_F_BAR = 5.33  # 1.5 x max|y| over the sublevel grid (max 3.553)
 
 
 def builtin_shifted_double_well() -> BilevelProblem:
     def f(x, y):
-        return float(y[0])
+        return _part(y, 0)
 
     def g(x, y):
-        u = y[0] - x[0]
+        u = _part(y, 0) - _part(x, 0)
         u2 = u * u
         return u2 * u2 - 2.0 * u2
 
     def grad_y_g(x, y):
-        # elementwise in y: accepts the usual (1,) state or a (k,) batch
-        u = np.asarray(y, dtype=float) - x[0]
-        return 4.0 * u * u * u - 4.0 * u
+        u = _part(y, 0) - _part(x, 0)
+        return (4.0 * u * u * u - 4.0 * u)[..., None]
 
     def hess_yy_g(x, y):
-        u = y[0] - x[0]
-        return np.array([[12.0 * u * u - 4.0]])
+        u = _part(y, 0) - _part(x, 0)
+        return (12.0 * u * u - 4.0)[..., None, None]
 
     def grad_x_grad_y_g(x, y):
         u = y[0] - x[0]
@@ -250,29 +286,29 @@ def _fold_overhang(y):
 
 def builtin_fold_family() -> BilevelProblem:
     def f(x, y):
-        return x[0] + y[0]
+        return _part(x, 0) + _part(y, 0)
 
     def g(x, y):
-        x1 = x[0]
-        yy = y[0]
+        x1 = _part(x, 0)
+        yy = _part(y, 0)
         r = _fold_overhang(yy)
         return ((1.0 - 2.0 * x1) * yy + (3.0 * x1 - 2.0 * x1 * x1) * yy ** 3
                 + _FOLD_CONF * r ** 4)
 
     def grad_y_g(x, y):
-        x1 = x[0]
-        yy = np.asarray(y, dtype=float)
+        x1 = _part(x, 0)
+        yy = _part(y, 0)
         r = _fold_overhang(yy)
         return ((1.0 - 2.0 * x1)
                 + 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy * yy
-                + 4.0 * _FOLD_CONF * r ** 3 * np.sign(yy))
+                + 4.0 * _FOLD_CONF * np.power(r, 3) * np.sign(yy))[..., None]
 
     def hess_yy_g(x, y):
-        x1 = x[0]
-        yy = y[0]
+        x1 = _part(x, 0)
+        yy = _part(y, 0)
         r = _fold_overhang(yy)
-        return np.array([[6.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
-                          + 12.0 * _FOLD_CONF * r * r]])
+        return (6.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
+                + 12.0 * _FOLD_CONF * r * r)[..., None, None]
 
     def grad_x_grad_y_g(x, y):
         x1 = x[0]
@@ -311,25 +347,25 @@ def _q_c2(x1, x2):
 
 def builtin_quartic_family() -> BilevelProblem:
     def f(x, y):
-        return x[0] + y[0]
+        return _part(x, 0) + _part(y, 0)
 
     def g(x, y):
-        c3 = _q_c3(x[0], x[1])
-        c2 = _q_c2(x[0], x[1])
-        yy = y[0]
+        c3 = _q_c3(_part(x, 0), _part(x, 1))
+        c2 = _q_c2(_part(x, 0), _part(x, 1))
+        yy = _part(y, 0)
         return yy ** 4 + c3 * yy ** 3 + c2 * yy * yy + c3 * yy
 
     def grad_y_g(x, y):
-        c3 = _q_c3(x[0], x[1])
-        c2 = _q_c2(x[0], x[1])
-        yy = np.asarray(y, dtype=float)
-        return 4.0 * yy ** 3 + 3.0 * c3 * yy * yy + 2.0 * c2 * yy + c3
+        c3 = _q_c3(_part(x, 0), _part(x, 1))
+        c2 = _q_c2(_part(x, 0), _part(x, 1))
+        yy = _part(y, 0)
+        return (4.0 * np.power(yy, 3) + 3.0 * c3 * yy * yy + 2.0 * c2 * yy + c3)[..., None]
 
     def hess_yy_g(x, y):
-        c3 = _q_c3(x[0], x[1])
-        c2 = _q_c2(x[0], x[1])
-        yy = y[0]
-        return np.array([[12.0 * yy * yy + 6.0 * c3 * yy + 2.0 * c2]])
+        c3 = _q_c3(_part(x, 0), _part(x, 1))
+        c2 = _q_c2(_part(x, 0), _part(x, 1))
+        yy = _part(y, 0)
+        return (12.0 * yy * yy + 6.0 * c3 * yy + 2.0 * c2)[..., None, None]
 
     def grad_x_grad_y_g(x, y):
         x1, x2 = x[0], x[1]
@@ -368,7 +404,7 @@ def perturb_linear(problem: BilevelProblem, a) -> BilevelProblem:
     base_grad = problem.grad_y_g
 
     def g(x, y):
-        return base_g(x, y) + float(np.dot(a, y))
+        return base_g(x, y) + y @ a
 
     def grad_y_g(x, y):
         return np.asarray(base_grad(x, y)) + a

@@ -15,11 +15,11 @@ import numpy as np
 from scipy.stats import norm
 
 from . import rng
-from .errors import ConfigError, EstimatorError, LowerSolveError
+from .errors import ConfigError, EstimatorError
 from .lower import LowerSolverConfig, run_lower_lean
 
 __all__ = [
-    "SmoothingConfig", "GradientEstimate", "gaussian_kernel",
+    "SmoothingConfig", "GradientEstimate", "GradientEstimates", "gaussian_kernel",
     "estimate_hypergradient", "estimate_smoothed_value",
     "smoothed_step_reference", "gradient_norm_bound", "lipschitz_bound",
 ]
@@ -51,6 +51,18 @@ class GradientEstimate:
     oracle_counts: dict
 
 
+@dataclass
+class GradientEstimates:
+    """Estimates at several points from one call, in the order of the points:
+    each entry is the point's GradientEstimate, or the EstimatorError that
+    stopped it.  samples_used and infeasible_count total the points that
+    succeeded."""
+
+    per_point: list
+    samples_used: int
+    infeasible_count: int
+
+
 def gaussian_kernel(z, xi):
     """Density (2 pi xi^2)^(-n/2) exp(-||z||^2 / (2 xi^2)) at z (n from len(z))."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -61,14 +73,19 @@ def gaussian_kernel(z, xi):
     return (2.0 * math.pi * xi * xi) ** (-0.5 * n) * math.exp(-q)
 
 
-def _checked_point(problem, x, n_samples, lower, phi):
-    """x as a 1-D float array, after the checks both estimators share."""
+def _checked_points(problem, x, n_samples, lower, phi, n_points=None):
+    """x as a float array of points (S, n), after the checks both estimators
+    share; n_points=None takes x as one point (n,)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if problem is None and phi is None:
         raise ValueError("need a problem or a direct phi hook")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if problem is not None and x.shape[0] != problem.n:
+    x = np.asarray(x, dtype=float)
+    if n_points is None:
+        x = x.reshape(1, -1)
+    elif x.ndim != 2 or x.shape[0] != n_points:
+        raise ValueError(f"x must hold {n_points} points as rows, got shape {x.shape}")
+    if problem is not None and x.shape[1] != problem.n:
         raise ValueError(f"x must have dimension {problem.n}")
     if phi is None and lower is None:
         raise ValueError("a lower-solver config is required without a phi hook")
@@ -80,60 +97,95 @@ def _draw_directions(smoothing, stream_tag, n_samples, n):
     return gen.standard_normal((n_samples, n))
 
 
-def _sample_values(problem, x, u, smoothing, lower, phi):
-    """Per-sample hyperfunction values with the f_bar convention; bookkeeping."""
-    xi = smoothing.xi
-    n_samples = u.shape[0]
-    values = np.empty(n_samples)
-    infeasible = 0
-    counts = {"f": 0, "g": 0, "grad": 0, "hess": 0}
-    contains = problem.feasible_set.contains if problem is not None else None
-    for i in range(n_samples):
-        xt = x + xi * u[i]
-        if contains is not None and not contains(xt):
-            values[i] = problem.f_bar
-            infeasible += 1
-            continue
-        if phi is not None:
-            values[i] = float(phi(xt))
-        else:
-            try:
-                y_hat, c = run_lower_lean(problem, xt, lower)
-            except LowerSolveError as exc:
-                raise EstimatorError(
-                    f"lower-level solve failed on sample {i}: {exc}",
-                    sample_index=i) from exc
-            counts["g"] += c.get("g", 0)
-            counts["grad"] += c.get("grad", 0)
-            counts["hess"] += c.get("hess", 0)
-            values[i] = problem.f(xt, y_hat)
-            counts["f"] += 1
-        if not math.isfinite(values[i]):
-            raise EstimatorError(f"non-finite objective value on sample {i}",
-                                 sample_index=i)
-    return values, infeasible, counts
+def _sample_values(problem, points, u, xis, lower, phi):
+    """Hyperfunction values at points[s] + xi_s u[s, i] with the f_bar
+    convention, for all points at once: every feasible sample of every point
+    is one lane of a single lower solve.
+
+    Returns values (S, N), infeasible counts (S,), oracle counts per point and
+    per point the EstimatorError of its first failing sample in sample order
+    (a failed lower solve or a non-finite value), or None.
+    """
+    S, N = u.shape[:2]
+    xt = points[:, None, :] + np.asarray(xis)[:, None, None] * u
+    values = np.empty((S, N))
+    counts = [{"f": 0, "g": 0, "grad": 0, "hess": 0} for _ in range(S)]
+    feasible = (np.ones((S, N), dtype=bool) if problem is None
+                else problem.feasible_set.contains(xt))
+    if problem is not None:
+        values[~feasible] = problem.f_bar
+    solve_errors = {}
+    if phi is not None:
+        for s, i in np.argwhere(feasible).tolist():
+            values[s, i] = float(phi(xt[s, i]))
+    elif feasible.any():
+        lanes = xt[feasible]
+        owner, sample = np.nonzero(feasible)
+        res = run_lower_lean(problem, lanes, lower)
+        with np.errstate(all="ignore"):  # a failed lane's value is NaN; reported below
+            values[feasible] = problem.f(lanes, res.y_hat)
+        per_point = {key: np.bincount(owner, weights=res.oracle_counts[key], minlength=S)
+                     for key in ("g", "grad", "hess")}
+        per_point["f"] = np.bincount(owner, minlength=S)
+        counts = [{key: int(c[s]) for key, c in per_point.items()} for s in range(S)]
+        solve_errors = {(int(owner[lane]), int(sample[lane])): exc
+                        for lane, exc in enumerate(res.errors) if exc is not None}
+    bad = ~np.isfinite(values)
+    for s, i in solve_errors:
+        bad[s, i] = True
+    errors = [None] * S
+    for s, i in np.argwhere(bad).tolist():  # each point's first bad sample comes first
+        if errors[s] is None:
+            exc = solve_errors.get((s, i))
+            errors[s] = EstimatorError(
+                f"non-finite objective value on sample {i}" if exc is None
+                else f"lower-level solve failed on sample {i}: {exc}", sample_index=i)
+            errors[s].__cause__ = exc
+    return values, (~feasible).sum(axis=1), counts, errors
 
 
-def estimate_hypergradient(problem, x, n_samples, smoothing: SmoothingConfig,
+def estimate_hypergradient(problem, x, n_samples, smoothing,
                            lower: Optional[LowerSolverConfig] = None,
                            stream_tag: int = 0,
-                           phi: Optional[Callable] = None) -> GradientEstimate:
+                           phi: Optional[Callable] = None):
     """Monte Carlo estimate (1/(N xi)) sum_i u_i f(x + xi u_i, y_hat(x + xi u_i)).
 
     Directions are drawn deterministically from (master_seed, stream_tag);
     each feasible sample runs a cold-started lower solve, infeasible samples
-    contribute f_bar.  `phi` is a test hook that replaces the (f, lower-solve)
-    pipeline with a direct scalar function; pass problem=None with it to
-    disable the feasibility cap entirely.
+    contribute f_bar.  With one SmoothingConfig, x is one point (n,) and the
+    result a GradientEstimate (a failure raises EstimatorError).  With a
+    sequence of S configs, x holds S points (S, n), each drawing from its own
+    config's stream, and the result is a GradientEstimates: the lower solves
+    of all points share one batched solve, and a failure stops only its point.
+    `phi` is a test hook that replaces the (f, lower-solve) pipeline with a
+    direct scalar function; pass problem=None with it to disable the
+    feasibility cap entirely.
     """
-    x = _checked_point(problem, x, n_samples, lower, phi)
-    u = _draw_directions(smoothing, stream_tag, n_samples, x.shape[0])
-    values, infeasible, counts = _sample_values(problem, x, u, smoothing, lower, phi)
-    est = (u * values[:, None]).sum(axis=0) / (n_samples * smoothing.xi)
-    return GradientEstimate(value=est, samples_used=n_samples,
-                            per_sample_f=values.tolist(),
-                            infeasible_count=infeasible,
-                            oracle_counts=counts)
+    single = isinstance(smoothing, SmoothingConfig)
+    configs = [smoothing] if single else list(smoothing)
+    points = _checked_points(problem, x, n_samples, lower, phi,
+                             None if single else len(configs))
+    u = np.stack([_draw_directions(c, stream_tag, n_samples, points.shape[1])
+                  for c in configs])
+    values, infeasible, counts, errors = _sample_values(
+        problem, points, u, [c.xi for c in configs], lower, phi)
+    estimates = []
+    for s, c in enumerate(configs):
+        if errors[s] is not None:
+            estimates.append(errors[s])
+            continue
+        est = (u[s] * values[s][:, None]).sum(axis=0) / (n_samples * c.xi)
+        estimates.append(GradientEstimate(value=est, samples_used=n_samples,
+                                          per_sample_f=values[s].tolist(),
+                                          infeasible_count=int(infeasible[s]),
+                                          oracle_counts=counts[s]))
+    if not single:
+        done = [e for e in estimates if isinstance(e, GradientEstimate)]
+        return GradientEstimates(estimates, sum(e.samples_used for e in done),
+                                 sum(e.infeasible_count for e in done))
+    if errors[0] is not None:
+        raise errors[0]
+    return estimates[0]
 
 
 def estimate_smoothed_value(problem, x, n_samples, smoothing: SmoothingConfig,
@@ -145,10 +197,13 @@ def estimate_smoothed_value(problem, x, n_samples, smoothing: SmoothingConfig,
     Shares the sampling scheme and f_bar convention of the gradient estimator:
     the same (master_seed, stream_tag) reproduces the same sample points.
     """
-    x = _checked_point(problem, x, n_samples, lower, phi)
-    u = _draw_directions(smoothing, stream_tag, n_samples, x.shape[0])
-    values, _, _ = _sample_values(problem, x, u, smoothing, lower, phi)
-    return float(values.mean())
+    x = _checked_points(problem, x, n_samples, lower, phi)
+    u = _draw_directions(smoothing, stream_tag, n_samples, x.shape[1])
+    values, _, _, errors = _sample_values(problem, x, u[None], [smoothing.xi],
+                                          lower, phi)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(values[0].mean())
 
 
 def smoothed_step_reference(x, xi):

@@ -3,7 +3,7 @@ import pytest
 
 from scinbio import (BilevelProblem, box_set, builtin_fold_family,
                      builtin_minimax, builtin_quartic_family,
-                     builtin_shifted_double_well)
+                     builtin_shifted_double_well, scan_bifurcation_set)
 
 
 @pytest.fixture(scope="session")
@@ -26,21 +26,29 @@ def quartic():
     return builtin_quartic_family()
 
 
+# the 200^2 fold scan of the geometry tests and acceptance criterion 8; a 15 s
+# build, so the tests that use it are marked slow
+@pytest.fixture(scope="session")
+def fold_scan(fold):
+    return scan_bifurcation_set(fold, 200, (-1.0, 1.0), 400)
+
+
 def quadratic_problem(m=2, y0=None):
-    """g(y) = 1/2 ||y||^2: strongly convex sanity target for the solvers."""
+    """g(y) = 1/2 ||y||^2: strongly convex sanity target for the solvers
+    (oracles follow the lane convention of `scinbio.problems`)."""
     y0 = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float)
 
     def f(x, y):
-        return float(y[0])
+        return y[..., 0]
 
     def g(x, y):
-        return 0.5 * float(np.dot(y, y))
+        return 0.5 * (y * y).sum(axis=-1)
 
     def grad(x, y):
         return np.asarray(y, dtype=float).copy()
 
     def hess(x, y):
-        return np.eye(m)
+        return np.broadcast_to(np.eye(m), np.shape(y) + (m,)).copy()
 
     return BilevelProblem(n=1, m=m, f=f, g=g, grad_y_g=grad, hess_yy_g=hess,
                           y0=y0, f_bar=10.0,

@@ -18,7 +18,7 @@ from scinbio import (LowerSolverConfig, OuterConfig, SmoothingConfig,
                      estimate_hypergradient, estimate_smoothed_value,
                      find_stationary_points_1d, gradient_norm_bound,
                      neighborhood_measure, run_gda, run_scinbio,
-                     scan_bifurcation_set, smoothed_step_reference,
+                     smoothed_step_reference,
                      solve_cubic_subproblem, tail_stability)
 from scinbio import rng as rng_mod
 from scinbio.baselines import BUDGET_EXHAUSTED, CONVERGED, CYCLING
@@ -43,23 +43,25 @@ def report(criterion, passed, detail):
     assert passed, f"criterion {criterion}: {detail}"
 
 
-def run_experiment_seed(seed):
+def run_experiment(seeds):
+    """The experiment as `scinbio run` runs it: the seeds in lockstep through
+    one `run_scinbio` call; {seed: (problem, lower, trace)}."""
     problem = builtin_minimax()
-    x0 = experiment_initialization("minimax", problem, seed)
+    x0s = [experiment_initialization("minimax", problem, seed) for seed in seeds]
     lower = LowerSolverConfig(method="gradient_descent", eta=EXPERIMENT["eta"],
                               max_iters=EXPERIMENT["K"])
-    smoothing = SmoothingConfig(xi=EXPERIMENT["xi"],
-                                master_seed=MASTER_SEED + seed)
+    smoothings = [SmoothingConfig(xi=EXPERIMENT["xi"], master_seed=MASTER_SEED + seed)
+                  for seed in seeds]
     outer = OuterConfig(T=EXPERIMENT["T"], beta=EXPERIMENT["beta"],
                         schedules=constant_schedules(EXPERIMENT["N"],
                                                      EXPERIMENT["K"]))
-    trace = run_scinbio(problem, outer, lower, smoothing, x0=x0)
-    return problem, lower, trace
+    run = run_scinbio(problem, outer, lower, smoothings, x0=x0s)
+    return {seed: (problem, lower, trace) for seed, trace in zip(seeds, run.traces)}
 
 
 @pytest.fixture(scope="session")
 def experiment_sweep():
-    return {seed: run_experiment_seed(seed) for seed in SEEDS}
+    return run_experiment(SEEDS)
 
 
 @pytest.fixture(scope="session")
@@ -70,11 +72,6 @@ def gda_sweep():
         init = rng_mod.seeded_initialization(seed)
         out[seed] = run_gda(problem, init, 0.01, 50000)
     return out
-
-
-@pytest.fixture(scope="session")
-def fold_scan_acc(fold):
-    return scan_bifurcation_set(fold, 200, (-1.0, 1.0), 400)
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +96,8 @@ def _phase_block_means(problem, lower, trace, block=50):
     xs = trace.x_history()[:-1]
     n_blocks = len(xs) // block
     means = xs[:n_blocks * block].reshape(n_blocks, block, -1).mean(axis=1)
-    pts = np.empty((n_blocks, 2))
-    for i, xm in enumerate(means):
-        y_hat, _ = run_lower_lean(problem, xm, lower)
-        pts[i] = (xm[0], y_hat[0])
-    return pts
+    y_hat = run_lower_lean(problem, means, lower).y_hat
+    return np.column_stack([means[:, 0], y_hat[:, 0]])
 
 
 def test_criterion_2_gda_contrast(experiment_sweep, gda_sweep):
@@ -273,11 +267,11 @@ def test_criterion_7_fold_eigenvalue_scaling(fold):
 # 8. geometry of the bifurcation set
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_geometry(fold_scan_acc):
-    est = box_counting_dimension(fold_scan_acc.marked_centers(),
+def test_criterion_8_geometry(fold_scan):
+    est = box_counting_dimension(fold_scan.marked_centers(),
                                  [0.1, 0.05, 0.025, 0.0125])
     deltas = [0.04, 0.08, 0.16, 0.32]
-    measures = np.array([m for _, m in neighborhood_measure(fold_scan_acc, deltas)])
+    measures = np.array([m for _, m in neighborhood_measure(fold_scan, deltas)])
     slope = float(np.polyfit(np.log(deltas), np.log(measures), 1)[0])
     C = measures[-1] / math.sqrt(deltas[-1])
     bound_holds = all(m <= C * math.sqrt(d) * (1.0 + 1e-9)
@@ -312,10 +306,11 @@ def test_criterion_9_rate_proxy():
 
 def test_criterion_10_determinism(experiment_sweep, tmp_path):
     _, _, first = experiment_sweep[0]
-    _, _, second = run_experiment_seed(0)
+    _, _, second = run_experiment([0])[0]
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     write_trace_csv(first, p1)
     write_trace_csv(second, p2)
     same = p1.read_bytes() == p2.read_bytes()
-    report(10, same, "two executions of the seed-0 run wrote identical CSV bytes")
+    report(10, same, "two executions of the seed-0 run (with 14 other seeds in "
+                     "lockstep, then alone) wrote identical CSV bytes")

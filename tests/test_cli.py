@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from scinbio import builtin_minimax
 from scinbio import cli
 from scinbio.cli import main, parse_seed_list
+from scinbio.outer import canonical_json
 from scinbio.rng import seeded_initialization
 
 
@@ -130,13 +134,17 @@ def test_smoke_run_writes_expected_files(tmp_path):
 
 def test_minimax_run_draws_only_the_leader_start_per_seed(tmp_path, monkeypatch):
     # the follower is a fixed algorithm: its y0 is the problem's own for every
-    # seed, and only the leader's x0 comes from the seed's draw
+    # seed, and only the leader's x0 comes from the seed's draw; all seeds
+    # start from one lockstep call
     calls = {}
+    n_calls = []
     real = cli.run_scinbio
 
     def recording(problem, outer, lower, smoothing, x0=None, phi=None):
-        calls[smoothing.master_seed - 2024] = (problem.y0.copy(),
-                                               np.array(x0, dtype=float))
+        n_calls.append(1)
+        for config, start in zip(smoothing, x0, strict=True):
+            calls[config.master_seed - 2024] = (problem.y0.copy(),
+                                                np.array(start, dtype=float))
         return real(problem, outer, lower, smoothing, x0=x0, phi=phi)
 
     monkeypatch.setattr(cli, "run_scinbio", recording)
@@ -144,12 +152,98 @@ def test_minimax_run_draws_only_the_leader_start_per_seed(tmp_path, monkeypatch)
                    "--out", str(tmp_path), "--set", "outer.T=0",
                    "--set", "emit=json")
     assert code == 0
+    assert len(n_calls) == 1
     assert sorted(calls) == list(range(15))
     y0 = builtin_minimax().y0
     for seed, (follower_y0, x0) in calls.items():
         assert np.array_equal(follower_y0, y0)
         assert x0.shape == (1,)
         assert x0[0] == seeded_initialization(seed)[0]
+
+
+def assert_same_seed_files(a, b, seed):
+    """Seed `seed`'s run outputs in directories a and b are the same: the trace
+    CSV and phase SVG byte for byte, the summary JSON byte for byte apart from
+    the echoed seed list and output directory."""
+    for name in (f"trace_seed{seed}.csv", f"phase_seed{seed}.svg"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    sa = json.loads((a / f"summary_seed{seed}.json").read_text())
+    text_b = (b / f"summary_seed{seed}.json").read_text()
+    sb = json.loads(text_b)
+    for key in ("seeds", "out"):
+        sa["run_config"][key] = sb["run_config"][key]
+    assert canonical_json(sa) == text_b
+
+
+def test_lockstep_seed_outputs_equal_a_seed_run_alone(tmp_path):
+    common = ("--problem", "minimax", "--set", "outer.T=40", "--set", "lower.K=60")
+    assert run_cli("run", "--seed", "0,7", "--out", str(tmp_path / "both"), *common) == 0
+    assert run_cli("run", "--seed", "7", "--out", str(tmp_path / "alone"), *common) == 0
+    assert_same_seed_files(tmp_path / "both", tmp_path / "alone", 7)
+
+
+def test_a_diverging_seed_fails_alone_in_lockstep(tmp_path, monkeypatch):
+    # the follower's gradient is NaN for x > 1.5: seed 7 starts at x0 = 1.93
+    # and fails at its first estimate, seed 0 starts at -0.54 and runs on
+    def diverging(name):
+        p = builtin_minimax()
+        return dataclasses.replace(p, grad_y_g=lambda x, y: np.where(
+            x > 1.5, math.nan, p.grad_y_g(x, y)))
+
+    monkeypatch.setattr(cli, "get_problem", diverging)
+    common = ("--problem", "minimax", "--set", "outer.T=20", "--set", "lower.K=50")
+    runs = {}
+    for label, seeds in (("both", "0,7"), ("seven", "7"), ("zero", "0")):
+        code = run_cli("run", "--seed", seeds, "--out", str(tmp_path / label), *common)
+        runs[label] = (code, json.loads((tmp_path / label / "report.json").read_text()))
+    assert runs["both"][0] == runs["seven"][0] == 3 and runs["zero"][0] == 0
+    both = runs["both"][1]["results"]
+    assert both["7"]["error"] == runs["seven"][1]["results"]["7"]["error"]
+    assert both["7"]["error"].startswith(
+        "EstimatorError: lower-level solve failed on sample ")
+    assert "error" not in both["0"]
+    assert runs["both"][1]["counts"]["errors"] == 1
+    assert not (tmp_path / "both" / "trace_seed7.csv").exists()
+    assert_same_seed_files(tmp_path / "both", tmp_path / "zero", 0)
+
+
+# sha256 of the outputs of `run --out out` at T = 50 (the other settings are the
+# defaults) for minimax with the GD follower and fold with cubic Newton, K = 10
+GOLDEN = {
+    "minimax": (["--seed", "0,7"], {
+        "trace_seed0.csv": "4c240d019e6d6a3b666303e26e2f324d732f15442795e83155cba093dce56e63",
+        "trace_seed7.csv": "3d460f0ace8ad6e2b832eef16e6192fc9a68be7698e4564cc5e44e7749419cf3",
+        "summary_seed0.json": "537196a1eb65d5bb46f34a69d62e409983b33cf0c64611da27f69d589efd1580",
+        "summary_seed7.json": "8ea98e2150d52c75956b497575ab47520166010495a86b7c6652e37de3e2a4ff",
+    }),
+    "fold": (["--seed", "11,12", "--set", "lower.method=cubic_newton",
+              "--set", "lower.K=10"], {
+        "trace_seed11.csv": "6e6272af7dbb339936bb6cd3b1d08c96ccf0e664ba64bb259923cc456b8d66bf",
+        "trace_seed12.csv": "1084e5046961d6e7dd817f243aba2ab71610de1373e0db64320ccc895bd2c208",
+        "summary_seed11.json": "f4598974e1f19b3decb9515bf93411a7b7789c95c543b7c2eb536e046aec8a4a",
+        "summary_seed12.json": "58f30e905dc59cf1b42cc1d6aa8ff69557139054d48bcf866ee339233a203f23",
+    }),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(GOLDEN))
+def test_run_outputs_match_pinned_digests(tmp_path, monkeypatch, problem):
+    args, digests = GOLDEN[problem]
+    monkeypatch.chdir(tmp_path)  # the summary echoes the output directory
+    assert run_cli("run", "--problem", problem, "--out", "out", "--set", "outer.T=50",
+                   *args) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_workers_must_be_positive(tmp_path, capsys, value):
+    out = tmp_path / "o"
+    code = run_cli("run", "--seed", "0", "--out", str(out), "--set", "outer.T=2",
+                   "--set", f"workers={value}")
+    assert code == 2
+    assert "config error: workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_config_echo_is_resolved(tmp_path):

@@ -90,12 +90,6 @@ def test_fold_eigenvalue_sqrt_scaling(fold):
 # bifurcation scan
 # ---------------------------------------------------------------------------
 
-# a 15 s build: the tests that use it are marked slow
-@pytest.fixture(scope="session")
-def fold_scan(fold):
-    return scan_bifurcation_set(fold, 200, (-1.0, 1.0), 400)
-
-
 @pytest.mark.slow
 def test_fold_scan_marks_line(fold_scan):
     marked = fold_scan.marked_centers()
@@ -136,7 +130,7 @@ def test_nondegenerate_problem_unmarked():
         return 0.5 * (y[0] - x[0]) ** 2
 
     def grad(x, y):
-        return np.asarray(y, dtype=float) - x[0]
+        return np.asarray(y, dtype=float) - x[..., :1]
 
     def hess(x, y):
         return np.array([[1.0]])

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from scinbio import (LowerSolverConfig, cubic_newton_solve,
-                     gradient_descent_solve, solve_cubic_subproblem,
-                     solve_lower, stationarity_measure)
+from scinbio import (LowerSolverConfig, builtin_fold_family, builtin_minimax,
+                     cubic_newton_solve, gradient_descent_solve,
+                     solve_cubic_subproblem, solve_lower, stationarity_measure)
 from scinbio.errors import LowerSolveError
 from scinbio.lower import (SELECT_LAST, SELECT_MIN_GRAD, SELECT_STATIONARITY,
                            _eigenpairs, _solve_cubic_secular, run_lower_lean)
@@ -353,14 +353,39 @@ def test_gd_nonfinite_raises():
             gradient_descent_solve(p, np.array([0.0]), cfg)
 
 
+def assert_lanes_match_single_solves(problem, xs, cfg):
+    """Solving the rows of xs together equals solving them one at a time, bit
+    for bit; returns the batched result."""
+    batch = run_lower_lean(problem, xs, cfg)
+    for lane, x in enumerate(xs):
+        single = solve_lower(problem, x, cfg)
+        n = single.oracle_counts["grad"]
+        assert batch.y_hat[lane].tobytes() == single.y_hat.tobytes()
+        assert batch.selected_index[lane] == single.selected_index
+        assert {k: int(v[lane]) for k, v in batch.oracle_counts.items()} == \
+            single.oracle_counts
+        assert batch.errors[lane] is None
+        assert np.array_equal(batch.iterates[:n, lane], np.array(single.iterates))
+        assert batch.grad_norms[:n, lane].tolist() == single.grad_norms
+        assert np.isnan(batch.grad_norms[n:, lane]).all()
+        if cfg.method == "cubic_newton":
+            assert batch.stationarity_measures[:n, lane].tolist() == \
+                single.stationarity_measures
+    return batch
+
+
 def test_lean_path_matches_recording_solver(minimax, double_well):
+    # run_lower_lean, the name the estimator solves through, is the batched
+    # solver: a batch of lanes equals single-point recording solves
     for problem, eta in [(minimax, 0.01), (double_well, 0.02)]:
         cfg = LowerSolverConfig(method="gradient_descent", eta=eta, max_iters=50)
         x = np.array([0.4] * problem.n)
         full = gradient_descent_solve(problem, x, cfg)
-        lean_y, lean_counts = run_lower_lean(problem, x, cfg)
-        assert np.array_equal(lean_y, full.y_hat)
-        assert lean_counts == full.oracle_counts
+        lean = run_lower_lean(problem, x, cfg)
+        assert np.array_equal(lean.y_hat, full.y_hat)
+        assert lean.oracle_counts == full.oracle_counts
+        xs = np.linspace(-1.5, 1.5, 7).reshape(-1, 1)
+        assert_lanes_match_single_solves(problem, xs, cfg)
 
 
 @pytest.mark.parametrize("method,selection", [
@@ -374,26 +399,110 @@ def test_lean_path_honours_selection(minimax, double_well, method, selection):
         cfg = LowerSolverConfig(method=method, eta=0.2, M=24.0, max_iters=20,
                                 selection=selection)
         full = solve_lower(problem, np.array(x), cfg)
-        lean_y, lean_counts = run_lower_lean(problem, np.array(x), cfg)
-        assert np.array_equal(lean_y, full.y_hat)
-        assert lean_counts == full.oracle_counts
+        lean = run_lower_lean(problem, np.array(x), cfg)
+        assert np.array_equal(lean.y_hat, full.y_hat)
+        assert lean.oracle_counts == full.oracle_counts
+    # with grad_tol > 0 the lanes of one batch stop at different steps
+    for problem, eta, M, lo, hi in [(minimax, 0.05, 32.0, -2.0, 2.0),
+                                    (double_well, 0.05, 24.0, -1.5, 1.5)]:
+        xs = np.linspace(lo, hi, 9).reshape(-1, 1)
+        for grad_tol in (0.0, 1e-3):
+            cfg = LowerSolverConfig(method=method, eta=eta, M=M, max_iters=40,
+                                    grad_tol=grad_tol, selection=selection)
+            batch = assert_lanes_match_single_solves(problem, xs, cfg)
+            if grad_tol > 0:
+                assert len(set(batch.oracle_counts["grad"].tolist())) > 1
+
+
+def test_lanes_match_single_solves_on_fold(fold):
+    xs = np.random.default_rng(8).uniform([0.0, -1.0], [1.0, 1.0], size=(12, 2))
+    for grad_tol in (0.0, 1e-4):
+        cfg = LowerSolverConfig(method="cubic_newton", M=420.0, max_iters=10,
+                                grad_tol=grad_tol)
+        assert_lanes_match_single_solves(fold, xs, cfg)
 
 
 @pytest.mark.parametrize("K", [1, 3])
 def test_lean_path_checks_every_gradient(K):
-    # finite gradient below y = 0.25, NaN from y_1 = 0.25 on: the last gradient
-    # for K = 1, a mid-loop one for K = 3
+    # lanes with x > 0 see a finite gradient below y = 0.25 and NaN from
+    # y_1 = 0.25 on (the last gradient for K = 1, a mid-loop one for K = 3);
+    # lanes with x <= 0 never do, and a failing lane stops only itself
     p = dataclasses.replace(
         quadratic_problem(m=1, y0=[0.0]),
-        grad_y_g=lambda x, y: np.array([-1.0 if y[0] < 0.25 else math.nan]))
+        grad_y_g=lambda x, y: np.where((y < 0.25) | (x <= 0.0), -1.0, math.nan))
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.25, max_iters=K)
-    x = np.array([0.0])
-    with pytest.raises(LowerSolveError) as lean:
-        run_lower_lean(p, x, cfg)
+    x = np.array([0.5])
     with pytest.raises(LowerSolveError) as full:
         gradient_descent_solve(p, x, cfg)
+    with pytest.raises(LowerSolveError) as lean:
+        run_lower_lean(p, x, cfg)
     assert str(lean.value) == str(full.value) == "non-finite gradient at lower-level step 1"
     assert lean.value.iterate_index == full.value.iterate_index == 1
+    batch = run_lower_lean(p, np.array([[-0.5], [0.5], [0.0], [0.7]]), cfg)
+    assert [e is None for e in batch.errors] == [True, False, True, False]
+    for lane in (1, 3):
+        assert str(batch.errors[lane]) == str(full.value)
+        assert batch.errors[lane].iterate_index == 1
+    for lane in (0, 2):
+        assert batch.y_hat[lane, 0] == 0.25 * K
+
+
+@pytest.mark.parametrize("what", ["Hessian", "iterate"])
+def test_lane_failures_name_step_and_cause(double_well, what):
+    # lanes with x > 0 get a NaN Hessian once |y| > 0.2, or an overflowing step
+    def hess(x, y):
+        h = double_well.hess_yy_g(x, y)
+        return np.where((x[..., None] > 0) & (np.abs(y[..., None]) > 0.2), math.nan, h)
+
+    p = dataclasses.replace(double_well, y0=np.array([0.1]))
+    if what == "Hessian":
+        p = dataclasses.replace(p, hess_yy_g=hess)
+        cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=6)
+    else:
+        p = dataclasses.replace(p, grad_y_g=lambda x, y: np.where(x > 0, -1e308, 1.0) * y)
+        cfg = LowerSolverConfig(method="gradient_descent", eta=1e10, max_iters=6)
+    xs = np.array([[0.5], [-0.5]])
+    batch = run_lower_lean(p, xs, cfg)
+    with pytest.raises(LowerSolveError) as single:
+        solve_lower(p, xs[0], cfg)
+    assert str(batch.errors[0]) == str(single.value)
+    assert str(single.value).startswith(f"non-finite {what} at lower-level step ")
+    assert batch.errors[1] is None
+    assert batch.y_hat[1].tobytes() == solve_lower(p, xs[1], cfg).y_hat.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_permuting_or_splitting_a_batch_permutes_or_splits_results(data):
+    problem_name = data.draw(st.sampled_from(["minimax", "fold"]), label="problem")
+    problem = {"minimax": builtin_minimax, "fold": builtin_fold_family}[problem_name]()
+    method = data.draw(st.sampled_from(["gradient_descent", "cubic_newton"]), label="method")
+    selection = data.draw(st.sampled_from(
+        [SELECT_LAST, SELECT_MIN_GRAD] + ([SELECT_STATIONARITY] if method == "cubic_newton"
+                                          else [])), label="selection")
+    eta = 0.05 if problem_name == "minimax" else 0.002
+    cfg = LowerSolverConfig(method=method, eta=eta, M=32.0 if problem_name == "minimax"
+                            else 420.0, max_iters=data.draw(st.integers(0, 15), label="K"),
+                            grad_tol=data.draw(st.sampled_from([0.0, 1e-2]), label="tol"),
+                            selection=selection)
+    L = data.draw(st.integers(1, 8), label="L")
+    lo, hi = problem.feasible_set.bbox
+    t = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=L * problem.n,
+                                    max_size=L * problem.n), label="t"))
+    xs = lo + t.reshape(L, problem.n) * (hi - lo)
+    whole = run_lower_lean(problem, xs, cfg)
+    order = np.array(data.draw(st.permutations(range(L)), label="order"))
+    cut = data.draw(st.integers(0, L), label="cut")
+    parts = [(order, run_lower_lean(problem, xs[order], cfg))]
+    if 0 < cut < L:
+        parts += [(np.arange(cut), run_lower_lean(problem, xs[:cut], cfg)),
+                  (np.arange(cut, L), run_lower_lean(problem, xs[cut:], cfg))]
+    for lanes, part in parts:
+        assert part.y_hat.tobytes() == whole.y_hat[lanes].tobytes()
+        assert np.array_equal(part.selected_index, whole.selected_index[lanes])
+        for key, counts in part.oracle_counts.items():
+            assert np.array_equal(counts, whole.oracle_counts[key][lanes])
+        assert [e is None for e in part.errors] == [whole.errors[i] is None for i in lanes]
 
 
 def test_solve_lower_dispatch(double_well):
