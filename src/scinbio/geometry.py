@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "StationaryPointRecord", "BifurcationScan", "DimensionEstimate",
     "find_stationary_points_1d", "scan_bifurcation_set",
     "check_fold_conditions", "box_counting_dimension", "neighborhood_measure",
+    "distance_to_marked",
     "degeneracy_threshold",
 ]
 
@@ -441,13 +441,38 @@ def box_counting_dimension(points, radii) -> DimensionEstimate:
     return DimensionEstimate(radii, counts, float(slope), float(-slope), r2)
 
 
+def distance_to_marked(indicator, cell_size):
+    """Distance from each cell center to the nearest marked cell center, in the
+    units of the cell size (w1, w2); a marked cell is at distance 0.
+
+    Equals the Euclidean distance transform of ~indicator sampled at (w1, w2).
+    It is a running minimum over the rows that hold marked cells, in O(R^2)
+    memory.  Float addition and sqrt are monotone, so taking the minimum over
+    a row's marked columns before adding the row offset, and over all rows
+    before the sqrt, gives the bits of the elementwise minimum of the
+    distances.
+    """
+    indicator = np.asarray(indicator, dtype=bool)
+    w1, w2 = cell_size
+    r1, r2 = indicator.shape
+    cols = np.arange(r2)
+    dist2 = np.full(indicator.shape, np.inf)
+    for a in np.flatnonzero(indicator.any(axis=1)):
+        dj = (cols[:, None] - np.flatnonzero(indicator[a])[None, :]).astype(float) * w2
+        di = (np.arange(r1) - a).astype(float) * w1
+        np.minimum(dist2, (di * di)[:, None] + (dj * dj).min(axis=1)[None, :], out=dist2)
+    return np.sqrt(dist2)
+
+
 def neighborhood_measure(scan: BifurcationScan, deltas):
     """Lebesgue measure estimates of the delta-neighborhoods of the marked set:
-    grid cells whose center lies within delta of a marked cell, times cell area."""
+    the number of grid cells whose center lies within delta of the center of a
+    marked cell, times the cell area.  Distances and delta are in the units of
+    the scanned parameter box."""
     if not scan.indicator.any():
         raise ValueError("scan has no marked cells")
     w1, w2 = scan.cell_size
-    dist = ndimage.distance_transform_edt(~scan.indicator, sampling=(w1, w2))
+    dist = distance_to_marked(scan.indicator, scan.cell_size)
     area = w1 * w2
     out = []
     for d in deltas:

@@ -10,8 +10,10 @@ Lane convention.  An oracle evaluates L independent points at once: x has
 shape (L, n) and y shape (L, m), and f and g return shape (L,), grad_y_g
 (L, m) and hess_yy_g (L, m, m).  A single point, x of shape (n,) and y of
 shape (m,), is the L-less case: the same shapes without the leading axis.
-The solvers and the estimator call oracles with lanes; the GDA baseline and
-the geometry's root polish call them with single points.  A feasible set's
+grad_x_grad_y_g, where a problem has it, returns the cross-derivative block
+(L, m, n), or (m, n) for a single point.  The solvers and the estimator call
+oracles with lanes; the GDA baseline and the geometry's root polish call them
+with single points.  A feasible set's
 `project` and `contains` act on the last axis in the same way.
 """
 
@@ -97,9 +99,10 @@ class BilevelProblem:
     f, g, grad_y_g and hess_yy_g follow the lane convention of this module:
     (L, n) and (L, m) inputs give (L,), (L, m) and (L, m, m) outputs, and a
     single point (n,), (m,) gives the same shapes without the L axis.
-    grad_x_grad_y_g, when present, returns the (m, n) cross-derivative block
-    d/dx of grad_y g at a single point; it is only consulted by the geometry
-    diagnostics and may be omitted (finite differences are used instead).
+    grad_x_grad_y_g, when present, returns the cross-derivative block d/dx of
+    grad_y g, (L, m, n) for lanes and (m, n) for a single point; it is only
+    consulted by the geometry diagnostics and may be omitted (finite
+    differences are used instead).
     """
 
     n: int
@@ -165,11 +168,11 @@ def _mm_fyy(a, b, lib=math):
             - 2.0 * lib.sin(a + b))
 
 
-def _mm_fxy(a, b):
-    return (a * b * math.sin(a - b) + a * math.cos(a - b)
-            + 2.0 * a * math.cos(a + b) - b * math.cos(a - b)
-            - 2.0 * b * math.cos(a + b) + (b * b - a * a) * math.sin(a + b)
-            + math.sin(a - b))
+def _mm_fxy(a, b, lib=math):
+    return (a * b * lib.sin(a - b) + a * lib.cos(a - b)
+            + 2.0 * a * lib.cos(a + b) - b * lib.cos(a - b)
+            - 2.0 * b * lib.cos(a + b) + (b * b - a * a) * lib.sin(a + b)
+            + lib.sin(a - b))
 
 
 def minimax_value_and_gradients(x, y):
@@ -208,7 +211,9 @@ def builtin_minimax() -> BilevelProblem:
         return -_mm_fyy(x[:, 0], y[:, 0], np)[:, None, None]
 
     def grad_x_grad_y_g(x, y):
-        return np.array([[-_mm_fxy(x[0], y[0])]])
+        if x.ndim == 1:
+            return np.array([[-_mm_fxy(x[0], y[0])]])
+        return -_mm_fxy(x[:, 0], y[:, 0], np)[:, None, None]
 
     return BilevelProblem(
         n=1, m=1,
@@ -253,8 +258,8 @@ def builtin_shifted_double_well() -> BilevelProblem:
         return (12.0 * u * u - 4.0)[..., None, None]
 
     def grad_x_grad_y_g(x, y):
-        u = y[0] - x[0]
-        return np.array([[-(12.0 * u * u - 4.0)]])
+        u = _part(y, 0) - _part(x, 0)
+        return (-(12.0 * u * u - 4.0))[..., None, None]
 
     return BilevelProblem(
         n=1, m=1,
@@ -311,9 +316,10 @@ def builtin_fold_family() -> BilevelProblem:
                 + 12.0 * _FOLD_CONF * r * r)[..., None, None]
 
     def grad_x_grad_y_g(x, y):
-        x1 = x[0]
-        yy = y[0]
-        return np.array([[-2.0 + 3.0 * (3.0 - 4.0 * x1) * yy * yy, 0.0]])
+        x1 = _part(x, 0)
+        yy = _part(y, 0)
+        d1 = -2.0 + 3.0 * (3.0 - 4.0 * x1) * yy * yy
+        return np.stack([d1, np.zeros_like(d1)], axis=-1)[..., None, :]
 
     return BilevelProblem(
         n=2, m=1,
@@ -368,12 +374,12 @@ def builtin_quartic_family() -> BilevelProblem:
         return (12.0 * yy * yy + 6.0 * c3 * yy + 2.0 * c2)[..., None, None]
 
     def grad_x_grad_y_g(x, y):
-        x1, x2 = x[0], x[1]
-        yy = y[0]
-        dc3 = np.array([2.0 * x1 - 5.0 * x2 - 7.0, -5.0 * x1 + 4.0 * x2 + 8.0])
-        dc2 = np.array([2.0 * x1 - 3.0 * x2 - 5.0, -3.0 * x1 + 8.0 * x2 + 2.0])
-        row = (3.0 * yy * yy + 1.0) * dc3 + 2.0 * yy * dc2
-        return row.reshape(1, 2)
+        x1, x2 = _part(x, 0), _part(x, 1)
+        yy = _part(y, 0)
+        dc3 = np.stack([2.0 * x1 - 5.0 * x2 - 7.0, -5.0 * x1 + 4.0 * x2 + 8.0], axis=-1)
+        dc2 = np.stack([2.0 * x1 - 3.0 * x2 - 5.0, -3.0 * x1 + 8.0 * x2 + 2.0], axis=-1)
+        row = (3.0 * yy * yy + 1.0)[..., None] * dc3 + (2.0 * yy)[..., None] * dc2
+        return row[..., None, :]
 
     return BilevelProblem(
         n=2, m=1,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from . import rng
 from .errors import ConfigError, EstimatorError
@@ -218,9 +217,18 @@ def smoothed_step_reference(x, xi):
     if not xi > 0:
         raise ValueError("xi must be positive")
     s = x / xi
-    value = norm.cdf(s) - x * norm.cdf(-s) + xi * norm.pdf(s)
-    derivative = norm.pdf(s) / xi - norm.cdf(-s)
+    value = _normal_cdf(s) - x * _normal_cdf(-s) + xi * _normal_pdf(s)
+    derivative = _normal_pdf(s) / xi - _normal_cdf(-s)
     return float(value), float(derivative)
+
+
+def _normal_cdf(z):
+    """Standard normal CDF, erfc(-z / sqrt 2) / 2: accurate in both tails."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _normal_pdf(z):
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def gradient_norm_bound(f_bar, xi):

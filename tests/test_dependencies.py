@@ -1,0 +1,28 @@
+"""The runtime needs numpy and the standard library only; SciPy is a test dependency."""
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, scinbio.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_sources_do_not_name_scipy():
+    hits = []
+    for root, _, files in os.walk(SRC):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as fh:
+                    hits += [f"{path}:{i}" for i, line in enumerate(fh, 1)
+                             if "scipy" in line.lower()]
+    assert hits == []

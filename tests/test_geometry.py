@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from scinbio import (BilevelProblem, box_set, box_counting_dimension,
                      check_fold_conditions, find_stationary_points_1d,
                      neighborhood_measure, scan_bifurcation_set)
 from scinbio.geometry import (FOLD, NON_FOLD_DEGENERATE, NONDEGENERATE,
-                              StationaryPointRecord)
+                              BifurcationScan, StationaryPointRecord,
+                              distance_to_marked)
 
 
 def arr(*vals):
@@ -270,6 +275,25 @@ def test_dimension_validates_radii():
 # ---------------------------------------------------------------------------
 # neighborhood measure
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_distances_and_measures_equal_scipy_edt(data):
+    # SciPy's Euclidean distance transform is the independent reference:
+    # the running minimum must give the same bits, and so the same measures
+    r1, r2 = data.draw(st.integers(1, 40), label="r1"), data.draw(st.integers(1, 40), label="r2")
+    indicator = data.draw(arrays(bool, (r1, r2)), label="indicator")
+    indicator[data.draw(st.integers(0, r1 - 1)), data.draw(st.integers(0, r2 - 1))] = True
+    w1 = data.draw(st.floats(1e-3, 10.0), label="w1")
+    w2 = data.draw(st.floats(1e-3, 10.0).filter(lambda w: w != w1), label="w2")
+    ref = ndimage.distance_transform_edt(~indicator, sampling=(w1, w2))
+    assert np.array_equal(distance_to_marked(indicator, (w1, w2)), ref)
+    scan = BifurcationScan(grid_resolution=r1, indicator=indicator, lambda_min_grid=None,
+                           branch_points=[], bbox=None, cell_size=(w1, w2))
+    deltas = [0.0] + sorted(set(ref.ravel().tolist()))[:8]
+    assert neighborhood_measure(scan, deltas) == [
+        (d, float(np.count_nonzero(ref <= d) * (w1 * w2))) for d in deltas]
+
 
 @pytest.mark.slow
 def test_tube_measure_around_fold_line(fold_scan):

@@ -115,6 +115,15 @@ def test_cross_derivative_matches_fd(name):
             fd = (np.atleast_1d(problem.grad_y_g(xp, y))
                   - np.atleast_1d(problem.grad_y_g(xm, y))) / 2e-6
             assert np.abs(J[:, i] - fd).max() <= 1e-5 * (1.0 + np.abs(J).max())
+    # lane convention: L = 5 lanes give (L, m, n), each lane the single-point block
+    xs = rng.uniform(lo, hi, size=(5, problem.n))
+    ys = rng.uniform(-1.5, 1.5, size=(5, problem.m))
+    lanes = problem.grad_x_grad_y_g(xs, ys)
+    assert lanes.shape == (5, problem.m, problem.n)
+    for k in range(5):
+        single = problem.grad_x_grad_y_g(xs[k], ys[k])
+        assert single.shape == (problem.m, problem.n)
+        assert np.array_equal(lanes[k], single)
 
 
 def test_hessian_symmetry_m2():

@@ -75,6 +75,27 @@ def test_step_reference_derivative_matches_fd():
     assert abs(deriv - (vp - vm) / (2 * h)) <= 1e-6
 
 
+@pytest.mark.parametrize("xi", [0.01, 0.05, 0.3, 1.0])
+def test_step_reference_matches_scipy_closed_form(xi):
+    # The reference spells Phi and phi with math.erfc and math.exp; SciPy's
+    # norm is the independent check, on [-2, 2] and out to |x / xi| = 40.
+    # The value matches within 1e-15 relative.  The derivative is a
+    # difference of two terms that cancel near its zero, and in the tail
+    # Phi(-s) has condition number ~ s^2, where two erfc implementations part
+    # by more than an ulp: it matches within 1e-15 (1 + s^2) of its terms'
+    # size, and a result below the normal range counts as zero.
+    tiny = np.finfo(float).tiny
+    xs = np.concatenate([np.linspace(-2.0, 2.0, 401), xi * np.linspace(-40.0, 40.0, 161)])
+    for x in xs.tolist():
+        s = x / xi
+        value = norm.cdf(s) - x * norm.cdf(-s) + xi * norm.pdf(s)
+        derivative = norm.pdf(s) / xi - norm.cdf(-s)
+        terms = norm.pdf(s) / xi + norm.cdf(-s)
+        got_value, got_derivative = smoothed_step_reference(x, xi)
+        assert got_value == pytest.approx(value, rel=1e-15, abs=0.0)
+        assert abs(got_derivative - derivative) <= 1e-15 * (1.0 + s * s) * terms + tiny
+
+
 def test_step_reference_error_decreases_with_xi():
     # |phi_xi - phi| at x = +-0.5, computed in cancellation-free form
     for x in (0.5, -0.5):
