@@ -255,20 +255,14 @@ def _hunt_degenerate(problem, xa, xb, y_seed, y_lo, y_hi):
     return x, y, gv, hv
 
 
-def _collision_seed(roots_more, y_lo, y_hi, edge):
-    """Midpoint of the closest opposite-curvature root pair; None near edges
-    (a root entering through the window boundary is not a bifurcation)."""
-    best = None
-    for (y1, _, l1), (y2, _, l2) in zip(roots_more[:-1], roots_more[1:]):
-        if l1 * l2 < 0:
-            gap = y2 - y1
-            if best is None or gap < best[0]:
-                best = (gap, 0.5 * (y1 + y2))
-    if best is None:
-        return None
-    if best[1] < y_lo + edge or best[1] > y_hi - edge:
-        return None
-    return best[1]
+def _collision_seeds(roots_more, y_lo, y_hi, edge):
+    """Midpoints of the adjacent opposite-curvature root pairs, closest pair
+    first, without those near the window edges (a root entering through the
+    window boundary is not a bifurcation)."""
+    pairs = sorted((y2 - y1, 0.5 * (y1 + y2))
+                   for (y1, _, l1), (y2, _, l2) in zip(roots_more[:-1], roots_more[1:])
+                   if l1 * l2 < 0)
+    return [mid for _, mid in pairs if y_lo + edge <= mid <= y_hi - edge]
 
 
 def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> BifurcationScan:
@@ -317,13 +311,15 @@ def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> Bif
         if len(ra) == len(rb):
             return
         more = ra if len(ra) > len(rb) else rb
-        seed = _collision_seed(more, y_lo, y_hi, edge)
-        if seed is None:
-            return
         xa = np.array([c1[ia], c2[ja]])
         xb = np.array([c1[ib], c2[jb]])
-        hit = _hunt_degenerate(problem, xa, xb, seed, y_lo, y_hi)
-        if hit is None:
+        # the merging pair need not be the closest one: hunt from each pair
+        # in turn and keep the first degenerate point located
+        for seed in _collision_seeds(more, y_lo, y_hi, edge):
+            hit = _hunt_degenerate(problem, xa, xb, seed, y_lo, y_hi)
+            if hit is not None:
+                break
+        else:
             return
         x_star, y_star, gv, hv = hit
         key = (round(float(x_star[0]) / 1e-9), round(float(x_star[1]) / 1e-9))

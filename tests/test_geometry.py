@@ -158,6 +158,51 @@ def test_quartic_scan_finds_curvelike_strata(quartic):
     assert len(np.unique(np.round(marked[:, 1], 6))) >= 20
 
 
+def _discriminant_sign_change_cells(quartic, r):
+    """Cells of the r x r grid over the quartic's box among whose corners the
+    discriminant of dg/dy = 4 y^3 + 3 c3 y^2 + 2 c2 y + c3 changes sign, so
+    that the number of real stationary points changes inside the cell."""
+    lo, hi = quartic.feasible_set.bbox
+    k = np.arange(r + 1)
+    g1 = lo[0] + k * (hi[0] - lo[0]) / r
+    g2 = lo[1] + k * (hi[1] - lo[1]) / r
+    corners = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
+    zero = np.zeros((len(corners), 1))
+    c3 = quartic.grad_y_g(corners, zero)[:, 0]               # dg/dy at y = 0
+    c2 = 0.5 * quartic.hess_yy_g(corners, zero)[:, 0, 0]     # d2g/dy2 / 2 at y = 0
+    a, b, c, d = 4.0, 3.0 * c3, 2.0 * c2, c3
+    disc = 18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * a * c ** 3 - 27 * a * a * d * d
+    sign = np.sign(disc).reshape(r + 1, r + 1)
+    quad = np.stack([sign[:-1, :-1], sign[1:, :-1], sign[:-1, 1:], sign[1:, 1:]])
+    return (quad.min(axis=0) < 0) & (quad.max(axis=0) > 0)
+
+
+@pytest.mark.slow
+def test_quartic_scan_is_complete(quartic):
+    # every cell where a pair of stationary points merges has a marked cell
+    # within one cell, whichever pair of the cell's roots it is
+    r = 100
+    scan = scan_bifurcation_set(quartic, r, (-250.0, 250.0), 2000)
+    change = _discriminant_sign_change_cells(quartic, r)
+    assert change.sum() >= 300
+    padded = np.pad(scan.indicator, 1)
+    near = np.zeros_like(scan.indicator)
+    for di in range(3):
+        for dj in range(3):
+            near |= padded[di:di + r, dj:dj + r]
+    missed = np.argwhere(change & ~near)
+    assert missed.size == 0, missed[:10].tolist()
+
+
+def test_fold_scan_indicator_at_100(fold):
+    # the fold's bifurcation set {x1 = 1/2} falls on the boundary below row
+    # 50, which is marked whole, and nothing else is
+    scan = scan_bifurcation_set(fold, 100, (-1.0, 1.0), 400)
+    expected = np.zeros((100, 100), dtype=bool)
+    expected[50] = True
+    assert np.array_equal(scan.indicator, expected)
+
+
 # ---------------------------------------------------------------------------
 # fold conditions
 # ---------------------------------------------------------------------------
