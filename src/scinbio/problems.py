@@ -13,8 +13,8 @@ shape (m,), is the L-less case: the same shapes without the leading axis.
 grad_x_grad_y_g, where a problem has it, returns the cross-derivative block
 (L, m, n), or (m, n) for a single point.  The solvers and the estimator call
 oracles with lanes; the GDA baseline and the geometry's root polish call them
-with single points.  A feasible set's
-`project` and `contains` act on the last axis in the same way.
+with single points.  A feasible set's `project` and `contains` act on the
+last axis in the same way.
 """
 
 import dataclasses
