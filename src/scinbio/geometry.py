@@ -7,6 +7,20 @@ scanner localizes them: wherever the stationary-root count changes between
 neighboring grid cells (or a root's curvature collapses), a two-variable
 Newton iteration solves  grad_y g = 0, d2g/dy2 = 0  along the connecting
 segment and pins the degenerate point to machine precision.
+
+The stationary roots of all cells are found together, on lanes (see the lane
+convention in scinbio.problems), in three phases:
+
+1. grad_y g on every cell's y-grid, whole cells per oracle call up to a fixed
+   lane budget, so memory stays flat whatever the resolution;
+2. every sign-change bracket of the scan polished in one lockstep call:
+   12 bisections, then guarded Newton with a bisection fallback, each lane
+   exactly as a scalar iteration would run and the oracles called on the
+   lanes still iterating only;
+3. per cell, grid zeros and polished roots sorted and merged, and every
+   candidate re-checked with one grad_y g and one hess_yy g lane call.
+
+find_stationary_points_1d is the same finder run on one cell.
 """
 
 import math
@@ -92,75 +106,109 @@ def _scalar_hess(problem, x, y):
     return float(np.atleast_2d(problem.hess_yy_g(x, ybuf))[0, 0])
 
 
-def _grad_on_grid(problem, x, ys):
-    """grad_y g(x, y) at every y of a grid, as one lane call."""
-    lanes = np.broadcast_to(x, (ys.shape[0], x.shape[0]))
-    return np.asarray(problem.grad_y_g(lanes, ys[:, None]))[:, 0]
+# Lanes per oracle call when evaluating the cells' y-grids: a scan's memory
+# stays flat whatever its resolution.
+_LANE_BUDGET = 1 << 14
 
 
-def _refine_root(problem, x, a, b, fa, fb):
-    """Polish a bracketed sign change: bisection then guarded Newton."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
+def _lane_call(problem, name, x, y):
+    """grad_y_g or hess_yy_g of an m = 1 problem on lanes x (L, n), y (L,), as (L,)."""
+    lanes = y.shape[0]
+    if lanes == 0:
+        return np.empty(0)
+    expected = (lanes, 1) if name == "grad_y_g" else (lanes, 1, 1)
+    out = np.asarray(getattr(problem, name)(x, y[:, None]))
+    if out.shape != expected:
+        raise ValueError(f"{name} returned shape {out.shape} for {lanes} lanes; the lane "
+                         f"convention of scinbio.problems expects {expected}")
+    return out.reshape(lanes)
+
+
+def _polish(problem, x, a, b, fa):
+    """Roots of the sign changes bracketed by [a, b] at the parameters x, all
+    brackets in lockstep: 12 bisections, then guarded Newton with a bisection
+    fallback.  Each lane follows the scalar iteration step for step; the
+    oracles see only the lanes still iterating.  a, b and fa are updated in
+    place; fb is never consulted, since fa * fb < 0 leaves both nonzero."""
+    y = np.empty_like(a)
+    live = np.arange(a.size)
     for _ in range(12):
-        mid = 0.5 * (a + b)
-        fm = _scalar_grad(problem, x, mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0) == (fm < 0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    y = 0.5 * (a + b)
-    for _ in range(40):
-        fy = _scalar_grad(problem, x, y)
-        tol = 1e-12 * (1.0 + abs(y))
-        if abs(fy) <= tol:
+        mid = 0.5 * (a[live] + b[live])
+        fm = _lane_call(problem, "grad_y_g", x[live], mid)
+        left = (fa[live] < 0) == (fm < 0)
+        a[live[left]], fa[live[left]] = mid[left], fm[left]
+        b[live[~left]] = mid[~left]
+        y[live] = mid
+        live = live[fm != 0.0]
+        if live.size == 0:
             return y
-        hy = _scalar_hess(problem, x, y)
-        if hy != 0.0:
-            y_new = y - fy / hy
-            if a <= y_new <= b:
-                y = y_new
-                continue
-        # Newton left the bracket or curvature vanished: one bisection step
-        if (fa < 0) == (fy < 0):
-            a, fa = y, fy
-        else:
-            b, fb = y, fy
-        if b - a <= 4.0 * np.spacing(max(abs(a), abs(b), 1.0)):
+    y[live] = 0.5 * (a[live] + b[live])
+    for _ in range(40):
+        fy = _lane_call(problem, "grad_y_g", x[live], y[live])
+        far = ~(np.abs(fy) <= 1e-12 * (1.0 + np.abs(y[live])))
+        live, fy = live[far], fy[far]
+        if live.size == 0:
             break
-        y = 0.5 * (a + b)
+        yl = y[live]
+        hy = _lane_call(problem, "hess_yy_g", x[live], yl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_new = yl - fy / hy
+        newton = (hy != 0.0) & (a[live] <= y_new) & (y_new <= b[live])
+        y[live[newton]] = y_new[newton]
+        # Newton left the bracket or curvature vanished: one bisection step
+        left = ~newton & ((fa[live] < 0) == (fy < 0))
+        right = ~newton & ~left
+        a[live[left]], fa[live[left]] = yl[left], fy[left]
+        b[live[right]] = yl[right]
+        al, bl = a[live], b[live]
+        wide = bl - al > 4.0 * np.spacing(np.maximum(np.maximum(np.abs(al), np.abs(bl)), 1.0))
+        step = ~newton & wide
+        y[live[step]] = 0.5 * (al[step] + bl[step])
+        live = live[newton | wide]
     return y
 
 
-def _stationary_roots(problem, x, y_range, resolution):
-    """Sorted (y, grad, lambda) triples of the stationary points on y_range."""
+def _cell_roots(problem, xs, y_range, resolution):
+    """Sorted (y, grad, lambda) triples of the stationary points on y_range,
+    one list for each parameter row of xs (C, n), in the three phases of the
+    module docstring."""
     lo, hi = float(y_range[0]), float(y_range[1])
     ys = np.linspace(lo, hi, resolution)
-    vals = _grad_on_grid(problem, x, ys)
-    roots = []
-    zero_hits = np.flatnonzero(vals == 0.0)
-    for i in zero_hits:
-        roots.append(float(ys[i]))
-    sign_change = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    for i in sign_change:
-        roots.append(_refine_root(problem, x, ys[i], ys[i + 1],
-                                  float(vals[i]), float(vals[i + 1])))
-    roots.sort()
+    n_cells = xs.shape[0]
+    per_call = max(1, _LANE_BUDGET // resolution)
+    zero_cell, zero_y, br_cell, br_k, br_fa = [], [], [], [], []
+    for c0 in range(0, n_cells, per_call):
+        chunk = xs[c0:c0 + per_call]
+        vals = _lane_call(problem, "grad_y_g", np.repeat(chunk, resolution, axis=0),
+                          np.tile(ys, chunk.shape[0])).reshape(chunk.shape[0], resolution)
+        c, k = np.nonzero(vals == 0.0)
+        zero_cell.append(c + c0)
+        zero_y.append(ys[k])
+        c, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+        br_cell.append(c + c0)
+        br_k.append(k)
+        br_fa.append(vals[c, k])
+    br_cell, br_k = np.concatenate(br_cell), np.concatenate(br_k)
+    polished = _polish(problem, xs[br_cell], ys[br_k], ys[br_k + 1], np.concatenate(br_fa))
+
+    # grid zeros ahead of polished roots, as a stable sort within each cell
+    cell = np.concatenate(zero_cell + [br_cell])
+    y = np.concatenate(zero_y + [polished])
+    order = np.lexsort((y, cell))
+    cell, y = cell[order], y[order]
     min_gap = (hi - lo) / (10.0 * resolution)
-    dedup = []
-    for r in roots:
-        if not dedup or r - dedup[-1] >= min_gap:
-            dedup.append(r)
-    out = []
-    for r in dedup:
-        gv = _scalar_grad(problem, x, r)
-        if abs(gv) > 1e-10 * (1.0 + abs(r)):
-            continue
-        out.append((r, gv, _scalar_hess(problem, x, r)))
+    kept, last_c, last_r = [], -1, 0.0
+    for t, (c, r) in enumerate(zip(cell.tolist(), y.tolist())):
+        if c != last_c or r - last_r >= min_gap:
+            kept.append(t)
+            last_c, last_r = c, r
+    cell, y = cell[kept], y[kept]
+    gv = _lane_call(problem, "grad_y_g", xs[cell], y)
+    lam = _lane_call(problem, "hess_yy_g", xs[cell], y)
+    ok = ~(np.abs(gv) > 1e-10 * (1.0 + np.abs(y)))
+    out = [[] for _ in range(n_cells)]
+    for c, r, g, l in zip(cell[ok].tolist(), y[ok].tolist(), gv[ok].tolist(), lam[ok].tolist()):
+        out[c].append((r, g, l))
     return out
 
 
@@ -189,7 +237,7 @@ def find_stationary_points_1d(problem, x, y_range, resolution) -> List[Stationar
         raise ValueError("resolution must be at least 2")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return [_make_record(x, y, gv, lam)
-            for (y, gv, lam) in _stationary_roots(problem, x, y_range, resolution)]
+            for (y, gv, lam) in _cell_roots(problem, x[None, :], y_range, resolution)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +331,16 @@ def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> Bif
     c2 = lo[1] + (np.arange(r) + 0.5) * w[1]
     y_lo, y_hi = float(y_range[0]), float(y_range[1])
 
+    xs = np.column_stack([np.repeat(c1, r), np.tile(c2, r)])
+    cell_roots = _cell_roots(problem, xs, (y_lo, y_hi), y_resolution)
     roots = {}
     indicator = np.zeros((r, r), dtype=bool)
     lam_grid = np.full((r, r), np.nan)
     records: List[StationaryPointRecord] = []
     for i in range(r):
         for j in range(r):
-            x = np.array([c1[i], c2[j]])
-            rs = _stationary_roots(problem, x, (y_lo, y_hi), y_resolution)
-            roots[(i, j)] = rs
+            x = xs[i * r + j]
+            rs = roots[(i, j)] = cell_roots[i * r + j]
             if rs:
                 lam_grid[i, j] = min(abs(l) for (_, _, l) in rs)
             for (y, gv, lam) in rs:

@@ -11,9 +11,10 @@ shape (L, n) and y shape (L, m), and f and g return shape (L,), grad_y_g
 (L, m) and hess_yy_g (L, m, m).  A single point, x of shape (n,) and y of
 shape (m,), is the L-less case: the same shapes without the leading axis.
 grad_x_grad_y_g, where a problem has it, returns the cross-derivative block
-(L, m, n), or (m, n) for a single point.  The solvers and the estimator call
-oracles with lanes; the GDA baseline and the geometry's root polish call them
-with single points.  A feasible set's `project` and `contains` act on the
+(L, m, n), or (m, n) for a single point.  The solvers, the estimator and the
+geometry's stationary-root finder call oracles with lanes; the GDA baseline and
+the geometry's degenerate-point hunt and fold check call them with single
+points.  A feasible set's `project` and `contains` act on the
 last axis in the same way.
 """
 

@@ -26,8 +26,8 @@ def quartic():
     return builtin_quartic_family()
 
 
-# the 200^2 fold scan of the geometry tests and acceptance criterion 8; a 15 s
-# build, so the tests that use it are marked slow
+# the 200^2 fold scan of the geometry tests and acceptance criterion 8; it
+# builds in about 1 s, so the geometry tests that use it run in the fast loop
 @pytest.fixture(scope="session")
 def fold_scan(fold):
     return scan_bifurcation_set(fold, 200, (-1.0, 1.0), 400)

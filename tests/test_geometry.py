@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from scinbio import (BilevelProblem, box_set, box_counting_dimension,
                      neighborhood_measure, scan_bifurcation_set)
 from scinbio.geometry import (FOLD, NON_FOLD_DEGENERATE, NONDEGENERATE,
                               BifurcationScan, StationaryPointRecord,
-                              distance_to_marked)
+                              _cell_roots, distance_to_marked)
 
 
 def arr(*vals):
@@ -45,6 +46,27 @@ def test_double_well_three_roots(double_well):
     lams = sorted(r.lambda_min_abs for r in recs)
     assert np.allclose(lams, [4.0, 8.0, 8.0], atol=1e-8)
     assert all(r.fold_class == NONDEGENERATE for r in recs)
+
+
+def test_double_well_roots_exact_on_grid_and_midpoints(double_well):
+    # with 15 grid points on [-2, 2], y = 0 is a grid zero, y = -1 the first
+    # bisection midpoint of its bracket, and y = 1, whose midpoint rounds
+    # below it, is reached by Newton: three roots ending at different steps
+    recs = find_stationary_points_1d(double_well, arr(0.0), (-2.0, 2.0), 15)
+    assert [r.y[0] for r in recs] == [-1.0, 0.0, 1.0]
+
+
+def test_lockstep_polish_keeps_lanes_independent(double_well):
+    # at x = 0 one bracket ends on an exact midpoint after one bisection while
+    # the others go on to Newton: each cell's roots must be the bits of that
+    # cell polished alone
+    xs = np.array([[0.0], [0.3], [-0.55], [1e-3]])
+    together = _cell_roots(double_well, xs, (-2.0, 2.0), 15)
+    for x, roots in zip(xs, together):
+        alone = find_stationary_points_1d(double_well, x, (-2.0, 2.0), 15)
+        assert len(alone) == 3
+        assert [(y, abs(g), abs(lam)) for y, g, lam in roots] == [
+            (r.y[0], r.grad_norm, r.lambda_min_abs) for r in alone]
 
 
 def test_roots_satisfy_gradient_tolerance(quartic):
@@ -95,7 +117,6 @@ def test_fold_eigenvalue_sqrt_scaling(fold):
 # bifurcation scan
 # ---------------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_fold_scan_marks_line(fold_scan):
     marked = fold_scan.marked_centers()
     assert len(marked) >= 150
@@ -109,7 +130,6 @@ def test_fold_scan_marks_line(fold_scan):
         assert abs(r.y[0]) <= 1e-6
 
 
-@pytest.mark.slow
 def test_scan_indicator_backed_by_degenerate_records(fold_scan):
     lo, hi = fold_scan.bbox
     w1, w2 = fold_scan.cell_size
@@ -132,15 +152,15 @@ def test_scan_requires_2d(double_well):
 def test_nondegenerate_problem_unmarked():
     # g = (y - x1)^2 / 2: unique stationary point with lambda = 1 everywhere
     def g(x, y):
-        return 0.5 * (y[0] - x[0]) ** 2
+        return 0.5 * (y[..., 0] - x[..., 0]) ** 2
 
     def grad(x, y):
         return np.asarray(y, dtype=float) - x[..., :1]
 
     def hess(x, y):
-        return np.array([[1.0]])
+        return np.ones(np.shape(y) + (1,))
 
-    p = BilevelProblem(n=2, m=1, f=lambda x, y: float(y[0]), g=g, grad_y_g=grad,
+    p = BilevelProblem(n=2, m=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
                        hess_yy_g=hess, y0=np.zeros(1), f_bar=5.0,
                        feasible_set=box_set([-1.0, -1.0], [1.0, 1.0]))
     scan = scan_bifurcation_set(p, 20, (-3.0, 3.0), 200)
@@ -177,7 +197,6 @@ def _discriminant_sign_change_cells(quartic, r):
     return (quad.min(axis=0) < 0) & (quad.max(axis=0) > 0)
 
 
-@pytest.mark.slow
 def test_quartic_scan_is_complete(quartic):
     # every cell where a pair of stationary points merges has a marked cell
     # within one cell, whichever pair of the cell's roots it is
@@ -192,6 +211,37 @@ def test_quartic_scan_is_complete(quartic):
             near |= padded[di:di + r, dj:dj + r]
     missed = np.argwhere(change & ~near)
     assert missed.size == 0, missed[:10].tolist()
+
+
+@pytest.mark.parametrize("name, y_range, y_resolution",
+                         [("fold", (-1.0, 1.0), 400), ("quartic", (-250.0, 250.0), 2000)])
+def test_scan_roots_equal_single_cell_roots(request, name, y_range, y_resolution):
+    # the scan polishes all cells' brackets in one lockstep call; each cell's
+    # records (ahead of the hunted degenerate points) must be the bits of
+    # find_stationary_points_1d at that cell's center
+    problem = request.getfixturevalue(name)
+    scan = scan_bifurcation_set(problem, 12, y_range, y_resolution)
+    lo, hi = problem.feasible_set.bbox
+    # the centers as the scan computes them (cell_centers() rounds differently)
+    c1, c2 = (lo[k] + (np.arange(12) + 0.5) * ((hi[k] - lo[k]) / 12) for k in (0, 1))
+    alone = [rec for a in c1 for b in c2
+             for rec in find_stationary_points_1d(problem, arr(a, b), y_range, y_resolution)]
+    assert len(alone) >= 144
+    assert all(rec.degenerate for rec in scan.branch_points[len(alone):])
+    for rec, ref in zip(scan.branch_points, alone):
+        assert np.array_equal(rec.x, ref.x) and np.array_equal(rec.y, ref.y)
+        assert (rec.grad_norm, rec.lambda_min_abs, rec.degenerate) == (
+            ref.grad_norm, ref.lambda_min_abs, ref.degenerate)
+
+
+@pytest.mark.parametrize("oracle", ["grad_y_g", "hess_yy_g"])
+def test_scan_rejects_oracle_off_lane_convention(fold, oracle):
+    # an oracle that ignores the lane axis is named with the expected shape
+    single = {"grad_y_g": lambda x, y: np.array([0.5]),
+              "hess_yy_g": lambda x, y: np.array([[1.0]])}[oracle]
+    bad = dataclasses.replace(fold, **{oracle: single})
+    with pytest.raises(ValueError, match=rf"{oracle} returned shape .* expects \(\d+, 1"):
+        scan_bifurcation_set(bad, 4, (-1.0, 1.0), 50)
 
 
 def test_fold_scan_indicator_at_100(fold):
@@ -217,16 +267,16 @@ def test_fold_conditions_on_fold_family(fold):
 def test_fold_conditions_reject_cusp_like():
     # g = y^4 + x y: third derivative along the null direction vanishes at y = 0
     def g(x, y):
-        return y[0] ** 4 + x[0] * y[0]
+        return y[..., 0] ** 4 + x[..., 0] * y[..., 0]
 
     def grad(x, y):
         yy = np.asarray(y, dtype=float)
-        return 4.0 * yy ** 3 + x[0]
+        return 4.0 * yy ** 3 + x[..., :1]
 
     def hess(x, y):
-        return np.array([[12.0 * y[0] ** 2]])
+        return (12.0 * np.asarray(y, dtype=float) ** 2)[..., None]
 
-    p = BilevelProblem(n=1, m=1, f=lambda x, y: float(y[0]), g=g, grad_y_g=grad,
+    p = BilevelProblem(n=1, m=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
                        hess_yy_g=hess, y0=np.zeros(1), f_bar=10.0,
                        feasible_set=box_set([-1.0], [1.0]))
     rec = StationaryPointRecord(x=arr(0.0), y=arr(0.0), grad_norm=0.0,
@@ -264,7 +314,6 @@ def test_fold_conditions_require_degenerate_record(fold):
         check_fold_conditions(fold, rec)
 
 
-@pytest.mark.slow
 def test_scanned_fold_points_classify_as_folds(fold, fold_scan):
     degenerate = [r for r in fold_scan.branch_points if r.degenerate]
     for rec in degenerate[::40]:
@@ -290,7 +339,6 @@ def test_dimension_of_filled_square():
     assert abs(est.d_hat - 2.0) <= 0.15
 
 
-@pytest.mark.slow
 def test_dimension_of_fold_scan(fold_scan):
     est = box_counting_dimension(fold_scan.marked_centers(),
                                  [0.1, 0.05, 0.025, 0.0125])
@@ -340,28 +388,24 @@ def test_distances_and_measures_equal_scipy_edt(data):
         (d, float(np.count_nonzero(ref <= d) * (w1 * w2))) for d in deltas]
 
 
-@pytest.mark.slow
 def test_tube_measure_around_fold_line(fold_scan):
     (delta, measure), = neighborhood_measure(fold_scan, [0.1])
     # tube of half-width 0.1 around the segment {x1 = 1/2} x [-1, 1]
     assert measure == pytest.approx(2 * 0.1 * 2.0, rel=0.2)
 
 
-@pytest.mark.slow
 def test_tube_measure_zero_delta(fold_scan):
     (_, measure), = neighborhood_measure(fold_scan, [0.0])
     w1, w2 = fold_scan.cell_size
     assert measure == pytest.approx(fold_scan.indicator.sum() * w1 * w2, rel=1e-12)
 
 
-@pytest.mark.slow
 def test_tube_measure_monotone(fold_scan):
     out = neighborhood_measure(fold_scan, [0.02, 0.05, 0.1, 0.2, 0.4])
     measures = [m for _, m in out]
     assert all(b >= a for a, b in zip(measures, measures[1:]))
 
 
-@pytest.mark.slow
 def test_tube_measure_scaling_and_covering_bound(fold_scan):
     deltas = [0.04, 0.08, 0.16, 0.32]
     out = neighborhood_measure(fold_scan, deltas)
