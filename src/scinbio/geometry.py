@@ -15,8 +15,8 @@ convention in scinbio.problems), in three phases:
    lane budget, so memory stays flat whatever the resolution;
 2. every sign-change bracket of the scan polished in one lockstep call:
    12 bisections, then guarded Newton with a bisection fallback, each lane
-   exactly as a scalar iteration would run and the oracles called on the
-   lanes still iterating only;
+   taking exactly the steps it would take alone, and the oracles called on
+   the lanes still iterating only;
 3. per cell, grid zeros and polished roots sorted and merged, and every
    candidate re-checked with one grad_y g and one hess_yy g lane call.
 
@@ -127,7 +127,7 @@ def _lane_call(problem, name, x, y):
 def _polish(problem, x, a, b, fa):
     """Roots of the sign changes bracketed by [a, b] at the parameters x, all
     brackets in lockstep: 12 bisections, then guarded Newton with a bisection
-    fallback.  Each lane follows the scalar iteration step for step; the
+    fallback.  Each lane takes exactly the steps it would take alone; the
     oracles see only the lanes still iterating.  a, b and fa are updated in
     place; fb is never consulted, since fa * fb < 0 leaves both nonzero."""
     y = np.empty_like(a)

@@ -48,20 +48,14 @@ def test_double_well_three_roots(double_well):
     assert all(r.fold_class == NONDEGENERATE for r in recs)
 
 
-def test_double_well_roots_exact_on_grid_and_midpoints(double_well):
-    # with 15 grid points on [-2, 2], y = 0 is a grid zero, y = -1 the first
-    # bisection midpoint of its bracket, and y = 1, whose midpoint rounds
-    # below it, is reached by Newton: three roots ending at different steps
-    recs = find_stationary_points_1d(double_well, arr(0.0), (-2.0, 2.0), 15)
-    assert [r.y[0] for r in recs] == [-1.0, 0.0, 1.0]
-
-
 def test_lockstep_polish_keeps_lanes_independent(double_well):
-    # at x = 0 one bracket ends on an exact midpoint after one bisection while
-    # the others go on to Newton: each cell's roots must be the bits of that
-    # cell polished alone
+    # with 15 grid points on [-2, 2] at x = 0, y = 0 is a grid zero, y = -1
+    # the first bisection midpoint of its bracket, and y = 1, whose midpoint
+    # rounds below it, is reached by Newton: lanes that end at different
+    # steps.  Each cell's roots must be the bits of that cell polished alone.
     xs = np.array([[0.0], [0.3], [-0.55], [1e-3]])
     together = _cell_roots(double_well, xs, (-2.0, 2.0), 15)
+    assert [y for y, _, _ in together[0]] == [-1.0, 0.0, 1.0]
     for x, roots in zip(xs, together):
         alone = find_stationary_points_1d(double_well, x, (-2.0, 2.0), 15)
         assert len(alone) == 3
