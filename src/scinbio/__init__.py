@@ -23,7 +23,7 @@ from .problems import (BilevelProblem, FeasibleSet, ProblemLibraryEntry,
                        PROBLEM_NAMES, ball_set, box_set, builtin_fold_family,
                        builtin_minimax, builtin_quartic_family,
                        builtin_shifted_double_well, custom_set, get_problem,
-                       minimax_value_and_gradients, perturb_linear,
+                       minimax_gradient, perturb_linear,
                        problem_library)
 from .smoothing import (GradientEstimate, GradientEstimates, SmoothingConfig,
                         estimate_hypergradient, estimate_smoothed_value,

@@ -1,13 +1,16 @@
 """Gradient descent-ascent baseline for the minimax experiment.
 
-Simulates the saddle dynamics x' = -grad_x f, y' = +grad_y f for a problem
-posed as minimax-as-bilevel (g = -f).  Nonconvex-nonconcave objectives can
-trap these dynamics in closed orbits; a recurrence detector with an
-excursion filter separates genuine loops from slow convergence.
+Simulates the saddle dynamics x' = -df/dx, y' = +df/dy of a scalar objective
+f(x, y), given as its gradient grad_f(x, y) -> (df/dx, df/dy) on Python
+floats (problems.minimax_gradient for the builtin saddle).
+Nonconvex-nonconcave objectives can trap these dynamics in closed orbits; a
+recurrence detector with an excursion filter separates genuine loops from
+slow convergence.
 """
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,21 +28,9 @@ CONVERGED_WINDOW = 1000
 CONVERGED_DISPLACEMENT = 1e-5
 
 
-def gda_field(problem, x, y, grad_x_f=None):
-    """Flow direction (-df/dx, +df/dy) at a scalar phase point.
-
-    df/dy comes from the bilevel bundle via -grad_y g; df/dx from the
-    supplied callable or central finite differences of f.
-    """
-    xv = np.array([x])
-    yv = np.array([y])
-    fy = -float(np.atleast_1d(problem.grad_y_g(xv, yv))[0])
-    if grad_x_f is not None:
-        fx = float(grad_x_f(x, y))
-    else:
-        h = 1e-6 * (1.0 + abs(x))
-        fx = (problem.f(np.array([x + h]), yv)
-              - problem.f(np.array([x - h]), yv)) / (2.0 * h)
+def gda_field(grad_f, x, y):
+    """Flow direction (-df/dx, +df/dy) at a scalar phase point."""
+    fx, fy = grad_f(x, y)
     return -fx, fy
 
 
@@ -50,6 +41,8 @@ class GdaTrace:
     steps_taken: int
     verdict: str
     cycle_witness: Optional[Tuple[int, int]]
+    # displacement over the last completed 1000-step window (None if none completed)
+    final_window_displacement: Optional[float]
 
 
 def detect_cycle(points, eps_cycle=EPS_CYCLE, min_period=MIN_PERIOD,
@@ -66,6 +59,10 @@ def detect_cycle(points, eps_cycle=EPS_CYCLE, min_period=MIN_PERIOD,
         transient = n // 2
     if transient >= n:
         raise ValueError("transient must leave at least one point")
+    # no two tail points lie farther apart than the tail's bounding-box diagonal,
+    # so a tail inside a box of diagonal < 10 eps has no excursion to pass the filter
+    if np.linalg.norm(np.ptp(pts[transient:], axis=0)) < 10.0 * eps_cycle:
+        return None
     stride = max(1, min_period // 2)
     for a in range(transient, n - min_period, stride):
         d = np.linalg.norm(pts[a + 1:] - pts[a], axis=1)
@@ -78,16 +75,16 @@ def detect_cycle(points, eps_cycle=EPS_CYCLE, min_period=MIN_PERIOD,
     return None
 
 
-def run_gda(problem, init, step, max_steps, *, grad_x_f=None,
-            integrator="rk4", eps_cycle=EPS_CYCLE, min_period=MIN_PERIOD,
-            record_stride=1) -> GdaTrace:
-    """Integrate the saddle dynamics from init = (x, y) for max_steps.
+def run_gda(grad_f, init, step, max_steps, *, integrator="rk4", eps_cycle=EPS_CYCLE,
+            min_period=MIN_PERIOD, record_stride=1) -> GdaTrace:
+    """Integrate the saddle dynamics of grad_f from init = (x, y) for max_steps.
 
     integrator "rk4" (default) follows the continuous flow closely enough to
     preserve its closed orbits over the full horizon; "euler" is the raw
     discrete scheme x <- x - h grad_x f, y <- y + h grad_y f, whose O(h) drift
     destroys neutrally stable loops.  Early exit with verdict `converged` once
-    the displacement over a 1000-step window drops below 1e-5.
+    the displacement over a 1000-step window drops below 1e-5; the trace
+    keeps the last window's displacement either way.
     """
     if not step > 0:
         raise ValueError("step must be positive")
@@ -96,29 +93,29 @@ def run_gda(problem, init, step, max_steps, *, grad_x_f=None,
     x, y = float(init[0]), float(init[1])
     h = float(step)
     recorded = [(x, y)]
-    window = []
     verdict = BUDGET_EXHAUSTED
     steps_taken = 0
     x_prev_window, y_prev_window = x, y
+    disp = None
 
     for k in range(max_steps):
         if integrator == "euler":
-            vx, vy = gda_field(problem, x, y, grad_x_f)
+            vx, vy = gda_field(grad_f, x, y)
             x, y = x + h * vx, y + h * vy
         else:
-            k1 = gda_field(problem, x, y, grad_x_f)
-            k2 = gda_field(problem, x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], grad_x_f)
-            k3 = gda_field(problem, x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], grad_x_f)
-            k4 = gda_field(problem, x + h * k3[0], y + h * k3[1], grad_x_f)
+            k1 = gda_field(grad_f, x, y)
+            k2 = gda_field(grad_f, x + 0.5 * h * k1[0], y + 0.5 * h * k1[1])
+            k3 = gda_field(grad_f, x + 0.5 * h * k2[0], y + 0.5 * h * k2[1])
+            k4 = gda_field(grad_f, x + h * k3[0], y + h * k3[1])
             x = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             y = y + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         steps_taken = k + 1
-        if not (np.isfinite(x) and np.isfinite(y)):
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise NumericalError(f"non-finite GDA iterate at step {k + 1}")
         if (k + 1) % record_stride == 0:
             recorded.append((x, y))
         if (k + 1) % CONVERGED_WINDOW == 0:
-            disp = np.hypot(x - x_prev_window, y - y_prev_window)
+            disp = float(np.hypot(x - x_prev_window, y - y_prev_window))
             x_prev_window, y_prev_window = x, y
             if disp <= CONVERGED_DISPLACEMENT:
                 verdict = CONVERGED
@@ -131,4 +128,5 @@ def run_gda(problem, init, step, max_steps, *, grad_x_f=None,
         if witness is not None:
             verdict = CYCLING
     return GdaTrace(points=points, step=h, steps_taken=steps_taken,
-                    verdict=verdict, cycle_witness=witness)
+                    verdict=verdict, cycle_witness=witness,
+                    final_window_displacement=disp)

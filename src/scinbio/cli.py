@@ -25,7 +25,7 @@ from .lower import GRADIENT_DESCENT, LowerSolverConfig, run_lower_lean
 from .outer import (OuterConfig, canonical_json, constant_schedules,
                     gradient_mapping, run_scinbio, tail_stability,
                     validate_run, write_summary_json, write_trace_csv)
-from .problems import LOWER_DEFAULTS, PROBLEM_NAMES, get_problem
+from .problems import LOWER_DEFAULTS, PROBLEM_NAMES, get_problem, minimax_gradient
 from .smoothing import SmoothingConfig, estimate_hypergradient, gradient_norm_bound
 from .svg import SvgCanvas
 
@@ -463,15 +463,15 @@ def cmd_gda(cfg):
     if cfg["problem"] != "minimax":
         raise ConfigError(["gda requires problem = minimax"])
     out = _ensure_outdir(cfg)
-    problem = get_problem("minimax")
     results = {}
     for seed in cfg["seeds"]:
         init = rng.seeded_initialization(seed)
-        trace = run_gda(problem, init, cfg["gda.step"], cfg["gda.max_steps"],
+        trace = run_gda(minimax_gradient, init, cfg["gda.step"], cfg["gda.max_steps"],
                         integrator=cfg["gda.integrator"])
         entry = {"seed": seed, "init": [float(v) for v in init],
                  "verdict": trace.verdict, "steps_taken": trace.steps_taken,
-                 "final": [float(v) for v in trace.points[-1]]}
+                 "final": [float(v) for v in trace.points[-1]],
+                 "final_window_displacement": trace.final_window_displacement}
         if trace.cycle_witness is not None:
             entry["cycle_witness"] = list(trace.cycle_witness)
         files = {}
@@ -479,14 +479,14 @@ def cmd_gda(cfg):
             path = os.path.join(out, f"gda_seed{seed}.csv")
             stride = cfg["stride"]
             lines = [f"# schema: {GDA_CSV_SCHEMA}", "k,x,y"]
-            for k, (x, y) in enumerate(trace.points[::stride]):
-                lines.append(f"{k * stride},{float(x)!r},{float(y)!r}")
+            for k, (x, y) in enumerate(trace.points[::stride].tolist()):
+                lines.append(f"{k * stride},{x!r},{y!r}")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(lines) + "\n")
             files["csv"] = f"gda_seed{seed}.csv"
         if "svg" in cfg["emit"]:
             path = os.path.join(out, f"gda_seed{seed}.svg")
-            _write_gda_svg(problem, trace, path, seed)
+            _write_gda_svg(trace, path, seed)
             files["svg"] = f"gda_seed{seed}.svg"
         entry["files"] = files
         results[seed] = entry
@@ -508,7 +508,7 @@ def cmd_gda(cfg):
     return EXIT_OK
 
 
-def _write_gda_svg(problem, trace, path, seed):
+def _write_gda_svg(trace, path, seed):
     pts = trace.points
     lo = pts.min(axis=0) - 0.5
     hi = pts.max(axis=0) + 0.5
@@ -517,7 +517,7 @@ def _write_gda_svg(problem, trace, path, seed):
     arrow_scale = 0.04 * float(max(hi - lo))
     for gx in np.linspace(lo[0], hi[0], 18):
         for gy in np.linspace(lo[1], hi[1], 18):
-            vx, vy = gda_field(problem, gx, gy)
+            vx, vy = gda_field(minimax_gradient, gx, gy)
             canvas.arrow(gx, gy, vx, vy, scale=arrow_scale)
     stride = max(1, len(pts) // 4000)
     canvas.polyline(pts[::stride, 0], pts[::stride, 1], color="#d62728", width=1.4)

@@ -70,11 +70,9 @@ class BifurcationScan:
     cell_size: tuple
 
     def cell_centers(self):
-        (lo, hi) = self.bbox
-        r = self.grid_resolution
-        c1 = lo[0] + (np.arange(r) + 0.5) * (hi[0] - lo[0]) / r
-        c2 = lo[1] + (np.arange(r) + 0.5) * (hi[1] - lo[1]) / r
-        return c1, c2
+        """The points the scan evaluated: per axis, lo + (k + 0.5) ((hi - lo) / R)."""
+        lo, r = self.bbox[0], self.grid_resolution
+        return tuple(lo[a] + (np.arange(r) + 0.5) * self.cell_size[a] for a in (0, 1))
 
     def marked_centers(self):
         c1, c2 = self.cell_centers()

@@ -12,10 +12,10 @@ shape (L, n) and y shape (L, m), and f and g return shape (L,), grad_y_g
 shape (m,), is the L-less case: the same shapes without the leading axis.
 grad_x_grad_y_g, where a problem has it, returns the cross-derivative block
 (L, m, n), or (m, n) for a single point.  The solvers, the estimator and the
-geometry's stationary-root finder call oracles with lanes; the GDA baseline and
-the geometry's degenerate-point hunt and fold check call them with single
-points.  A feasible set's `project` and `contains` act on the
-last axis in the same way.
+geometry's stationary-root finder call oracles with lanes; the geometry's
+degenerate-point hunt and fold check call them with single points.  A feasible
+set's `project` and `contains` act on the last axis in the same way.  The GDA
+baseline uses no bundle: it integrates the saddle flow of `minimax_gradient`.
 """
 
 import dataclasses
@@ -144,9 +144,8 @@ def _part(v, j):
 # Builtin: nonconvex-nonconcave minimax  f(x,y) = (x^2-y^2) sin(x+y) + xy sin(x-y)
 # ---------------------------------------------------------------------------
 # The minimax problem min_x max_y f is cast as a bilevel problem with lower
-# objective g = -f.  The partials take scalars with `math` or lane arrays with
-# numpy: the GDA baseline evaluates single points ~10^5 times per run, where
-# numpy's per-call cost on scalars would dominate.
+# objective g = -f.  The partials take single points with `math`, whose calls
+# cost far less than numpy's on scalars, or lane arrays with numpy.
 
 def _mm_f(a, b, lib=math):
     return (a * a - b * b) * lib.sin(a + b) + a * b * lib.sin(a - b)
@@ -156,11 +155,6 @@ def _mm_fy(a, b, lib=math):
     d, s = a - b, a + b
     return (-a * b * lib.cos(d) + a * lib.sin(d)
             - 2.0 * b * lib.sin(s) + (a * a - b * b) * lib.cos(s))
-
-
-def _mm_fx(a, b):
-    return (a * b * math.cos(a - b) + 2.0 * a * math.sin(a + b)
-            + b * math.sin(a - b) + (a * a - b * b) * math.cos(a + b))
 
 
 def _mm_fyy(a, b, lib=math):
@@ -176,13 +170,19 @@ def _mm_fxy(a, b, lib=math):
             + lib.sin(a - b))
 
 
-def minimax_value_and_gradients(x, y):
-    """f and its two partials for the builtin minimax objective (scalars in/out).
+def minimax_gradient(x, y):
+    """(df/dx, df/dy) of the builtin minimax objective at one point, floats in/out.
 
-    The gradient-descent-ascent baseline uses these directly; the bilevel
-    bundle only exposes y-derivatives of g = -f.
+    The gradient descent-ascent baseline integrates this field; the bilevel
+    bundle only exposes y-derivatives of g = -f.  sin and cos of x - y and
+    x + y are computed once for both partials, and df/dy has the bits of
+    -grad_y_g.
     """
-    return (_mm_f(x, y), _mm_fx(x, y), _mm_fy(x, y))
+    d, s = x - y, x + y
+    sd, cd, ss, cs = math.sin(d), math.cos(d), math.sin(s), math.cos(s)
+    q = x * x - y * y
+    return (x * y * cd + 2.0 * x * ss + y * sd + q * cs,
+            -x * y * cd + x * sd - 2.0 * y * ss + q * cs)
 
 
 # Value cap: 1.5 x max|f| over a 400-point grid of [-3,3] x the sublevel

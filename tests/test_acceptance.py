@@ -17,7 +17,7 @@ from scinbio import (LowerSolverConfig, OuterConfig, SmoothingConfig,
                      cubic_newton_solve, default_schedules, detect_cycle,
                      estimate_hypergradient, estimate_smoothed_value,
                      find_stationary_points_1d, gradient_norm_bound,
-                     neighborhood_measure, run_gda, run_scinbio,
+                     minimax_gradient, neighborhood_measure, run_gda, run_scinbio,
                      smoothed_step_reference,
                      solve_cubic_subproblem, tail_stability)
 from scinbio import rng as rng_mod
@@ -66,11 +66,10 @@ def experiment_sweep():
 
 @pytest.fixture(scope="session")
 def gda_sweep():
-    problem = builtin_minimax()
     out = {}
     for seed in SEEDS:
         init = rng_mod.seeded_initialization(seed)
-        out[seed] = run_gda(problem, init, 0.01, 50000)
+        out[seed] = run_gda(minimax_gradient, init, 0.01, 50000)
     return out
 
 

@@ -2,30 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scinbio import BilevelProblem, box_set, detect_cycle, run_gda
-from scinbio.baselines import BUDGET_EXHAUSTED, CONVERGED, CYCLING
-
-
-def minimax_as_bilevel(f, fx, fy, bound=5.0):
-    """Wrap a scalar saddle objective as a bilevel bundle with g = -f."""
-
-    def f_oracle(x, y):
-        return f(x[0], y[0])
-
-    def g(x, y):
-        return -f(x[0], y[0])
-
-    def grad(x, y):
-        return np.array([-fy(x[0], y[0])])
-
-    def hess(x, y):
-        return np.array([[0.0]])  # unused by the dynamics
-
-    problem = BilevelProblem(n=1, m=1, f=f_oracle, g=g, grad_y_g=grad,
-                             hess_yy_g=hess, y0=np.zeros(1), f_bar=100.0,
-                             feasible_set=box_set([-bound], [bound]))
-    return problem, fx
+from scinbio import detect_cycle, minimax_gradient, run_gda
+from scinbio.baselines import BUDGET_EXHAUSTED, CONVERGED, CYCLING, gda_field
+from scinbio.problems import _mm_fy
+from scinbio.rng import seeded_initialization
 
 
 # ---------------------------------------------------------------------------
@@ -33,48 +16,77 @@ def minimax_as_bilevel(f, fx, fy, bound=5.0):
 # ---------------------------------------------------------------------------
 
 def test_convex_concave_quadratic_converges():
-    problem, fx = minimax_as_bilevel(lambda x, y: x * x - y * y,
-                                     lambda x, y: 2 * x, lambda x, y: -2 * y)
-    trace = run_gda(problem, (1.5, -1.2), 0.01, 50000, grad_x_f=fx)
+    # f = x^2 - y^2
+    trace = run_gda(lambda x, y: (2 * x, -2 * y), (1.5, -1.2), 0.01, 50000)
     assert trace.verdict == CONVERGED
     assert np.abs(trace.points[-1]).max() <= 1e-4
 
 
 def test_bilinear_euler_norm_identity():
     # explicit Euler on f = xy gains norm exactly: |z+|^2 = (1 + h^2) |z|^2
-    problem, fx = minimax_as_bilevel(lambda x, y: x * y,
-                                     lambda x, y: y, lambda x, y: x)
     h = 0.01
-    trace = run_gda(problem, (0.7, -0.4), h, 300, grad_x_f=fx,
-                    integrator="euler")
+    trace = run_gda(lambda x, y: (y, x), (0.7, -0.4), h, 300, integrator="euler")
     norms2 = (trace.points ** 2).sum(axis=1)
     for a, b in zip(norms2, norms2[1:]):
         assert b == pytest.approx((1.0 + h * h) * a, rel=1e-12)
 
 
 def test_finite_difference_field_matches_analytic(minimax):
-    from scinbio.baselines import gda_field
-    from scinbio.problems import minimax_value_and_gradients
+    # -df/dx against central differences of the bundle's f; df/dy is -grad_y g
     rng = np.random.default_rng(1)
     for _ in range(20):
-        x, y = rng.uniform(-2, 2, size=2)
-        _, fx, fy = minimax_value_and_gradients(x, y)
-        vx, vy = gda_field(minimax, x, y)
-        assert vx == pytest.approx(-fx, abs=1e-8)
-        assert vy == pytest.approx(fy, abs=1e-15)
+        x, y = rng.uniform(-2, 2, size=2).tolist()
+        vx, vy = gda_field(minimax_gradient, x, y)
+        h = 1e-6 * (1.0 + abs(x))
+        fd = (minimax.f(np.array([x + h]), np.array([y]))
+              - minimax.f(np.array([x - h]), np.array([y]))) / (2.0 * h)
+        assert vx == pytest.approx(-fd, abs=1e-8)
+        assert vy == -minimax.grad_y_g(np.array([x]), np.array([y]))[0]
 
 
-def test_budget_exhausted_on_tiny_budget(minimax):
-    trace = run_gda(minimax, (1.0, 1.0), 0.01, 10)
+_coord = st.floats(-6.0, 6.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8))
+def test_minimax_gradient_has_the_oracle_bits(minimax, points):
+    xs = np.array([[p[0]] for p in points])
+    ys = np.array([[p[1]] for p in points])
+    lanes = -minimax.grad_y_g(xs, ys)[:, 0]
+    for k, (x, y) in enumerate(points):
+        fx, fy = minimax_gradient(x, y)
+        assert type(fx) is float and type(fy) is float
+        single = -minimax.grad_y_g(xs[k], ys[k])[0]
+        assert fy == _mm_fy(x, y) == single == lanes[k]
+
+
+def test_budget_exhausted_on_tiny_budget():
+    trace = run_gda(minimax_gradient, (1.0, 1.0), 0.01, 10)
     assert trace.verdict == BUDGET_EXHAUSTED
     assert trace.steps_taken == 10
+    assert trace.final_window_displacement is None
 
 
-def test_step_validation(minimax):
+def test_step_validation():
     with pytest.raises(ValueError):
-        run_gda(minimax, (0.0, 0.0), -0.1, 100)
+        run_gda(minimax_gradient, (0.0, 0.0), -0.1, 100)
     with pytest.raises(ValueError):
-        run_gda(minimax, (0.0, 0.0), 0.1, 100, integrator="leapfrog")
+        run_gda(minimax_gradient, (0.0, 0.0), 0.1, 100, integrator="leapfrog")
+
+
+@pytest.mark.parametrize("seed, verdict, steps", [
+    (7, CYCLING, 20000), (1, CONVERGED, 5000), (0, BUDGET_EXHAUSTED, 20000)])
+def test_minimax_seed_verdicts(seed, verdict, steps):
+    trace = run_gda(minimax_gradient, seeded_initialization(seed), 0.01, 20000)
+    assert (trace.verdict, trace.steps_taken) == (verdict, steps)
+    disp = trace.final_window_displacement
+    if verdict == CONVERGED:
+        assert disp <= 1e-5
+    else:
+        assert disp > 1e-5
+    if seed == 0:
+        # still creeping in: the window displacement falls toward 1e-5 by 50,000 steps
+        assert disp == pytest.approx(7.5e-5, rel=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +101,14 @@ def test_detects_perfect_circle():
     a, b = hit
     assert a == 0
     assert abs((b - a) - 360) <= 1
+
+
+def test_excursion_filter_threshold_on_small_loops():
+    # a loop of diameter just over 10 eps is found, one just under is not
+    k = np.arange(5 * 360)
+    ring = np.column_stack([np.cos(2 * np.pi * k / 360), np.sin(2 * np.pi * k / 360)])
+    assert detect_cycle(0.0051 * ring, eps_cycle=1e-3, transient=0) is not None
+    assert detect_cycle(0.0049 * ring, eps_cycle=1e-3, transient=0) is None
 
 
 def test_ignores_contracting_spiral():
@@ -122,9 +142,9 @@ def test_never_fires_on_contracting_spirals():
         assert detect_cycle(pts) is None
 
 
-def test_cycle_witness_invariant(minimax):
+def test_cycle_witness_invariant():
     # a genuinely cycling trajectory of the saddle flow (loop basin)
-    trace = run_gda(minimax, (2.3, -2.3), 0.01, 50000)
+    trace = run_gda(minimax_gradient, (2.3, -2.3), 0.01, 50000)
     assert trace.verdict == CYCLING
     a, b = trace.cycle_witness
     assert b - a >= 50

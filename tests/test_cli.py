@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from scinbio import builtin_minimax
+from scinbio import builtin_minimax, scan_bifurcation_set
 from scinbio import cli
 from scinbio.cli import main, parse_seed_list
 from scinbio.outer import canonical_json
@@ -360,6 +360,22 @@ def test_scan_and_gda_csvs_hold_plain_numbers(tmp_path):
     assert_csv_fields_are_numbers(out / "gda_seed0.csv")
 
 
+def test_scan_csv_centers_are_the_evaluated_points(tmp_path, fold):
+    # fold 12^2: at cells 2, 3, 8 and 11, lo + (k + 0.5) (hi - lo) / R rounds
+    # one ulp away from lo + (k + 0.5) ((hi - lo) / R), the scan's formula
+    out = tmp_path / "scan"
+    assert run_cli("scan", "--problem", "fold", "--out", str(out), "--set", "emit=csv",
+                   "--set", "scan.grid_resolution=12", "--set", "scan.y_resolution=400") == 0
+    rows = [line.split(",") for line in (out / "scan_fold.csv").read_text().splitlines()[2:]]
+    centers = {(float(r[0]), float(r[1])) for r in rows}
+    with_roots = {(float(r[0]), float(r[1])) for r in rows if r[3]}
+    assert len(centers) == 144 and len(with_roots) >= 72
+    scan = scan_bifurcation_set(fold, 12, (-1.0, 1.0), 400)
+    points = {tuple(rec.x.tolist()) for rec in scan.branch_points}
+    # every cell with roots has its records at exactly the center the CSV writes
+    assert points & centers == with_roots
+
+
 def test_scan_rejects_minimax(tmp_path, capsys):
     code = run_cli("scan", "--problem", "minimax", "--out", str(tmp_path))
     assert code == 2
@@ -376,7 +392,6 @@ def test_scan_rejects_resolution_one(tmp_path, capsys):
 # gda
 # ---------------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_gda_counts_cycles_on_seed_population(tmp_path):
     out = tmp_path / "gda"
     code = run_cli("gda", "--problem", "minimax", "--seed", "0-14",
@@ -385,6 +400,12 @@ def test_gda_counts_cycles_on_seed_population(tmp_path):
     report = json.loads((out / "gda_report.json").read_text())
     assert report["counts"]["cycling"] >= 2
     assert (out / "gda_seed0.csv").exists()
+    # the convergence rule, restated by each seed's last 1000-step window
+    for entry in report["results"].values():
+        if entry["verdict"] == "converged":
+            assert entry["final_window_displacement"] <= 1e-5
+        else:
+            assert entry["final_window_displacement"] > 1e-5
 
 
 def test_gda_tiny_budget_all_exhausted(tmp_path):
@@ -395,6 +416,8 @@ def test_gda_tiny_budget_all_exhausted(tmp_path):
     assert code == 0
     report = json.loads((out / "gda_report.json").read_text())
     assert report["counts"]["budget_exhausted"] == 3
+    # no 1000-step window completed
+    assert all(e["final_window_displacement"] is None for e in report["results"].values())
 
 
 def test_gda_requires_minimax(tmp_path, capsys):

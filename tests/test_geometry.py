@@ -215,9 +215,7 @@ def test_scan_roots_equal_single_cell_roots(request, name, y_range, y_resolution
     # find_stationary_points_1d at that cell's center
     problem = request.getfixturevalue(name)
     scan = scan_bifurcation_set(problem, 12, y_range, y_resolution)
-    lo, hi = problem.feasible_set.bbox
-    # the centers as the scan computes them (cell_centers() rounds differently)
-    c1, c2 = (lo[k] + (np.arange(12) + 0.5) * ((hi[k] - lo[k]) / 12) for k in (0, 1))
+    c1, c2 = scan.cell_centers()
     alone = [rec for a in c1 for b in c2
              for rec in find_stationary_points_1d(problem, arr(a, b), y_range, y_resolution)]
     assert len(alone) >= 144
