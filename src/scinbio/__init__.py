@@ -13,21 +13,16 @@ from .geometry import (BifurcationScan, DimensionEstimate, StationaryPointRecord
                        find_stationary_points_1d, neighborhood_measure,
                        scan_bifurcation_set)
 from .lower import (CubicStep, LowerSolveResult, LowerSolverConfig,
-                    cubic_newton_solve, gradient_descent_solve,
                     solve_cubic_subproblem, solve_lower, stationarity_measure)
 from .outer import (LockstepRun, OuterConfig, OuterTrace, Schedules,
                     constant_schedules, default_schedules, gradient_mapping,
                     random_index_pmf, run_scinbio, tail_stability,
                     write_summary_json, write_trace_csv)
-from .problems import (BilevelProblem, FeasibleSet, ProblemLibraryEntry,
-                       PROBLEM_NAMES, ball_set, box_set, builtin_fold_family,
-                       builtin_minimax, builtin_quartic_family,
-                       builtin_shifted_double_well, custom_set, get_problem,
-                       minimax_gradient, perturb_linear,
-                       problem_library)
+from .problems import (BilevelProblem, FeasibleSet, PROBLEM_NAMES, box_set,
+                       builtin_fold_family, builtin_minimax, builtin_quartic_family,
+                       builtin_shifted_double_well, get_problem, minimax_gradient)
 from .smoothing import (GradientEstimate, GradientEstimates, SmoothingConfig,
                         estimate_hypergradient, estimate_smoothed_value,
-                        gaussian_kernel, gradient_norm_bound, lipschitz_bound,
-                        smoothed_step_reference)
+                        gradient_norm_bound, lipschitz_bound, smoothed_step_reference)
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ def gda_field(grad_f, x, y):
 
 @dataclass
 class GdaTrace:
-    points: np.ndarray            # (k+1, 2) phase trajectory, possibly strided
+    points: np.ndarray            # (k+1, 2) phase trajectory
     step: float
     steps_taken: int
     verdict: str
@@ -75,8 +75,7 @@ def detect_cycle(points, eps_cycle=EPS_CYCLE, min_period=MIN_PERIOD,
     return None
 
 
-def run_gda(grad_f, init, step, max_steps, *, integrator="rk4", eps_cycle=EPS_CYCLE,
-            min_period=MIN_PERIOD, record_stride=1) -> GdaTrace:
+def run_gda(grad_f, init, step, max_steps, *, integrator="rk4") -> GdaTrace:
     """Integrate the saddle dynamics of grad_f from init = (x, y) for max_steps.
 
     integrator "rk4" (default) follows the continuous flow closely enough to
@@ -112,8 +111,7 @@ def run_gda(grad_f, init, step, max_steps, *, integrator="rk4", eps_cycle=EPS_CY
         steps_taken = k + 1
         if not (math.isfinite(x) and math.isfinite(y)):
             raise NumericalError(f"non-finite GDA iterate at step {k + 1}")
-        if (k + 1) % record_stride == 0:
-            recorded.append((x, y))
+        recorded.append((x, y))
         if (k + 1) % CONVERGED_WINDOW == 0:
             disp = float(np.hypot(x - x_prev_window, y - y_prev_window))
             x_prev_window, y_prev_window = x, y
@@ -124,7 +122,7 @@ def run_gda(grad_f, init, step, max_steps, *, integrator="rk4", eps_cycle=EPS_CY
     points = np.asarray(recorded)
     witness = None
     if verdict != CONVERGED:
-        witness = detect_cycle(points, eps_cycle=eps_cycle, min_period=min_period)
+        witness = detect_cycle(points)
         if witness is not None:
             verdict = CYCLING
     return GdaTrace(points=points, step=h, steps_taken=steps_taken,

@@ -40,15 +40,17 @@ GDA_CSV_SCHEMA = "scinbio-gda-v1"
 
 
 def parse_seed_list(text):
-    """Seed lists like '0,1,2', '0-14', or '0-3,7'."""
+    """Seed lists like '0,1,2', '0-14', or '0-3,7'; a descending range is an error."""
     seeds = []
     for chunk in str(text).split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         if "-" in chunk[1:]:
-            lo, hi = chunk.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in chunk.split("-", 1))
+            if hi < lo:
+                raise ConfigError([f"seeds: range {chunk!r} is descending"])
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(chunk))
     return seeds
@@ -138,6 +140,8 @@ def resolve_config(args):
             return
         try:
             cfg[key] = _KEYS[key][0](text)
+        except ConfigError as exc:
+            errors.extend(exc.messages)
         except ValueError:
             errors.append(f"config key {key!r}: cannot parse {text!r}")
 
@@ -424,10 +428,14 @@ def cmd_scan(cfg):
         extent = float(max(hi[0] - lo[0], hi[1] - lo[1]))
         radii = [extent / 20 / (2 ** k) for k in range(4)]
         dim = box_counting_dimension(marked, radii)
+        # an undetermined fit is NaN, which JSON cannot hold: it is written as null
+        known = dim.determined
         dim_payload.update({
-            "radii": dim.radii, "counts": dim.counts, "slope": dim.slope,
-            "d_hat": dim.d_hat, "r_squared": dim.r_squared_fit,
-            "determined": dim.determined,
+            "radii": dim.radii, "counts": dim.counts,
+            "slope": dim.slope if known else None,
+            "d_hat": dim.d_hat if known else None,
+            "r_squared": dim.r_squared_fit if known else None,
+            "determined": known,
         })
         w = max(scan.cell_size)
         deltas = [4 * w * (2 ** k) for k in range(4)]

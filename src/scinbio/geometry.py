@@ -247,26 +247,19 @@ def _hunt_degenerate(problem, xa, xb, y_seed, y_lo, y_hi):
 
     Returns (x_star, y_star) or None.  Derivatives of the Hessian are central
     finite differences; the gradient's parameter derivative uses the
-    cross-derivative oracle when available.
+    cross-derivative oracle.
     """
     xa = np.asarray(xa, dtype=float)
     dx = np.asarray(xb, dtype=float) - xa
     seg = float(np.linalg.norm(dx))
     s, y = 0.5, float(y_seed)
     y_span = y_hi - y_lo
-    cross = problem.grad_x_grad_y_g
     converged = False
     for _ in range(60):
         x = xa + s * dx
         gv = _scalar_grad(problem, x, y)
         hv = _scalar_hess(problem, x, y)
-        if cross is not None:
-            ybuf = np.array([y])
-            dg_ds = float(np.atleast_2d(cross(x, ybuf))[0] @ dx)
-        else:
-            e = 1e-6
-            dg_ds = (_scalar_grad(problem, xa + (s + e) * dx, y)
-                     - _scalar_grad(problem, xa + (s - e) * dx, y)) / (2 * e)
+        dg_ds = float(np.atleast_2d(problem.grad_x_grad_y_g(x, np.array([y])))[0] @ dx)
         e = 1e-6
         dh_ds = (_scalar_hess(problem, xa + (s + e) * dx, y)
                  - _scalar_hess(problem, xa + (s - e) * dx, y)) / (2 * e)
@@ -402,8 +395,7 @@ def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> Bif
 # Fold-condition classification
 # ---------------------------------------------------------------------------
 
-def check_fold_conditions(problem, record: StationaryPointRecord,
-                          fd_step: float = TAU_FOLD) -> str:
+def check_fold_conditions(problem, record: StationaryPointRecord) -> str:
     """Classify a degenerate stationary point against the three fold conditions:
     simple zero eigenvalue, transversal parameter dependence of the projected
     gradient, and nonzero third derivative along the null direction.
@@ -426,21 +418,11 @@ def check_fold_conditions(problem, record: StationaryPointRecord,
         return NON_FOLD_DEGENERATE
 
     # (2) parameter derivative of grad_y g projected on v
-    if problem.grad_x_grad_y_g is not None:
-        J = np.atleast_2d(np.asarray(problem.grad_x_grad_y_g(x, y), dtype=float))
-        w = J.T @ v
-    else:
-        w = np.empty(problem.n)
-        for i in range(problem.n):
-            h = fd_step * (1.0 + abs(x[i]))
-            xp = x.copy(); xp[i] += h
-            xm = x.copy(); xm[i] -= h
-            w[i] = float((np.asarray(problem.grad_y_g(xp, y))
-                          - np.asarray(problem.grad_y_g(xm, y))) @ v) / (2 * h)
-    c2_val = float(np.linalg.norm(w))
+    J = np.atleast_2d(np.asarray(problem.grad_x_grad_y_g(x, y), dtype=float))
+    c2_val = float(np.linalg.norm(J.T @ v))
 
     # (3) third directional derivative along v, 5-point stencil
-    h = fd_step * (1.0 + float(np.linalg.norm(y)))
+    h = TAU_FOLD * (1.0 + float(np.linalg.norm(y)))
     psi = lambda s: float(problem.g(x, y + s * v))
     c3_val = abs((psi(2 * h) - 2 * psi(h) + 2 * psi(-h) - psi(-2 * h)) / (2 * h ** 3))
 

@@ -27,17 +27,11 @@ from .errors import ConfigError, LowerSolveError
 
 __all__ = [
     "LowerSolverConfig", "LowerSolveResult", "CubicStep",
-    "stationarity_measure", "solve_cubic_subproblem",
-    "cubic_newton_solve", "gradient_descent_solve", "solve_lower",
+    "stationarity_measure", "solve_cubic_subproblem", "solve_lower",
 ]
 
 GRADIENT_DESCENT = "gradient_descent"
 CUBIC_NEWTON = "cubic_newton"
-
-# best-iterate selection rules
-SELECT_STATIONARITY = "stationarity"  # argmin nu_M over k = 0..K (cubic default)
-SELECT_LAST = "last"                  # final iterate (gradient-descent default)
-SELECT_MIN_GRAD = "min_grad"          # argmin gradient norm over k = 1..K
 
 
 @dataclass(frozen=True)
@@ -54,7 +48,6 @@ class LowerSolverConfig:
     M: float = 1.0
     max_iters: int = 100
     grad_tol: float = 0.0
-    selection: Optional[str] = None
 
     def __post_init__(self):
         msgs = []
@@ -70,11 +63,6 @@ class LowerSolverConfig:
             msgs.append("grad_tol must be nonnegative")
         if msgs:
             raise ConfigError(msgs)
-
-    def resolved_selection(self):
-        if self.selection is not None:
-            return self.selection
-        return SELECT_STATIONARITY if self.method == CUBIC_NEWTON else SELECT_LAST
 
 
 @dataclass
@@ -283,10 +271,6 @@ def _solve_cubic_secular(grad, hess, M, eig=None) -> CubicStep:
 # Batched solvers
 # ---------------------------------------------------------------------------
 
-_SELECTIONS = {GRADIENT_DESCENT: (SELECT_LAST, SELECT_MIN_GRAD),
-               CUBIC_NEWTON: (SELECT_STATIONARITY, SELECT_MIN_GRAD, SELECT_LAST)}
-
-
 def _norms(g):
     return np.sqrt((g * g).sum(axis=-1))
 
@@ -387,21 +371,17 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
 
     Gradient descent: y_{k+1} = y_k - eta grad_y g(x, y_k); cubic Newton:
     y_{k+1} = y_k + the cubic-model step.  A lane stops early once
-    ||grad_y g|| <= grad_tol (when grad_tol > 0).  The selection rule then
-    picks each lane's y_hat: `last`, `min_grad` (argmin over k >= 1) or, for
-    cubic Newton, `stationarity` (argmin nu_M over k >= 0); ties go to the
-    smallest k.  Returns the single-point or the lane form of
-    LowerSolveResult, following the shape of x.
+    ||grad_y g|| <= grad_tol (when grad_tol > 0).  Each lane's y_hat is its
+    last iterate for gradient descent and, for cubic Newton, the iterate with
+    the smallest nu_M over k >= 0, ties going to the smallest k.  Returns the
+    single-point or the lane form of LowerSolveResult, following the shape
+    of x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim > 2 or x.shape[-1] != problem.n:
         raise ValueError(f"x must have shape ({problem.n},) or (L, {problem.n}), "
                          f"got {x.shape}")
     cubic = config.method == CUBIC_NEWTON
-    selection = config.resolved_selection()
-    if selection not in _SELECTIONS[config.method]:
-        raise ValueError(f"selection rule {selection!r} not supported for {config.method}")
-
     ys, gs, lams, last = _iterate(problem, np.atleast_2d(x), config)
     errors = _lane_errors(ys, gs, lams, last, cubic)
     K1, L = gs.shape[:2]
@@ -409,13 +389,7 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
     with np.errstate(all="ignore"):  # failed lanes
         grad_norms = _norms(gs)
         nus = stationarity_measure(grad_norms, lams, config.M) if cubic else []
-    if selection == SELECT_LAST:
-        k_star = last
-    elif selection == SELECT_MIN_GRAD:
-        masked = np.where(unran, np.inf, grad_norms)
-        k_star = np.where(last > 0, masked[1:].argmin(axis=0) + 1, 0) if K1 > 1 else last
-    else:
-        k_star = np.where(unran, np.inf, nus).argmin(axis=0)
+    k_star = np.where(unran, np.inf, nus).argmin(axis=0) if cubic else last
     counts = {"g": np.zeros(L, dtype=int), "grad": last + 1,
               "hess": last + 1 if cubic else np.zeros(L, dtype=int)}
     result = LowerSolveResult(y_hat=ys[k_star, np.arange(L)], iterates=ys,
@@ -433,20 +407,6 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
         stationarity_measures=nus[:n, 0].tolist() if cubic else [],
         selected_index=int(k_star[0]),
         oracle_counts={key: int(v[0]) for key, v in counts.items()})
-
-
-def cubic_newton_solve(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
-    """K cubic-Newton steps from y0; best iterate by nu_M over k = 0..K."""
-    if config.method != CUBIC_NEWTON:
-        raise ValueError("config.method must be 'cubic_newton'")
-    return solve_lower(problem, x, config)
-
-
-def gradient_descent_solve(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
-    """y_{k+1} = y_k - eta grad_y g(x, y_k) for K steps; returns the last iterate."""
-    if config.method != GRADIENT_DESCENT:
-        raise ValueError("config.method must be 'gradient_descent'")
-    return solve_lower(problem, x, config)
 
 
 def run_lower_lean(problem, x, config: LowerSolverConfig) -> LowerSolveResult:

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -47,7 +47,6 @@ class Schedules:
     k_t: Callable[[int], int]
     rho_t: Callable[[int], float]
     delta_t: Callable[[int], float]
-    meta: dict = field(default_factory=dict)
 
 
 def default_schedules(n, d_hat, base_k, c=1.0, n_max=256, k_max=2000) -> Schedules:
@@ -73,16 +72,13 @@ def default_schedules(n, d_hat, base_k, c=1.0, n_max=256, k_max=2000) -> Schedul
     def delta_t(t):
         return (t + 1) ** (-2.0 / (n - d_hat))
 
-    return Schedules(n_t, k_t, rho_t, delta_t,
-                     meta={"n": n, "d_hat": d_hat, "base_k": base_k, "c": c,
-                           "n_max": n_max, "k_max": k_max})
+    return Schedules(n_t, k_t, rho_t, delta_t)
 
 
 def constant_schedules(n_samples, k_steps) -> Schedules:
     """Fixed N and K per iteration (the experiment-harness configuration)."""
     return Schedules(lambda t: n_samples, lambda t: k_steps,
-                     lambda t: float("nan"), lambda t: float("nan"),
-                     meta={"n_samples": n_samples, "k_steps": k_steps})
+                     lambda t: float("nan"), lambda t: float("nan"))
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,8 @@ class LockstepRun:
 
     @property
     def rows(self):
-        """Every recorded iteration of the seeds that finished."""
+        """Every recorded iteration of the seeds that finished (benchmarks/tracing.py
+        counts a run's outer iterations by it)."""
         return [row for trace in self.traces if isinstance(trace, OuterTrace)
                 for row in trace.rows]
 

@@ -10,18 +10,18 @@ Lane convention.  An oracle evaluates L independent points at once: x has
 shape (L, n) and y shape (L, m), and f and g return shape (L,), grad_y_g
 (L, m) and hess_yy_g (L, m, m).  A single point, x of shape (n,) and y of
 shape (m,), is the L-less case: the same shapes without the leading axis.
-grad_x_grad_y_g, where a problem has it, returns the cross-derivative block
-(L, m, n), or (m, n) for a single point.  The solvers, the estimator and the
-geometry's stationary-root finder call oracles with lanes; the geometry's
-degenerate-point hunt and fold check call them with single points.  A feasible
-set's `project` and `contains` act on the last axis in the same way.  The GDA
-baseline uses no bundle: it integrates the saddle flow of `minimax_gradient`.
+grad_x_grad_y_g returns the cross-derivative block (L, m, n), or (m, n) for a
+single point.  The solvers, the estimator and the geometry's stationary-root
+finder call oracles with lanes; the geometry's degenerate-point hunt and fold
+check call them with single points.  A feasible set's `project` and
+`contains` act on the last axis in the same way.  The GDA baseline uses no
+bundle: it integrates the saddle flow of `minimax_gradient`.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class FeasibleSet:
     returns one boolean per point.
     """
 
-    kind: str
     project: Callable[[np.ndarray], np.ndarray]
     contains: Callable[[np.ndarray], np.ndarray]
     bbox: tuple
@@ -59,34 +58,7 @@ def box_set(lo, hi) -> FeasibleSet:
         z = np.asarray(z, dtype=float)
         return np.all((z >= lo_in) & (z <= hi_in), axis=-1)
 
-    return FeasibleSet("box", project, contains, (lo.copy(), hi.copy()))
-
-
-def ball_set(center, radius) -> FeasibleSet:
-    center = np.asarray(center, dtype=float)
-    radius = float(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-
-    def project(z):
-        z = np.asarray(z, dtype=float)
-        d = z - center
-        nrm = np.linalg.norm(d, axis=-1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(nrm <= radius, z, center + d * (radius / nrm))
-
-    def contains(z):
-        z = np.asarray(z, dtype=float)
-        return np.linalg.norm(z - center, axis=-1) <= radius * (1.0 + 1e-12) + 1e-12
-
-    return FeasibleSet("ball", project, contains,
-                       (center - radius, center + radius))
-
-
-def custom_set(project, contains, bbox) -> FeasibleSet:
-    """Feasible set from callables that act on the last axis (see FeasibleSet)."""
-    lo, hi = (np.asarray(bbox[0], dtype=float), np.asarray(bbox[1], dtype=float))
-    return FeasibleSet("custom", project, contains, (lo, hi))
+    return FeasibleSet(project, contains, (lo.copy(), hi.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +72,9 @@ class BilevelProblem:
     f, g, grad_y_g and hess_yy_g follow the lane convention of this module:
     (L, n) and (L, m) inputs give (L,), (L, m) and (L, m, m) outputs, and a
     single point (n,), (m,) gives the same shapes without the L axis.
-    grad_x_grad_y_g, when present, returns the cross-derivative block d/dx of
-    grad_y g, (L, m, n) for lanes and (m, n) for a single point; it is only
-    consulted by the geometry diagnostics and may be omitted (finite
-    differences are used instead).
+    grad_x_grad_y_g returns the cross-derivative block d/dx of grad_y g,
+    (L, m, n) for lanes and (m, n) for a single point; only the geometry
+    diagnostics consult it.
     """
 
     n: int
@@ -112,10 +83,10 @@ class BilevelProblem:
     g: Callable[[np.ndarray, np.ndarray], float]
     grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_yy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    grad_x_grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     y0: np.ndarray
     f_bar: float
     feasible_set: FeasibleSet
-    grad_x_grad_y_g: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def with_y0(self, y0) -> "BilevelProblem":
         """Copy of the problem with a different lower-level initialization."""
@@ -123,13 +94,6 @@ class BilevelProblem:
         if y0.shape != (self.m,):
             raise ValueError(f"y0 must have shape ({self.m},)")
         return dataclasses.replace(self, y0=y0)
-
-
-@dataclass(frozen=True)
-class ProblemLibraryEntry:
-    name: str
-    problem: BilevelProblem
-    notes: str
 
 
 def _part(v, j):
@@ -394,32 +358,6 @@ def builtin_quartic_family() -> BilevelProblem:
 
 
 # ---------------------------------------------------------------------------
-# Linear perturbation  g_a(x,y) = g(x,y) + a^T y
-# ---------------------------------------------------------------------------
-
-def perturb_linear(problem: BilevelProblem, a) -> BilevelProblem:
-    """Problem with lower objective g + a^T y; gradient shifts by a, Hessian unchanged.
-
-    Random draws of `a` make the lower level Morse in y for almost every x,
-    which is the regularity the geometry diagnostics probe for.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.shape != (problem.m,):
-        raise ValueError(f"perturbation must have shape ({problem.m},), got {a.shape}")
-
-    base_g = problem.g
-    base_grad = problem.grad_y_g
-
-    def g(x, y):
-        return base_g(x, y) + y @ a
-
-    def grad_y_g(x, y):
-        return np.asarray(base_grad(x, y)) + a
-
-    return dataclasses.replace(problem, g=g, grad_y_g=grad_y_g)
-
-
-# ---------------------------------------------------------------------------
 # Library
 # ---------------------------------------------------------------------------
 
@@ -435,14 +373,10 @@ LOWER_DEFAULTS = {
 }
 
 _BUILTINS = {
-    "minimax": (builtin_minimax,
-                "minimax as bilevel (g = -f); feasible box [-3,3]"),
-    "double-well": (builtin_shifted_double_well,
-                    "shifted double well; hyperfunction jumps at x = 0"),
-    "fold": (builtin_fold_family,
-             "fold bifurcation family; degenerate stationary point at x1 = 1/2"),
-    "quartic": (builtin_quartic_family,
-                "quartic-in-y family over [-4,5]^2 with curve-like bifurcation set"),
+    "minimax": builtin_minimax,
+    "double-well": builtin_shifted_double_well,
+    "fold": builtin_fold_family,
+    "quartic": builtin_quartic_family,
 }
 
 PROBLEM_NAMES = tuple(_BUILTINS)
@@ -450,13 +384,7 @@ PROBLEM_NAMES = tuple(_BUILTINS)
 
 def get_problem(name: str) -> BilevelProblem:
     try:
-        ctor, _ = _BUILTINS[name]
+        ctor = _BUILTINS[name]
     except KeyError:
         raise KeyError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}") from None
     return ctor()
-
-
-def problem_library():
-    """All builtin problems as named library entries (names are unique)."""
-    return [ProblemLibraryEntry(name, ctor(), notes)
-            for name, (ctor, notes) in _BUILTINS.items()]

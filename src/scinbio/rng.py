@@ -34,6 +34,6 @@ def init_stream(seed):
     return Generator(PCG64(ss))
 
 
-def seeded_initialization(seed, low=-2.0, high=2.0, size=2):
-    """Uniform initialization on [low, high]^size for an experiment seed."""
-    return init_stream(seed).uniform(low, high, size=size)
+def seeded_initialization(seed):
+    """Uniform initialization on [-2, 2]^2 for an experiment seed."""
+    return init_stream(seed).uniform(-2.0, 2.0, size=2)

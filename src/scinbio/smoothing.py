@@ -18,7 +18,7 @@ from .errors import ConfigError, EstimatorError
 from .lower import LowerSolverConfig, run_lower_lean
 
 __all__ = [
-    "SmoothingConfig", "GradientEstimate", "GradientEstimates", "gaussian_kernel",
+    "SmoothingConfig", "GradientEstimate", "GradientEstimates",
     "estimate_hypergradient", "estimate_smoothed_value",
     "smoothed_step_reference", "gradient_norm_bound", "lipschitz_bound",
 ]
@@ -60,16 +60,6 @@ class GradientEstimates:
     per_point: list
     samples_used: int
     infeasible_count: int
-
-
-def gaussian_kernel(z, xi):
-    """Density (2 pi xi^2)^(-n/2) exp(-||z||^2 / (2 xi^2)) at z (n from len(z))."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if not xi > 0:
-        raise ValueError("xi must be positive")
-    n = z.shape[0]
-    q = float(z @ z) / (2.0 * xi * xi)
-    return (2.0 * math.pi * xi * xi) ** (-0.5 * n) * math.exp(-q)
 
 
 def _checked_points(problem, x, n_samples, lower, phi, n_points=None):

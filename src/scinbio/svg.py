@@ -70,11 +70,6 @@ class SvgCanvas:
                 f'<line x1="{p2x:.2f}" y1="{p2y:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
                 f'stroke="{color}" stroke-width="1"/>')
 
-    def text(self, x, y, label, size=12, color="#000000"):
-        self.parts.append(
-            f'<text x="{self._px(x):.2f}" y="{self._py(y):.2f}" '
-            f'font-size="{size}" fill="{color}">{label}</text>')
-
     def axes_frame(self, label=""):
         self.parts.append(
             f'<rect x="{self.m}" y="{self.m}" width="{self.w - 2 * self.m}" '

@@ -50,8 +50,11 @@ def quadratic_problem(m=2, y0=None):
     def hess(x, y):
         return np.broadcast_to(np.eye(m), np.shape(y) + (m,)).copy()
 
+    def cross(x, y):
+        return np.zeros(np.shape(y) + (1,))
+
     return BilevelProblem(n=1, m=m, f=f, g=g, grad_y_g=grad, hess_yy_g=hess,
-                          y0=y0, f_bar=10.0,
+                          grad_x_grad_y_g=cross, y0=y0, f_bar=10.0,
                           feasible_set=box_set([-1.0], [1.0]))
 
 

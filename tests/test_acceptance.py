@@ -14,14 +14,15 @@ from scipy.optimize import minimize
 from scinbio import (LowerSolverConfig, OuterConfig, SmoothingConfig,
                      box_counting_dimension, builtin_minimax,
                      check_fold_conditions, constant_schedules,
-                     cubic_newton_solve, default_schedules, detect_cycle,
+                     default_schedules, detect_cycle,
                      estimate_hypergradient, estimate_smoothed_value,
                      find_stationary_points_1d, gradient_norm_bound,
                      minimax_gradient, neighborhood_measure, run_gda, run_scinbio,
-                     smoothed_step_reference,
-                     solve_cubic_subproblem, tail_stability)
+                     smoothed_step_reference, solve_cubic_subproblem, solve_lower,
+                     tail_stability)
 from scinbio import rng as rng_mod
-from scinbio.baselines import BUDGET_EXHAUSTED, CONVERGED, CYCLING
+from scinbio.baselines import (BUDGET_EXHAUSTED, CONVERGED, CONVERGED_DISPLACEMENT,
+                               CYCLING)
 from scinbio.cli import experiment_initialization
 from scinbio.lower import run_lower_lean
 from scinbio.outer import write_trace_csv
@@ -120,6 +121,13 @@ def test_criterion_2_gda_contrast(experiment_sweep, gda_sweep):
     ok = n_cycling >= 2 and stable >= 8 and scinbio_cycles == 0
     report(2, ok, f"GDA cycling {n_cycling} >= 2, converged/stable {stable} >= 8, "
                   f"outer-loop cycles {scinbio_cycles} == 0")
+
+
+def test_gda_window_displacement_restates_verdict(gda_sweep):
+    # a seed converges exactly when its last 1000-step window moved by at most 1e-5
+    for trace in gda_sweep.values():
+        converged = trace.final_window_displacement <= CONVERGED_DISPLACEMENT
+        assert converged == (trace.verdict == CONVERGED)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +244,10 @@ def test_criterion_5_subproblem_oracle():
 def test_criterion_6_two_phase_cubic_newton(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
     x = np.array([0.0])
-    res = cubic_newton_solve(double_well.with_y0([0.1]), x, cfg)
+    res = solve_lower(double_well.with_y0([0.1]), x, cfg)
     lam = double_well.hess_yy_g(x, res.y_hat)[0, 0]
     ok_basin = abs(res.y_hat[0] - 1.0) <= 1e-6 and lam > 0
-    res_saddle = cubic_newton_solve(double_well.with_y0([0.0]), x, cfg)
+    res_saddle = solve_lower(double_well.with_y0([0.0]), x, cfg)
     ok_escape = abs(res_saddle.y_hat[0]) >= 0.5
     report(6, ok_basin and ok_escape,
            f"|y_hat - 1| = {abs(res.y_hat[0] - 1.0):.2e}, lambda_min = {lam:.2f} > 0, "

@@ -74,6 +74,15 @@ def test_empty_seed_list_rejected(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, bad", [("0,9-2", "9-2"), ("5-3", "5-3")])
+def test_descending_seed_range_exits_2(tmp_path, capsys, text, bad):
+    out = tmp_path / "o"
+    code = run_cli("gda", "--out", str(out), "--seed", text, "--set", "gda.max_steps=10")
+    assert code == 2
+    assert f"config error: seeds: range {bad!r} is descending" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("outer.T = 10\nwhatever = 3\n")
@@ -376,6 +385,21 @@ def test_scan_csv_centers_are_the_evaluated_points(tmp_path, fold):
     assert points & centers == with_roots
 
 
+def test_scan_writes_an_undetermined_fit_as_null(tmp_path, capsys):
+    # at fold 4^2 the box counts do not change with the radius, so the fit is
+    # undetermined; JSON has no NaN
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    out = tmp_path / "scan"
+    assert run_cli("scan", "--problem", "fold", "--out", str(out), "--set", "emit=json",
+                   "--set", "scan.grid_resolution=4") == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=reject)
+    dim = json.loads((out / "dimension_fold.json").read_text(), parse_constant=reject)
+    assert dim["n_marked_cells"] >= 2 and dim["determined"] is False
+    assert dim["slope"] is dim["d_hat"] is dim["r_squared"] is printed["d_hat"] is None
+
+
 def test_scan_rejects_minimax(tmp_path, capsys):
     code = run_cli("scan", "--problem", "minimax", "--out", str(tmp_path))
     assert code == 2
@@ -393,13 +417,15 @@ def test_scan_rejects_resolution_one(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_gda_counts_cycles_on_seed_population(tmp_path):
+    # seeds 7 and 8 cycle and seed 1 converges; the acceptance GDA sweep checks
+    # all 15 seeds
     out = tmp_path / "gda"
-    code = run_cli("gda", "--problem", "minimax", "--seed", "0-14",
+    code = run_cli("gda", "--problem", "minimax", "--seed", "1,7,8",
                    "--out", str(out), "--set", "emit=csv,json")
     assert code == 0
     report = json.loads((out / "gda_report.json").read_text())
     assert report["counts"]["cycling"] >= 2
-    assert (out / "gda_seed0.csv").exists()
+    assert (out / "gda_seed1.csv").exists()
     # the convergence rule, restated by each seed's last 1000-step window
     for entry in report["results"].values():
         if entry["verdict"] == "converged":

@@ -154,8 +154,11 @@ def test_nondegenerate_problem_unmarked():
     def hess(x, y):
         return np.ones(np.shape(y) + (1,))
 
+    def cross(x, y):
+        return np.broadcast_to([-1.0, 0.0], np.shape(y) + (2,)).copy()
+
     p = BilevelProblem(n=2, m=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
-                       hess_yy_g=hess, y0=np.zeros(1), f_bar=5.0,
+                       hess_yy_g=hess, grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=5.0,
                        feasible_set=box_set([-1.0, -1.0], [1.0, 1.0]))
     scan = scan_bifurcation_set(p, 20, (-3.0, 3.0), 200)
     assert not scan.indicator.any()
@@ -268,8 +271,11 @@ def test_fold_conditions_reject_cusp_like():
     def hess(x, y):
         return (12.0 * np.asarray(y, dtype=float) ** 2)[..., None]
 
+    def cross(x, y):  # d/dx (4 y^3 + x) = 1
+        return np.ones(np.shape(y) + (1,))
+
     p = BilevelProblem(n=1, m=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
-                       hess_yy_g=hess, y0=np.zeros(1), f_bar=10.0,
+                       hess_yy_g=hess, grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=10.0,
                        feasible_set=box_set([-1.0], [1.0]))
     rec = StationaryPointRecord(x=arr(0.0), y=arr(0.0), grad_norm=0.0,
                                 lambda_min_abs=0.0, degenerate=True,
@@ -290,7 +296,8 @@ def test_fold_conditions_reject_double_zero_eigenvalue():
         return float(np.dot(yy, yy)) * np.eye(2) + 2.0 * np.outer(yy, yy)
 
     p = BilevelProblem(n=1, m=2, f=lambda x, y: float(y[0]), g=g, grad_y_g=grad,
-                       hess_yy_g=hess, y0=np.zeros(2), f_bar=10.0,
+                       hess_yy_g=hess, grad_x_grad_y_g=lambda x, y: np.ones((2, 1)),
+                       y0=np.zeros(2), f_bar=10.0,
                        feasible_set=box_set([-1.0], [1.0]))
     rec = StationaryPointRecord(x=arr(0.0), y=arr(0.0, 0.0), grad_norm=0.0,
                                 lambda_min_abs=0.0, degenerate=True,

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from scinbio import (LowerSolverConfig, builtin_fold_family, builtin_minimax,
-                     cubic_newton_solve, gradient_descent_solve,
                      solve_cubic_subproblem, solve_lower, stationarity_measure)
 from scinbio.errors import LowerSolveError
-from scinbio.lower import (SELECT_LAST, SELECT_MIN_GRAD, SELECT_STATIONARITY,
-                           _eigenpairs, _solve_cubic_secular, run_lower_lean)
+from scinbio.lower import _eigenpairs, _solve_cubic_secular, run_lower_lean
 
 from conftest import quadratic_problem
 
@@ -235,7 +233,7 @@ def test_subproblem_rejects_bad_inputs():
 
 def test_cubic_newton_double_well(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
-    res = cubic_newton_solve(double_well.with_y0([0.1]), np.array([0.0]), cfg)
+    res = solve_lower(double_well.with_y0([0.1]), np.array([0.0]), cfg)
     assert abs(res.y_hat[0] - 1.0) <= 1e-6
     assert abs(double_well.g(np.array([0.0]), res.y_hat) - (-1.0)) <= 1e-10
     assert res.oracle_counts["grad"] == 31
@@ -245,7 +243,7 @@ def test_cubic_newton_double_well(double_well):
 def test_cubic_newton_quadratic_one_step():
     p = quadratic_problem(m=2, y0=[0.8, -0.6])
     cfg = LowerSolverConfig(method="cubic_newton", M=1.0, max_iters=1)
-    res = cubic_newton_solve(p, np.array([0.0]), cfg)
+    res = solve_lower(p, np.array([0.0]), cfg)
     step = solve_cubic_subproblem(p.y0, np.eye(2), 1.0)
     assert np.abs(res.iterates[1] - (p.y0 + step.s)).max() <= 1e-14
     assert np.linalg.norm(res.iterates[1]) < np.linalg.norm(p.y0)
@@ -253,7 +251,7 @@ def test_cubic_newton_quadratic_one_step():
 
 def test_cubic_newton_escapes_saddle(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=10)
-    res = cubic_newton_solve(double_well.with_y0([0.0]), np.array([0.0]), cfg)
+    res = solve_lower(double_well.with_y0([0.0]), np.array([0.0]), cfg)
     # first step solves the pure negative-curvature model: |s| = 2*4/24
     assert abs(abs(res.iterates[1][0]) - 1.0 / 3.0) <= 1e-12
     assert abs(res.y_hat[0]) >= 0.5
@@ -267,7 +265,7 @@ def test_cubic_newton_descends_on_builtins(minimax, double_well, fold, quartic):
         cfg = LowerSolverConfig(method="cubic_newton", M=M, max_iters=12)
         for _ in range(5):
             x = rng.uniform(lo, hi)
-            res = cubic_newton_solve(problem, x, cfg)
+            res = solve_lower(problem, x, cfg)
             gs = [problem.g(x, y) for y in res.iterates]
             assert all(b <= a + 1e-12 for a, b in zip(gs, gs[1:]))
             assert problem.g(x, res.y_hat) <= problem.g(x, problem.y0) + 1e-12
@@ -275,7 +273,7 @@ def test_cubic_newton_descends_on_builtins(minimax, double_well, fold, quartic):
 
 def test_cubic_newton_two_phase(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
-    res = cubic_newton_solve(double_well.with_y0([0.1]), np.array([0.0]), cfg)
+    res = solve_lower(double_well.with_y0([0.1]), np.array([0.0]), cfg)
     nus = np.array(res.stationarity_measures)
     cummin = np.minimum.accumulate(nus)
     assert cummin[-1] < nus[0]
@@ -287,15 +285,8 @@ def test_cubic_newton_two_phase(double_well):
 def test_cubic_newton_selection_ties_smallest_index():
     p = quadratic_problem(m=1, y0=[0.0])  # already optimal: nu = 0 at every k
     cfg = LowerSolverConfig(method="cubic_newton", M=1.0, max_iters=5)
-    res = cubic_newton_solve(p, np.array([0.0]), cfg)
+    res = solve_lower(p, np.array([0.0]), cfg)
     assert res.selected_index == 0
-
-
-def test_cubic_newton_min_grad_selection(double_well):
-    cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30,
-                            selection=SELECT_MIN_GRAD)
-    res = cubic_newton_solve(double_well.with_y0([0.1]), np.array([0.0]), cfg)
-    assert res.selected_index == 1 + int(np.argmin(res.grad_norms[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +295,21 @@ def test_cubic_newton_min_grad_selection(double_well):
 
 def test_gd_double_well_converges(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=500)
-    res = gradient_descent_solve(double_well.with_y0([0.5]), np.array([0.0]), cfg)
+    res = solve_lower(double_well.with_y0([0.5]), np.array([0.0]), cfg)
     assert abs(res.y_hat[0] - 1.0) <= 1e-4
     assert res.selected_index == len(res.iterates) - 1
 
 
 def test_gd_stalls_at_degenerate_start(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=200)
-    res = gradient_descent_solve(double_well, np.array([0.0]), cfg)
+    res = solve_lower(double_well, np.array([0.0]), cfg)
     assert res.y_hat[0] == 0.0
     assert all(y[0] == 0.0 for y in res.iterates)
 
 
 def test_gd_zero_iterations(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=0)
-    res = gradient_descent_solve(double_well.with_y0([0.7]), np.array([0.3]), cfg)
+    res = solve_lower(double_well.with_y0([0.7]), np.array([0.3]), cfg)
     assert res.y_hat[0] == 0.7
 
 
@@ -331,7 +322,7 @@ def test_gd_stays_in_level_set(minimax, double_well, fold, quartic):
         cfg = LowerSolverConfig(method="gradient_descent", eta=eta, max_iters=K)
         for _ in range(10):
             x = rng.uniform(lo, hi)
-            res = gradient_descent_solve(problem, x, cfg)
+            res = solve_lower(problem, x, cfg)
             g0 = problem.g(x, problem.y0)
             assert all(problem.g(x, y) <= g0 + 1e-12 for y in res.iterates)
 
@@ -340,7 +331,7 @@ def test_gd_early_exit():
     p = quadratic_problem(m=1, y0=[1.0])
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.5, max_iters=1000,
                             grad_tol=1e-6)
-    res = gradient_descent_solve(p, np.array([0.0]), cfg)
+    res = solve_lower(p, np.array([0.0]), cfg)
     assert res.grad_norms[-1] <= 1e-6
     assert len(res.iterates) < 1001
 
@@ -350,7 +341,7 @@ def test_gd_nonfinite_raises():
     cfg = LowerSolverConfig(method="gradient_descent", eta=1e300, max_iters=50)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(LowerSolveError):
-            gradient_descent_solve(p, np.array([0.0]), cfg)
+            solve_lower(p, np.array([0.0]), cfg)
 
 
 def assert_lanes_match_single_solves(problem, xs, cfg):
@@ -380,7 +371,7 @@ def test_lean_path_matches_recording_solver(minimax, double_well):
     for problem, eta in [(minimax, 0.01), (double_well, 0.02)]:
         cfg = LowerSolverConfig(method="gradient_descent", eta=eta, max_iters=50)
         x = np.array([0.4] * problem.n)
-        full = gradient_descent_solve(problem, x, cfg)
+        full = solve_lower(problem, x, cfg)
         lean = run_lower_lean(problem, x, cfg)
         assert np.array_equal(lean.y_hat, full.y_hat)
         assert lean.oracle_counts == full.oracle_counts
@@ -389,26 +380,25 @@ def test_lean_path_matches_recording_solver(minimax, double_well):
 
 
 @pytest.mark.parametrize("method,selection", [
-    ("gradient_descent", SELECT_LAST), ("gradient_descent", SELECT_MIN_GRAD),
-    ("cubic_newton", SELECT_STATIONARITY), ("cubic_newton", SELECT_MIN_GRAD),
-    ("cubic_newton", SELECT_LAST)])
+    ("gradient_descent", "last"), ("cubic_newton", "stationarity")])
 def test_lean_path_honours_selection(minimax, double_well, method, selection):
-    # minimax at x = -0.1 with eta = 0.2, K = 20: min_grad picks y_1 = 0.0040, not
-    # the last iterate y_20 = 0.1157
     for problem, x in [(minimax, [-0.1]), (double_well, [0.3])]:
-        cfg = LowerSolverConfig(method=method, eta=0.2, M=24.0, max_iters=20,
-                                selection=selection)
+        cfg = LowerSolverConfig(method=method, eta=0.2, M=24.0, max_iters=20)
         full = solve_lower(problem, np.array(x), cfg)
         lean = run_lower_lean(problem, np.array(x), cfg)
         assert np.array_equal(lean.y_hat, full.y_hat)
         assert lean.oracle_counts == full.oracle_counts
+        if selection == "last":
+            assert full.selected_index == len(full.iterates) - 1
+        else:
+            assert full.selected_index == int(np.argmin(full.stationarity_measures))
     # with grad_tol > 0 the lanes of one batch stop at different steps
     for problem, eta, M, lo, hi in [(minimax, 0.05, 32.0, -2.0, 2.0),
                                     (double_well, 0.05, 24.0, -1.5, 1.5)]:
         xs = np.linspace(lo, hi, 9).reshape(-1, 1)
         for grad_tol in (0.0, 1e-3):
             cfg = LowerSolverConfig(method=method, eta=eta, M=M, max_iters=40,
-                                    grad_tol=grad_tol, selection=selection)
+                                    grad_tol=grad_tol)
             batch = assert_lanes_match_single_solves(problem, xs, cfg)
             if grad_tol > 0:
                 assert len(set(batch.oracle_counts["grad"].tolist())) > 1
@@ -433,7 +423,7 @@ def test_lean_path_checks_every_gradient(K):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.25, max_iters=K)
     x = np.array([0.5])
     with pytest.raises(LowerSolveError) as full:
-        gradient_descent_solve(p, x, cfg)
+        solve_lower(p, x, cfg)
     with pytest.raises(LowerSolveError) as lean:
         run_lower_lean(p, x, cfg)
     assert str(lean.value) == str(full.value) == "non-finite gradient at lower-level step 1"
@@ -477,14 +467,10 @@ def test_permuting_or_splitting_a_batch_permutes_or_splits_results(data):
     problem_name = data.draw(st.sampled_from(["minimax", "fold"]), label="problem")
     problem = {"minimax": builtin_minimax, "fold": builtin_fold_family}[problem_name]()
     method = data.draw(st.sampled_from(["gradient_descent", "cubic_newton"]), label="method")
-    selection = data.draw(st.sampled_from(
-        [SELECT_LAST, SELECT_MIN_GRAD] + ([SELECT_STATIONARITY] if method == "cubic_newton"
-                                          else [])), label="selection")
     eta = 0.05 if problem_name == "minimax" else 0.002
     cfg = LowerSolverConfig(method=method, eta=eta, M=32.0 if problem_name == "minimax"
                             else 420.0, max_iters=data.draw(st.integers(0, 15), label="K"),
-                            grad_tol=data.draw(st.sampled_from([0.0, 1e-2]), label="tol"),
-                            selection=selection)
+                            grad_tol=data.draw(st.sampled_from([0.0, 1e-2]), label="tol"))
     L = data.draw(st.integers(1, 8), label="L")
     lo, hi = problem.feasible_set.bbox
     t = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=L * problem.n,

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scinbio import (ball_set, box_set, custom_set, get_problem, perturb_linear,
-                     problem_library)
+from scinbio import box_set, get_problem
 from scinbio.problems import LOWER_DEFAULTS, PROBLEM_NAMES
 
 from conftest import central_diff_grad
@@ -154,56 +153,12 @@ def test_f_bar_covers_reachable_region(name):
 
 
 # ---------------------------------------------------------------------------
-# perturbation
-# ---------------------------------------------------------------------------
-
-def test_perturb_identity(double_well):
-    rng = np.random.default_rng(17)
-    p = perturb_linear(double_well, [0.0])
-    for _ in range(10):
-        x, y = arr(rng.uniform(-2, 2)), arr(rng.uniform(-2, 2))
-        assert p.g(x, y) == double_well.g(x, y)
-        assert np.array_equal(p.hess_yy_g(x, y), double_well.hess_yy_g(x, y))
-
-
-def test_perturb_shifts_gradient(double_well):
-    rng = np.random.default_rng(19)
-    a = np.array([0.37])
-    p = perturb_linear(double_well, a)
-    for _ in range(10):
-        x, y = arr(rng.uniform(-2, 2)), arr(rng.uniform(-2, 2))
-        grad = np.atleast_1d(double_well.grad_y_g(x, y))
-        diff = np.atleast_1d(p.grad_y_g(x, y)) - grad
-        assert np.abs(diff - a).max() <= 1e-12 * (1.0 + np.abs(grad).max())
-
-
-def test_perturb_composes_additively(double_well):
-    rng = np.random.default_rng(23)
-    a, b = np.array([0.21]), np.array([-0.45])
-    twice = perturb_linear(perturb_linear(double_well, a), b)
-    once = perturb_linear(double_well, a + b)
-    for _ in range(10):
-        x, y = arr(rng.uniform(-2, 2)), arr(rng.uniform(-2, 2))
-        assert abs(twice.g(x, y) - once.g(x, y)) <= 1e-12
-
-
-def test_perturb_dimension_mismatch(double_well):
-    with pytest.raises(ValueError):
-        perturb_linear(double_well, [1.0, 2.0])
-
-
-# ---------------------------------------------------------------------------
 # feasible sets
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(params=["box", "ball", "custom"])
+@pytest.fixture(params=["box"])
 def feasible(request):
-    if request.param == "box":
-        return box_set([-1.0, 0.0], [2.0, 1.5])
-    if request.param == "ball":
-        return ball_set([0.5, -0.5], 2.0)
-    base = box_set([-1.0, -1.0], [1.0, 1.0])
-    return custom_set(base.project, base.contains, base.bbox)
+    return box_set([-1.0, 0.0], [2.0, 1.5])
 
 
 def test_projection_idempotent(feasible):
@@ -238,25 +193,18 @@ def _vectors(m, bound=10.0):
     return st.lists(st.floats(-bound, bound), min_size=m, max_size=m).map(np.array)
 
 
-@pytest.mark.parametrize("kind", ["box", "ball"])
+@pytest.mark.parametrize("kind", ["box"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_projection_nearest_point_property(kind, data):
     # P(z) is the nearest point iff (z - P(z)) . (w - P(z)) <= 0 for every feasible w
     m = data.draw(st.integers(1, 3), label="m")
     z = data.draw(_vectors(m), label="z")
-    if kind == "box":
-        a, b = data.draw(_vectors(m), label="a"), data.draw(_vectors(m), label="b")
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        t = data.draw(_vectors(m, 1.0), label="t")
-        feasible = box_set(lo, hi)
-        w = np.clip(lo + 0.5 * (t + 1.0) * (hi - lo), lo, hi)
-    else:
-        center = data.draw(_vectors(m), label="center")
-        radius = data.draw(st.floats(1e-3, 10.0), label="radius")
-        d = data.draw(_vectors(m, 1.0), label="d")
-        feasible = ball_set(center, radius)
-        w = center + radius * d / max(1.0, float(np.linalg.norm(d)))
+    a, b = data.draw(_vectors(m), label="a"), data.draw(_vectors(m), label="b")
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    t = data.draw(_vectors(m, 1.0), label="t")
+    feasible = box_set(lo, hi)
+    w = np.clip(lo + 0.5 * (t + 1.0) * (hi - lo), lo, hi)
     p = feasible.project(z)
     assert float((z - p) @ (w - p)) <= 1e-12 * (1.0 + float(z @ z))
 
@@ -266,11 +214,9 @@ def test_projection_nearest_point_property(kind, data):
 # ---------------------------------------------------------------------------
 
 def test_library_names_unique():
-    entries = problem_library()
-    names = [e.name for e in entries]
-    assert len(names) == len(set(names))
-    assert set(names) == set(PROBLEM_NAMES)
+    assert len(PROBLEM_NAMES) == len(set(PROBLEM_NAMES))
     assert set(LOWER_DEFAULTS) == set(PROBLEM_NAMES)
+    assert [get_problem(name).n for name in PROBLEM_NAMES] == [1, 1, 2, 2]
 
 
 def test_get_problem_unknown():

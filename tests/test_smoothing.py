@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.stats import norm
 
 from scinbio import (LowerSolverConfig, SmoothingConfig, box_set,
                      estimate_hypergradient, estimate_smoothed_value,
-                     gaussian_kernel, gradient_norm_bound, lipschitz_bound,
-                     smoothed_step_reference)
+                     gradient_norm_bound, lipschitz_bound, smoothed_step_reference)
 from scinbio import rng as rng_mod
 
 
@@ -21,33 +19,6 @@ def drawn_directions(cfg, tag, n_samples, n=1):
     """Reconstruct the estimator's Gaussian directions from its stream."""
     gen = rng_mod.stream(cfg.master_seed, rng_mod.DOMAIN_ESTIMATOR, tag)
     return gen.standard_normal((n_samples, n))
-
-
-# ---------------------------------------------------------------------------
-# kernel
-# ---------------------------------------------------------------------------
-
-def test_kernel_values():
-    assert gaussian_kernel([0.0], 1.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi),
-                                                        abs=1e-12)
-    for xi in (0.05, 0.7, 2.0):
-        ratio = gaussian_kernel([xi], xi) / gaussian_kernel([0.0], xi)
-        assert ratio == pytest.approx(math.exp(-0.5), rel=1e-12)
-    # n = 2 normalization at the origin
-    assert gaussian_kernel([0.0, 0.0], 0.3) == pytest.approx(
-        1.0 / (2 * math.pi * 0.09), rel=1e-12)
-
-
-def test_kernel_integrates_to_one():
-    for xi in (0.05, 0.5):
-        total, _ = quad(lambda z: gaussian_kernel([z], xi), -8 * xi, 8 * xi,
-                        limit=200)
-        assert abs(total - 1.0) <= 1e-9
-
-
-def test_kernel_requires_positive_xi():
-    with pytest.raises(ValueError):
-        gaussian_kernel([0.0], 0.0)
 
 
 # ---------------------------------------------------------------------------
