@@ -8,8 +8,8 @@ neighboring grid cells (or a root's curvature collapses), a two-variable
 Newton iteration solves  grad_y g = 0, d2g/dy2 = 0  along the connecting
 segment and pins the degenerate point to machine precision.
 
-The stationary roots of all cells are found together, on lanes (see the lane
-convention in scinbio.problems), in three phases:
+The scan runs on lanes (see the lane convention in scinbio.problems) in four
+phases.  The first three find the stationary roots of all cells together:
 
 1. grad_y g on every cell's y-grid, whole cells per oracle call up to a fixed
    lane budget, so memory stays flat whatever the resolution;
@@ -20,9 +20,18 @@ convention in scinbio.problems), in three phases:
 3. per cell, grid zeros and polished roots sorted and merged, and every
    candidate re-checked with one grad_y g and one hess_yy g lane call.
 
-find_stationary_points_1d is the same finder run on one cell.
+find_stationary_points_1d is the same finder run on one cell.  The fourth
+phase hunts the degenerate points:
+
+4. every neighbor pair whose root counts differ, times each collision seed of
+   that pair, is one lane of a single lockstep 2 x 2 Newton iteration.  Each
+   lane again takes exactly the steps it would take alone (a singular
+   Jacobian ends only its own lane), and the hits are then taken in scan
+   order, the first of each pair, so the records come out as if the pairs
+   were hunted one at a time.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional
@@ -94,32 +103,25 @@ class DimensionEstimate:
 # Stationary-point location for m = 1
 # ---------------------------------------------------------------------------
 
-def _scalar_grad(problem, x, y):
-    ybuf = np.array([y], dtype=float)
-    return float(np.atleast_1d(problem.grad_y_g(x, ybuf))[0])
-
-
-def _scalar_hess(problem, x, y):
-    ybuf = np.array([y], dtype=float)
-    return float(np.atleast_2d(problem.hess_yy_g(x, ybuf))[0, 0])
-
-
 # Lanes per oracle call when evaluating the cells' y-grids: a scan's memory
 # stays flat whatever its resolution.
 _LANE_BUDGET = 1 << 14
 
 
 def _lane_call(problem, name, x, y):
-    """grad_y_g or hess_yy_g of an m = 1 problem on lanes x (L, n), y (L,), as (L,)."""
+    """grad_y_g, hess_yy_g or grad_x_grad_y_g of an m = 1 problem on lanes
+    x (L, n), y (L,): (L,) for the first two, (L, n) for the cross-derivative."""
     lanes = y.shape[0]
+    tail = (problem.n,) if name == "grad_x_grad_y_g" else ()
     if lanes == 0:
-        return np.empty(0)
-    expected = (lanes, 1) if name == "grad_y_g" else (lanes, 1, 1)
+        return np.empty((0,) + tail)
+    expected = {"grad_y_g": (lanes, 1), "hess_yy_g": (lanes, 1, 1),
+                "grad_x_grad_y_g": (lanes, 1, problem.n)}[name]
     out = np.asarray(getattr(problem, name)(x, y[:, None]))
     if out.shape != expected:
         raise ValueError(f"{name} returned shape {out.shape} for {lanes} lanes; the lane "
                          f"convention of scinbio.problems expects {expected}")
-    return out.reshape(lanes)
+    return out.reshape((lanes,) + tail)
 
 
 def _polish(problem, x, a, b, fa):
@@ -179,10 +181,12 @@ def _cell_roots(problem, xs, y_range, resolution):
         chunk = xs[c0:c0 + per_call]
         vals = _lane_call(problem, "grad_y_g", np.repeat(chunk, resolution, axis=0),
                           np.tile(ys, chunk.shape[0])).reshape(chunk.shape[0], resolution)
-        c, k = np.nonzero(vals == 0.0)
+        # (cell, grid index) pairs in row-major order, as np.nonzero gives
+        # them; its 2-d path costs several times the flat search
+        c, k = np.divmod(np.flatnonzero(vals == 0.0), resolution)
         zero_cell.append(c + c0)
         zero_y.append(ys[k])
-        c, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+        c, k = np.divmod(np.flatnonzero(vals[:, :-1] * vals[:, 1:] < 0.0), resolution - 1)
         br_cell.append(c + c0)
         br_k.append(k)
         br_fa.append(vals[c, k])
@@ -242,56 +246,84 @@ def find_stationary_points_1d(problem, x, y_range, resolution) -> List[Stationar
 # Degenerate-point localization (2-variable Newton along a parameter segment)
 # ---------------------------------------------------------------------------
 
-def _hunt_degenerate(problem, xa, xb, y_seed, y_lo, y_hi):
-    """Solve grad_y g = 0 = d2g/dy2 for (s, y) with x(s) = xa + s (xb - xa).
+def _solve_2x2(J, rhs):
+    """np.linalg.solve of each lane's 2 x 2 system J (P, 2, 2), rhs (P, 2),
+    and which lanes it solved.  A stacked solve raises if any one J is
+    singular; then each lane is solved alone, and a singular J fails only
+    its own lane."""
+    try:
+        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0], np.ones(len(J), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    step, ok = np.zeros_like(rhs), np.ones(len(J), dtype=bool)
+    for t in range(len(J)):
+        try:
+            step[t] = np.linalg.solve(J[t], rhs[t])
+        except np.linalg.LinAlgError:
+            ok[t] = False
+    return step, ok
 
-    Returns (x_star, y_star) or None.  Derivatives of the Hessian are central
-    finite differences; the gradient's parameter derivative uses the
+
+def _hunt_degenerate(problem, xa, xb, y_seed, y_lo, y_hi):
+    """Solve grad_y g = 0 = d2g/dy2 for (s, y) with x(s) = xa + s (xb - xa),
+    one lane per row of xa, xb (P, n) and y_seed (P,), all lanes in lockstep.
+
+    Returns, per lane, (x_star, y_star, grad, hess) or None.  Each lane takes
+    exactly the steps it would take alone, and the oracles see only the lanes
+    still iterating.  Derivatives of the Hessian are central finite
+    differences; the gradient's parameter derivative uses the
     cross-derivative oracle.
     """
-    xa = np.asarray(xa, dtype=float)
-    dx = np.asarray(xb, dtype=float) - xa
-    seg = float(np.linalg.norm(dx))
-    s, y = 0.5, float(y_seed)
+    dx = xb - xa
+    n_lanes = y_seed.shape[0]
+    s, y = np.full(n_lanes, 0.5), y_seed.astype(float)
     y_span = y_hi - y_lo
-    converged = False
+    e = 1e-6
+    converged = np.zeros(n_lanes, dtype=bool)
+    live = np.arange(n_lanes)
     for _ in range(60):
-        x = xa + s * dx
-        gv = _scalar_grad(problem, x, y)
-        hv = _scalar_hess(problem, x, y)
-        dg_ds = float(np.atleast_2d(problem.grad_x_grad_y_g(x, np.array([y])))[0] @ dx)
-        e = 1e-6
-        dh_ds = (_scalar_hess(problem, xa + (s + e) * dx, y)
-                 - _scalar_hess(problem, xa + (s - e) * dx, y)) / (2 * e)
-        ey = 1e-6 * (1.0 + abs(y))
-        dh_dy = (_scalar_hess(problem, x, y + ey)
-                 - _scalar_hess(problem, x, y - ey)) / (2 * ey)
-        J = np.array([[dg_ds, hv], [dh_ds, dh_dy]])
-        try:
-            step = np.linalg.solve(J, -np.array([gv, hv]))
-        except np.linalg.LinAlgError:
-            return None
-        # clamp to keep the iteration near the segment and the scan window
-        ds = float(np.clip(step[0], -0.75, 0.75))
-        dy = float(np.clip(step[1], -0.5 * y_span, 0.5 * y_span))
-        s, y = s + ds, y + dy
-        if not (-0.6 <= s <= 1.6) or not (y_lo - 0.1 * y_span <= y <= y_hi + 0.1 * y_span):
-            return None
-        if abs(ds) <= 1e-13 * (1.0 + abs(s)) and abs(dy) <= 1e-13 * (1.0 + abs(y)):
-            converged = True
+        if live.size == 0:
             break
-    if not converged:
-        return None
-    x = xa + s * dx
-    gv = _scalar_grad(problem, x, y)
-    hv = _scalar_hess(problem, x, y)
-    if abs(gv) > 1e-9 * (1.0 + abs(y)):
-        return None
-    if abs(hv) >= degeneracy_threshold(hv):
-        return None
-    if not (-0.05 <= s <= 1.05):
-        return None
-    return x, y, gv, hv
+        k, sl, yl, xal, dxl = live.size, s[live], y[live], xa[live], dx[live]
+        x = xal + sl[:, None] * dxl
+        ey = 1e-6 * (1.0 + np.abs(yl))
+        gv = _lane_call(problem, "grad_y_g", x, yl)
+        dg_ds = (_lane_call(problem, "grad_x_grad_y_g", x, yl)[:, None, :]
+                 @ dxl[:, :, None])[:, 0, 0]
+        h = _lane_call(problem, "hess_yy_g",
+                       np.concatenate([x, xal + (sl + e)[:, None] * dxl,
+                                       xal + (sl - e)[:, None] * dxl, x, x]),
+                       np.concatenate([yl, yl, yl, yl + ey, yl - ey])).reshape(5, k)
+        hv = h[0]
+        dh_ds = (h[1] - h[2]) / (2 * e)
+        dh_dy = (h[3] - h[4]) / (2 * ey)
+        J = np.stack([dg_ds, hv, dh_ds, dh_dy], axis=-1).reshape(k, 2, 2)
+        step, solved = _solve_2x2(J, -np.stack([gv, hv], axis=-1))
+        # clamp to keep the iteration near the segment and the scan window
+        ds = np.clip(step[:, 0], -0.75, 0.75)
+        dy = np.clip(step[:, 1], -0.5 * y_span, 0.5 * y_span)
+        sl, yl = sl + ds, yl + dy
+        s[live], y[live] = sl, yl
+        inside = ((-0.6 <= sl) & (sl <= 1.6)
+                  & (y_lo - 0.1 * y_span <= yl) & (yl <= y_hi + 0.1 * y_span))
+        done = ((np.abs(ds) <= 1e-13 * (1.0 + np.abs(sl)))
+                & (np.abs(dy) <= 1e-13 * (1.0 + np.abs(yl))))
+        go_on = solved & inside
+        converged[live[go_on & done]] = True
+        live = live[go_on & ~done]
+    hit = np.flatnonzero(converged)
+    sh, yh = s[hit], y[hit]
+    x = xa[hit] + sh[:, None] * dx[hit]
+    gv = _lane_call(problem, "grad_y_g", x, yh)
+    hv = _lane_call(problem, "hess_yy_g", x, yh)
+    keep = ((np.abs(gv) <= 1e-9 * (1.0 + np.abs(yh)))
+            & (np.abs(hv) < degeneracy_threshold(hv))
+            & (-0.05 <= sh) & (sh <= 1.05))
+    out = [None] * n_lanes
+    for t, xt, yt, gt, ht in zip(hit[keep].tolist(), x[keep], yh[keep].tolist(),
+                                 gv[keep].tolist(), hv[keep].tolist()):
+        out[t] = (xt, yt, gt, ht)
+    return out
 
 
 def _collision_seeds(roots_more, y_lo, y_hi, edge):
@@ -302,6 +334,29 @@ def _collision_seeds(roots_more, y_lo, y_hi, edge):
                    for (y1, _, l1), (y2, _, l2) in zip(roots_more[:-1], roots_more[1:])
                    if l1 * l2 < 0)
     return [mid for _, mid in pairs if y_lo + edge <= mid <= y_hi - edge]
+
+
+def _hunt_lanes(cell_roots, r, y_lo, y_hi, edge):
+    """Lanes of the scan's degenerate-point hunt on an r x r grid whose cell
+    (i, j) has the roots cell_roots[i r + j]: every neighbor pair whose root
+    counts differ, the (i, i + 1) pairs first and then the (j, j + 1) pairs,
+    times each collision seed of the cell with more roots, closest first.
+    Returns the pair's index, both cells' indices and the seed of each lane."""
+    neighbors = itertools.chain(
+        ((i * r + j, (i + 1) * r + j) for i in range(r - 1) for j in range(r)),
+        ((i * r + j, i * r + j + 1) for i in range(r) for j in range(r - 1)))
+    pair, a, b, seeds = [], [], [], []
+    for p, (ca, cb) in enumerate(neighbors):
+        ra, rb = cell_roots[ca], cell_roots[cb]
+        if len(ra) == len(rb):
+            continue
+        ss = _collision_seeds(ra if len(ra) > len(rb) else rb, y_lo, y_hi, edge)
+        pair += [p] * len(ss)
+        a += [ca] * len(ss)
+        b += [cb] * len(ss)
+        seeds += ss
+    return (np.array(pair, dtype=int), np.array(a, dtype=int), np.array(b, dtype=int),
+            np.array(seeds, dtype=float))
 
 
 def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> BifurcationScan:
@@ -324,14 +379,13 @@ def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> Bif
 
     xs = np.column_stack([np.repeat(c1, r), np.tile(c2, r)])
     cell_roots = _cell_roots(problem, xs, (y_lo, y_hi), y_resolution)
-    roots = {}
     indicator = np.zeros((r, r), dtype=bool)
     lam_grid = np.full((r, r), np.nan)
     records: List[StationaryPointRecord] = []
     for i in range(r):
         for j in range(r):
             x = xs[i * r + j]
-            rs = roots[(i, j)] = cell_roots[i * r + j]
+            rs = cell_roots[i * r + j]
             if rs:
                 lam_grid[i, j] = min(abs(l) for (_, _, l) in rs)
             for (y, gv, lam) in rs:
@@ -342,44 +396,25 @@ def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> Bif
 
     # hunt for degenerate points wherever the root count changes between
     # neighboring cells (the measure-zero set a center grid cannot hit)
-    found = {}
-
     edge = 2.0 * (y_hi - y_lo) / y_resolution
-
-    def consider(ia, ja, ib, jb):
-        ra, rb = roots[(ia, ja)], roots[(ib, jb)]
-        if len(ra) == len(rb):
-            return
-        more = ra if len(ra) > len(rb) else rb
-        xa = np.array([c1[ia], c2[ja]])
-        xb = np.array([c1[ib], c2[jb]])
-        # the merging pair need not be the closest one: hunt from each pair
-        # in turn and keep the first degenerate point located
-        for seed in _collision_seeds(more, y_lo, y_hi, edge):
-            hit = _hunt_degenerate(problem, xa, xb, seed, y_lo, y_hi)
-            if hit is not None:
-                break
-        else:
-            return
+    pair, a, b, seeds = _hunt_lanes(cell_roots, r, y_lo, y_hi, edge)
+    hits = _hunt_degenerate(problem, xs[a], xs[b], seeds, y_lo, y_hi)
+    # the merging pair need not be the closest one: a pair keeps the hit of
+    # its first seed that located a degenerate point
+    found, last_pair = set(), -1
+    for p, hit in zip(pair.tolist(), hits):
+        if hit is None or p == last_pair:
+            continue
+        last_pair = p
         x_star, y_star, gv, hv = hit
         key = (round(float(x_star[0]) / 1e-9), round(float(x_star[1]) / 1e-9))
         if key in found:
-            return
-        found[key] = True
-        rec = _make_record(x_star, y_star, gv, hv)
-        if not rec.degenerate:
-            return
-        records.append(rec)
+            continue
+        found.add(key)
+        records.append(_make_record(x_star, y_star, gv, hv))
         ii = min(int((x_star[0] - lo[0]) / w[0]), r - 1)
         jj = min(int((x_star[1] - lo[1]) / w[1]), r - 1)
         indicator[max(ii, 0), max(jj, 0)] = True
-
-    for i in range(r - 1):
-        for j in range(r):
-            consider(i, j, i + 1, j)
-    for i in range(r):
-        for j in range(r - 1):
-            consider(i, j, i, j + 1)
 
     return BifurcationScan(
         grid_resolution=r,

@@ -12,13 +12,12 @@ shape (L, n) and y shape (L, m), and f and g return shape (L,), grad_y_g
 shape (m,), is the L-less case: the same shapes without the leading axis.
 grad_x_grad_y_g returns the cross-derivative block (L, m, n), or (m, n) for a
 single point.  The solvers, the estimator and the geometry's stationary-root
-finder call oracles with lanes; the geometry's degenerate-point hunt and fold
-check call them with single points.  A feasible set's `project` and
+finder and degenerate-point hunt call oracles with lanes; the geometry's fold
+check calls them with single points.  A feasible set's `project` and
 `contains` act on the last axis in the same way.  The GDA baseline uses no
 bundle: it integrates the saddle flow of `minimax_gradient`.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -87,13 +86,6 @@ class BilevelProblem:
     y0: np.ndarray
     f_bar: float
     feasible_set: FeasibleSet
-
-    def with_y0(self, y0) -> "BilevelProblem":
-        """Copy of the problem with a different lower-level initialization."""
-        y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        if y0.shape != (self.m,):
-            raise ValueError(f"y0 must have shape ({self.m},)")
-        return dataclasses.replace(self, y0=y0)
 
 
 def _part(v, j):
@@ -198,9 +190,11 @@ def builtin_minimax() -> BilevelProblem:
 # jumps at x = 0 where gradient descent from y0 = 0 stalls on the hump.
 # Like the other builtins below, the oracles compute on the components
 # _part(x, j), _part(y, 0) and add the trailing axes of the lane convention
-# at the end.  Gradients spell powers np.power: on a scalar, `**` rounds
-# differently from numpy's array power in a few percent of cases, and
-# np.power rounds a single point as it rounds a lane.
+# at the end.  Powers are spelled as products, and polynomials in y in Horner
+# form, wherever that suffices: a product or a sum rounds a single point as
+# it rounds a lane, while on a scalar `**` rounds differently from numpy's
+# array power in a few percent of cases.  The one power left, in the fold's
+# confinement term, is np.power, which rounds both alike.
 
 _DOUBLE_WELL_F_BAR = 5.33  # 1.5 x max|y| over the sublevel grid (max 3.553)
 
@@ -262,8 +256,9 @@ def builtin_fold_family() -> BilevelProblem:
         x1 = _part(x, 0)
         yy = _part(y, 0)
         r = _fold_overhang(yy)
-        return ((1.0 - 2.0 * x1) * yy + (3.0 * x1 - 2.0 * x1 * x1) * yy ** 3
-                + _FOLD_CONF * r ** 4)
+        r2 = r * r
+        return ((1.0 - 2.0 * x1) * yy + (3.0 * x1 - 2.0 * x1 * x1) * (yy * yy * yy)
+                + _FOLD_CONF * (r2 * r2))
 
     def grad_y_g(x, y):
         x1 = _part(x, 0)
@@ -324,19 +319,19 @@ def builtin_quartic_family() -> BilevelProblem:
         c3 = _q_c3(_part(x, 0), _part(x, 1))
         c2 = _q_c2(_part(x, 0), _part(x, 1))
         yy = _part(y, 0)
-        return yy ** 4 + c3 * yy ** 3 + c2 * yy * yy + c3 * yy
+        return (((yy + c3) * yy + c2) * yy + c3) * yy
 
     def grad_y_g(x, y):
         c3 = _q_c3(_part(x, 0), _part(x, 1))
         c2 = _q_c2(_part(x, 0), _part(x, 1))
         yy = _part(y, 0)
-        return (4.0 * np.power(yy, 3) + 3.0 * c3 * yy * yy + 2.0 * c2 * yy + c3)[..., None]
+        return (((4.0 * yy + 3.0 * c3) * yy + 2.0 * c2) * yy + c3)[..., None]
 
     def hess_yy_g(x, y):
         c3 = _q_c3(_part(x, 0), _part(x, 1))
         c2 = _q_c2(_part(x, 0), _part(x, 1))
         yy = _part(y, 0)
-        return (12.0 * yy * yy + 6.0 * c3 * yy + 2.0 * c2)[..., None, None]
+        return ((12.0 * yy + 6.0 * c3) * yy + 2.0 * c2)[..., None, None]
 
     def grad_x_grad_y_g(x, y):
         x1, x2 = _part(x, 0), _part(x, 1)

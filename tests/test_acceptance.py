@@ -5,6 +5,7 @@ configuration (beta = 0.005, eta = 0.01, T = 10000, K = 200, N = 3) through a
 session fixture; everything else runs at its stated scale and tolerance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -244,10 +245,10 @@ def test_criterion_5_subproblem_oracle():
 def test_criterion_6_two_phase_cubic_newton(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
     x = np.array([0.0])
-    res = solve_lower(double_well.with_y0([0.1]), x, cfg)
+    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.1])), x, cfg)
     lam = double_well.hess_yy_g(x, res.y_hat)[0, 0]
     ok_basin = abs(res.y_hat[0] - 1.0) <= 1e-6 and lam > 0
-    res_saddle = solve_lower(double_well.with_y0([0.0]), x, cfg)
+    res_saddle = solve_lower(dataclasses.replace(double_well, y0=np.array([0.0])), x, cfg)
     ok_escape = abs(res_saddle.y_hat[0]) >= 0.5
     report(6, ok_basin and ok_escape,
            f"|y_hat - 1| = {abs(res.y_hat[0] - 1.0):.2e}, lambda_min = {lam:.2f} > 0, "

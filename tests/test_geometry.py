@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ from scinbio import (BilevelProblem, box_set, box_counting_dimension,
                      neighborhood_measure, scan_bifurcation_set)
 from scinbio.geometry import (FOLD, NON_FOLD_DEGENERATE, NONDEGENERATE,
                               BifurcationScan, StationaryPointRecord,
-                              _cell_roots, distance_to_marked)
+                              _cell_roots, _hunt_degenerate, _hunt_lanes,
+                              distance_to_marked)
 
 
 def arr(*vals):
@@ -165,7 +167,6 @@ def test_nondegenerate_problem_unmarked():
     assert np.nanmin(scan.lambda_min_grid) >= 1.0
 
 
-@pytest.mark.slow
 def test_quartic_scan_finds_curvelike_strata(quartic):
     scan = scan_bifurcation_set(quartic, 300, (-250.0, 250.0), 2000)
     marked = scan.marked_centers()
@@ -246,6 +247,55 @@ def test_fold_scan_indicator_at_100(fold):
     expected = np.zeros((100, 100), dtype=bool)
     expected[50] = True
     assert np.array_equal(scan.indicator, expected)
+
+
+@pytest.mark.parametrize("name, y_range, y_resolution, n_marked, digest", [
+    ("fold", (-1.0, 1.0), 400, 72,
+     "8655628bab6ec620030903dcd417930e32b318dc72f34dc81f3e8fd257df6169"),
+    ("quartic", (-250.0, 250.0), 2000, 157,
+     "cda0c1511a357625a5756b2e1614938eda50a32c4c42e34ab3be9fe098efa3b7"),
+], ids=["fold", "quartic"])
+def test_scan_indicators_pinned_at_72(request, name, y_range, y_resolution, n_marked, digest):
+    # sha256 of the 72^2 indicators as the scalar hunt, one neighbor pair at
+    # a time, marked them before the hunt ran its lanes in lockstep
+    scan = scan_bifurcation_set(request.getfixturevalue(name), 72, y_range, y_resolution)
+    assert int(scan.indicator.sum()) == n_marked
+    assert hashlib.sha256(scan.indicator.tobytes()).hexdigest() == digest
+
+
+def _same_hit(p, q):
+    if p is None or q is None:
+        return p is q
+    return np.array_equal(p[0], q[0]) and p[1:] == q[1:]
+
+
+def test_lockstep_hunt_equals_single_pair_hunts(quartic):
+    # every lane of the 24^2 scan's hunt, hunted together, takes the steps it
+    # takes alone: x*, y*, gradient and Hessian are the bits of a batch of
+    # one, and a lane that fails fails alone
+    r, y_lo, y_hi, y_res = 24, -250.0, 250.0, 2000
+    lo, hi = quartic.feasible_set.bbox
+    w = (hi - lo) / r
+    c1, c2 = (lo[a] + (np.arange(r) + 0.5) * w[a] for a in (0, 1))
+    xs = np.column_stack([np.repeat(c1, r), np.tile(c2, r)])
+    roots = _cell_roots(quartic, xs, (y_lo, y_hi), y_res)
+    _, a, b, seeds = _hunt_lanes(roots, r, y_lo, y_hi, 2.0 * (y_hi - y_lo) / y_res)
+    # two more lanes: a segment of length 0, whose first J has a zero column
+    # and is singular; and a seed far above the window, which its first step,
+    # clamped to half the window, cannot bring back
+    xa = np.vstack([xs[a], xs[:2]])
+    xb = np.vstack([xs[b], xs[:1], xs[1:2]])
+    seeds = np.append(seeds, [0.0, 1e6])
+    together = _hunt_degenerate(quartic, xa, xb, seeds, y_lo, y_hi)
+    assert together[-2:] == [None, None]
+    n_hits = sum(hit is not None for hit in together)
+    assert 0 < n_hits < len(seeds) - 2
+    for k, hit in enumerate(together):
+        alone, = _hunt_degenerate(quartic, xa[k:k + 1], xb[k:k + 1], seeds[k:k + 1], y_lo, y_hi)
+        assert _same_hit(hit, alone), k
+    perm = np.random.default_rng(5).permutation(len(seeds))
+    permuted = _hunt_degenerate(quartic, xa[perm], xb[perm], seeds[perm], y_lo, y_hi)
+    assert all(_same_hit(permuted[t], together[k]) for t, k in enumerate(perm))
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ def test_subproblem_rejects_bad_inputs():
 
 def test_cubic_newton_double_well(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
-    res = solve_lower(double_well.with_y0([0.1]), np.array([0.0]), cfg)
+    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.1])), np.array([0.0]), cfg)
     assert abs(res.y_hat[0] - 1.0) <= 1e-6
     assert abs(double_well.g(np.array([0.0]), res.y_hat) - (-1.0)) <= 1e-10
     assert res.oracle_counts["grad"] == 31
@@ -251,7 +251,7 @@ def test_cubic_newton_quadratic_one_step():
 
 def test_cubic_newton_escapes_saddle(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=10)
-    res = solve_lower(double_well.with_y0([0.0]), np.array([0.0]), cfg)
+    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.0])), np.array([0.0]), cfg)
     # first step solves the pure negative-curvature model: |s| = 2*4/24
     assert abs(abs(res.iterates[1][0]) - 1.0 / 3.0) <= 1e-12
     assert abs(res.y_hat[0]) >= 0.5
@@ -273,7 +273,7 @@ def test_cubic_newton_descends_on_builtins(minimax, double_well, fold, quartic):
 
 def test_cubic_newton_two_phase(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
-    res = solve_lower(double_well.with_y0([0.1]), np.array([0.0]), cfg)
+    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.1])), np.array([0.0]), cfg)
     nus = np.array(res.stationarity_measures)
     cummin = np.minimum.accumulate(nus)
     assert cummin[-1] < nus[0]
@@ -295,7 +295,7 @@ def test_cubic_newton_selection_ties_smallest_index():
 
 def test_gd_double_well_converges(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=500)
-    res = solve_lower(double_well.with_y0([0.5]), np.array([0.0]), cfg)
+    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.5])), np.array([0.0]), cfg)
     assert abs(res.y_hat[0] - 1.0) <= 1e-4
     assert res.selected_index == len(res.iterates) - 1
 
@@ -309,7 +309,7 @@ def test_gd_stalls_at_degenerate_start(double_well):
 
 def test_gd_zero_iterations(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=0)
-    res = solve_lower(double_well.with_y0([0.7]), np.array([0.3]), cfg)
+    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.7])), np.array([0.3]), cfg)
     assert res.y_hat[0] == 0.7
 
 

@@ -59,11 +59,13 @@ def test_fold_branch_values(fold):
 
 
 def test_fold_confinement_inactive_in_window(fold):
-    # the confinement term vanishes identically on |y| <= 1.5
+    # the confinement term vanishes identically on |y| <= 1.5; the cubic is
+    # spelled with the oracle's product y * y * y, since y ** 3 rounds apart
+    # from it at some y (1.2 among these)
     x = arr(0.3, -0.5)
     for y in (-1.5, -0.7, 0.0, 1.2, 1.5):
         x1 = x[0]
-        cubic = (1 - 2 * x1) * y + (3 * x1 - 2 * x1 ** 2) * y ** 3
+        cubic = (1 - 2 * x1) * y + (3 * x1 - 2 * x1 ** 2) * (y * y * y)
         assert fold.g(x, arr(y)) == cubic
 
 
@@ -123,6 +125,32 @@ def test_cross_derivative_matches_fd(name):
         single = problem.grad_x_grad_y_g(xs[k], ys[k])
         assert single.shape == (problem.m, problem.n)
         assert np.array_equal(lanes[k], single)
+
+
+# y spans of the lane test: each problem's sublevel region (minimax, double
+# well), past the fold's confinement edge 1.5, the quartic's scan window
+_LANE_Y_SPAN = {"minimax": 6.0, "double-well": 4.0, "fold": 2.0, "quartic": 250.0}
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_lanes_equal_single_points_bit_for_bit(name):
+    # the lane convention's bit rule: an oracle rounds each lane as it rounds
+    # that point alone, so lockstep callers get the bits of single-point ones
+    problem = get_problem(name)
+    rng = np.random.default_rng(17)
+    lo, hi = problem.feasible_set.bbox
+    span = _LANE_Y_SPAN[name]
+    xs = rng.uniform(lo, hi, size=(2000, problem.n))
+    ys = rng.uniform(-span, span, size=(2000, problem.m))
+    for oracle in ("f", "g", "grad_y_g", "hess_yy_g", "grad_x_grad_y_g"):
+        fn = getattr(problem, oracle)
+        lanes = np.asarray(fn(xs, ys))
+        differ = []
+        for k in range(2000):
+            single = np.asarray(fn(xs[k], ys[k]))
+            if single.shape != lanes[k].shape or not np.array_equal(lanes[k], single):
+                differ.append(k)
+        assert differ == [], (oracle, len(differ), differ[:5])
 
 
 def test_hessian_symmetry_m2():
@@ -222,9 +250,3 @@ def test_library_names_unique():
 def test_get_problem_unknown():
     with pytest.raises(KeyError):
         get_problem("nope")
-
-
-def test_with_y0(double_well):
-    p = double_well.with_y0([0.5])
-    assert p.y0[0] == 0.5
-    assert double_well.y0[0] == 0.0
