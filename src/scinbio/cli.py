@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O failure.
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -25,7 +26,8 @@ from .lower import GRADIENT_DESCENT, LowerSolverConfig, run_lower_lean
 from .outer import (OuterConfig, canonical_json, constant_schedules,
                     gradient_mapping, run_scinbio, tail_stability,
                     validate_run, write_summary_json, write_trace_csv)
-from .problems import LOWER_DEFAULTS, PROBLEM_NAMES, get_problem, minimax_gradient
+from .problems import (LOWER_DEFAULTS, PROBLEM_NAMES, call_oracle, get_problem,
+                       minimax_gradient)
 from .smoothing import SmoothingConfig, estimate_hypergradient, gradient_norm_bound
 from .svg import SvgCanvas
 
@@ -57,7 +59,10 @@ def parse_seed_list(text):
 
 
 def _parse_bool(text):
-    return text.strip().lower() in ("1", "true", "yes", "on")
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return word in ("1", "true", "yes", "on")
 
 
 def _parse_list(text):
@@ -188,8 +193,8 @@ def resolve_config(args):
     for key, least in _AT_LEAST.items():
         if cfg[key] is not None and cfg[key] < least:
             errors.append(f"{key} must be at least {least}")
-    if not cfg["gda.step"] > 0:
-        errors.append("gda.step must be positive")
+    if not 0 < cfg["gda.step"] < math.inf:
+        errors.append("gda.step must be positive and finite")
     if cfg["gda.integrator"] not in ("euler", "rk4"):
         errors.append("gda.integrator must be euler|rk4")
     bad_emit = set(cfg["emit"]) - {"csv", "json", "svg"}
@@ -247,6 +252,16 @@ def _solve_points(problem, xs, lower_cfg):
     return res.y_hat
 
 
+def _estimate_at(problem, x, n_samples, smoothing, lower_cfg, stream_tag):
+    """The GradientEstimate at the point x (n,), run as a batch of one; its
+    EstimatorError is raised."""
+    est, = estimate_hypergradient(problem, x[None, :], n_samples, [smoothing], lower_cfg,
+                                  stream_tag=stream_tag).per_point
+    if isinstance(est, Exception):
+        raise est
+    return est
+
+
 def _phase_points(problem, xs, lower_cfg, stride):
     xs = xs[::stride]
     y_hat = _solve_points(problem, xs, lower_cfg)
@@ -286,7 +301,7 @@ def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
         tail = xs[:-1][-100:]
         offset = len(xs) - 1 - len(tail)
         y_hat = _solve_points(problem, tail, lower)
-        vals = problem.f(tail, y_hat)
+        vals = call_oracle(problem, "f", tail, y_hat)
         k = int(np.argmin(vals))
         result["best_of_last_100"] = {"t": offset + k, "x": [float(v) for v in tail[k]],
                                       "y_hat": [float(v) for v in y_hat[k]],
@@ -294,19 +309,14 @@ def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
 
     files = {}
     if "csv" in cfg["emit"]:
-        stride = cfg["stride"]
-        if stride > 1:
-            thinned = dataclasses.replace(trace, rows=trace.rows[::stride])
-            write_trace_csv(thinned, os.path.join(out, f"trace_seed{seed}.csv"))
-        else:
-            write_trace_csv(trace, os.path.join(out, f"trace_seed{seed}.csv"))
+        write_trace_csv(dataclasses.replace(trace, rows=trace.rows[::cfg["stride"]]),
+                        os.path.join(out, f"trace_seed{seed}.csv"))
         files["trace"] = f"trace_seed{seed}.csv"
     if "json" in cfg["emit"]:
         extra = {"seed": seed, "run_config": cfg, "result": result}
         if cfg["audit"]:
             audit_n = 1024
-            est = estimate_hypergradient(problem, trace.x_final, audit_n,
-                                         smoothing, lower, stream_tag=T + 1)
+            est = _estimate_at(problem, trace.x_final, audit_n, smoothing, lower, T + 1)
             gm = gradient_mapping(trace.x_final, est.value, cfg["outer.beta"],
                                   problem.feasible_set)
             extra["audit"] = {"n_samples": audit_n,
@@ -554,7 +564,7 @@ def cmd_estimate(cfg, x_text):
     estimates = []
     infeasible = 0
     for b in range(batches):
-        est = estimate_hypergradient(problem, x, n, smoothing, lower, stream_tag=b)
+        est = _estimate_at(problem, x, n, smoothing, lower, b)
         estimates.append(est.value)
         if b == 0:
             infeasible = est.infeasible_count

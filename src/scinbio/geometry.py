@@ -38,6 +38,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from .problems import call_oracle
+
 __all__ = [
     "StationaryPointRecord", "BifurcationScan", "DimensionEstimate",
     "find_stationary_points_1d", "scan_bifurcation_set",
@@ -111,17 +113,8 @@ _LANE_BUDGET = 1 << 14
 def _lane_call(problem, name, x, y):
     """grad_y_g, hess_yy_g or grad_x_grad_y_g of an m = 1 problem on lanes
     x (L, n), y (L,): (L,) for the first two, (L, n) for the cross-derivative."""
-    lanes = y.shape[0]
     tail = (problem.n,) if name == "grad_x_grad_y_g" else ()
-    if lanes == 0:
-        return np.empty((0,) + tail)
-    expected = {"grad_y_g": (lanes, 1), "hess_yy_g": (lanes, 1, 1),
-                "grad_x_grad_y_g": (lanes, 1, problem.n)}[name]
-    out = np.asarray(getattr(problem, name)(x, y[:, None]))
-    if out.shape != expected:
-        raise ValueError(f"{name} returned shape {out.shape} for {lanes} lanes; the lane "
-                         f"convention of scinbio.problems expects {expected}")
-    return out.reshape((lanes,) + tail)
+    return call_oracle(problem, name, x, y[:, None]).reshape(y.shape + tail)
 
 
 def _polish(problem, x, a, b, fa):
@@ -440,9 +433,9 @@ def check_fold_conditions(problem, record: StationaryPointRecord) -> str:
     """
     if not record.degenerate:
         raise ValueError("fold check requires a degenerate record")
-    x = np.asarray(record.x, dtype=float)
+    x = np.asarray(record.x, dtype=float)[None, :]
     y = np.asarray(record.y, dtype=float)
-    H = np.atleast_2d(np.asarray(problem.hess_yy_g(x, y), dtype=float))
+    H = call_oracle(problem, "hess_yy_g", x, y[None, :])[0]
     evals, evecs = np.linalg.eigh(0.5 * (H + H.T))
     order = np.argsort(np.abs(evals))
     v = evecs[:, order[0]]
@@ -453,13 +446,15 @@ def check_fold_conditions(problem, record: StationaryPointRecord) -> str:
         return NON_FOLD_DEGENERATE
 
     # (2) parameter derivative of grad_y g projected on v
-    J = np.atleast_2d(np.asarray(problem.grad_x_grad_y_g(x, y), dtype=float))
+    J = call_oracle(problem, "grad_x_grad_y_g", x, y[None, :])[0]
     c2_val = float(np.linalg.norm(J.T @ v))
 
     # (3) third directional derivative along v, 5-point stencil
     h = TAU_FOLD * (1.0 + float(np.linalg.norm(y)))
-    psi = lambda s: float(problem.g(x, y + s * v))
-    c3_val = abs((psi(2 * h) - 2 * psi(h) + 2 * psi(-h) - psi(-2 * h)) / (2 * h ** 3))
+    shifts = np.array([2 * h, h, -h, -2 * h])
+    p2, p1, m1, m2 = call_oracle(problem, "g", np.repeat(x, 4, axis=0),
+                                 y + shifts[:, None] * v).tolist()
+    c3_val = abs((p2 - 2 * p1 + 2 * m1 - m2) / (2 * h ** 3))
 
     if c2_val >= TAU_FOLD and c3_val >= TAU_FOLD:
         return FOLD

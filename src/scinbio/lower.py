@@ -5,8 +5,8 @@ x of shape (L, n) holds L parameter points, every lane starts from y0, and
 each oracle call serves every lane still iterating (the lane convention of
 `problems`).  Inputs are checked once per solve.  Lanes stop on their own
 (early exit on grad_tol), fail on their own (a non-finite value is reported
-for that lane only) and select their own iterate.  A single point x of shape
-(n,) runs as one lane and returns the list-shaped result of one solve.
+for that lane only) and select their own iterate.  One point is a batch of
+one lane.
 
 The cubic method minimizes the model  m(s) = g^T s + 1/2 s^T H s + (M/6)||s||^3
 at every step and afterwards selects the iterate with the smallest
@@ -18,12 +18,12 @@ Solvers are reentrant: each solve owns its trace and oracles are pure.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, LowerSolveError
+from .problems import call_oracle
 
 __all__ = [
     "LowerSolverConfig", "LowerSolveResult", "CubicStep",
@@ -53,10 +53,10 @@ class LowerSolverConfig:
         msgs = []
         if self.method not in (GRADIENT_DESCENT, CUBIC_NEWTON):
             msgs.append(f"method must be {GRADIENT_DESCENT}|{CUBIC_NEWTON}, got {self.method!r}")
-        if not self.eta > 0:
-            msgs.append("eta must be positive")
-        if not self.M > 0:
-            msgs.append("M must be positive")
+        if not 0 < self.eta < math.inf:
+            msgs.append("eta must be positive and finite")
+        if not 0 < self.M < math.inf:
+            msgs.append("M must be positive and finite")
         if self.max_iters < 0:
             msgs.append("max_iters must be nonnegative")
         if not self.grad_tol >= 0:
@@ -67,25 +67,22 @@ class LowerSolverConfig:
 
 @dataclass
 class LowerSolveResult:
-    """Iterates, measures and selection of one solve.
+    """Iterates, measures and selection of the L lanes of one solve.
 
-    For a single point: y_hat (m,), the iterates y_0..y_k as a list, one
-    gradient norm (and for cubic Newton one nu_M) per iterate, the selected
-    index and integer oracle counts; a failure raises LowerSolveError.  For
-    L lanes: y_hat (L, m); iterates (K + 1, L, m), grad_norms and
-    stationarity_measures (K + 1, L), NaN past each lane's last iterate;
-    selected_index and each oracle count an (L,) integer array; errors[l] the
-    LowerSolveError that stopped lane l, or None.  stationarity_measures is
-    empty for gradient descent.
+    y_hat (L, m); iterates (K + 1, L, m), grad_norms and stationarity_measures
+    (K + 1, L), NaN past each lane's last iterate; selected_index and each
+    oracle count an (L,) integer array; errors[l] the LowerSolveError that
+    stopped lane l, or None.  stationarity_measures is empty for gradient
+    descent.
     """
 
     y_hat: np.ndarray
-    iterates: list
-    grad_norms: list
-    stationarity_measures: list
-    selected_index: int
-    oracle_counts: dict = field(default_factory=dict)
-    errors: Optional[list] = None
+    iterates: np.ndarray
+    grad_norms: np.ndarray
+    stationarity_measures: np.ndarray
+    selected_index: np.ndarray
+    oracle_counts: dict
+    errors: list
 
 
 @dataclass(frozen=True)
@@ -275,14 +272,6 @@ def _norms(g):
     return np.sqrt((g * g).sum(axis=-1))
 
 
-def _oracle(fn, x, y, shape, what):
-    out = np.asarray(fn(x, y), dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{what} returned shape {out.shape} for {x.shape[0]} lanes, "
-                         f"expected {shape}")
-    return out
-
-
 def _curvature_and_step(g, H, M, with_step):
     """lambda_min of each lane's Hessian (NaN where H is not finite) and, when
     with_step, each lane's cubic step: the closed form for m = 1, the secular
@@ -321,10 +310,10 @@ def _iterate(problem, x, config):
     xa, ya = x, ys[0].copy()
     with np.errstate(all="ignore"):
         for k in range(K + 1):
-            g = _oracle(problem.grad_y_g, xa, ya, ya.shape, "grad_y_g")
+            g = call_oracle(problem, "grad_y_g", xa, ya)
             gs[k, rows] = g
             if cubic:
-                H = _oracle(problem.hess_yy_g, xa, ya, ya.shape + (m,), "hess_yy_g")
+                H = call_oracle(problem, "hess_yy_g", xa, ya)
                 lam, step = _curvature_and_step(g, H, config.M, k < K)
                 lams[k, rows] = lam
             if tol > 0:
@@ -367,22 +356,19 @@ def _lane_errors(ys, gs, lams, last, cubic):
 
 
 def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
-    """K steps of config.method from y0 at each point of x, (n,) or (L, n).
+    """K steps of config.method from y0 at each point of x (L, n).
 
     Gradient descent: y_{k+1} = y_k - eta grad_y g(x, y_k); cubic Newton:
     y_{k+1} = y_k + the cubic-model step.  A lane stops early once
     ||grad_y g|| <= grad_tol (when grad_tol > 0).  Each lane's y_hat is its
     last iterate for gradient descent and, for cubic Newton, the iterate with
-    the smallest nu_M over k >= 0, ties going to the smallest k.  Returns the
-    single-point or the lane form of LowerSolveResult, following the shape
-    of x.
+    the smallest nu_M over k >= 0, ties going to the smallest k.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim > 2 or x.shape[-1] != problem.n:
-        raise ValueError(f"x must have shape ({problem.n},) or (L, {problem.n}), "
-                         f"got {x.shape}")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != problem.n:
+        raise ValueError(f"x must have shape (L, {problem.n}), got {x.shape}")
     cubic = config.method == CUBIC_NEWTON
-    ys, gs, lams, last = _iterate(problem, np.atleast_2d(x), config)
+    ys, gs, lams, last = _iterate(problem, x, config)
     errors = _lane_errors(ys, gs, lams, last, cubic)
     K1, L = gs.shape[:2]
     unran = np.arange(K1)[:, None] > last
@@ -392,21 +378,9 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
     k_star = np.where(unran, np.inf, nus).argmin(axis=0) if cubic else last
     counts = {"g": np.zeros(L, dtype=int), "grad": last + 1,
               "hess": last + 1 if cubic else np.zeros(L, dtype=int)}
-    result = LowerSolveResult(y_hat=ys[k_star, np.arange(L)], iterates=ys,
-                              grad_norms=grad_norms, stationarity_measures=nus,
-                              selected_index=k_star, oracle_counts=counts,
-                              errors=errors)
-    if x.ndim == 2:
-        return result
-    if errors[0] is not None:
-        raise errors[0]
-    n = int(last[0]) + 1
-    return LowerSolveResult(
-        y_hat=result.y_hat[0], iterates=list(ys[:n, 0]),
-        grad_norms=grad_norms[:n, 0].tolist(),
-        stationarity_measures=nus[:n, 0].tolist() if cubic else [],
-        selected_index=int(k_star[0]),
-        oracle_counts={key: int(v[0]) for key, v in counts.items()})
+    return LowerSolveResult(y_hat=ys[k_star, np.arange(L)], iterates=ys,
+                            grad_norms=grad_norms, stationarity_measures=nus,
+                            selected_index=k_star, oracle_counts=counts, errors=errors)
 
 
 def run_lower_lean(problem, x, config: LowerSolverConfig) -> LowerSolveResult:

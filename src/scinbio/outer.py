@@ -107,8 +107,8 @@ class OuterConfig:
                  else list(map(float, self.beta)))
         if not np.isscalar(self.beta) and len(betas) < self.T:
             msgs.append(f"beta has {len(betas)} entries but T = {self.T}")
-        if any(not b > 0 for b in betas):
-            msgs.append("beta must be positive at every t")
+        if any(not 0 < b < math.inf for b in betas):
+            msgs.append("beta must be positive and finite at every t")
         rules = (OUTPUT_LAST, OUTPUT_RANDOM_INDEX, OUTPUT_BEST_MAPPING)
         if self.output_rule not in rules:
             msgs.append(f"output_rule must be {'|'.join(rules)}, got {self.output_rule!r}")
@@ -197,15 +197,13 @@ class LockstepRun:
 
 
 def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
-                smoothing, x0=None, phi: Optional[Callable] = None):
-    """Run the outer loop from x0 (projected to the feasible set first).
+                smoothings, x0=None, phi: Optional[Callable] = None) -> LockstepRun:
+    """Run the outer loop for each seed, one SmoothingConfig per seed, from
+    the matching start in the sequence x0 (projected to the feasible set
+    first; x0=None starts every seed at the center of the feasible box).
 
-    With one SmoothingConfig this is one run: x0 is one point (default: the
-    center of the feasible box) and the result its OuterTrace; a failed
-    estimate raises.  With a sequence of configs, one per seed, and x0 a
-    matching sequence of starts, the seeds run in lockstep and the result is
-    a LockstepRun: at iteration t one estimator call draws every running
-    seed's N_t directions from that seed's stream and solves all their
+    The seeds run in lockstep: at iteration t one estimator call draws every
+    running seed's N_t directions from that seed's stream and solves all their
     samples together.  A seed whose estimate fails stops there; the others
     run on, each with the numbers it gets when run alone.
 
@@ -213,16 +211,12 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
     and per-sample values come from phi, with the feasibility cap still
     applied through the problem's feasible set and f_bar.
     """
-    single = isinstance(smoothing, SmoothingConfig)
-    configs = [smoothing] if single else list(smoothing)
+    configs = list(smoothings)
     for config in configs:
         validate_run(problem, outer, config)
     fs = problem.feasible_set
-    if x0 is None:
-        lo, hi = fs.bbox
-        starts = [0.5 * (lo + hi)] * len(configs)
-    else:
-        starts = [x0] if single else list(x0)
+    center = 0.5 * (fs.bbox[0] + fs.bbox[1])
+    starts = [center] * len(configs) if x0 is None else list(x0)
     if len(starts) != len(configs):
         raise ValueError(f"{len(starts)} starts for {len(configs)} seeds")
     xs = [fs.project(np.atleast_1d(np.asarray(x, dtype=float))) for x in starts]
@@ -263,14 +257,9 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
                 totals[s][key] += est.oracle_counts.get(key, 0)
             xs[s] = fs.project(x - beta_t * est.value)
 
-    traces = [failures[s] or _finish(problem, outer, lower, configs[s], rows[s],
-                                     xs[s], betas, totals[s])
-              for s in range(len(configs))]
-    if not single:
-        return LockstepRun(traces)
-    if failures[0] is not None:
-        raise failures[0]
-    return traces[0]
+    return LockstepRun([failures[s] or _finish(problem, outer, lower, configs[s], rows[s],
+                                               xs[s], betas, totals[s])
+                        for s in range(len(configs))])
 
 
 def _finish(problem, outer, lower, smoothing, rows, x, betas, totals):

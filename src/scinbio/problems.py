@@ -8,14 +8,11 @@ pure functions of (x, y): solvers may hand them reused scratch buffers.
 
 Lane convention.  An oracle evaluates L independent points at once: x has
 shape (L, n) and y shape (L, m), and f and g return shape (L,), grad_y_g
-(L, m) and hess_yy_g (L, m, m).  A single point, x of shape (n,) and y of
-shape (m,), is the L-less case: the same shapes without the leading axis.
-grad_x_grad_y_g returns the cross-derivative block (L, m, n), or (m, n) for a
-single point.  The solvers, the estimator and the geometry's stationary-root
-finder and degenerate-point hunt call oracles with lanes; the geometry's fold
-check calls them with single points.  A feasible set's `project` and
-`contains` act on the last axis in the same way.  The GDA baseline uses no
-bundle: it integrates the saddle flow of `minimax_gradient`.
+(L, m), hess_yy_g (L, m, m) and grad_x_grad_y_g the cross-derivative block
+(L, m, n).  One point is a batch of one lane.  Every oracle call in the
+package goes through `call_oracle`, which checks the output's shape.  A
+feasible set's `project` and `contains` act on the last axis.  The GDA
+baseline uses no bundle: it integrates the saddle flow of `minimax_gradient`.
 """
 
 import math
@@ -68,18 +65,16 @@ def box_set(lo, hi) -> FeasibleSet:
 class BilevelProblem:
     """Oracle bundle for min_{x in X} f(x, y^alg(x)) with algorithmic lower level.
 
-    f, g, grad_y_g and hess_yy_g follow the lane convention of this module:
-    (L, n) and (L, m) inputs give (L,), (L, m) and (L, m, m) outputs, and a
-    single point (n,), (m,) gives the same shapes without the L axis.
-    grad_x_grad_y_g returns the cross-derivative block d/dx of grad_y g,
-    (L, m, n) for lanes and (m, n) for a single point; only the geometry
-    diagnostics consult it.
+    f, g, grad_y_g, hess_yy_g and grad_x_grad_y_g (the cross-derivative
+    block d/dx of grad_y g, which only the geometry diagnostics consult)
+    follow the lane convention of this module: (L, n) and (L, m) inputs give
+    (L,), (L,), (L, m), (L, m, m) and (L, m, n) outputs.
     """
 
     n: int
     m: int
-    f: Callable[[np.ndarray, np.ndarray], float]
-    g: Callable[[np.ndarray, np.ndarray], float]
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_yy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_x_grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -88,42 +83,51 @@ class BilevelProblem:
     feasible_set: FeasibleSet
 
 
-def _part(v, j):
-    """Component j of each lane: a scalar for a single point, else an (L,) array.
+def call_oracle(problem, name, x, y):
+    """Oracle `name` of `problem` on lanes x (L, n), y (L, m), as a float array.
 
-    A scalar keeps single-point calls at scalar arithmetic speed.
+    Raises ValueError naming the oracle and the shape the lane convention
+    expects when the output has another shape.
     """
-    return v[..., j][()]
+    lanes, m = y.shape[0], problem.m
+    expected = {"f": (lanes,), "g": (lanes,), "grad_y_g": (lanes, m),
+                "hess_yy_g": (lanes, m, m), "grad_x_grad_y_g": (lanes, m, problem.n)}[name]
+    if lanes == 0:
+        return np.empty(expected)
+    out = np.asarray(getattr(problem, name)(x, y), dtype=float)
+    if out.shape != expected:
+        raise ValueError(f"{name} returned shape {out.shape} for {lanes} lanes; the lane "
+                         f"convention of scinbio.problems expects {expected}")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Builtin: nonconvex-nonconcave minimax  f(x,y) = (x^2-y^2) sin(x+y) + xy sin(x-y)
 # ---------------------------------------------------------------------------
 # The minimax problem min_x max_y f is cast as a bilevel problem with lower
-# objective g = -f.  The partials take single points with `math`, whose calls
-# cost far less than numpy's on scalars, or lane arrays with numpy.
+# objective g = -f.
 
-def _mm_f(a, b, lib=math):
-    return (a * a - b * b) * lib.sin(a + b) + a * b * lib.sin(a - b)
+def _mm_f(a, b):
+    return (a * a - b * b) * np.sin(a + b) + a * b * np.sin(a - b)
 
 
-def _mm_fy(a, b, lib=math):
+def _mm_fy(a, b):
     d, s = a - b, a + b
-    return (-a * b * lib.cos(d) + a * lib.sin(d)
-            - 2.0 * b * lib.sin(s) + (a * a - b * b) * lib.cos(s))
+    return (-a * b * np.cos(d) + a * np.sin(d)
+            - 2.0 * b * np.sin(s) + (a * a - b * b) * np.cos(s))
 
 
-def _mm_fyy(a, b, lib=math):
-    return (-a * b * lib.sin(a - b) - 2.0 * a * lib.cos(a - b)
-            - 4.0 * b * lib.cos(a + b) - (a * a - b * b) * lib.sin(a + b)
-            - 2.0 * lib.sin(a + b))
+def _mm_fyy(a, b):
+    return (-a * b * np.sin(a - b) - 2.0 * a * np.cos(a - b)
+            - 4.0 * b * np.cos(a + b) - (a * a - b * b) * np.sin(a + b)
+            - 2.0 * np.sin(a + b))
 
 
-def _mm_fxy(a, b, lib=math):
-    return (a * b * lib.sin(a - b) + a * lib.cos(a - b)
-            + 2.0 * a * lib.cos(a + b) - b * lib.cos(a - b)
-            - 2.0 * b * lib.cos(a + b) + (b * b - a * a) * lib.sin(a + b)
-            + lib.sin(a - b))
+def _mm_fxy(a, b):
+    return (a * b * np.sin(a - b) + a * np.cos(a - b)
+            + 2.0 * a * np.cos(a + b) - b * np.cos(a - b)
+            - 2.0 * b * np.cos(a + b) + (b * b - a * a) * np.sin(a + b)
+            + np.sin(a - b))
 
 
 def minimax_gradient(x, y):
@@ -150,27 +154,19 @@ def builtin_minimax() -> BilevelProblem:
     """Nonconvex-nonconcave minimax test problem as a bilevel bundle (n=m=1)."""
 
     def f(x, y):
-        if x.ndim == 1:
-            return _mm_f(x[0], y[0])
-        return _mm_f(x[:, 0], y[:, 0], np)
+        return _mm_f(x[:, 0], y[:, 0])
 
     def g(x, y):
         return -f(x, y)
 
     def grad_y_g(x, y):
-        if x.ndim == 1:
-            return np.array([-_mm_fy(x[0], y[0])])
-        return -_mm_fy(x[:, 0], y[:, 0], np)[:, None]
+        return -_mm_fy(x[:, 0], y[:, 0])[:, None]
 
     def hess_yy_g(x, y):
-        if x.ndim == 1:
-            return np.array([[-_mm_fyy(x[0], y[0])]])
-        return -_mm_fyy(x[:, 0], y[:, 0], np)[:, None, None]
+        return -_mm_fyy(x[:, 0], y[:, 0])[:, None, None]
 
     def grad_x_grad_y_g(x, y):
-        if x.ndim == 1:
-            return np.array([[-_mm_fxy(x[0], y[0])]])
-        return -_mm_fxy(x[:, 0], y[:, 0], np)[:, None, None]
+        return -_mm_fxy(x[:, 0], y[:, 0])[:, None, None]
 
     return BilevelProblem(
         n=1, m=1,
@@ -189,36 +185,35 @@ def builtin_minimax() -> BilevelProblem:
 # f(x,y) = y separates the two lower-level branches, so the hyperfunction
 # jumps at x = 0 where gradient descent from y0 = 0 stalls on the hump.
 # Like the other builtins below, the oracles compute on the components
-# _part(x, j), _part(y, 0) and add the trailing axes of the lane convention
-# at the end.  Powers are spelled as products, and polynomials in y in Horner
-# form, wherever that suffices: a product or a sum rounds a single point as
-# it rounds a lane, while on a scalar `**` rounds differently from numpy's
-# array power in a few percent of cases.  The one power left, in the fold's
-# confinement term, is np.power, which rounds both alike.
+# x[:, j], y[:, 0] and add the trailing axes of the lane convention at the
+# end.  Powers are spelled as products, and polynomials in y in Horner form,
+# wherever that suffices; the one power left, in the fold's confinement term,
+# is np.power.  The arithmetic is elementwise, so each lane has the bits of
+# its point evaluated as a batch of one.
 
 _DOUBLE_WELL_F_BAR = 5.33  # 1.5 x max|y| over the sublevel grid (max 3.553)
 
 
 def builtin_shifted_double_well() -> BilevelProblem:
     def f(x, y):
-        return _part(y, 0)
+        return y[:, 0]
 
     def g(x, y):
-        u = _part(y, 0) - _part(x, 0)
+        u = y[:, 0] - x[:, 0]
         u2 = u * u
         return u2 * u2 - 2.0 * u2
 
     def grad_y_g(x, y):
-        u = _part(y, 0) - _part(x, 0)
-        return (4.0 * u * u * u - 4.0 * u)[..., None]
+        u = y[:, 0] - x[:, 0]
+        return (4.0 * u * u * u - 4.0 * u)[:, None]
 
     def hess_yy_g(x, y):
-        u = _part(y, 0) - _part(x, 0)
-        return (12.0 * u * u - 4.0)[..., None, None]
+        u = y[:, 0] - x[:, 0]
+        return (12.0 * u * u - 4.0)[:, None, None]
 
     def grad_x_grad_y_g(x, y):
-        u = _part(y, 0) - _part(x, 0)
-        return (-(12.0 * u * u - 4.0))[..., None, None]
+        u = y[:, 0] - x[:, 0]
+        return (-(12.0 * u * u - 4.0))[:, None, None]
 
     return BilevelProblem(
         n=1, m=1,
@@ -250,36 +245,36 @@ def _fold_overhang(y):
 
 def builtin_fold_family() -> BilevelProblem:
     def f(x, y):
-        return _part(x, 0) + _part(y, 0)
+        return x[:, 0] + y[:, 0]
 
     def g(x, y):
-        x1 = _part(x, 0)
-        yy = _part(y, 0)
+        x1 = x[:, 0]
+        yy = y[:, 0]
         r = _fold_overhang(yy)
         r2 = r * r
         return ((1.0 - 2.0 * x1) * yy + (3.0 * x1 - 2.0 * x1 * x1) * (yy * yy * yy)
                 + _FOLD_CONF * (r2 * r2))
 
     def grad_y_g(x, y):
-        x1 = _part(x, 0)
-        yy = _part(y, 0)
+        x1 = x[:, 0]
+        yy = y[:, 0]
         r = _fold_overhang(yy)
         return ((1.0 - 2.0 * x1)
                 + 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy * yy
-                + 4.0 * _FOLD_CONF * np.power(r, 3) * np.sign(yy))[..., None]
+                + 4.0 * _FOLD_CONF * np.power(r, 3) * np.sign(yy))[:, None]
 
     def hess_yy_g(x, y):
-        x1 = _part(x, 0)
-        yy = _part(y, 0)
+        x1 = x[:, 0]
+        yy = y[:, 0]
         r = _fold_overhang(yy)
         return (6.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
-                + 12.0 * _FOLD_CONF * r * r)[..., None, None]
+                + 12.0 * _FOLD_CONF * r * r)[:, None, None]
 
     def grad_x_grad_y_g(x, y):
-        x1 = _part(x, 0)
-        yy = _part(y, 0)
+        x1 = x[:, 0]
+        yy = y[:, 0]
         d1 = -2.0 + 3.0 * (3.0 - 4.0 * x1) * yy * yy
-        return np.stack([d1, np.zeros_like(d1)], axis=-1)[..., None, :]
+        return np.stack([d1, np.zeros_like(d1)], axis=-1)[:, None, :]
 
     return BilevelProblem(
         n=2, m=1,
@@ -313,33 +308,33 @@ def _q_c2(x1, x2):
 
 def builtin_quartic_family() -> BilevelProblem:
     def f(x, y):
-        return _part(x, 0) + _part(y, 0)
+        return x[:, 0] + y[:, 0]
 
     def g(x, y):
-        c3 = _q_c3(_part(x, 0), _part(x, 1))
-        c2 = _q_c2(_part(x, 0), _part(x, 1))
-        yy = _part(y, 0)
+        c3 = _q_c3(x[:, 0], x[:, 1])
+        c2 = _q_c2(x[:, 0], x[:, 1])
+        yy = y[:, 0]
         return (((yy + c3) * yy + c2) * yy + c3) * yy
 
     def grad_y_g(x, y):
-        c3 = _q_c3(_part(x, 0), _part(x, 1))
-        c2 = _q_c2(_part(x, 0), _part(x, 1))
-        yy = _part(y, 0)
-        return (((4.0 * yy + 3.0 * c3) * yy + 2.0 * c2) * yy + c3)[..., None]
+        c3 = _q_c3(x[:, 0], x[:, 1])
+        c2 = _q_c2(x[:, 0], x[:, 1])
+        yy = y[:, 0]
+        return (((4.0 * yy + 3.0 * c3) * yy + 2.0 * c2) * yy + c3)[:, None]
 
     def hess_yy_g(x, y):
-        c3 = _q_c3(_part(x, 0), _part(x, 1))
-        c2 = _q_c2(_part(x, 0), _part(x, 1))
-        yy = _part(y, 0)
-        return ((12.0 * yy + 6.0 * c3) * yy + 2.0 * c2)[..., None, None]
+        c3 = _q_c3(x[:, 0], x[:, 1])
+        c2 = _q_c2(x[:, 0], x[:, 1])
+        yy = y[:, 0]
+        return ((12.0 * yy + 6.0 * c3) * yy + 2.0 * c2)[:, None, None]
 
     def grad_x_grad_y_g(x, y):
-        x1, x2 = _part(x, 0), _part(x, 1)
-        yy = _part(y, 0)
+        x1, x2 = x[:, 0], x[:, 1]
+        yy = y[:, 0]
         dc3 = np.stack([2.0 * x1 - 5.0 * x2 - 7.0, -5.0 * x1 + 4.0 * x2 + 8.0], axis=-1)
         dc2 = np.stack([2.0 * x1 - 3.0 * x2 - 5.0, -3.0 * x1 + 8.0 * x2 + 2.0], axis=-1)
-        row = (3.0 * yy * yy + 1.0)[..., None] * dc3 + (2.0 * yy)[..., None] * dc2
-        return row[..., None, :]
+        row = (3.0 * yy * yy + 1.0)[:, None] * dc3 + (2.0 * yy)[:, None] * dc2
+        return row[:, None, :]
 
     return BilevelProblem(
         n=2, m=1,

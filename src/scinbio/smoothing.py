@@ -16,6 +16,7 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, EstimatorError
 from .lower import LowerSolverConfig, run_lower_lean
+from .problems import call_oracle
 
 __all__ = [
     "SmoothingConfig", "GradientEstimate", "GradientEstimates",
@@ -33,8 +34,8 @@ class SmoothingConfig:
 
     def __post_init__(self):
         msgs = []
-        if not self.xi > 0:
-            msgs.append("xi must be positive")
+        if not 0 < self.xi < math.inf:
+            msgs.append("xi must be positive and finite")
         if self.master_seed < 0:
             msgs.append("master_seed must be nonnegative")
         if msgs:
@@ -62,28 +63,24 @@ class GradientEstimates:
     infeasible_count: int
 
 
-def _checked_points(problem, x, n_samples, lower, phi, n_points=None):
-    """x as a float array of points (S, n), after the checks both estimators
-    share; n_points=None takes x as one point (n,)."""
+def _samples(problem, x, n_samples, smoothings, lower, stream_tag, phi):
+    """The checks both estimators share, then the configs, each point's N
+    directions u (S, N, n) from its own stream and `_sample_values` there."""
+    configs = list(smoothings)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if problem is None and phi is None:
         raise ValueError("need a problem or a direct phi hook")
     x = np.asarray(x, dtype=float)
-    if n_points is None:
-        x = x.reshape(1, -1)
-    elif x.ndim != 2 or x.shape[0] != n_points:
-        raise ValueError(f"x must hold {n_points} points as rows, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] != len(configs):
+        raise ValueError(f"x must hold {len(configs)} points as rows, got shape {x.shape}")
     if problem is not None and x.shape[1] != problem.n:
         raise ValueError(f"x must have dimension {problem.n}")
     if phi is None and lower is None:
         raise ValueError("a lower-solver config is required without a phi hook")
-    return x
-
-
-def _draw_directions(smoothing, stream_tag, n_samples, n):
-    gen = rng.stream(smoothing.master_seed, rng.DOMAIN_ESTIMATOR, stream_tag)
-    return gen.standard_normal((n_samples, n))
+    u = np.stack([rng.stream(c.master_seed, rng.DOMAIN_ESTIMATOR, stream_tag)
+                  .standard_normal((n_samples, x.shape[1])) for c in configs])
+    return (configs, u) + _sample_values(problem, x, u, [c.xi for c in configs], lower, phi)
 
 
 def _sample_values(problem, points, u, xis, lower, phi):
@@ -112,7 +109,7 @@ def _sample_values(problem, points, u, xis, lower, phi):
         owner, sample = np.nonzero(feasible)
         res = run_lower_lean(problem, lanes, lower)
         with np.errstate(all="ignore"):  # a failed lane's value is NaN; reported below
-            values[feasible] = problem.f(lanes, res.y_hat)
+            values[feasible] = call_oracle(problem, "f", lanes, res.y_hat)
         per_point = {key: np.bincount(owner, weights=res.oracle_counts[key], minlength=S)
                      for key in ("g", "grad", "hess")}
         per_point["f"] = np.bincount(owner, minlength=S)
@@ -133,31 +130,23 @@ def _sample_values(problem, points, u, xis, lower, phi):
     return values, (~feasible).sum(axis=1), counts, errors
 
 
-def estimate_hypergradient(problem, x, n_samples, smoothing,
+def estimate_hypergradient(problem, x, n_samples, smoothings,
                            lower: Optional[LowerSolverConfig] = None,
                            stream_tag: int = 0,
-                           phi: Optional[Callable] = None):
-    """Monte Carlo estimate (1/(N xi)) sum_i u_i f(x + xi u_i, y_hat(x + xi u_i)).
+                           phi: Optional[Callable] = None) -> GradientEstimates:
+    """Monte Carlo estimates (1/(N xi)) sum_i u_i f(x + xi u_i, y_hat(x + xi u_i))
+    at the S points x (S, n), one SmoothingConfig per point.
 
-    Directions are drawn deterministically from (master_seed, stream_tag);
-    each feasible sample runs a cold-started lower solve, infeasible samples
-    contribute f_bar.  With one SmoothingConfig, x is one point (n,) and the
-    result a GradientEstimate (a failure raises EstimatorError).  With a
-    sequence of S configs, x holds S points (S, n), each drawing from its own
-    config's stream, and the result is a GradientEstimates: the lower solves
-    of all points share one batched solve, and a failure stops only its point.
+    Each point draws its N directions deterministically from (master_seed,
+    stream_tag) of its own config; each feasible sample runs a cold-started
+    lower solve and infeasible samples contribute f_bar.  The lower solves of
+    all points share one batched solve, and a failure stops only its point.
     `phi` is a test hook that replaces the (f, lower-solve) pipeline with a
     direct scalar function; pass problem=None with it to disable the
     feasibility cap entirely.
     """
-    single = isinstance(smoothing, SmoothingConfig)
-    configs = [smoothing] if single else list(smoothing)
-    points = _checked_points(problem, x, n_samples, lower, phi,
-                             None if single else len(configs))
-    u = np.stack([_draw_directions(c, stream_tag, n_samples, points.shape[1])
-                  for c in configs])
-    values, infeasible, counts, errors = _sample_values(
-        problem, points, u, [c.xi for c in configs], lower, phi)
+    configs, u, values, infeasible, counts, errors = _samples(
+        problem, x, n_samples, smoothings, lower, stream_tag, phi)
     estimates = []
     for s, c in enumerate(configs):
         if errors[s] is not None:
@@ -168,31 +157,25 @@ def estimate_hypergradient(problem, x, n_samples, smoothing,
                                           per_sample_f=values[s].tolist(),
                                           infeasible_count=int(infeasible[s]),
                                           oracle_counts=counts[s]))
-    if not single:
-        done = [e for e in estimates if isinstance(e, GradientEstimate)]
-        return GradientEstimates(estimates, sum(e.samples_used for e in done),
-                                 sum(e.infeasible_count for e in done))
-    if errors[0] is not None:
-        raise errors[0]
-    return estimates[0]
+    done = [e for e in estimates if isinstance(e, GradientEstimate)]
+    return GradientEstimates(estimates, sum(e.samples_used for e in done),
+                             sum(e.infeasible_count for e in done))
 
 
-def estimate_smoothed_value(problem, x, n_samples, smoothing: SmoothingConfig,
+def estimate_smoothed_value(problem, x, n_samples, smoothings,
                             lower: Optional[LowerSolverConfig] = None,
                             stream_tag: int = 0,
-                            phi: Optional[Callable] = None) -> float:
-    """Monte Carlo estimate (1/N) sum_i f_i of the smoothed hyperfunction value.
+                            phi: Optional[Callable] = None) -> list:
+    """Monte Carlo estimates (1/N) sum_i f_i of the smoothed hyperfunction value
+    at the S points x (S, n), one SmoothingConfig per point.
 
     Shares the sampling scheme and f_bar convention of the gradient estimator:
     the same (master_seed, stream_tag) reproduces the same sample points.
+    Returns, per point, its value or the EstimatorError that stopped it.
     """
-    x = _checked_points(problem, x, n_samples, lower, phi)
-    u = _draw_directions(smoothing, stream_tag, n_samples, x.shape[1])
-    values, _, _, errors = _sample_values(problem, x, u[None], [smoothing.xi],
-                                          lower, phi)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(values[0].mean())
+    configs, _, values, _, _, errors = _samples(
+        problem, x, n_samples, smoothings, lower, stream_tag, phi)
+    return [errors[s] or float(values[s].mean()) for s in range(len(configs))]
 
 
 def smoothed_step_reference(x, xi):

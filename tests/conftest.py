@@ -4,6 +4,7 @@ import pytest
 from scinbio import (BilevelProblem, box_set, builtin_fold_family,
                      builtin_minimax, builtin_quartic_family,
                      builtin_shifted_double_well, scan_bifurcation_set)
+from scinbio.problems import call_oracle
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +57,13 @@ def quadratic_problem(m=2, y0=None):
     return BilevelProblem(n=1, m=m, f=f, g=g, grad_y_g=grad, hess_yy_g=hess,
                           grad_x_grad_y_g=cross, y0=y0, f_bar=10.0,
                           feasible_set=box_set([-1.0], [1.0]))
+
+
+def at(problem, oracle, x, y):
+    """Oracle `oracle` of `problem` at the one point (x, y), run as a batch of
+    one lane: the output without its lane axis."""
+    return call_oracle(problem, oracle, np.asarray(x, dtype=float)[None, :],
+                       np.asarray(y, dtype=float)[None, :])[0]
 
 
 def central_diff_grad(fun, y, step):

@@ -146,7 +146,7 @@ def test_criterion_3_estimator_closed_form():
     checks = []
     for tag, x in enumerate((-0.5, 0.0, 0.5)):
         n = 100000
-        val = estimate_smoothed_value(None, [x], n, cfg, stream_tag=tag, phi=phi)
+        val, = estimate_smoothed_value(None, [[x]], n, [cfg], stream_tag=tag, phi=phi)
         ref, _ = smoothed_step_reference(x, xi)
         u = rng_mod.stream(cfg.master_seed, rng_mod.DOMAIN_ESTIMATOR,
                            tag).standard_normal((n, 1))[:, 0]
@@ -154,7 +154,7 @@ def test_criterion_3_estimator_closed_form():
         se = samples.std(ddof=1) / math.sqrt(n)
         checks.append(abs(val - ref) <= 3 * se)
     n = 1000000
-    est = estimate_hypergradient(None, [0.0], n, cfg, stream_tag=9, phi=phi)
+    est, = estimate_hypergradient(None, [[0.0]], n, [cfg], stream_tag=9, phi=phi).per_point
     _, dref = smoothed_step_reference(0.0, xi)
     u = rng_mod.stream(cfg.master_seed, rng_mod.DOMAIN_ESTIMATOR,
                        9).standard_normal((n, 1))[:, 0]
@@ -193,8 +193,8 @@ def test_criterion_4_gradient_bound(minimax, double_well, fold, quartic):
             x = gen.uniform(lo, hi)
             batch = []
             for _ in range(10):
-                est = estimate_hypergradient(problem, x, 10, cfg, lower,
-                                             stream_tag=tag)
+                est, = estimate_hypergradient(problem, [x], 10, [cfg], lower,
+                                              stream_tag=tag).per_point
                 assert max(abs(v) for v in est.per_sample_f) <= problem.f_bar
                 batch.append(est.value)
                 tag += 1
@@ -244,15 +244,17 @@ def test_criterion_5_subproblem_oracle():
 
 def test_criterion_6_two_phase_cubic_newton(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
-    x = np.array([0.0])
+    x = np.array([[0.0]])
     res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.1])), x, cfg)
-    lam = double_well.hess_yy_g(x, res.y_hat)[0, 0]
-    ok_basin = abs(res.y_hat[0] - 1.0) <= 1e-6 and lam > 0
+    lam = double_well.hess_yy_g(x, res.y_hat)[0, 0, 0]
+    y_hat = res.y_hat[0, 0]
+    ok_basin = abs(y_hat - 1.0) <= 1e-6 and lam > 0
     res_saddle = solve_lower(dataclasses.replace(double_well, y0=np.array([0.0])), x, cfg)
-    ok_escape = abs(res_saddle.y_hat[0]) >= 0.5
+    y_saddle = res_saddle.y_hat[0, 0]
+    ok_escape = abs(y_saddle) >= 0.5
     report(6, ok_basin and ok_escape,
-           f"|y_hat - 1| = {abs(res.y_hat[0] - 1.0):.2e}, lambda_min = {lam:.2f} > 0, "
-           f"saddle escape |y_hat| = {abs(res_saddle.y_hat[0]):.3f} >= 0.5")
+           f"|y_hat - 1| = {abs(y_hat - 1.0):.2e}, lambda_min = {lam:.2f} > 0, "
+           f"saddle escape |y_hat| = {abs(y_saddle):.3f} >= 0.5")
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +302,7 @@ def test_criterion_9_rate_proxy():
     lower = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=5)
     sched = default_schedules(n=1, d_hat=0.0, base_k=1, n_max=256)
     outer = OuterConfig(T=1600, beta=beta, schedules=sched)
-    trace = run_scinbio(problem, outer, lower, smoothing, x0=[2.0], phi=quad_phi)
+    trace, = run_scinbio(problem, outer, lower, [smoothing], x0=[[2.0]], phi=quad_phi).traces
     sq = trace.mapping_norms() ** 2
     m100, m400, m1600 = sq[:100].mean(), sq[:400].mean(), sq[:1600].mean()
     ok = m400 <= m100 / 2.0 and m1600 <= m400 / 2.0

@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from scinbio import builtin_minimax, scan_bifurcation_set
+from scinbio import (LowerSolverConfig, SmoothingConfig, builtin_minimax,
+                     estimate_hypergradient, gradient_mapping, scan_bifurcation_set)
 from scinbio import cli
 from scinbio.cli import main, parse_seed_list
 from scinbio.outer import canonical_json
@@ -65,6 +66,31 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys, argv, key):
     assert code == 2
     assert f"config error: {key} must be nonnegative" in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("gda", "gda.step"), ("run", "outer.beta"), ("run", "smoothing.xi"),
+    ("run", "lower.M"), ("run", "lower.eta")])
+def test_infinite_values_exit_2(tmp_path, capsys, command, key):
+    out = tmp_path / "o"
+    code = run_cli(command, "--seed", "0", "--out", str(out), "--set", f"{key}=inf",
+                   "--set", "outer.T=5", "--set", "lower.K=5", "--set", "gda.max_steps=10")
+    assert code == 2
+    assert f"config error: {key} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_booleans_parse_only_their_spellings(tmp_path, capsys):
+    for text in ("1", "true", "Yes", " on "):
+        assert cli._parse_bool(text) is True
+    for text in ("0", "False", "no", "off"):
+        assert cli._parse_bool(text) is False
+    out = tmp_path / "o"
+    code = run_cli("run", "--seed", "0", "--out", str(out), "--set", "audit=ture",
+                   "--set", "outer.T=5", "--set", "lower.K=5")
+    assert code == 2
+    assert "config error: config key 'audit': cannot parse 'ture'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -253,6 +279,24 @@ def test_workers_must_be_positive(tmp_path, capsys, value):
     assert code == 2
     assert "config error: workers must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_audit_re_estimates_at_the_final_point(tmp_path, minimax):
+    # --audit: 1024 fresh samples at x_final from stream T + 1 of the seed's
+    # config, the same numbers as a one-point estimate made directly
+    out = tmp_path / "out"
+    assert run_cli("run", "--problem", "minimax", "--seed", "3", "--out", str(out), "--audit",
+                   "--set", "outer.T=20", "--set", "lower.K=30", "--set", "emit=json") == 0
+    summary = json.loads((out / "summary_seed3.json").read_text())
+    x_final = np.array(summary["final"]["x_final"])
+    lower = LowerSolverConfig(method="gradient_descent", eta=0.01, M=32.0, max_iters=30)
+    est, = estimate_hypergradient(minimax, [x_final], 1024,
+                                  [SmoothingConfig(xi=0.05, master_seed=2024 + 3)], lower,
+                                  stream_tag=21).per_point
+    gm = gradient_mapping(x_final, est.value, 0.005, minimax.feasible_set)
+    assert summary["audit"]["n_samples"] == 1024
+    assert math.isfinite(summary["audit"]["mapping_norm"])
+    assert summary["audit"]["mapping_norm"] == float(np.linalg.norm(gm))
 
 
 def test_run_config_echo_is_resolved(tmp_path):

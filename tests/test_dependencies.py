@@ -1,6 +1,7 @@
 """The runtime needs numpy and the standard library only; SciPy is a test dependency."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -25,4 +26,17 @@ def test_sources_do_not_name_scipy():
                 with open(path, encoding="utf-8") as fh:
                     hits += [f"{path}:{i}" for i, line in enumerate(fh, 1)
                              if "scipy" in line.lower()]
+    assert hits == []
+
+
+def test_only_problems_calls_bundle_oracles():
+    # every other module calls an oracle through problems.call_oracle, the one
+    # place that checks the lane convention's output shapes
+    direct = re.compile(r"\.(f|g|grad_y_g|hess_yy_g|grad_x_grad_y_g)\(")
+    package = os.path.join(SRC, "scinbio")
+    hits = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "problems.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                hits += [f"{name}:{i}" for i, line in enumerate(fh, 1) if direct.search(line)]
     assert hits == []

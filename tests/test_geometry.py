@@ -72,7 +72,7 @@ def test_roots_satisfy_gradient_tolerance(quartic):
         recs = find_stationary_points_1d(quartic, x, (-250.0, 250.0), 3000)
         assert recs  # coercive quartic always has a stationary point
         for r in recs:
-            gv = float(np.atleast_1d(quartic.grad_y_g(x, r.y))[0])
+            gv = float(quartic.grad_y_g(x[None, :], r.y[None, :])[0, 0])
             assert abs(gv) <= 1e-10 * (1.0 + abs(r.y[0]))
 
 
@@ -336,17 +336,17 @@ def test_fold_conditions_reject_cusp_like():
 def test_fold_conditions_reject_double_zero_eigenvalue():
     # m = 2 with hess = diag(0, 0) at the origin: condition (1) fails
     def g(x, y):
-        return 0.25 * float(np.dot(y, y)) ** 2 + x[0] * (y[0] + y[1])
+        return 0.25 * (y * y).sum(axis=1) ** 2 + x[:, 0] * (y[:, 0] + y[:, 1])
 
     def grad(x, y):
-        return float(np.dot(y, y)) * np.asarray(y, dtype=float) + x[0]
+        return (y * y).sum(axis=1, keepdims=True) * y + x[:, :1]
 
     def hess(x, y):
-        yy = np.asarray(y, dtype=float)
-        return float(np.dot(yy, yy)) * np.eye(2) + 2.0 * np.outer(yy, yy)
+        return ((y * y).sum(axis=1)[:, None, None] * np.eye(2)
+                + 2.0 * y[:, :, None] * y[:, None, :])
 
-    p = BilevelProblem(n=1, m=2, f=lambda x, y: float(y[0]), g=g, grad_y_g=grad,
-                       hess_yy_g=hess, grad_x_grad_y_g=lambda x, y: np.ones((2, 1)),
+    p = BilevelProblem(n=1, m=2, f=lambda x, y: y[:, 0], g=g, grad_y_g=grad,
+                       hess_yy_g=hess, grad_x_grad_y_g=lambda x, y: np.ones((len(y), 2, 1)),
                        y0=np.zeros(2), f_bar=10.0,
                        feasible_set=box_set([-1.0], [1.0]))
     rec = StationaryPointRecord(x=arr(0.0), y=arr(0.0, 0.0), grad_norm=0.0,

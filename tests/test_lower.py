@@ -233,28 +233,30 @@ def test_subproblem_rejects_bad_inputs():
 
 def test_cubic_newton_double_well(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
-    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.1])), np.array([0.0]), cfg)
-    assert abs(res.y_hat[0] - 1.0) <= 1e-6
-    assert abs(double_well.g(np.array([0.0]), res.y_hat) - (-1.0)) <= 1e-10
-    assert res.oracle_counts["grad"] == 31
-    assert res.oracle_counts["hess"] == 31
+    x = np.array([[0.0]])
+    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.1])), x, cfg)
+    assert abs(res.y_hat[0, 0] - 1.0) <= 1e-6
+    assert abs(double_well.g(x, res.y_hat)[0] - (-1.0)) <= 1e-10
+    assert res.oracle_counts["grad"][0] == 31
+    assert res.oracle_counts["hess"][0] == 31
 
 
 def test_cubic_newton_quadratic_one_step():
     p = quadratic_problem(m=2, y0=[0.8, -0.6])
     cfg = LowerSolverConfig(method="cubic_newton", M=1.0, max_iters=1)
-    res = solve_lower(p, np.array([0.0]), cfg)
+    res = solve_lower(p, np.array([[0.0]]), cfg)
     step = solve_cubic_subproblem(p.y0, np.eye(2), 1.0)
-    assert np.abs(res.iterates[1] - (p.y0 + step.s)).max() <= 1e-14
-    assert np.linalg.norm(res.iterates[1]) < np.linalg.norm(p.y0)
+    assert np.abs(res.iterates[1, 0] - (p.y0 + step.s)).max() <= 1e-14
+    assert np.linalg.norm(res.iterates[1, 0]) < np.linalg.norm(p.y0)
 
 
 def test_cubic_newton_escapes_saddle(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=10)
-    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.0])), np.array([0.0]), cfg)
+    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.0])), np.array([[0.0]]),
+                      cfg)
     # first step solves the pure negative-curvature model: |s| = 2*4/24
-    assert abs(abs(res.iterates[1][0]) - 1.0 / 3.0) <= 1e-12
-    assert abs(res.y_hat[0]) >= 0.5
+    assert abs(abs(res.iterates[1, 0, 0]) - 1.0 / 3.0) <= 1e-12
+    assert abs(res.y_hat[0, 0]) >= 0.5
 
 
 def test_cubic_newton_descends_on_builtins(minimax, double_well, fold, quartic):
@@ -264,29 +266,30 @@ def test_cubic_newton_descends_on_builtins(minimax, double_well, fold, quartic):
         lo, hi = problem.feasible_set.bbox
         cfg = LowerSolverConfig(method="cubic_newton", M=M, max_iters=12)
         for _ in range(5):
-            x = rng.uniform(lo, hi)
+            x = rng.uniform(lo, hi)[None, :]
             res = solve_lower(problem, x, cfg)
-            gs = [problem.g(x, y) for y in res.iterates]
+            gs = problem.g(np.repeat(x, len(res.iterates), axis=0), res.iterates[:, 0])
             assert all(b <= a + 1e-12 for a, b in zip(gs, gs[1:]))
-            assert problem.g(x, res.y_hat) <= problem.g(x, problem.y0) + 1e-12
+            assert problem.g(x, res.y_hat)[0] <= problem.g(x, problem.y0[None, :])[0] + 1e-12
 
 
 def test_cubic_newton_two_phase(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
-    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.1])), np.array([0.0]), cfg)
-    nus = np.array(res.stationarity_measures)
+    x = np.array([[0.0]])
+    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.1])), x, cfg)
+    nus = res.stationarity_measures[:, 0]
     cummin = np.minimum.accumulate(nus)
     assert cummin[-1] < nus[0]
     assert (np.diff(cummin) <= 0).all()
-    lam = double_well.hess_yy_g(np.array([0.0]), res.y_hat)[0, 0]
+    lam = double_well.hess_yy_g(x, res.y_hat)[0, 0, 0]
     assert lam > 0
 
 
 def test_cubic_newton_selection_ties_smallest_index():
     p = quadratic_problem(m=1, y0=[0.0])  # already optimal: nu = 0 at every k
     cfg = LowerSolverConfig(method="cubic_newton", M=1.0, max_iters=5)
-    res = solve_lower(p, np.array([0.0]), cfg)
-    assert res.selected_index == 0
+    res = solve_lower(p, np.array([[0.0]]), cfg)
+    assert res.selected_index[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +298,24 @@ def test_cubic_newton_selection_ties_smallest_index():
 
 def test_gd_double_well_converges(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=500)
-    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.5])), np.array([0.0]), cfg)
-    assert abs(res.y_hat[0] - 1.0) <= 1e-4
-    assert res.selected_index == len(res.iterates) - 1
+    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.5])), np.array([[0.0]]),
+                      cfg)
+    assert abs(res.y_hat[0, 0] - 1.0) <= 1e-4
+    assert res.selected_index[0] == res.oracle_counts["grad"][0] - 1  # the last iterate
 
 
 def test_gd_stalls_at_degenerate_start(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=200)
-    res = solve_lower(double_well, np.array([0.0]), cfg)
-    assert res.y_hat[0] == 0.0
-    assert all(y[0] == 0.0 for y in res.iterates)
+    res = solve_lower(double_well, np.array([[0.0]]), cfg)
+    assert res.y_hat[0, 0] == 0.0
+    assert all(y[0, 0] == 0.0 for y in res.iterates)
 
 
 def test_gd_zero_iterations(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=0)
-    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.7])), np.array([0.3]), cfg)
-    assert res.y_hat[0] == 0.7
+    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.7])), np.array([[0.3]]),
+                      cfg)
+    assert res.y_hat[0, 0] == 0.7
 
 
 def test_gd_stays_in_level_set(minimax, double_well, fold, quartic):
@@ -321,48 +326,58 @@ def test_gd_stays_in_level_set(minimax, double_well, fold, quartic):
         lo, hi = problem.feasible_set.bbox
         cfg = LowerSolverConfig(method="gradient_descent", eta=eta, max_iters=K)
         for _ in range(10):
-            x = rng.uniform(lo, hi)
+            x = rng.uniform(lo, hi)[None, :]
             res = solve_lower(problem, x, cfg)
-            g0 = problem.g(x, problem.y0)
-            assert all(problem.g(x, y) <= g0 + 1e-12 for y in res.iterates)
+            g0 = problem.g(x, problem.y0[None, :])[0]
+            gs = problem.g(np.repeat(x, len(res.iterates), axis=0), res.iterates[:, 0])
+            assert all(g <= g0 + 1e-12 for g in gs)
 
 
 def test_gd_early_exit():
     p = quadratic_problem(m=1, y0=[1.0])
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.5, max_iters=1000,
                             grad_tol=1e-6)
-    res = solve_lower(p, np.array([0.0]), cfg)
-    assert res.grad_norms[-1] <= 1e-6
-    assert len(res.iterates) < 1001
+    res = solve_lower(p, np.array([[0.0]]), cfg)
+    n = res.oracle_counts["grad"][0]  # the iterates the lane ran
+    assert res.grad_norms[n - 1, 0] <= 1e-6
+    assert n < 1001
 
 
 def test_gd_nonfinite_raises():
     p = quadratic_problem(m=1, y0=[1.0])
     cfg = LowerSolverConfig(method="gradient_descent", eta=1e300, max_iters=50)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(LowerSolveError):
-            solve_lower(p, np.array([0.0]), cfg)
+        res = solve_lower(p, np.array([[0.0]]), cfg)
+    assert isinstance(res.errors[0], LowerSolveError)
 
 
 def assert_lanes_match_single_solves(problem, xs, cfg):
-    """Solving the rows of xs together equals solving them one at a time, bit
-    for bit; returns the batched result."""
+    """Solving the rows of xs together equals solving each as a batch of one
+    lane, bit for bit; returns the batched result."""
     batch = run_lower_lean(problem, xs, cfg)
-    for lane, x in enumerate(xs):
-        single = solve_lower(problem, x, cfg)
-        n = single.oracle_counts["grad"]
-        assert batch.y_hat[lane].tobytes() == single.y_hat.tobytes()
-        assert batch.selected_index[lane] == single.selected_index
+    for lane in range(len(xs)):
+        single = solve_lower(problem, xs[lane:lane + 1], cfg)
+        n = single.oracle_counts["grad"][0]
+        assert batch.y_hat[lane].tobytes() == single.y_hat[0].tobytes()
+        assert batch.selected_index[lane] == single.selected_index[0]
         assert {k: int(v[lane]) for k, v in batch.oracle_counts.items()} == \
-            single.oracle_counts
-        assert batch.errors[lane] is None
-        assert np.array_equal(batch.iterates[:n, lane], np.array(single.iterates))
-        assert batch.grad_norms[:n, lane].tolist() == single.grad_norms
+            {k: int(v[0]) for k, v in single.oracle_counts.items()}
+        assert batch.errors[lane] is None and single.errors[0] is None
+        assert np.array_equal(batch.iterates[:n, lane], single.iterates[:n, 0])
+        assert batch.grad_norms[:n, lane].tolist() == single.grad_norms[:n, 0].tolist()
         assert np.isnan(batch.grad_norms[n:, lane]).all()
         if cfg.method == "cubic_newton":
             assert batch.stationarity_measures[:n, lane].tolist() == \
-                single.stationarity_measures
+                single.stationarity_measures[:n, 0].tolist()
     return batch
+
+
+def assert_same_solve(a, b):
+    """Two solves of the same lanes agree in y_hat, selection and oracle counts."""
+    assert np.array_equal(a.y_hat, b.y_hat)
+    assert np.array_equal(a.selected_index, b.selected_index)
+    assert a.oracle_counts.keys() == b.oracle_counts.keys()
+    assert all(np.array_equal(a.oracle_counts[k], b.oracle_counts[k]) for k in a.oracle_counts)
 
 
 def test_lean_path_matches_recording_solver(minimax, double_well):
@@ -370,11 +385,8 @@ def test_lean_path_matches_recording_solver(minimax, double_well):
     # solver: a batch of lanes equals single-point recording solves
     for problem, eta in [(minimax, 0.01), (double_well, 0.02)]:
         cfg = LowerSolverConfig(method="gradient_descent", eta=eta, max_iters=50)
-        x = np.array([0.4] * problem.n)
-        full = solve_lower(problem, x, cfg)
-        lean = run_lower_lean(problem, x, cfg)
-        assert np.array_equal(lean.y_hat, full.y_hat)
-        assert lean.oracle_counts == full.oracle_counts
+        x = np.array([[0.4] * problem.n])
+        assert_same_solve(run_lower_lean(problem, x, cfg), solve_lower(problem, x, cfg))
         xs = np.linspace(-1.5, 1.5, 7).reshape(-1, 1)
         assert_lanes_match_single_solves(problem, xs, cfg)
 
@@ -384,14 +396,12 @@ def test_lean_path_matches_recording_solver(minimax, double_well):
 def test_lean_path_honours_selection(minimax, double_well, method, selection):
     for problem, x in [(minimax, [-0.1]), (double_well, [0.3])]:
         cfg = LowerSolverConfig(method=method, eta=0.2, M=24.0, max_iters=20)
-        full = solve_lower(problem, np.array(x), cfg)
-        lean = run_lower_lean(problem, np.array(x), cfg)
-        assert np.array_equal(lean.y_hat, full.y_hat)
-        assert lean.oracle_counts == full.oracle_counts
+        full = solve_lower(problem, np.array([x]), cfg)
+        assert_same_solve(run_lower_lean(problem, np.array([x]), cfg), full)
         if selection == "last":
-            assert full.selected_index == len(full.iterates) - 1
+            assert full.selected_index[0] == full.oracle_counts["grad"][0] - 1
         else:
-            assert full.selected_index == int(np.argmin(full.stationarity_measures))
+            assert full.selected_index[0] == int(np.argmin(full.stationarity_measures[:, 0]))
     # with grad_tol > 0 the lanes of one batch stop at different steps
     for problem, eta, M, lo, hi in [(minimax, 0.05, 32.0, -2.0, 2.0),
                                     (double_well, 0.05, 24.0, -1.5, 1.5)]:
@@ -421,17 +431,16 @@ def test_lean_path_checks_every_gradient(K):
         quadratic_problem(m=1, y0=[0.0]),
         grad_y_g=lambda x, y: np.where((y < 0.25) | (x <= 0.0), -1.0, math.nan))
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.25, max_iters=K)
-    x = np.array([0.5])
-    with pytest.raises(LowerSolveError) as full:
-        solve_lower(p, x, cfg)
-    with pytest.raises(LowerSolveError) as lean:
-        run_lower_lean(p, x, cfg)
-    assert str(lean.value) == str(full.value) == "non-finite gradient at lower-level step 1"
-    assert lean.value.iterate_index == full.value.iterate_index == 1
+    x = np.array([[0.5]])
+    full = solve_lower(p, x, cfg).errors[0]
+    lean = run_lower_lean(p, x, cfg).errors[0]
+    assert isinstance(full, LowerSolveError) and isinstance(lean, LowerSolveError)
+    assert str(lean) == str(full) == "non-finite gradient at lower-level step 1"
+    assert lean.iterate_index == full.iterate_index == 1
     batch = run_lower_lean(p, np.array([[-0.5], [0.5], [0.0], [0.7]]), cfg)
     assert [e is None for e in batch.errors] == [True, False, True, False]
     for lane in (1, 3):
-        assert str(batch.errors[lane]) == str(full.value)
+        assert str(batch.errors[lane]) == str(full)
         assert batch.errors[lane].iterate_index == 1
     for lane in (0, 2):
         assert batch.y_hat[lane, 0] == 0.25 * K
@@ -453,12 +462,12 @@ def test_lane_failures_name_step_and_cause(double_well, what):
         cfg = LowerSolverConfig(method="gradient_descent", eta=1e10, max_iters=6)
     xs = np.array([[0.5], [-0.5]])
     batch = run_lower_lean(p, xs, cfg)
-    with pytest.raises(LowerSolveError) as single:
-        solve_lower(p, xs[0], cfg)
-    assert str(batch.errors[0]) == str(single.value)
-    assert str(single.value).startswith(f"non-finite {what} at lower-level step ")
+    single = solve_lower(p, xs[:1], cfg).errors[0]
+    assert isinstance(single, LowerSolveError)
+    assert str(batch.errors[0]) == str(single)
+    assert str(single).startswith(f"non-finite {what} at lower-level step ")
     assert batch.errors[1] is None
-    assert batch.y_hat[1].tobytes() == solve_lower(p, xs[1], cfg).y_hat.tobytes()
+    assert batch.y_hat[1].tobytes() == solve_lower(p, xs[1:], cfg).y_hat[0].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -494,8 +503,8 @@ def test_permuting_or_splitting_a_batch_permutes_or_splits_results(data):
 def test_solve_lower_dispatch(double_well):
     gd = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=10)
     cn = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=10)
-    assert solve_lower(double_well, np.array([0.0]), gd).stationarity_measures == []
-    assert len(solve_lower(double_well, np.array([0.0]), cn).stationarity_measures) > 0
+    assert solve_lower(double_well, np.array([[0.0]]), gd).stationarity_measures == []
+    assert len(solve_lower(double_well, np.array([[0.0]]), cn).stationarity_measures) > 0
 
 
 def test_config_validation():

@@ -78,7 +78,7 @@ def test_quadratic_hook_converges():
     beta = 0.1 / (problem.f_bar / smoothing.xi ** 2)
     sched = default_schedules(n=1, d_hat=0.0, base_k=1, n_max=64)
     outer = OuterConfig(T=200, beta=beta, schedules=sched)
-    trace = run_scinbio(problem, outer, GD, smoothing, x0=[1.0], phi=quad_phi)
+    trace, = run_scinbio(problem, outer, GD, [smoothing], x0=[[1.0]], phi=quad_phi).traces
     assert abs(trace.x_final[0]) <= 0.05
     assert len(trace.rows) == 200
 
@@ -86,17 +86,24 @@ def test_quadratic_hook_converges():
 def test_zero_iterations_returns_projected_start():
     problem = hook_problem()
     outer = OuterConfig(T=0, beta=0.01)
-    trace = run_scinbio(problem, outer, GD, SmoothingConfig(xi=0.5, master_seed=0),
-                        x0=[7.0], phi=quad_phi)
+    trace, = run_scinbio(problem, outer, GD, [SmoothingConfig(xi=0.5, master_seed=0)],
+                         x0=[[7.0]], phi=quad_phi).traces
     assert trace.rows == []
     assert trace.x_out[0] == 3.0  # projected onto the box
+
+
+def test_default_start_is_the_box_center_for_every_seed():
+    problem = hook_problem(lo=-1.0, hi=2.0)
+    configs = [SmoothingConfig(xi=0.5, master_seed=seed) for seed in (0, 1)]
+    run = run_scinbio(problem, OuterConfig(T=0, beta=0.01), GD, configs, phi=quad_phi)
+    assert [trace.x_final.tolist() for trace in run.traces] == [[0.5], [0.5]]
 
 
 def test_iterates_stay_feasible_and_reprojection_fixed():
     problem = hook_problem(lo=-0.5, hi=0.5)
     smoothing = SmoothingConfig(xi=0.3, master_seed=5)
     outer = OuterConfig(T=50, beta=0.002)
-    trace = run_scinbio(problem, outer, GD, smoothing, x0=[0.4], phi=quad_phi)
+    trace, = run_scinbio(problem, outer, GD, [smoothing], x0=[[0.4]], phi=quad_phi).traces
     fs = problem.feasible_set
     for row in trace.rows[1:]:
         assert fs.contains(row.x)
@@ -107,8 +114,8 @@ def test_trace_is_bit_reproducible():
     problem = hook_problem()
     smoothing = SmoothingConfig(xi=0.5, master_seed=77)
     outer = OuterConfig(T=40, beta=0.005)
-    t1 = run_scinbio(problem, outer, GD, smoothing, x0=[0.7], phi=quad_phi)
-    t2 = run_scinbio(problem, outer, GD, smoothing, x0=[0.7], phi=quad_phi)
+    t1, = run_scinbio(problem, outer, GD, [smoothing], x0=[[0.7]], phi=quad_phi).traces
+    t2, = run_scinbio(problem, outer, GD, [smoothing], x0=[[0.7]], phi=quad_phi).traces
     assert np.array_equal(t1.x_history(), t2.x_history())
     assert np.array_equal(t1.mapping_norms(), t2.mapping_norms())
 
@@ -119,7 +126,7 @@ def test_output_rules():
     beta = 0.05 / (problem.f_bar / smoothing.xi ** 2)
     for rule in ("last", "best_mapping", "random_index"):
         outer = OuterConfig(T=30, beta=beta, output_rule=rule)
-        trace = run_scinbio(problem, outer, GD, smoothing, x0=[1.0], phi=quad_phi)
+        trace, = run_scinbio(problem, outer, GD, [smoothing], x0=[[1.0]], phi=quad_phi).traces
         if rule == "last":
             assert np.array_equal(trace.x_out, trace.x_final)
             assert trace.random_index is None
@@ -135,7 +142,7 @@ def test_random_index_rejects_large_step():
     smoothing = SmoothingConfig(xi=0.5, master_seed=1)
     outer = OuterConfig(T=10, beta=1.0 / 36.0, output_rule="random_index")
     with pytest.raises(ConfigError):
-        run_scinbio(problem, outer, GD, smoothing, x0=[0.5], phi=quad_phi)
+        run_scinbio(problem, outer, GD, [smoothing], x0=[[0.5]], phi=quad_phi)
 
 
 def test_random_index_pmf_matches_sampling_frequencies():
@@ -153,7 +160,7 @@ def test_budget_accounting_matches_counters(double_well):
     smoothing = SmoothingConfig(xi=0.1, master_seed=13)
     sched = constant_schedules(4, 7)
     outer = OuterConfig(T=12, beta=0.001, schedules=sched)
-    trace = run_scinbio(double_well, outer, lower, smoothing, x0=[0.3])
+    trace, = run_scinbio(double_well, outer, lower, [smoothing], x0=[[0.3]]).traces
     # gradient descent evaluates grad at every iterate including the last
     assert trace.oracle_totals["grad"] == sum(
         row.n_samples * (row.k_steps + 1) for row in trace.rows) - _infeasible_evals(trace)
@@ -182,8 +189,8 @@ def test_tail_stability_windows():
 def test_trace_csv_layout(tmp_path):
     problem = hook_problem()
     outer = OuterConfig(T=5, beta=0.01)
-    trace = run_scinbio(problem, outer, GD, SmoothingConfig(xi=0.5, master_seed=3),
-                        x0=[0.5], phi=quad_phi)
+    trace, = run_scinbio(problem, outer, GD, [SmoothingConfig(xi=0.5, master_seed=3)],
+                         x0=[[0.5]], phi=quad_phi).traces
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().splitlines()

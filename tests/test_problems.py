@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scinbio import box_set, get_problem
-from scinbio.problems import LOWER_DEFAULTS, PROBLEM_NAMES
+from scinbio.problems import LOWER_DEFAULTS, PROBLEM_NAMES, call_oracle
 
-from conftest import central_diff_grad
+from conftest import at, central_diff_grad
 
 
 def arr(*vals):
@@ -20,42 +22,42 @@ def arr(*vals):
 # ---------------------------------------------------------------------------
 
 def test_minimax_values(minimax):
-    assert minimax.f(arr(0.0), arr(0.0)) == 0.0
-    assert minimax.f(arr(1.0), arr(0.0)) == pytest.approx(math.sin(1.0), abs=1e-12)
+    assert at(minimax, "f", arr(0.0), arr(0.0)) == 0.0
+    assert at(minimax, "f", arr(1.0), arr(0.0)) == pytest.approx(math.sin(1.0), abs=1e-12)
 
 
 def test_minimax_grad_matches_fd(minimax):
     x = arr(1.0)
-    fd = central_diff_grad(lambda y: minimax.g(x, y), arr(0.0), 1e-6)
-    grad = minimax.grad_y_g(x, arr(0.0))
+    fd = central_diff_grad(lambda y: at(minimax, "g", x, y), arr(0.0), 1e-6)
+    grad = at(minimax, "grad_y_g", x, arr(0.0))
     assert np.abs(grad - fd).max() <= 1e-6
 
 
 def test_double_well_values(double_well):
     # stationary points of g(0, .) are the roots of 4y(y^2 - 1)
     for y in (-1.0, 0.0, 1.0):
-        assert double_well.grad_y_g(arr(0.0), arr(y))[0] == 0.0
-    assert double_well.g(arr(0.0), arr(1.0)) == -1.0
-    assert double_well.g(arr(0.5), arr(1.5)) == -1.0
+        assert at(double_well, "grad_y_g", arr(0.0), arr(y))[0] == 0.0
+    assert at(double_well, "g", arr(0.0), arr(1.0)) == -1.0
+    assert at(double_well, "g", arr(0.5), arr(1.5)) == -1.0
 
 
 def test_double_well_shift_structure(double_well):
     rng = np.random.default_rng(7)
     for _ in range(100):
         x, y = rng.uniform(-2, 2), rng.uniform(-4, 4)
-        assert double_well.g(arr(x), arr(y)) == double_well.g(arr(0.0), arr(y - x))
+        assert at(double_well, "g", arr(x), arr(y)) == at(double_well, "g", arr(0.0), arr(y - x))
 
 
 def test_fold_branch_values(fold):
     root = math.sqrt((2 * 0.75 - 1) / (9 * 0.75 - 6 * 0.75 ** 2))
     assert root == pytest.approx(0.3849, abs=1e-3)
     for s in (+1.0, -1.0):
-        g = fold.grad_y_g(arr(0.75, 0.3), arr(s * root))
-        assert abs(float(np.atleast_1d(g)[0])) < 1e-12
+        g = at(fold, "grad_y_g", arr(0.75, 0.3), arr(s * root))
+        assert abs(float(g[0])) < 1e-12
     # degenerate point: gradient and curvature both vanish at (x1=1/2, y=0)
-    assert float(np.atleast_1d(fold.grad_y_g(arr(0.5, 0.0), arr(0.0)))[0]) == 0.0
-    assert fold.hess_yy_g(arr(0.5, 0.0), arr(0.0))[0, 0] == 0.0
-    assert fold.g(arr(0.5, 0.0), arr(0.0)) == 0.0
+    assert float(at(fold, "grad_y_g", arr(0.5, 0.0), arr(0.0))[0]) == 0.0
+    assert at(fold, "hess_yy_g", arr(0.5, 0.0), arr(0.0))[0, 0] == 0.0
+    assert at(fold, "g", arr(0.5, 0.0), arr(0.0)) == 0.0
 
 
 def test_fold_confinement_inactive_in_window(fold):
@@ -66,7 +68,7 @@ def test_fold_confinement_inactive_in_window(fold):
     for y in (-1.5, -0.7, 0.0, 1.2, 1.5):
         x1 = x[0]
         cubic = (1 - 2 * x1) * y + (3 * x1 - 2 * x1 ** 2) * (y * y * y)
-        assert fold.g(x, arr(y)) == cubic
+        assert at(fold, "g", x, arr(y)) == cubic
 
 
 def test_quartic_coefficient_structure(quartic):
@@ -75,8 +77,8 @@ def test_quartic_coefficient_structure(quartic):
         x = rng.uniform(-4, 5, size=2)
         c3 = x[0] ** 2 - 5 * x[0] * x[1] + 2 * x[1] ** 2 - 7 * x[0] + 8 * x[1] - 30
         c2 = x[0] ** 2 - 3 * x[0] * x[1] + 4 * x[1] ** 2 - 5 * x[0] + 2 * x[1] - 40
-        assert quartic.hess_yy_g(x, arr(0.0))[0, 0] == pytest.approx(2 * c2, rel=1e-12)
-        g0 = float(np.atleast_1d(quartic.grad_y_g(x, arr(0.0)))[0])
+        assert at(quartic, "hess_yy_g", x, arr(0.0))[0, 0] == pytest.approx(2 * c2, rel=1e-12)
+        g0 = float(at(quartic, "grad_y_g", x, arr(0.0))[0])
         assert g0 == pytest.approx(c3, rel=1e-12)
 
 
@@ -92,12 +94,11 @@ def test_analytic_derivatives_match_fd(name):
     for _ in range(100):
         x = rng.uniform(lo, hi)
         y = rng.uniform(-2.0, 2.0, size=problem.m)
-        grad = np.atleast_1d(np.asarray(problem.grad_y_g(x, y), dtype=float))
-        fd_g = central_diff_grad(lambda yy: problem.g(x, yy), y, 1e-5)
+        grad = at(problem, "grad_y_g", x, y)
+        fd_g = central_diff_grad(lambda yy: at(problem, "g", x, yy), y, 1e-5)
         assert np.abs(grad - fd_g).max() <= 1e-4 * (1.0 + np.abs(grad).max())
-        hess_col = np.atleast_2d(problem.hess_yy_g(x, y))
-        fd_h = central_diff_grad(
-            lambda yy: float(np.atleast_1d(problem.grad_y_g(x, yy))[0]), y, 1e-4)
+        hess_col = at(problem, "hess_yy_g", x, y)
+        fd_h = central_diff_grad(lambda yy: float(at(problem, "grad_y_g", x, yy)[0]), y, 1e-4)
         assert np.abs(hess_col[0] - fd_h).max() <= 1e-4 * (1.0 + np.abs(hess_col).max())
 
 
@@ -109,20 +110,20 @@ def test_cross_derivative_matches_fd(name):
     for _ in range(20):
         x = rng.uniform(lo, hi)
         y = rng.uniform(-1.5, 1.5, size=problem.m)
-        J = np.atleast_2d(problem.grad_x_grad_y_g(x, y))
+        J = at(problem, "grad_x_grad_y_g", x, y)
         for i in range(problem.n):
             xp = x.copy(); xp[i] += 1e-6
             xm = x.copy(); xm[i] -= 1e-6
-            fd = (np.atleast_1d(problem.grad_y_g(xp, y))
-                  - np.atleast_1d(problem.grad_y_g(xm, y))) / 2e-6
+            fd = (at(problem, "grad_y_g", xp, y) - at(problem, "grad_y_g", xm, y)) / 2e-6
             assert np.abs(J[:, i] - fd).max() <= 1e-5 * (1.0 + np.abs(J).max())
-    # lane convention: L = 5 lanes give (L, m, n), each lane the single-point block
+    # lane convention: L = 5 lanes give (L, m, n), each lane the block of its
+    # point run as a batch of one
     xs = rng.uniform(lo, hi, size=(5, problem.n))
     ys = rng.uniform(-1.5, 1.5, size=(5, problem.m))
     lanes = problem.grad_x_grad_y_g(xs, ys)
     assert lanes.shape == (5, problem.m, problem.n)
     for k in range(5):
-        single = problem.grad_x_grad_y_g(xs[k], ys[k])
+        single = at(problem, "grad_x_grad_y_g", xs[k], ys[k])
         assert single.shape == (problem.m, problem.n)
         assert np.array_equal(lanes[k], single)
 
@@ -135,7 +136,8 @@ _LANE_Y_SPAN = {"minimax": 6.0, "double-well": 4.0, "fold": 2.0, "quartic": 250.
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_lanes_equal_single_points_bit_for_bit(name):
     # the lane convention's bit rule: an oracle rounds each lane as it rounds
-    # that point alone, so lockstep callers get the bits of single-point ones
+    # that point run as a batch of one, so lockstep callers get the bits of
+    # one-point callers
     problem = get_problem(name)
     rng = np.random.default_rng(17)
     lo, hi = problem.feasible_set.bbox
@@ -147,16 +149,32 @@ def test_lanes_equal_single_points_bit_for_bit(name):
         lanes = np.asarray(fn(xs, ys))
         differ = []
         for k in range(2000):
-            single = np.asarray(fn(xs[k], ys[k]))
+            single = np.asarray(fn(xs[k:k + 1], ys[k:k + 1]))[0]
             if single.shape != lanes[k].shape or not np.array_equal(lanes[k], single):
                 differ.append(k)
         assert differ == [], (oracle, len(differ), differ[:5])
 
 
+@pytest.mark.parametrize("oracle, expected", [
+    ("f", (3,)), ("g", (3,)), ("grad_y_g", (3, 1)), ("hess_yy_g", (3, 1, 1)),
+    ("grad_x_grad_y_g", (3, 1, 2))])
+def test_call_oracle_names_a_wrong_shape(fold, oracle, expected):
+    # an oracle that drops the lane axis returns its first lane's output only;
+    # the checked call names the oracle and the (L, ...) shape it expected
+    real = getattr(fold, oracle)
+    bad = dataclasses.replace(fold, **{oracle: lambda x, y: real(x, y)[0]})
+    xs, ys = np.full((3, 2), 0.25), np.full((3, 1), 0.5)
+    assert call_oracle(fold, oracle, xs, ys).shape == expected
+    with pytest.raises(ValueError, match=re.escape(
+            f"{oracle} returned shape {expected[1:]} for 3 lanes; the lane convention "
+            f"of scinbio.problems expects {expected}")):
+        call_oracle(bad, oracle, xs, ys)
+
+
 def test_hessian_symmetry_m2():
     from conftest import quadratic_problem
     p = quadratic_problem(m=2)
-    H = p.hess_yy_g(arr(0.0), arr(0.3, -0.4))
+    H = at(p, "hess_yy_g", arr(0.0), arr(0.3, -0.4))
     assert np.abs(H - H.T).max() <= 1e-10 * (1.0 + np.abs(H).max())
 
 
@@ -174,8 +192,8 @@ def test_f_bar_covers_reachable_region(name):
     for _ in range(1000):
         x = rng.uniform(lo, hi)
         y = rng.uniform(-y_span, y_span, size=problem.m)
-        if problem.g(x, y) <= problem.g(x, problem.y0):
-            assert abs(problem.f(x, y)) <= problem.f_bar
+        if at(problem, "g", x, y) <= at(problem, "g", x, problem.y0):
+            assert abs(at(problem, "f", x, y)) <= problem.f_bar
             checked += 1
     assert checked > 30
 
