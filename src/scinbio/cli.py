@@ -195,6 +195,9 @@ def resolve_config(args):
             errors.append(f"{key} must be at least {least}")
     if not 0 < cfg["gda.step"] < math.inf:
         errors.append("gda.step must be positive and finite")
+    window = [cfg[key] for key in ("scan.y_lo", "scan.y_hi") if cfg[key] is not None]
+    if not all(map(math.isfinite, window)) or len(window) == 2 and not window[0] < window[1]:
+        errors.append("scan.y_lo and scan.y_hi must be finite with scan.y_lo < scan.y_hi")
     if cfg["gda.integrator"] not in ("euler", "rk4"):
         errors.append("gda.integrator must be euler|rk4")
     bad_emit = set(cfg["emit"]) - {"csv", "json", "svg"}

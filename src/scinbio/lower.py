@@ -9,16 +9,20 @@ for that lane only) and select their own iterate.  One point is a batch of
 one lane.
 
 The cubic method minimizes the model  m(s) = g^T s + 1/2 s^T H s + (M/6)||s||^3
-at every step and afterwards selects the iterate with the smallest
-second-order stationarity measure
+at every step and selects the iterate with the smallest second-order
+stationarity measure (Nesterov & Polyak, Math. Program. 108, 2006)
 
     nu_M(y) = max( sqrt(||grad g|| / M),  -(2 / (3 M)) lambda_min(hess g) ).
 
-Solvers are reentrant: each solve owns its trace and oracles are pure.
+A solve streams: per lane it keeps its current iterate, the selected iterate
+with its step, ||grad_y g|| and nu_M there, and its first failure, never the
+K-step history, so its memory is O(L m) floats for any budget K.  Solvers
+are reentrant: each solve owns its state and oracles are pure.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -59,27 +63,24 @@ class LowerSolverConfig:
             msgs.append("M must be positive and finite")
         if self.max_iters < 0:
             msgs.append("max_iters must be nonnegative")
-        if not self.grad_tol >= 0:
-            msgs.append("grad_tol must be nonnegative")
+        if not 0 <= self.grad_tol < math.inf:
+            msgs.append("grad_tol must be nonnegative and finite")
         if msgs:
             raise ConfigError(msgs)
 
 
 @dataclass
 class LowerSolveResult:
-    """Iterates, measures and selection of the L lanes of one solve.
-
-    y_hat (L, m); iterates (K + 1, L, m), grad_norms and stationarity_measures
-    (K + 1, L), NaN past each lane's last iterate; selected_index and each
-    oracle count an (L,) integer array; errors[l] the LowerSolveError that
-    stopped lane l, or None.  stationarity_measures is empty for gradient
-    descent.
+    """What a solve keeps of its L lanes, with no step axis: y_hat (L, m)
+    and selected_index (L,), each lane's selected iterate and its step;
+    grad_norm (L,), ||grad_y g|| at y_hat, and stationarity (L,), nu_M at
+    y_hat (None for gradient descent); each oracle count an (L,) integer
+    array; errors[l], the LowerSolveError that stopped lane l, or None.
     """
 
     y_hat: np.ndarray
-    iterates: np.ndarray
-    grad_norms: np.ndarray
-    stationarity_measures: np.ndarray
+    grad_norm: np.ndarray
+    stationarity: Optional[np.ndarray]
     selected_index: np.ndarray
     oracle_counts: dict
     errors: list
@@ -97,6 +98,10 @@ def stationarity_measure(grad_norm, lambda_min, M):
     """nu_M: max of sqrt(grad_norm / M) and -(2 / (3 M)) lambda_min (elementwise)."""
     if np.any(np.asarray(grad_norm) < 0) or M <= 0:
         raise ValueError("grad_norm must be >= 0 and M > 0")
+    return _nu(grad_norm, lambda_min, M)
+
+
+def _nu(grad_norm, lambda_min, M):
     return np.maximum(np.sqrt(grad_norm / M), -(2.0 / (3.0 * M)) * lambda_min)
 
 
@@ -181,6 +186,8 @@ def _cubic_step_1d(g, h, M):
     root = np.hypot(h, np.sqrt(2.0 * M * ag))
     r = np.where(h >= 0.0, 2.0 * ag / (h + root), (root - h) / M)
     s = -np.copysign(r, g)
+    if not tiny.any():  # the common case: the root above serves every lane, none is hard
+        return s, r, tiny
     # |g| ~ 0: no step for h >= 0, the hard-case step s = r = -2h/M for h < 0
     hard = tiny & (h < 0.0)
     r = np.where(tiny, np.where(hard, -2.0 * h / M, 0.0), r)
@@ -269,7 +276,8 @@ def _solve_cubic_secular(grad, hess, M, eig=None) -> CubicStep:
 # ---------------------------------------------------------------------------
 
 def _norms(g):
-    return np.sqrt((g * g).sum(axis=-1))
+    sq = g * g  # for m = 1 skip the reduction: a one-term sum is that term
+    return np.sqrt(sq[:, 0] if sq.shape[1] == 1 else sq.sum(axis=1))
 
 
 def _curvature_and_step(g, H, M, with_step):
@@ -291,68 +299,13 @@ def _curvature_and_step(g, H, M, with_step):
     return lam, steps
 
 
-def _iterate(problem, x, config):
-    """Run every lane from y0 for up to K steps.
-
-    Returns the iterates (K + 1, L, m), gradients (K + 1, L, m), Hessian
-    lambda_min (K + 1, L) and each lane's last step, NaN past it.  A lane that
-    turns non-finite runs on; `_lane_errors` finds its first bad value.
-    """
-    cubic = config.method == CUBIC_NEWTON
-    L, m, K = x.shape[0], problem.m, config.max_iters
-    eta, tol = config.eta, config.grad_tol
-    ys = np.full((K + 1, L, m), np.nan)
-    gs = np.full((K + 1, L, m), np.nan)
-    lams = np.full((K + 1, L), np.nan)
-    last = np.full(L, K)
-    ys[0] = problem.y0
-    rows = slice(None)  # the lanes still iterating
-    xa, ya = x, ys[0].copy()
-    with np.errstate(all="ignore"):
-        for k in range(K + 1):
-            g = call_oracle(problem, "grad_y_g", xa, ya)
-            gs[k, rows] = g
-            if cubic:
-                H = call_oracle(problem, "hess_yy_g", xa, ya)
-                lam, step = _curvature_and_step(g, H, config.M, k < K)
-                lams[k, rows] = lam
-            if tol > 0:
-                done = _norms(g) <= tol
-                if done.any():
-                    lanes = np.arange(L)[rows]
-                    last[lanes[done]] = k
-                    keep = ~done
-                    rows, xa, ya, g = lanes[keep], xa[keep], ya[keep], g[keep]
-                    if cubic and step is not None:
-                        step = step[keep]
-                    if rows.size == 0:
-                        break
-            if k == K:
-                break
-            ya = ya + step if cubic else ya - eta * g
-            ys[k + 1, rows] = ya
-    return ys, gs, lams, last
-
-
-def _lane_errors(ys, gs, lams, last, cubic):
-    """Per lane, the first non-finite value in the order one solve meets them
-    (gradient at step k, Hessian at step k, iterate k + 1), or None."""
-    K1, L = gs.shape[:2]
-    ran = np.arange(K1)[:, None] <= last
-    bad = np.zeros((K1, 3, L), dtype=bool)
-    bad[:, 0] = ran & ~np.isfinite(gs).all(axis=-1)
-    if cubic:
-        bad[:, 1] = ran & ~np.isfinite(lams)
-    bad[:-1, 2] = ran[1:] & ~np.isfinite(ys[1:]).all(axis=-1)
-    bad = bad.reshape(3 * K1, L)
-    errors = [None] * L
-    for lane in np.flatnonzero(bad.any(axis=0)):
-        k, kind = divmod(int(np.argmax(bad[:, lane])), 3)
-        k += kind == 2
-        what = ("gradient", "Hessian", "iterate")[kind]
-        errors[lane] = LowerSolveError(f"non-finite {what} at lower-level step {k}",
-                                       iterate_index=k)
-    return errors
+def _flag(errors, lanes, values, what, k):
+    """Record a non-finite `what` at step k in each of the lanes whose row of
+    values holds a non-finite value, unless the lane failed before."""
+    for lane in lanes[~np.isfinite(values.reshape(len(values), -1)).all(axis=1)]:
+        if errors[lane] is None:
+            errors[lane] = LowerSolveError(f"non-finite {what} at lower-level step {k}",
+                                           iterate_index=k)
 
 
 def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
@@ -362,25 +315,68 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
     y_{k+1} = y_k + the cubic-model step.  A lane stops early once
     ||grad_y g|| <= grad_tol (when grad_tol > 0).  Each lane's y_hat is its
     last iterate for gradient descent and, for cubic Newton, the iterate with
-    the smallest nu_M over k >= 0, ties going to the smallest k.
+    the smallest nu_M over k >= 0, ties going to the smallest k (a NaN nu_M
+    counts as the smallest, as in np.argmin).  A lane that turns non-finite
+    runs on; its error is its first bad value in the order a solve meets
+    them: the gradient at step k, the Hessian at step k, the iterate k + 1.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != problem.n:
         raise ValueError(f"x must have shape (L, {problem.n}), got {x.shape}")
     cubic = config.method == CUBIC_NEWTON
-    ys, gs, lams, last = _iterate(problem, x, config)
-    errors = _lane_errors(ys, gs, lams, last, cubic)
-    K1, L = gs.shape[:2]
-    unran = np.arange(K1)[:, None] > last
-    with np.errstate(all="ignore"):  # failed lanes
-        grad_norms = _norms(gs)
-        nus = stationarity_measure(grad_norms, lams, config.M) if cubic else []
-    k_star = np.where(unran, np.inf, nus).argmin(axis=0) if cubic else last
+    L, m, K, M, tol = x.shape[0], problem.m, config.max_iters, config.M, config.grad_tol
+    y_hat, grad_norm, nu_hat = np.empty((L, m)), np.empty(L), np.empty(L) if cubic else None
+    index, last = np.empty(L, dtype=int), np.empty(L, dtype=int)
+    errors = [None] * L
+    # the lanes still iterating, their points and iterates and, for cubic
+    # Newton, nu_M, step, y and ||grad_y g|| of the best iterate so far
+    lanes, xa, ya = np.arange(L), x, np.full((L, m), problem.y0, dtype=float)
+    b_nu, b_k, b_y, b_gn = np.empty(L), np.empty(L, dtype=int), np.empty((L, m)), np.empty(L)
+    with np.errstate(all="ignore"):
+        for k in range(K + 1):
+            g = call_oracle(problem, "grad_y_g", xa, ya)
+            gn = _norms(g) if cubic or tol > 0 else None
+            if cubic:
+                H = call_oracle(problem, "hess_yy_g", xa, ya)
+                lam, step = _curvature_and_step(g, H, M, k < K)
+                nu = _nu(gn, lam, M)
+                take = nu < b_nu if k else np.ones(len(lanes), dtype=bool)
+                # nu_M is non-finite where g is, and a non-finite nu_M or
+                # lambda_min makes the sum of their products non-finite
+                if not math.isfinite(nu @ lam):
+                    _flag(errors, lanes, g, "gradient", k)
+                    _flag(errors, lanes, lam, "Hessian", k)
+                    take |= np.isnan(nu) & ~np.isnan(b_nu)  # a first NaN is the least
+                np.copyto(b_nu, nu, where=take)
+                np.copyto(b_k, k, where=take)
+                np.copyto(b_y, ya, where=take[:, None])
+                np.copyto(b_gn, gn, where=take)
+            stop = np.ones(len(lanes), dtype=bool) if k == K else gn <= tol if tol > 0 else None
+            if stop is not None and stop.any():
+                out = lanes[stop]
+                last[out] = k
+                if cubic:
+                    y_hat[out], index[out] = b_y[stop], b_k[stop]
+                    grad_norm[out], nu_hat[out] = b_gn[stop], b_nu[stop]
+                else:
+                    # a stopping lane's gradient shows in no later iterate
+                    _flag(errors, out, g[stop], "gradient", k)
+                    y_hat[out], index[out], grad_norm[out] = ya[stop], k, _norms(g[stop])
+                keep = ~stop
+                if not keep.any():
+                    break
+                lanes, xa, ya, g = lanes[keep], xa[keep], ya[keep], g[keep]
+                if cubic:
+                    step, b_nu, b_k, b_y, b_gn = (a[keep] for a in (step, b_nu, b_k, b_y, b_gn))
+            ya = ya + step if cubic else ya - config.eta * g
+            # a non-finite gradient makes the next iterate non-finite
+            if not math.isfinite(ya.sum()):
+                _flag(errors, lanes, g, "gradient", k)
+                _flag(errors, lanes, ya, "iterate", k + 1)
     counts = {"g": np.zeros(L, dtype=int), "grad": last + 1,
               "hess": last + 1 if cubic else np.zeros(L, dtype=int)}
-    return LowerSolveResult(y_hat=ys[k_star, np.arange(L)], iterates=ys,
-                            grad_norms=grad_norms, stationarity_measures=nus,
-                            selected_index=k_star, oracle_counts=counts, errors=errors)
+    return LowerSolveResult(y_hat=y_hat, grad_norm=grad_norm, stationarity=nu_hat,
+                            selected_index=index, oracle_counts=counts, errors=errors)
 
 
 def run_lower_lean(problem, x, config: LowerSolverConfig) -> LowerSolveResult:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from scinbio import (BilevelProblem, box_set, builtin_fold_family,
                      builtin_minimax, builtin_quartic_family,
-                     builtin_shifted_double_well, scan_bifurcation_set)
+                     builtin_shifted_double_well, scan_bifurcation_set,
+                     solve_cubic_subproblem, stationarity_measure)
+from scinbio.lower import _cubic_step_1d
 from scinbio.problems import call_oracle
 
 
@@ -64,6 +68,71 @@ def at(problem, oracle, x, y):
     one lane: the output without its lane axis."""
     return call_oracle(problem, oracle, np.asarray(x, dtype=float)[None, :],
                        np.asarray(y, dtype=float)[None, :])[0]
+
+
+def reference_solve(problem, x, config):
+    """Reference of `scinbio.solve_lower`: each row of x (L, n) runs its own
+    loop of one-lane oracle calls, takes the cubic step of
+    `solve_cubic_subproblem` and records its whole trajectory.
+
+    Returns one dict per lane: ys, the iterates it ran (steps_run, m), with
+    grad_norms and nus (None for gradient descent) there; index, y_hat,
+    grad_norm and stationarity at the selected step (the last for gradient
+    descent, the first smallest nu_M by np.argmin for cubic Newton);
+    steps_run; and error, the (text, step) of its first non-finite value or
+    None.
+    """
+    cubic = config.method == "cubic_newton"
+    K, tol = config.max_iters, config.grad_tol
+    lanes = []
+    for row in np.asarray(x, dtype=float):
+        xl, y = row[None, :], np.array(problem.y0, dtype=float)
+        ys, grad_norms, nus, events = [], [], [], []
+        with np.errstate(all="ignore"):
+            for k in range(K + 1):
+                ys.append(y)
+                if k > 0 and not np.isfinite(y).all():
+                    events.append(("iterate", k))
+                g = call_oracle(problem, "grad_y_g", xl, y[None, :])[0]
+                if not np.isfinite(g).all():
+                    events.append(("gradient", k))
+                grad_norms.append(float(np.sqrt((g * g).sum())))
+                if cubic:
+                    H = call_oracle(problem, "hess_yy_g", xl, y[None, :])[0]
+                    if problem.m == 1:
+                        lam = H[0, 0]
+                    elif np.isfinite(H).all():
+                        lam = np.linalg.eigh(0.5 * (H + H.T))[0][0]
+                    else:
+                        lam = math.nan
+                    if not math.isfinite(lam):
+                        events.append(("Hessian", k))
+                    nus.append(float(stationarity_measure(grad_norms[-1], lam, config.M)))
+                if k == K or 0 < tol and grad_norms[-1] <= tol:
+                    break
+                y = y + _reference_cubic_step(g, H, config.M) if cubic else y - config.eta * g
+        index = int(np.argmin(nus)) if cubic else len(ys) - 1
+        error = None
+        if events:
+            what, step = events[0]
+            error = (f"non-finite {what} at lower-level step {step}", step)
+        lanes.append({
+            "ys": np.array(ys), "grad_norms": np.array(grad_norms),
+            "nus": np.array(nus) if cubic else None, "index": index, "y_hat": ys[index],
+            "grad_norm": grad_norms[index], "stationarity": nus[index] if cubic else None,
+            "steps_run": len(ys), "error": error})
+    return lanes
+
+
+def _reference_cubic_step(g, H, M):
+    """The cubic step of `solve_cubic_subproblem`; for the non-finite g or H
+    it rejects, the step a failing lane takes in `solve_lower`: NaN for
+    m > 1, the 1-D closed form evaluated as is for m = 1."""
+    if np.isfinite(g).all() and np.isfinite(H).all():
+        return solve_cubic_subproblem(g, H, M).s
+    if len(g) > 1:
+        return np.full(len(g), math.nan)
+    return _cubic_step_1d(g, H[0], M)[0]
 
 
 def central_diff_grad(fun, y, step):

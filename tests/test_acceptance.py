@@ -324,3 +324,33 @@ def test_criterion_10_determinism(experiment_sweep, tmp_path):
     same = p1.read_bytes() == p2.read_bytes()
     report(10, same, "two executions of the seed-0 run (with 14 other seeds in "
                      "lockstep, then alone) wrote identical CSV bytes")
+
+
+# ---------------------------------------------------------------------------
+# 11. bifurcations slow gradient descent far more than cubic Newton
+# ---------------------------------------------------------------------------
+
+def test_criterion_11_bifurcation_slows_gradient_descent(fold):
+    # iterations to ||grad_y g|| <= 1e-6 from y0 at x = (1/2 +- delta, 0), on
+    # either side of the fold; the bounds were fixed before the run: GD's
+    # log-log slope against 1/delta in [0.3, 0.7] on each side, CN within 100
+    # iterations everywhere and at least 100 times faster at delta = 1e-4
+    deltas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+    xs = np.array([[0.5 + side * d, 0.0] for d in deltas for side in (1, -1)])
+    iters, residuals = {}, []
+    for method in ("gradient_descent", "cubic_newton"):
+        cfg = LowerSolverConfig(method=method, eta=0.002, M=420.0, max_iters=200000,
+                                grad_tol=1e-6)
+        res = solve_lower(fold, xs, cfg)
+        assert res.errors == [None] * len(xs)
+        iters[method] = (res.oracle_counts["grad"] - 1).reshape(len(deltas), 2)
+        residuals.extend(res.grad_norm)
+    gd, cn = iters["gradient_descent"], iters["cubic_newton"]
+    slopes = [float(np.polyfit(np.log(1.0 / deltas), np.log(gd[:, side]), 1)[0])
+              for side in (0, 1)]
+    ok = (all(0.3 <= s <= 0.7 for s in slopes) and cn.max() <= 100
+          and (gd[-1] >= 100 * cn[-1]).all() and max(residuals) <= 1e-6)
+    report(11, ok, f"GD iterations {gd.tolist()} (slopes {slopes[0]:.2f}, {slopes[1]:.2f} "
+                   f"in [0.3, 0.7]), CN {cn.tolist()} (<= 100), GD/CN at delta = 1e-4 "
+                   f"{(gd[-1] / cn[-1]).round(0).tolist()} (>= 100), "
+                   f"max ||grad|| {max(residuals):.1e} <= 1e-6")

@@ -81,6 +81,24 @@ def test_infinite_values_exit_2(tmp_path, capsys, command, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sets", [
+    *[(f"{key}={value}",) for key, (parse, _) in cli._KEYS.items() if parse is float
+      for value in ("inf", "nan")],
+    ("scan.y_lo=2", "scan.y_hi=-2")], ids=",".join)
+def test_non_finite_floats_and_a_reversed_scan_window_exit_2(tmp_path, capsys, sets):
+    command = {"scan": ["scan", "--problem", "fold"], "gda": ["gda"]}.get(
+        sets[0].split(".")[0], ["run"])
+    out = tmp_path / "o"
+    argv = [*command, "--seed", "0", "--out", str(out)]
+    for item in ("outer.T=5", "lower.K=5", "gda.max_steps=10", "scan.grid_resolution=4",
+                 "scan.y_resolution=8", *sets):
+        argv += ["--set", item]
+    code = run_cli(*argv)
+    assert code == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_booleans_parse_only_their_spellings(tmp_path, capsys):
     for text in ("1", "true", "Yes", " on "):
         assert cli._parse_bool(text) is True

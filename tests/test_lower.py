@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from scinbio import (LowerSolverConfig, builtin_fold_family, builtin_minimax,
-                     solve_cubic_subproblem, solve_lower, stationarity_measure)
+                     builtin_shifted_double_well, solve_cubic_subproblem, solve_lower,
+                     stationarity_measure)
 from scinbio.errors import LowerSolveError
 from scinbio.lower import _eigenpairs, _solve_cubic_secular, run_lower_lean
 
-from conftest import quadratic_problem
+from conftest import quadratic_problem, reference_solve
 
 
 def cubic_model(s, grad, hess, M):
@@ -228,6 +230,75 @@ def test_subproblem_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
+# the reference loop
+# ---------------------------------------------------------------------------
+
+def assert_matches_reference(problem, x, cfg):
+    """solve_lower on the lanes x equals `reference_solve` bit for bit: y_hat,
+    selected step, grad_norm, stationarity, oracle counts and error text and
+    step.  Returns the solve and the reference lanes."""
+    res = solve_lower(problem, x, cfg)
+    ref = reference_solve(problem, x, cfg)
+    cubic = cfg.method == "cubic_newton"
+    assert (res.stationarity is not None) == cubic
+    for lane, r in enumerate(ref):
+        assert res.y_hat[lane].tobytes() == r["y_hat"].tobytes()
+        assert res.selected_index[lane] == r["index"]
+        assert res.grad_norm[lane].tobytes() == np.float64(r["grad_norm"]).tobytes()
+        if cubic:
+            assert res.stationarity[lane].tobytes() == np.float64(r["stationarity"]).tobytes()
+        assert {key: int(c[lane]) for key, c in res.oracle_counts.items()} == \
+            {"g": 0, "grad": r["steps_run"], "hess": r["steps_run"] if cubic else 0}
+        err = res.errors[lane]
+        assert (None if err is None else (str(err), err.iterate_index)) == r["error"]
+    return res, ref
+
+
+def poisoned(problem, kind):
+    """problem whose lanes with x_1 > 0.3 meet a non-finite value once some
+    |y_i| > 0.2: a NaN gradient, a NaN or infinite Hessian, or a gradient of
+    magnitude 1.7e308, whose gradient step overflows when eta > 1."""
+    hot = lambda x, y: (x[:, :1] > 0.3) & (np.abs(y) > 0.2).any(axis=1, keepdims=True)
+    grad, hess = problem.grad_y_g, problem.hess_yy_g
+    if kind == "gradient":
+        return dataclasses.replace(problem, grad_y_g=lambda x, y: np.where(hot(x, y), math.nan,
+                                                                           grad(x, y)))
+    if kind in ("Hessian", "Hessian+inf", "Hessian-inf"):
+        value = {"Hessian": math.nan, "Hessian+inf": math.inf, "Hessian-inf": -math.inf}[kind]
+        return dataclasses.replace(problem, hess_yy_g=lambda x, y: np.where(
+            hot(x, y)[..., None], value, hess(x, y)))
+    if kind == "overflow":
+        return dataclasses.replace(problem, grad_y_g=lambda x, y: np.where(
+            hot(x, y), 1.7e308 * np.sign(grad(x, y)), grad(x, y)))
+    return problem
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_solve_lower_matches_the_reference(data):
+    name = data.draw(st.sampled_from(["minimax", "fold", "double_well", "quadratic"]),
+                     label="problem")
+    problem, eta, M = {
+        "minimax": (builtin_minimax(), 0.05, 32.0),
+        "fold": (builtin_fold_family(), 0.002, 420.0),
+        "double_well": (builtin_shifted_double_well(), 0.05, 24.0),
+        "quadratic": (quadratic_problem(m=2, y0=[0.8, -0.6]), 1.5, 1.0)}[name]
+    kind = data.draw(st.sampled_from(["none", "gradient", "Hessian", "Hessian+inf",
+                                      "Hessian-inf", "overflow"]), label="poison")
+    problem = poisoned(problem, kind)
+    cfg = LowerSolverConfig(method=data.draw(st.sampled_from(["gradient_descent",
+                                                              "cubic_newton"]), label="method"),
+                            eta=eta, M=M, max_iters=data.draw(st.integers(0, 15), label="K"),
+                            grad_tol=data.draw(st.sampled_from([0.0, 1e-3, 1e-1]), label="tol"))
+    L = data.draw(st.integers(0, 6), label="L")
+    lo, hi = problem.feasible_set.bbox
+    t = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=L * problem.n,
+                                    max_size=L * problem.n), label="t"))
+    res, _ = assert_matches_reference(problem, lo + t.reshape(L, problem.n) * (hi - lo), cfg)
+    assert res.y_hat.shape == (L, problem.m) and len(res.errors) == L
+
+
+# ---------------------------------------------------------------------------
 # cubic Newton
 # ---------------------------------------------------------------------------
 
@@ -244,18 +315,18 @@ def test_cubic_newton_double_well(double_well):
 def test_cubic_newton_quadratic_one_step():
     p = quadratic_problem(m=2, y0=[0.8, -0.6])
     cfg = LowerSolverConfig(method="cubic_newton", M=1.0, max_iters=1)
-    res = solve_lower(p, np.array([[0.0]]), cfg)
+    _, (ref,) = assert_matches_reference(p, np.array([[0.0]]), cfg)
     step = solve_cubic_subproblem(p.y0, np.eye(2), 1.0)
-    assert np.abs(res.iterates[1, 0] - (p.y0 + step.s)).max() <= 1e-14
-    assert np.linalg.norm(res.iterates[1, 0]) < np.linalg.norm(p.y0)
+    assert np.abs(ref["ys"][1] - (p.y0 + step.s)).max() <= 1e-14
+    assert np.linalg.norm(ref["ys"][1]) < np.linalg.norm(p.y0)
 
 
 def test_cubic_newton_escapes_saddle(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=10)
-    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.0])), np.array([[0.0]]),
-                      cfg)
+    res, (ref,) = assert_matches_reference(dataclasses.replace(double_well, y0=np.array([0.0])),
+                                           np.array([[0.0]]), cfg)
     # first step solves the pure negative-curvature model: |s| = 2*4/24
-    assert abs(abs(res.iterates[1, 0, 0]) - 1.0 / 3.0) <= 1e-12
+    assert abs(abs(ref["ys"][1, 0]) - 1.0 / 3.0) <= 1e-12
     assert abs(res.y_hat[0, 0]) >= 0.5
 
 
@@ -267,8 +338,8 @@ def test_cubic_newton_descends_on_builtins(minimax, double_well, fold, quartic):
         cfg = LowerSolverConfig(method="cubic_newton", M=M, max_iters=12)
         for _ in range(5):
             x = rng.uniform(lo, hi)[None, :]
-            res = solve_lower(problem, x, cfg)
-            gs = problem.g(np.repeat(x, len(res.iterates), axis=0), res.iterates[:, 0])
+            res, (ref,) = assert_matches_reference(problem, x, cfg)
+            gs = problem.g(np.repeat(x, len(ref["ys"]), axis=0), ref["ys"])
             assert all(b <= a + 1e-12 for a, b in zip(gs, gs[1:]))
             assert problem.g(x, res.y_hat)[0] <= problem.g(x, problem.y0[None, :])[0] + 1e-12
 
@@ -276,11 +347,13 @@ def test_cubic_newton_descends_on_builtins(minimax, double_well, fold, quartic):
 def test_cubic_newton_two_phase(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
     x = np.array([[0.0]])
-    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.1])), x, cfg)
-    nus = res.stationarity_measures[:, 0]
+    res, (ref,) = assert_matches_reference(dataclasses.replace(double_well, y0=np.array([0.1])),
+                                           x, cfg)
+    nus = ref["nus"]
     cummin = np.minimum.accumulate(nus)
     assert cummin[-1] < nus[0]
     assert (np.diff(cummin) <= 0).all()
+    assert res.stationarity[0] == cummin[-1]
     lam = double_well.hess_yy_g(x, res.y_hat)[0, 0, 0]
     assert lam > 0
 
@@ -306,9 +379,9 @@ def test_gd_double_well_converges(double_well):
 
 def test_gd_stalls_at_degenerate_start(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=200)
-    res = solve_lower(double_well, np.array([[0.0]]), cfg)
+    res, (ref,) = assert_matches_reference(double_well, np.array([[0.0]]), cfg)
     assert res.y_hat[0, 0] == 0.0
-    assert all(y[0, 0] == 0.0 for y in res.iterates)
+    assert (ref["ys"] == 0.0).all() and len(ref["ys"]) == 201
 
 
 def test_gd_zero_iterations(double_well):
@@ -325,11 +398,11 @@ def test_gd_stays_in_level_set(minimax, double_well, fold, quartic):
     for problem, eta, K in cases:
         lo, hi = problem.feasible_set.bbox
         cfg = LowerSolverConfig(method="gradient_descent", eta=eta, max_iters=K)
-        for _ in range(10):
-            x = rng.uniform(lo, hi)[None, :]
-            res = solve_lower(problem, x, cfg)
-            g0 = problem.g(x, problem.y0[None, :])[0]
-            gs = problem.g(np.repeat(x, len(res.iterates), axis=0), res.iterates[:, 0])
+        xs = rng.uniform(lo, hi, size=(10, problem.n))
+        _, ref = assert_matches_reference(problem, xs, cfg)
+        for x, lane in zip(xs, ref):
+            g0 = problem.g(x[None, :], problem.y0[None, :])[0]
+            gs = problem.g(np.repeat(x[None, :], len(lane["ys"]), axis=0), lane["ys"])
             assert all(g <= g0 + 1e-12 for g in gs)
 
 
@@ -337,9 +410,9 @@ def test_gd_early_exit():
     p = quadratic_problem(m=1, y0=[1.0])
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.5, max_iters=1000,
                             grad_tol=1e-6)
-    res = solve_lower(p, np.array([[0.0]]), cfg)
+    res, (ref,) = assert_matches_reference(p, np.array([[0.0]]), cfg)
     n = res.oracle_counts["grad"][0]  # the iterates the lane ran
-    assert res.grad_norms[n - 1, 0] <= 1e-6
+    assert res.grad_norm[0] <= 1e-6 < ref["grad_norms"][n - 2]
     assert n < 1001
 
 
@@ -353,22 +426,19 @@ def test_gd_nonfinite_raises():
 
 def assert_lanes_match_single_solves(problem, xs, cfg):
     """Solving the rows of xs together equals solving each as a batch of one
-    lane, bit for bit; returns the batched result."""
+    lane, bit for bit, and both equal the reference; returns the batched
+    result."""
     batch = run_lower_lean(problem, xs, cfg)
     for lane in range(len(xs)):
-        single = solve_lower(problem, xs[lane:lane + 1], cfg)
-        n = single.oracle_counts["grad"][0]
+        single, _ = assert_matches_reference(problem, xs[lane:lane + 1], cfg)
         assert batch.y_hat[lane].tobytes() == single.y_hat[0].tobytes()
         assert batch.selected_index[lane] == single.selected_index[0]
         assert {k: int(v[lane]) for k, v in batch.oracle_counts.items()} == \
             {k: int(v[0]) for k, v in single.oracle_counts.items()}
         assert batch.errors[lane] is None and single.errors[0] is None
-        assert np.array_equal(batch.iterates[:n, lane], single.iterates[:n, 0])
-        assert batch.grad_norms[:n, lane].tolist() == single.grad_norms[:n, 0].tolist()
-        assert np.isnan(batch.grad_norms[n:, lane]).all()
+        assert batch.grad_norm[lane].tobytes() == single.grad_norm[0].tobytes()
         if cfg.method == "cubic_newton":
-            assert batch.stationarity_measures[:n, lane].tolist() == \
-                single.stationarity_measures[:n, 0].tolist()
+            assert batch.stationarity[lane].tobytes() == single.stationarity[0].tobytes()
     return batch
 
 
@@ -382,7 +452,7 @@ def assert_same_solve(a, b):
 
 def test_lean_path_matches_recording_solver(minimax, double_well):
     # run_lower_lean, the name the estimator solves through, is the batched
-    # solver: a batch of lanes equals single-point recording solves
+    # solver: a batch of lanes equals single-point solves and the reference
     for problem, eta in [(minimax, 0.01), (double_well, 0.02)]:
         cfg = LowerSolverConfig(method="gradient_descent", eta=eta, max_iters=50)
         x = np.array([[0.4] * problem.n])
@@ -396,12 +466,13 @@ def test_lean_path_matches_recording_solver(minimax, double_well):
 def test_lean_path_honours_selection(minimax, double_well, method, selection):
     for problem, x in [(minimax, [-0.1]), (double_well, [0.3])]:
         cfg = LowerSolverConfig(method=method, eta=0.2, M=24.0, max_iters=20)
-        full = solve_lower(problem, np.array([x]), cfg)
+        full, (ref,) = assert_matches_reference(problem, np.array([x]), cfg)
         assert_same_solve(run_lower_lean(problem, np.array([x]), cfg), full)
         if selection == "last":
             assert full.selected_index[0] == full.oracle_counts["grad"][0] - 1
         else:
-            assert full.selected_index[0] == int(np.argmin(full.stationarity_measures[:, 0]))
+            assert full.selected_index[0] == int(np.argmin(ref["nus"]))
+            assert full.stationarity[0] == ref["nus"].min()
     # with grad_tol > 0 the lanes of one batch stop at different steps
     for problem, eta, M, lo, hi in [(minimax, 0.05, 32.0, -2.0, 2.0),
                                     (double_well, 0.05, 24.0, -1.5, 1.5)]:
@@ -503,8 +574,26 @@ def test_permuting_or_splitting_a_batch_permutes_or_splits_results(data):
 def test_solve_lower_dispatch(double_well):
     gd = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=10)
     cn = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=10)
-    assert solve_lower(double_well, np.array([[0.0]]), gd).stationarity_measures == []
-    assert len(solve_lower(double_well, np.array([[0.0]]), cn).stationarity_measures) > 0
+    x = np.array([[0.0]])
+    assert assert_matches_reference(double_well, x, gd)[0].stationarity is None
+    assert assert_matches_reference(double_well, x, cn)[0].stationarity.shape == (1,)
+
+
+@pytest.mark.parametrize("method", ["gradient_descent", "cubic_newton"])
+def test_memory_does_not_grow_with_the_budget(fold, method):
+    # a solve keeps per-lane state only: its peak allocation at 64 lanes stays
+    # under 1 MiB at K = 2,000 and at K = 8,000; one (K + 1, 64) float64
+    # array alone passes 1 MiB from K = 2,048
+    xs = np.random.default_rng(3).uniform([0.0, -1.0], [1.0, 1.0], size=(64, 2))
+    for K in (2000, 8000):
+        cfg = LowerSolverConfig(method=method, eta=0.002, M=420.0, max_iters=K)
+        tracemalloc.start()
+        try:
+            solve_lower(fold, xs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (K, peak)
 
 
 def test_config_validation():
@@ -514,3 +603,6 @@ def test_config_validation():
         LowerSolverConfig(method="gradient_descent", eta=-1.0)
     with pytest.raises(ValueError):
         LowerSolverConfig(method="cubic_newton", M=0.0)
+    for grad_tol in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="grad_tol must be nonnegative and finite"):
+            LowerSolverConfig(grad_tol=grad_tol)
