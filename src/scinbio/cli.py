@@ -300,7 +300,7 @@ def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
         result["verdict"] = "short-run"
 
     # best of the last 100 iterations by hyperfunction value
-    if problem.m == 1 and len(xs) > 1:
+    if len(xs) > 1:
         tail = xs[:-1][-100:]
         offset = len(xs) - 1 - len(tail)
         y_hat = _solve_points(problem, tail, lower)
@@ -327,7 +327,7 @@ def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
         write_summary_json(trace, os.path.join(out, f"summary_seed{seed}.json"),
                            extra=extra)
         files["summary"] = f"summary_seed{seed}.json"
-    if "svg" in cfg["emit"] and problem.m == 1:
+    if "svg" in cfg["emit"]:
         stride = max(1, (len(xs) - 1) // 400) if len(xs) > 1 else 1
         pts = _phase_points(problem, xs, lower, stride)
         lo, hi = problem.feasible_set.bbox

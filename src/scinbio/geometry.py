@@ -1,4 +1,4 @@
-"""Degenerate-stationary-point diagnostics for m = 1 lower levels.
+"""Degenerate-stationary-point diagnostics for the one-dimensional lower level.
 
 A parameter x is a bifurcation parameter when g(x, .) has a stationary point
 with singular Hessian; there stationary branches merge, appear, or vanish.
@@ -57,7 +57,7 @@ TAU_FOLD = 1e-4
 
 
 def degeneracy_threshold(hess_scale):
-    """tau_det = 1e-6 (1 + ||hess||): scale-relative singularity cutoff."""
+    """tau_det = 1e-6 (1 + |hess|): scale-relative singularity cutoff."""
     return 1e-6 * (1.0 + abs(hess_scale))
 
 
@@ -102,7 +102,7 @@ class DimensionEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Stationary-point location for m = 1
+# Stationary-point location
 # ---------------------------------------------------------------------------
 
 # Lanes per oracle call when evaluating the cells' y-grids: a scan's memory
@@ -111,7 +111,7 @@ _LANE_BUDGET = 1 << 14
 
 
 def _lane_call(problem, name, x, y):
-    """grad_y_g, hess_yy_g or grad_x_grad_y_g of an m = 1 problem on lanes
+    """grad_y_g, hess_yy_g or grad_x_grad_y_g of a problem on lanes
     x (L, n), y (L,): (L,) for the first two, (L, n) for the cross-derivative."""
     tail = (problem.n,) if name == "grad_x_grad_y_g" else ()
     return call_oracle(problem, name, x, y[:, None]).reshape(y.shape + tail)
@@ -226,8 +226,6 @@ def find_stationary_points_1d(problem, x, y_range, resolution) -> List[Stationar
     Every reported root satisfies |grad_y g| <= 1e-10 (1 + |y|) on
     re-evaluation; roots closer than (hi - lo) / (10 resolution) are merged.
     """
-    if problem.m != 1:
-        raise ValueError("stationary-point scan requires m = 1")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -355,8 +353,8 @@ def _hunt_lanes(cell_roots, r, y_lo, y_hi, edge):
 def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> BifurcationScan:
     """Grid scan over a 2-d parameter box marking cells that contain a located
     degenerate stationary point; emits all stationary records found."""
-    if problem.n != 2 or problem.m != 1:
-        raise ValueError("scanner requires n = 2, m = 1")
+    if problem.n != 2:
+        raise ValueError("scanner requires n = 2")
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
     if y_resolution < 2:
@@ -428,32 +426,25 @@ def check_fold_conditions(problem, record: StationaryPointRecord) -> str:
     simple zero eigenvalue, transversal parameter dependence of the projected
     gradient, and nonzero third derivative along the null direction.
 
-    Finite differences cannot certify a value is nonzero, so values inside
+    For a one-dimensional follower the degenerate record's zero eigenvalue is
+    its only one, so (1) holds, and the null direction is v = 1.  Finite
+    differences cannot certify a value is nonzero, so values inside
     (tau_fold/10, tau_fold) return UNDETERMINED rather than a binary answer.
     """
     if not record.degenerate:
         raise ValueError("fold check requires a degenerate record")
     x = np.asarray(record.x, dtype=float)[None, :]
     y = np.asarray(record.y, dtype=float)
-    H = call_oracle(problem, "hess_yy_g", x, y[None, :])[0]
-    evals, evecs = np.linalg.eigh(0.5 * (H + H.T))
-    order = np.argsort(np.abs(evals))
-    v = evecs[:, order[0]]
-    tau_det = degeneracy_threshold(float(np.max(np.abs(H))))
 
-    # (1) exactly one zero eigenvalue
-    if problem.m >= 2 and abs(evals[order[1]]) < 10.0 * tau_det:
-        return NON_FOLD_DEGENERATE
-
-    # (2) parameter derivative of grad_y g projected on v
+    # (2) parameter derivative of grad_y g
     J = call_oracle(problem, "grad_x_grad_y_g", x, y[None, :])[0]
-    c2_val = float(np.linalg.norm(J.T @ v))
+    c2_val = float(np.linalg.norm(J[0]))
 
-    # (3) third directional derivative along v, 5-point stencil
-    h = TAU_FOLD * (1.0 + float(np.linalg.norm(y)))
+    # (3) third derivative in y, 5-point stencil
+    h = TAU_FOLD * (1.0 + abs(float(y[0])))
     shifts = np.array([2 * h, h, -h, -2 * h])
     p2, p1, m1, m2 = call_oracle(problem, "g", np.repeat(x, 4, axis=0),
-                                 y + shifts[:, None] * v).tolist()
+                                 y + shifts[:, None]).tolist()
     c3_val = abs((p2 - 2 * p1 + 2 * m1 - m2) / (2 * h ** 3))
 
     if c2_val >= TAU_FOLD and c3_val >= TAU_FOLD:

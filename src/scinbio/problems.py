@@ -6,10 +6,13 @@ lower-level initialization y0, a uniform value cap f_bar on |f| over the
 reachable region, and a convex compact feasible set for x.  Oracles must be
 pure functions of (x, y): solvers may hand them reused scratch buffers.
 
+The follower y is one-dimensional: y0 has shape (1,), and the y-derivatives
+keep their axes of length one.
+
 Lane convention.  An oracle evaluates L independent points at once: x has
-shape (L, n) and y shape (L, m), and f and g return shape (L,), grad_y_g
-(L, m), hess_yy_g (L, m, m) and grad_x_grad_y_g the cross-derivative block
-(L, m, n).  One point is a batch of one lane.  Every oracle call in the
+shape (L, n) and y shape (L, 1), and f and g return shape (L,), grad_y_g
+(L, 1), hess_yy_g (L, 1, 1) and grad_x_grad_y_g the cross-derivative block
+(L, 1, n).  One point is a batch of one lane.  Every oracle call in the
 package goes through `call_oracle`, which checks the output's shape.  A
 feasible set's `project` and `contains` act on the last axis.  The GDA
 baseline uses no bundle: it integrates the saddle flow of `minimax_gradient`.
@@ -67,12 +70,11 @@ class BilevelProblem:
 
     f, g, grad_y_g, hess_yy_g and grad_x_grad_y_g (the cross-derivative
     block d/dx of grad_y g, which only the geometry diagnostics consult)
-    follow the lane convention of this module: (L, n) and (L, m) inputs give
-    (L,), (L,), (L, m), (L, m, m) and (L, m, n) outputs.
+    follow the lane convention of this module: (L, n) and (L, 1) inputs give
+    (L,), (L,), (L, 1), (L, 1, 1) and (L, 1, n) outputs.  y0 has shape (1,).
     """
 
     n: int
-    m: int
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -84,14 +86,14 @@ class BilevelProblem:
 
 
 def call_oracle(problem, name, x, y):
-    """Oracle `name` of `problem` on lanes x (L, n), y (L, m), as a float array.
+    """Oracle `name` of `problem` on lanes x (L, n), y (L, 1), as a float array.
 
     Raises ValueError naming the oracle and the shape the lane convention
     expects when the output has another shape.
     """
-    lanes, m = y.shape[0], problem.m
-    expected = {"f": (lanes,), "g": (lanes,), "grad_y_g": (lanes, m),
-                "hess_yy_g": (lanes, m, m), "grad_x_grad_y_g": (lanes, m, problem.n)}[name]
+    lanes = y.shape[0]
+    expected = {"f": (lanes,), "g": (lanes,), "grad_y_g": (lanes, 1),
+                "hess_yy_g": (lanes, 1, 1), "grad_x_grad_y_g": (lanes, 1, problem.n)}[name]
     if lanes == 0:
         return np.empty(expected)
     out = np.asarray(getattr(problem, name)(x, y), dtype=float)
@@ -151,7 +153,7 @@ _MINIMAX_F_BAR = 62.13
 
 
 def builtin_minimax() -> BilevelProblem:
-    """Nonconvex-nonconcave minimax test problem as a bilevel bundle (n=m=1)."""
+    """Nonconvex-nonconcave minimax test problem as a bilevel bundle (n = 1)."""
 
     def f(x, y):
         return _mm_f(x[:, 0], y[:, 0])
@@ -169,7 +171,7 @@ def builtin_minimax() -> BilevelProblem:
         return -_mm_fxy(x[:, 0], y[:, 0])[:, None, None]
 
     return BilevelProblem(
-        n=1, m=1,
+        n=1,
         f=f, g=g,
         grad_y_g=grad_y_g, hess_yy_g=hess_yy_g,
         grad_x_grad_y_g=grad_x_grad_y_g,
@@ -216,7 +218,7 @@ def builtin_shifted_double_well() -> BilevelProblem:
         return (-(12.0 * u * u - 4.0))[:, None, None]
 
     return BilevelProblem(
-        n=1, m=1,
+        n=1,
         f=f, g=g,
         grad_y_g=grad_y_g, hess_yy_g=hess_yy_g,
         grad_x_grad_y_g=grad_x_grad_y_g,
@@ -277,7 +279,7 @@ def builtin_fold_family() -> BilevelProblem:
         return np.stack([d1, np.zeros_like(d1)], axis=-1)[:, None, :]
 
     return BilevelProblem(
-        n=2, m=1,
+        n=2,
         f=f, g=g,
         grad_y_g=grad_y_g, hess_yy_g=hess_yy_g,
         grad_x_grad_y_g=grad_x_grad_y_g,
@@ -337,7 +339,7 @@ def builtin_quartic_family() -> BilevelProblem:
         return row[:, None, :]
 
     return BilevelProblem(
-        n=2, m=1,
+        n=2,
         f=f, g=g,
         grad_y_g=grad_y_g, hess_yy_g=hess_yy_g,
         grad_x_grad_y_g=grad_x_grad_y_g,

@@ -38,27 +38,27 @@ def fold_scan(fold):
     return scan_bifurcation_set(fold, 200, (-1.0, 1.0), 400)
 
 
-def quadratic_problem(m=2, y0=None):
-    """g(y) = 1/2 ||y||^2: strongly convex sanity target for the solvers
+def quadratic_problem(y0=None):
+    """g(y) = 1/2 y^2: strongly convex sanity target for the solvers
     (oracles follow the lane convention of `scinbio.problems`)."""
-    y0 = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float)
+    y0 = np.zeros(1) if y0 is None else np.asarray(y0, dtype=float)
 
     def f(x, y):
         return y[..., 0]
 
     def g(x, y):
-        return 0.5 * (y * y).sum(axis=-1)
+        return 0.5 * (y[..., 0] * y[..., 0])
 
     def grad(x, y):
         return np.asarray(y, dtype=float).copy()
 
     def hess(x, y):
-        return np.broadcast_to(np.eye(m), np.shape(y) + (m,)).copy()
+        return np.ones(np.shape(y) + (1,))
 
     def cross(x, y):
         return np.zeros(np.shape(y) + (1,))
 
-    return BilevelProblem(n=1, m=m, f=f, g=g, grad_y_g=grad, hess_yy_g=hess,
+    return BilevelProblem(n=1, f=f, g=g, grad_y_g=grad, hess_yy_g=hess,
                           grad_x_grad_y_g=cross, y0=y0, f_bar=10.0,
                           feasible_set=box_set([-1.0], [1.0]))
 
@@ -75,7 +75,7 @@ def reference_solve(problem, x, config):
     loop of one-lane oracle calls, takes the cubic step of
     `solve_cubic_subproblem` and records its whole trajectory.
 
-    Returns one dict per lane: ys, the iterates it ran (steps_run, m), with
+    Returns one dict per lane: ys, the iterates it ran (steps_run, 1), with
     grad_norms and nus (None for gradient descent) there; index, y_hat,
     grad_norm and stationarity at the selected step (the last for gradient
     descent, the first smallest nu_M by np.argmin for cubic Newton);
@@ -96,15 +96,10 @@ def reference_solve(problem, x, config):
                 g = call_oracle(problem, "grad_y_g", xl, y[None, :])[0]
                 if not np.isfinite(g).all():
                     events.append(("gradient", k))
-                grad_norms.append(float(np.sqrt((g * g).sum())))
+                grad_norms.append(float(abs(g[0])))
                 if cubic:
                     H = call_oracle(problem, "hess_yy_g", xl, y[None, :])[0]
-                    if problem.m == 1:
-                        lam = H[0, 0]
-                    elif np.isfinite(H).all():
-                        lam = np.linalg.eigh(0.5 * (H + H.T))[0][0]
-                    else:
-                        lam = math.nan
+                    lam = H[0, 0]
                     if not math.isfinite(lam):
                         events.append(("Hessian", k))
                     nus.append(float(stationarity_measure(grad_norms[-1], lam, config.M)))
@@ -126,12 +121,10 @@ def reference_solve(problem, x, config):
 
 def _reference_cubic_step(g, H, M):
     """The cubic step of `solve_cubic_subproblem`; for the non-finite g or H
-    it rejects, the step a failing lane takes in `solve_lower`: NaN for
-    m > 1, the 1-D closed form evaluated as is for m = 1."""
+    it rejects, the step a failing lane takes in `solve_lower`: the closed
+    form evaluated as is."""
     if np.isfinite(g).all() and np.isfinite(H).all():
         return solve_cubic_subproblem(g, H, M).s
-    if len(g) > 1:
-        return np.full(len(g), math.nan)
     return _cubic_step_1d(g, H[0], M)[0]
 
 

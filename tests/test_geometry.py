@@ -79,9 +79,6 @@ def test_roots_satisfy_gradient_tolerance(quartic):
 def test_finder_validates_inputs(fold, minimax):
     with pytest.raises(ValueError):
         find_stationary_points_1d(fold, arr(0.5, 0.0), (-1, 1), 1)
-    from conftest import quadratic_problem
-    with pytest.raises(ValueError):
-        find_stationary_points_1d(quadratic_problem(m=2), arr(0.0), (-1, 1), 100)
 
 
 def test_branch_continuity(fold):
@@ -159,7 +156,7 @@ def test_nondegenerate_problem_unmarked():
     def cross(x, y):
         return np.broadcast_to([-1.0, 0.0], np.shape(y) + (2,)).copy()
 
-    p = BilevelProblem(n=2, m=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
+    p = BilevelProblem(n=2, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
                        hess_yy_g=hess, grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=5.0,
                        feasible_set=box_set([-1.0, -1.0], [1.0, 1.0]))
     scan = scan_bifurcation_set(p, 20, (-3.0, 3.0), 200)
@@ -324,32 +321,10 @@ def test_fold_conditions_reject_cusp_like():
     def cross(x, y):  # d/dx (4 y^3 + x) = 1
         return np.ones(np.shape(y) + (1,))
 
-    p = BilevelProblem(n=1, m=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
+    p = BilevelProblem(n=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
                        hess_yy_g=hess, grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=10.0,
                        feasible_set=box_set([-1.0], [1.0]))
     rec = StationaryPointRecord(x=arr(0.0), y=arr(0.0), grad_norm=0.0,
-                                lambda_min_abs=0.0, degenerate=True,
-                                fold_class="undetermined")
-    assert check_fold_conditions(p, rec) == NON_FOLD_DEGENERATE
-
-
-def test_fold_conditions_reject_double_zero_eigenvalue():
-    # m = 2 with hess = diag(0, 0) at the origin: condition (1) fails
-    def g(x, y):
-        return 0.25 * (y * y).sum(axis=1) ** 2 + x[:, 0] * (y[:, 0] + y[:, 1])
-
-    def grad(x, y):
-        return (y * y).sum(axis=1, keepdims=True) * y + x[:, :1]
-
-    def hess(x, y):
-        return ((y * y).sum(axis=1)[:, None, None] * np.eye(2)
-                + 2.0 * y[:, :, None] * y[:, None, :])
-
-    p = BilevelProblem(n=1, m=2, f=lambda x, y: y[:, 0], g=g, grad_y_g=grad,
-                       hess_yy_g=hess, grad_x_grad_y_g=lambda x, y: np.ones((len(y), 2, 1)),
-                       y0=np.zeros(2), f_bar=10.0,
-                       feasible_set=box_set([-1.0], [1.0]))
-    rec = StationaryPointRecord(x=arr(0.0), y=arr(0.0, 0.0), grad_norm=0.0,
                                 lambda_min_abs=0.0, degenerate=True,
                                 fold_class="undetermined")
     assert check_fold_conditions(p, rec) == NON_FOLD_DEGENERATE

@@ -16,7 +16,7 @@ from conftest import quadratic_problem
 def hook_problem(f_bar=9.0, lo=-3.0, hi=3.0):
     """Carrier problem for direct-phi runs: the feasible box and cap matter,
     the oracles do not (phi bypasses them)."""
-    return dataclasses.replace(quadratic_problem(m=1), f_bar=f_bar,
+    return dataclasses.replace(quadratic_problem(), f_bar=f_bar,
                                feasible_set=box_set([lo], [hi]))
 
 

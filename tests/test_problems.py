@@ -93,7 +93,7 @@ def test_analytic_derivatives_match_fd(name):
     lo, hi = problem.feasible_set.bbox
     for _ in range(100):
         x = rng.uniform(lo, hi)
-        y = rng.uniform(-2.0, 2.0, size=problem.m)
+        y = rng.uniform(-2.0, 2.0, size=1)
         grad = at(problem, "grad_y_g", x, y)
         fd_g = central_diff_grad(lambda yy: at(problem, "g", x, yy), y, 1e-5)
         assert np.abs(grad - fd_g).max() <= 1e-4 * (1.0 + np.abs(grad).max())
@@ -109,22 +109,22 @@ def test_cross_derivative_matches_fd(name):
     lo, hi = problem.feasible_set.bbox
     for _ in range(20):
         x = rng.uniform(lo, hi)
-        y = rng.uniform(-1.5, 1.5, size=problem.m)
+        y = rng.uniform(-1.5, 1.5, size=1)
         J = at(problem, "grad_x_grad_y_g", x, y)
         for i in range(problem.n):
             xp = x.copy(); xp[i] += 1e-6
             xm = x.copy(); xm[i] -= 1e-6
             fd = (at(problem, "grad_y_g", xp, y) - at(problem, "grad_y_g", xm, y)) / 2e-6
             assert np.abs(J[:, i] - fd).max() <= 1e-5 * (1.0 + np.abs(J).max())
-    # lane convention: L = 5 lanes give (L, m, n), each lane the block of its
+    # lane convention: L = 5 lanes give (L, 1, n), each lane the block of its
     # point run as a batch of one
     xs = rng.uniform(lo, hi, size=(5, problem.n))
-    ys = rng.uniform(-1.5, 1.5, size=(5, problem.m))
+    ys = rng.uniform(-1.5, 1.5, size=(5, 1))
     lanes = problem.grad_x_grad_y_g(xs, ys)
-    assert lanes.shape == (5, problem.m, problem.n)
+    assert lanes.shape == (5, 1, problem.n)
     for k in range(5):
         single = at(problem, "grad_x_grad_y_g", xs[k], ys[k])
-        assert single.shape == (problem.m, problem.n)
+        assert single.shape == (1, problem.n)
         assert np.array_equal(lanes[k], single)
 
 
@@ -143,7 +143,7 @@ def test_lanes_equal_single_points_bit_for_bit(name):
     lo, hi = problem.feasible_set.bbox
     span = _LANE_Y_SPAN[name]
     xs = rng.uniform(lo, hi, size=(2000, problem.n))
-    ys = rng.uniform(-span, span, size=(2000, problem.m))
+    ys = rng.uniform(-span, span, size=(2000, 1))
     for oracle in ("f", "g", "grad_y_g", "hess_yy_g", "grad_x_grad_y_g"):
         fn = getattr(problem, oracle)
         lanes = np.asarray(fn(xs, ys))
@@ -171,13 +171,6 @@ def test_call_oracle_names_a_wrong_shape(fold, oracle, expected):
         call_oracle(bad, oracle, xs, ys)
 
 
-def test_hessian_symmetry_m2():
-    from conftest import quadratic_problem
-    p = quadratic_problem(m=2)
-    H = at(p, "hess_yy_g", arr(0.0), arr(0.3, -0.4))
-    assert np.abs(H - H.T).max() <= 1e-10 * (1.0 + np.abs(H).max())
-
-
 # ---------------------------------------------------------------------------
 # value cap
 # ---------------------------------------------------------------------------
@@ -191,7 +184,7 @@ def test_f_bar_covers_reachable_region(name):
     checked = 0
     for _ in range(1000):
         x = rng.uniform(lo, hi)
-        y = rng.uniform(-y_span, y_span, size=problem.m)
+        y = rng.uniform(-y_span, y_span, size=1)
         if at(problem, "g", x, y) <= at(problem, "g", x, problem.y0):
             assert abs(at(problem, "f", x, y)) <= problem.f_bar
             checked += 1

@@ -100,7 +100,7 @@ def test_constant_phi_estimate_is_scaled_direction_mean():
 
 def test_all_samples_infeasible_take_cap():
     from conftest import quadratic_problem
-    p = quadratic_problem(m=1)  # feasible box [-1, 1], f_bar = 10
+    p = quadratic_problem()  # feasible box [-1, 1], f_bar = 10
     cfg = SmoothingConfig(xi=0.05, master_seed=3)
     lower = LowerSolverConfig(max_iters=5)
     est, = estimate_hypergradient(p, [[-10.0]], 2000, [cfg], lower, stream_tag=0).per_point
