@@ -22,7 +22,7 @@ from .problems import (BilevelProblem, FeasibleSet, PROBLEM_NAMES, box_set,
                        builtin_fold_family, builtin_minimax, builtin_quartic_family,
                        builtin_shifted_double_well, get_problem, minimax_gradient)
 from .smoothing import (GradientEstimate, GradientEstimates, SmoothingConfig,
-                        estimate_hypergradient, estimate_smoothed_value,
+                        estimate_hypergradient,
                         gradient_norm_bound, lipschitz_bound, smoothed_step_reference)
 
 __version__ = "0.1.0"

@@ -564,14 +564,8 @@ def cmd_estimate(cfg, x_text):
     smoothing = _smoothing_config(cfg, 0)
     n = cfg["estimate.N"]
     batches = cfg["estimate.batches"]
-    estimates = []
-    infeasible = 0
-    for b in range(batches):
-        est = _estimate_at(problem, x, n, smoothing, lower, b)
-        estimates.append(est.value)
-        if b == 0:
-            infeasible = est.infeasible_count
-    estimates = np.asarray(estimates)
+    ests = [_estimate_at(problem, x, n, smoothing, lower, b) for b in range(batches)]
+    estimates = np.asarray([est.value for est in ests])
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / np.sqrt(batches)
     payload = {
@@ -581,7 +575,8 @@ def cmd_estimate(cfg, x_text):
         "estimate": [float(v) for v in estimates[0]],
         "estimate_norm": float(np.linalg.norm(estimates[0])),
         "n_samples": n,
-        "infeasible_count": infeasible,
+        "infeasible_count": ests[0].infeasible_count,
+        "smoothed_value": float(np.mean(ests[0].per_sample_f)),
         "gradient_norm_bound": gradient_norm_bound(problem.f_bar, smoothing.xi),
         "batches": batches,
         "batch_mean": [float(v) for v in mean],

@@ -32,9 +32,8 @@ phase hunts the degenerate points:
 """
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

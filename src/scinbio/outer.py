@@ -1,7 +1,7 @@
 """Biased projected SGD on the smoothed hyperfunction (the SCiNBiO outer loop).
 
 Per iteration t: draw N_t Gaussian directions, estimate the hypergradient with
-K_t-step lower solves, take a projected step x_{t+1} = proj(x_t - beta_t ghat),
+K_t-step lower solves, take a projected step x_{t+1} = proj(x_t - beta ghat),
 and record the projected gradient mapping norm.  The loop is deterministic
 given (master_seed, config).  Several seeds run in lockstep: one estimator
 call per iteration serves every seed, so all their lower solves share each
@@ -13,7 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -83,32 +83,21 @@ def constant_schedules(n_samples, k_steps) -> Schedules:
 
 @dataclass(frozen=True)
 class OuterConfig:
-    """Outer-loop budget and step-size schedule.
-
-    beta may be a constant or a per-iteration sequence of length T.  The
-    smoothing bandwidth and master seed live on SmoothingConfig.
+    """Outer-loop budget and constant step size beta.  The smoothing
+    bandwidth and master seed live on SmoothingConfig.
     """
 
     T: int
-    beta: Union[float, Sequence[float]] = 0.005
+    beta: float = 0.005
     schedules: Optional[Schedules] = None
     output_rule: str = OUTPUT_LAST
-
-    def beta_at(self, t):
-        if np.isscalar(self.beta):
-            return float(self.beta)
-        return float(self.beta[t])
 
     def validate(self):
         msgs = []
         if self.T < 0:
             msgs.append("T must be nonnegative")
-        betas = ([float(self.beta)] * max(self.T, 1) if np.isscalar(self.beta)
-                 else list(map(float, self.beta)))
-        if not np.isscalar(self.beta) and len(betas) < self.T:
-            msgs.append(f"beta has {len(betas)} entries but T = {self.T}")
-        if any(not 0 < b < math.inf for b in betas):
-            msgs.append("beta must be positive and finite at every t")
+        if not 0 < self.beta < math.inf:
+            msgs.append("beta must be positive and finite")
         rules = (OUTPUT_LAST, OUTPUT_RANDOM_INDEX, OUTPUT_BEST_MAPPING)
         if self.output_rule not in rules:
             msgs.append(f"output_rule must be {'|'.join(rules)}, got {self.output_rule!r}")
@@ -172,13 +161,12 @@ def random_index_pmf(betas, l_hat):
 def validate_run(problem, outer: OuterConfig, smoothing: SmoothingConfig):
     """Raise ConfigError for a configuration `run_scinbio` cannot run.
 
-    Besides `outer.validate()`, the random-index output rule needs every
-    beta_t < 1/L with L = f_bar / xi^2 (see `random_index_pmf`).
+    Besides `outer.validate()`, the random-index output rule needs
+    beta < 1/L with L = f_bar / xi^2 (see `random_index_pmf`).
     """
     outer.validate()
     if outer.output_rule == OUTPUT_RANDOM_INDEX and outer.T > 0:
-        random_index_pmf([outer.beta_at(t) for t in range(outer.T)],
-                         lipschitz_bound(problem.f_bar, smoothing.xi))
+        random_index_pmf([outer.beta], lipschitz_bound(problem.f_bar, smoothing.xi))
 
 
 @dataclass
@@ -197,7 +185,7 @@ class LockstepRun:
 
 
 def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
-                smoothings, x0=None, phi: Optional[Callable] = None) -> LockstepRun:
+                smoothings, x0=None) -> LockstepRun:
     """Run the outer loop for each seed, one SmoothingConfig per seed, from
     the matching start in the sequence x0 (projected to the feasible set
     first; x0=None starts every seed at the center of the feasible box).
@@ -206,10 +194,6 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
     running seed's N_t directions from that seed's stream and solves all their
     samples together.  A seed whose estimate fails stops there; the others
     run on, each with the numbers it gets when run alone.
-
-    phi forwards the direct-hook of the estimator: lower solves are skipped
-    and per-sample values come from phi, with the feasibility cap still
-    applied through the problem's feasible set and f_bar.
     """
     configs = list(smoothings)
     for config in configs:
@@ -222,13 +206,10 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
     xs = [fs.project(np.atleast_1d(np.asarray(x, dtype=float))) for x in starts]
 
     sched = outer.schedules or constant_schedules(1, lower.max_iters)
-    T = outer.T
-    betas = [outer.beta_at(t) for t in range(T)]
-
     rows = [[] for _ in configs]
     totals = [{"f": 0, "g": 0, "grad": 0, "hess": 0} for _ in configs]
     failures = [None] * len(configs)
-    for t in range(T):
+    for t in range(outer.T):
         running = [s for s, err in enumerate(failures) if err is None]
         if not running:
             break
@@ -238,14 +219,13 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
         lower_t = dataclasses.replace(lower, max_iters=k_t)
         ests = estimate_hypergradient(problem, np.array([xs[s] for s in running]), n_t,
                                       [configs[s] for s in running], lower_t,
-                                      stream_tag=t, phi=phi)
-        beta_t = betas[t]
+                                      stream_tag=t)
         for s, est in zip(running, ests.per_point):
             if not isinstance(est, GradientEstimate):
                 failures[s] = est
                 continue
             x = xs[s]
-            gm = gradient_mapping(x, est.value, beta_t, fs)
+            gm = gradient_mapping(x, est.value, outer.beta, fs)
             rows[s].append(TraceRow(
                 t=t, x=x.copy(), estimate=est.value.copy(),
                 mapping_norm=float(np.linalg.norm(gm)),
@@ -255,14 +235,14 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
             ))
             for key in totals[s]:
                 totals[s][key] += est.oracle_counts.get(key, 0)
-            xs[s] = fs.project(x - beta_t * est.value)
+            xs[s] = fs.project(x - outer.beta * est.value)
 
     return LockstepRun([failures[s] or _finish(problem, outer, lower, configs[s], rows[s],
-                                               xs[s], betas, totals[s])
+                                               xs[s], totals[s])
                         for s in range(len(configs))])
 
 
-def _finish(problem, outer, lower, smoothing, rows, x, betas, totals):
+def _finish(problem, outer, lower, smoothing, rows, x, totals):
     """One seed's OuterTrace: its output point and configuration echo."""
     T = outer.T
     x_final = x.copy()
@@ -271,7 +251,8 @@ def _finish(problem, outer, lower, smoothing, rows, x, betas, totals):
         k = int(np.argmin([row.mapping_norm for row in rows]))
         x_out = rows[k].x.copy()
     elif outer.output_rule == OUTPUT_RANDOM_INDEX and rows:
-        pmf = random_index_pmf(betas, lipschitz_bound(problem.f_bar, smoothing.xi))
+        pmf = random_index_pmf(np.full(T, outer.beta),
+                               lipschitz_bound(problem.f_bar, smoothing.xi))
         gen = rng.stream(smoothing.master_seed, rng.DOMAIN_OUTPUT_INDEX)
         # R ranges over the recorded iterations 1..T; x_R is the R-th iterate
         r_index = 1 + int(gen.choice(T, p=pmf))
@@ -283,8 +264,7 @@ def _finish(problem, outer, lower, smoothing, rows, x, betas, totals):
                       random_index=r_index, oracle_totals=totals,
                       config_echo={
                           "T": T,
-                          "beta": (float(outer.beta) if np.isscalar(outer.beta)
-                                   else list(map(float, outer.beta))),
+                          "beta": float(outer.beta),
                           "output_rule": outer.output_rule,
                           "xi": smoothing.xi,
                           "master_seed": smoothing.master_seed,

@@ -9,7 +9,7 @@ sample points falling outside the feasible set contribute the value cap f_bar
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .problems import call_oracle
 
 __all__ = [
     "SmoothingConfig", "GradientEstimate", "GradientEstimates",
-    "estimate_hypergradient", "estimate_smoothed_value",
+    "estimate_hypergradient",
     "smoothed_step_reference", "gradient_norm_bound", "lipschitz_bound",
 ]
 
@@ -63,27 +63,7 @@ class GradientEstimates:
     infeasible_count: int
 
 
-def _samples(problem, x, n_samples, smoothings, lower, stream_tag, phi):
-    """The checks both estimators share, then the configs, each point's N
-    directions u (S, N, n) from its own stream and `_sample_values` there."""
-    configs = list(smoothings)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if problem is None and phi is None:
-        raise ValueError("need a problem or a direct phi hook")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != len(configs):
-        raise ValueError(f"x must hold {len(configs)} points as rows, got shape {x.shape}")
-    if problem is not None and x.shape[1] != problem.n:
-        raise ValueError(f"x must have dimension {problem.n}")
-    if phi is None and lower is None:
-        raise ValueError("a lower-solver config is required without a phi hook")
-    u = np.stack([rng.stream(c.master_seed, rng.DOMAIN_ESTIMATOR, stream_tag)
-                  .standard_normal((n_samples, x.shape[1])) for c in configs])
-    return (configs, u) + _sample_values(problem, x, u, [c.xi for c in configs], lower, phi)
-
-
-def _sample_values(problem, points, u, xis, lower, phi):
+def _sample_values(problem, points, u, xis, lower):
     """Hyperfunction values at points[s] + xi_s u[s, i] with the f_bar
     convention, for all points at once: every feasible sample of every point
     is one lane of a single lower solve.
@@ -96,15 +76,10 @@ def _sample_values(problem, points, u, xis, lower, phi):
     xt = points[:, None, :] + np.asarray(xis)[:, None, None] * u
     values = np.empty((S, N))
     counts = [{"f": 0, "g": 0, "grad": 0, "hess": 0} for _ in range(S)]
-    feasible = (np.ones((S, N), dtype=bool) if problem is None
-                else problem.feasible_set.contains(xt))
-    if problem is not None:
-        values[~feasible] = problem.f_bar
+    feasible = problem.feasible_set.contains(xt)
+    values[~feasible] = problem.f_bar
     solve_errors = {}
-    if phi is not None:
-        for s, i in np.argwhere(feasible).tolist():
-            values[s, i] = float(phi(xt[s, i]))
-    elif feasible.any():
+    if feasible.any():
         lanes = xt[feasible]
         owner, sample = np.nonzero(feasible)
         res = run_lower_lean(problem, lanes, lower)
@@ -130,10 +105,8 @@ def _sample_values(problem, points, u, xis, lower, phi):
     return values, (~feasible).sum(axis=1), counts, errors
 
 
-def estimate_hypergradient(problem, x, n_samples, smoothings,
-                           lower: Optional[LowerSolverConfig] = None,
-                           stream_tag: int = 0,
-                           phi: Optional[Callable] = None) -> GradientEstimates:
+def estimate_hypergradient(problem, x, n_samples, smoothings, lower: LowerSolverConfig,
+                           stream_tag: int = 0) -> GradientEstimates:
     """Monte Carlo estimates (1/(N xi)) sum_i u_i f(x + xi u_i, y_hat(x + xi u_i))
     at the S points x (S, n), one SmoothingConfig per point.
 
@@ -141,12 +114,20 @@ def estimate_hypergradient(problem, x, n_samples, smoothings,
     stream_tag) of its own config; each feasible sample runs a cold-started
     lower solve and infeasible samples contribute f_bar.  The lower solves of
     all points share one batched solve, and a failure stops only its point.
-    `phi` is a test hook that replaces the (f, lower-solve) pipeline with a
-    direct scalar function; pass problem=None with it to disable the
-    feasibility cap entirely.
+    The mean of a point's per_sample_f is its smoothed hyperfunction value.
     """
-    configs, u, values, infeasible, counts, errors = _samples(
-        problem, x, n_samples, smoothings, lower, stream_tag, phi)
+    configs = list(smoothings)
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != len(configs):
+        raise ValueError(f"x must hold {len(configs)} points as rows, got shape {x.shape}")
+    if x.shape[1] != problem.n:
+        raise ValueError(f"x must have dimension {problem.n}")
+    u = np.stack([rng.stream(c.master_seed, rng.DOMAIN_ESTIMATOR, stream_tag)
+                  .standard_normal((n_samples, x.shape[1])) for c in configs])
+    values, infeasible, counts, errors = _sample_values(
+        problem, x, u, [c.xi for c in configs], lower)
     estimates = []
     for s, c in enumerate(configs):
         if errors[s] is not None:
@@ -162,22 +143,6 @@ def estimate_hypergradient(problem, x, n_samples, smoothings,
                              sum(e.infeasible_count for e in done))
 
 
-def estimate_smoothed_value(problem, x, n_samples, smoothings,
-                            lower: Optional[LowerSolverConfig] = None,
-                            stream_tag: int = 0,
-                            phi: Optional[Callable] = None) -> list:
-    """Monte Carlo estimates (1/N) sum_i f_i of the smoothed hyperfunction value
-    at the S points x (S, n), one SmoothingConfig per point.
-
-    Shares the sampling scheme and f_bar convention of the gradient estimator:
-    the same (master_seed, stream_tag) reproduces the same sample points.
-    Returns, per point, its value or the EstimatorError that stopped it.
-    """
-    configs, _, values, _, _, errors = _samples(
-        problem, x, n_samples, smoothings, lower, stream_tag, phi)
-    return [errors[s] or float(values[s].mean()) for s in range(len(configs))]
-
-
 def smoothed_step_reference(x, xi):
     """Exact Gaussian smoothing of the step phi(z) = -z (z <= 0), 1 (z > 0).
 
@@ -185,7 +150,7 @@ def smoothed_step_reference(x, xi):
     derivative   = phi_std(x/xi)/xi - Phi(-x/xi)
 
     where Phi / phi_std are the standard normal CDF / density.  Used as the
-    closed-form validation target for the Monte Carlo estimators.
+    closed-form validation target for the Monte Carlo estimator.
     """
     if not xi > 0:
         raise ValueError("xi must be positive")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scinbio import (BilevelProblem, box_set, builtin_fold_family,
+from scinbio import (BilevelProblem, LowerSolverConfig, box_set, builtin_fold_family,
                      builtin_minimax, builtin_quartic_family,
                      builtin_shifted_double_well, scan_bifurcation_set,
                      solve_cubic_subproblem, stationarity_measure)
@@ -61,6 +61,35 @@ def quadratic_problem(y0=None):
     return BilevelProblem(n=1, f=f, g=g, grad_y_g=grad, hess_yy_g=hess,
                           grad_x_grad_y_g=cross, y0=y0, f_bar=10.0,
                           feasible_set=box_set([-1.0], [1.0]))
+
+
+def phi_problem(phi, n=1, lo=-10.0, hi=10.0, f_bar=10.0):
+    """A problem whose hyperfunction is phi: f(x, y) = phi(x) row by row,
+    g = 0 and y0 = 0, over the box [lo, hi]^n.  Solve its follower with a
+    grad_tol > 0 config such as PHI_LOWER: |grad_y g| = 0 at y0 stops every
+    lane at step 0."""
+
+    def f(x, y):
+        return np.array([phi(row) for row in x])
+
+    def g(x, y):
+        return np.zeros(len(y))
+
+    def grad(x, y):
+        return np.zeros(np.shape(y))
+
+    def hess(x, y):
+        return np.zeros(np.shape(y) + (1,))
+
+    def cross(x, y):
+        return np.zeros(np.shape(y) + (n,))
+
+    return BilevelProblem(n=n, f=f, g=g, grad_y_g=grad, hess_yy_g=hess,
+                          grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=f_bar,
+                          feasible_set=box_set([lo] * n, [hi] * n))
+
+
+PHI_LOWER = LowerSolverConfig(max_iters=1, grad_tol=1e-12)
 
 
 def at(problem, oracle, x, y):

@@ -10,13 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from scinbio import (LowerSolverConfig, OuterConfig, SmoothingConfig,
-                     box_counting_dimension, builtin_minimax,
-                     check_fold_conditions, constant_schedules,
-                     default_schedules, detect_cycle,
-                     estimate_hypergradient, estimate_smoothed_value,
+                     box_counting_dimension, builtin_minimax, constant_schedules,
+                     default_schedules, detect_cycle, estimate_hypergradient,
                      find_stationary_points_1d, gradient_norm_bound,
                      minimax_gradient, neighborhood_measure, run_gda, run_scinbio,
                      smoothed_step_reference, solve_cubic_subproblem, solve_lower,
@@ -29,8 +26,9 @@ from scinbio.lower import run_lower_lean
 from scinbio.outer import write_trace_csv
 from scinbio.problems import PROBLEM_NAMES
 
+from conftest import PHI_LOWER, phi_problem
 from test_lower import brute_force_min
-from test_outer import hook_problem, quad_phi
+from test_outer import hook_problem
 
 pytestmark = pytest.mark.slow
 
@@ -143,10 +141,13 @@ def test_criterion_3_estimator_closed_form():
         z = float(np.atleast_1d(z)[0])
         return -z if z <= 0 else 1.0
 
+    problem = phi_problem(phi)
     checks = []
     for tag, x in enumerate((-0.5, 0.0, 0.5)):
         n = 100000
-        val, = estimate_smoothed_value(None, [[x]], n, [cfg], stream_tag=tag, phi=phi)
+        est, = estimate_hypergradient(problem, [[x]], n, [cfg], PHI_LOWER,
+                                      stream_tag=tag).per_point
+        val = np.mean(est.per_sample_f)
         ref, _ = smoothed_step_reference(x, xi)
         u = rng_mod.stream(cfg.master_seed, rng_mod.DOMAIN_ESTIMATOR,
                            tag).standard_normal((n, 1))[:, 0]
@@ -154,7 +155,7 @@ def test_criterion_3_estimator_closed_form():
         se = samples.std(ddof=1) / math.sqrt(n)
         checks.append(abs(val - ref) <= 3 * se)
     n = 1000000
-    est, = estimate_hypergradient(None, [[0.0]], n, [cfg], stream_tag=9, phi=phi).per_point
+    est, = estimate_hypergradient(problem, [[0.0]], n, [cfg], PHI_LOWER, stream_tag=9).per_point
     _, dref = smoothed_step_reference(0.0, xi)
     u = rng_mod.stream(cfg.master_seed, rng_mod.DOMAIN_ESTIMATOR,
                        9).standard_normal((n, 1))[:, 0]
@@ -298,10 +299,9 @@ def test_criterion_9_rate_proxy():
     problem = hook_problem()
     smoothing = SmoothingConfig(xi=1.0, master_seed=MASTER_SEED)
     beta = 0.1 / (problem.f_bar / smoothing.xi ** 2)
-    lower = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=5)
     sched = default_schedules(n=1, d_hat=0.0, base_k=1, n_max=256)
     outer = OuterConfig(T=1600, beta=beta, schedules=sched)
-    trace, = run_scinbio(problem, outer, lower, [smoothing], x0=[[2.0]], phi=quad_phi).traces
+    trace, = run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[2.0]]).traces
     sq = trace.mapping_norms() ** 2
     m100, m400, m1600 = sq[:100].mean(), sq[:400].mean(), sq[:1600].mean()
     ok = m400 <= m100 / 2.0 and m1600 <= m400 / 2.0

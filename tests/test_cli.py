@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -193,12 +192,12 @@ def test_minimax_run_draws_only_the_leader_start_per_seed(tmp_path, monkeypatch)
     n_calls = []
     real = cli.run_scinbio
 
-    def recording(problem, outer, lower, smoothing, x0=None, phi=None):
+    def recording(problem, outer, lower, smoothing, x0=None):
         n_calls.append(1)
         for config, start in zip(smoothing, x0, strict=True):
             calls[config.master_seed - 2024] = (problem.y0.copy(),
                                                 np.array(start, dtype=float))
-        return real(problem, outer, lower, smoothing, x0=x0, phi=phi)
+        return real(problem, outer, lower, smoothing, x0=x0)
 
     monkeypatch.setattr(cli, "run_scinbio", recording)
     code = run_cli("run", "--problem", "minimax", "--seed", "0-14",
@@ -372,6 +371,20 @@ def test_estimate_json_is_deterministic(tmp_path, capsys):
     assert np.isfinite(payload["estimate_norm"])
     assert payload["gradient_norm_bound"] == pytest.approx(
         np.sqrt(2 / np.pi) * 62.13 / 0.05, rel=1e-9)
+
+
+def test_estimate_reports_the_smoothed_value_of_batch_0(tmp_path, capsys, fold):
+    # the smoothed hyperfunction value is the mean of the per-sample values of
+    # the stream-tag-0 estimate, whose gradient `estimate` also reports
+    assert run_cli("estimate", "--problem", "fold", "--x", "0.4,0.1", "--out", str(tmp_path),
+                   "--set", "estimate.N=64", "--set", "lower.K=10") == 0
+    payload = json.loads(capsys.readouterr().out)
+    lower = LowerSolverConfig(method="gradient_descent", eta=0.002, M=420.0, max_iters=10)
+    est, = estimate_hypergradient(fold, [[0.4, 0.1]], 64,
+                                  [SmoothingConfig(xi=0.05, master_seed=2024)], lower,
+                                  stream_tag=0).per_point
+    assert payload["estimate"] == est.value.tolist()
+    assert payload["smoothed_value"] == float(np.mean(est.per_sample_f))
 
 
 def test_estimate_single_sample_is_well_formed(tmp_path, capsys):

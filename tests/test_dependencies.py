@@ -1,5 +1,6 @@
 """The runtime needs numpy and the standard library only; SciPy is a test dependency."""
 
+import ast
 import os
 import re
 import subprocess
@@ -40,3 +41,24 @@ def test_only_problems_calls_bundle_oracles():
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 hits += [f"{name}:{i}" for i, line in enumerate(fh, 1) if direct.search(line)]
     assert hits == []
+
+
+def _unused_imports(path):
+    """`file:line name` for each name a top-level import binds that the module never reads."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{os.path.basename(path)}:{node.lineno} {name}"
+            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            if name not in used]
+
+
+def test_no_unused_top_level_imports():
+    package = os.path.join(SRC, "scinbio")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    paths = ([os.path.join(package, name) for name in sorted(os.listdir(package))
+              if name.endswith(".py") and name != "__init__.py"]
+             + [os.path.join(tests, name) for name in sorted(os.listdir(tests))
+                if name.endswith(".py")])
+    assert [hit for path in paths for hit in _unused_imports(path)] == []

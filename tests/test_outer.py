@@ -1,4 +1,4 @@
-import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,21 +10,17 @@ from scinbio import (ConfigError, LowerSolverConfig, OuterConfig,
 from scinbio import rng as rng_mod
 from scinbio.outer import write_trace_csv
 
-from conftest import quadratic_problem
-
-
-def hook_problem(f_bar=9.0, lo=-3.0, hi=3.0):
-    """Carrier problem for direct-phi runs: the feasible box and cap matter,
-    the oracles do not (phi bypasses them)."""
-    return dataclasses.replace(quadratic_problem(), f_bar=f_bar,
-                               feasible_set=box_set([lo], [hi]))
+from conftest import PHI_LOWER, phi_problem
 
 
 def quad_phi(z):
     return float(np.dot(z, z))
 
 
-GD = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=5)
+def hook_problem(f_bar=9.0, lo=-3.0, hi=3.0):
+    """Problem whose hyperfunction is quad_phi over the box [lo, hi] with cap
+    f_bar; PHI_LOWER keeps its follower at y0."""
+    return phi_problem(quad_phi, lo=lo, hi=hi, f_bar=f_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +65,7 @@ def test_default_schedules_validates_dimension():
 
 
 # ---------------------------------------------------------------------------
-# outer loop on the direct quadratic hook
+# outer loop on the quadratic hyperfunction
 # ---------------------------------------------------------------------------
 
 def test_quadratic_hook_converges():
@@ -78,7 +74,7 @@ def test_quadratic_hook_converges():
     beta = 0.1 / (problem.f_bar / smoothing.xi ** 2)
     sched = default_schedules(n=1, d_hat=0.0, base_k=1, n_max=64)
     outer = OuterConfig(T=200, beta=beta, schedules=sched)
-    trace, = run_scinbio(problem, outer, GD, [smoothing], x0=[[1.0]], phi=quad_phi).traces
+    trace, = run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[1.0]]).traces
     assert abs(trace.x_final[0]) <= 0.05
     assert len(trace.rows) == 200
 
@@ -86,8 +82,8 @@ def test_quadratic_hook_converges():
 def test_zero_iterations_returns_projected_start():
     problem = hook_problem()
     outer = OuterConfig(T=0, beta=0.01)
-    trace, = run_scinbio(problem, outer, GD, [SmoothingConfig(xi=0.5, master_seed=0)],
-                         x0=[[7.0]], phi=quad_phi).traces
+    trace, = run_scinbio(problem, outer, PHI_LOWER, [SmoothingConfig(xi=0.5, master_seed=0)],
+                         x0=[[7.0]]).traces
     assert trace.rows == []
     assert trace.x_out[0] == 3.0  # projected onto the box
 
@@ -95,7 +91,7 @@ def test_zero_iterations_returns_projected_start():
 def test_default_start_is_the_box_center_for_every_seed():
     problem = hook_problem(lo=-1.0, hi=2.0)
     configs = [SmoothingConfig(xi=0.5, master_seed=seed) for seed in (0, 1)]
-    run = run_scinbio(problem, OuterConfig(T=0, beta=0.01), GD, configs, phi=quad_phi)
+    run = run_scinbio(problem, OuterConfig(T=0, beta=0.01), PHI_LOWER, configs)
     assert [trace.x_final.tolist() for trace in run.traces] == [[0.5], [0.5]]
 
 
@@ -103,7 +99,7 @@ def test_iterates_stay_feasible_and_reprojection_fixed():
     problem = hook_problem(lo=-0.5, hi=0.5)
     smoothing = SmoothingConfig(xi=0.3, master_seed=5)
     outer = OuterConfig(T=50, beta=0.002)
-    trace, = run_scinbio(problem, outer, GD, [smoothing], x0=[[0.4]], phi=quad_phi).traces
+    trace, = run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[0.4]]).traces
     fs = problem.feasible_set
     for row in trace.rows[1:]:
         assert fs.contains(row.x)
@@ -114,8 +110,8 @@ def test_trace_is_bit_reproducible():
     problem = hook_problem()
     smoothing = SmoothingConfig(xi=0.5, master_seed=77)
     outer = OuterConfig(T=40, beta=0.005)
-    t1, = run_scinbio(problem, outer, GD, [smoothing], x0=[[0.7]], phi=quad_phi).traces
-    t2, = run_scinbio(problem, outer, GD, [smoothing], x0=[[0.7]], phi=quad_phi).traces
+    t1, = run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[0.7]]).traces
+    t2, = run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[0.7]]).traces
     assert np.array_equal(t1.x_history(), t2.x_history())
     assert np.array_equal(t1.mapping_norms(), t2.mapping_norms())
 
@@ -126,7 +122,7 @@ def test_output_rules():
     beta = 0.05 / (problem.f_bar / smoothing.xi ** 2)
     for rule in ("last", "best_mapping", "random_index"):
         outer = OuterConfig(T=30, beta=beta, output_rule=rule)
-        trace, = run_scinbio(problem, outer, GD, [smoothing], x0=[[1.0]], phi=quad_phi).traces
+        trace, = run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[1.0]]).traces
         if rule == "last":
             assert np.array_equal(trace.x_out, trace.x_final)
             assert trace.random_index is None
@@ -142,7 +138,7 @@ def test_random_index_rejects_large_step():
     smoothing = SmoothingConfig(xi=0.5, master_seed=1)
     outer = OuterConfig(T=10, beta=1.0 / 36.0, output_rule="random_index")
     with pytest.raises(ConfigError):
-        run_scinbio(problem, outer, GD, [smoothing], x0=[[0.5]], phi=quad_phi)
+        run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[0.5]])
 
 
 def test_random_index_pmf_matches_sampling_frequencies():
@@ -189,8 +185,8 @@ def test_tail_stability_windows():
 def test_trace_csv_layout(tmp_path):
     problem = hook_problem()
     outer = OuterConfig(T=5, beta=0.01)
-    trace, = run_scinbio(problem, outer, GD, [SmoothingConfig(xi=0.5, master_seed=3)],
-                         x0=[[0.5]], phi=quad_phi).traces
+    trace, = run_scinbio(problem, outer, PHI_LOWER, [SmoothingConfig(xi=0.5, master_seed=3)],
+                         x0=[[0.5]]).traces
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().splitlines()
@@ -204,3 +200,13 @@ def test_outer_config_validation_collects_messages():
     with pytest.raises(ConfigError) as err:
         outer.validate()
     assert len(err.value.messages) == 3
+
+
+def test_validation_does_not_grow_with_T():
+    tracemalloc.start()
+    try:
+        OuterConfig(T=10 ** 6).validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

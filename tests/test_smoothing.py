@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from scinbio import (LowerSolverConfig, SmoothingConfig, box_set,
-                     estimate_hypergradient, estimate_smoothed_value,
+from scinbio import (LowerSolverConfig, SmoothingConfig, estimate_hypergradient,
                      gradient_norm_bound, lipschitz_bound, smoothed_step_reference)
 from scinbio import rng as rng_mod
 from scinbio.errors import EstimatorError
+
+from conftest import PHI_LOWER, phi_problem, quadratic_problem
 
 
 def step_phi(z):
     z = float(np.atleast_1d(z)[0])
     return -z if z <= 0 else 1.0
+
+
+STEP = phi_problem(step_phi)
 
 
 def drawn_directions(cfg, tag, n_samples, n=1):
@@ -89,8 +93,8 @@ def test_step_reference_error_decreases_with_xi():
 def test_constant_phi_estimate_is_scaled_direction_mean():
     cfg = SmoothingConfig(xi=0.1, master_seed=42)
     c = 2.5
-    est, = estimate_hypergradient(None, [[0.3]], 5000, [cfg], stream_tag=7,
-                                  phi=lambda z: c).per_point
+    est, = estimate_hypergradient(phi_problem(lambda z: c), [[0.3]], 5000, [cfg], PHI_LOWER,
+                                  stream_tag=7).per_point
     u = drawn_directions(cfg, 7, 5000)
     exact = (u * np.full((5000, 1), c)).sum(axis=0) / (5000 * cfg.xi)
     assert np.array_equal(est.value, exact)
@@ -99,7 +103,6 @@ def test_constant_phi_estimate_is_scaled_direction_mean():
 
 
 def test_all_samples_infeasible_take_cap():
-    from conftest import quadratic_problem
     p = quadratic_problem()  # feasible box [-1, 1], f_bar = 10
     cfg = SmoothingConfig(xi=0.05, master_seed=3)
     lower = LowerSolverConfig(max_iters=5)
@@ -113,42 +116,40 @@ def test_all_samples_infeasible_take_cap():
 
 def test_estimator_determinism():
     cfg = SmoothingConfig(xi=0.05, master_seed=99)
-    a, = estimate_hypergradient(None, [[0.0]], 500, [cfg], stream_tag=4, phi=step_phi).per_point
-    b, = estimate_hypergradient(None, [[0.0]], 500, [cfg], stream_tag=4, phi=step_phi).per_point
+    a, = estimate_hypergradient(STEP, [[0.0]], 500, [cfg], PHI_LOWER, stream_tag=4).per_point
+    b, = estimate_hypergradient(STEP, [[0.0]], 500, [cfg], PHI_LOWER, stream_tag=4).per_point
     assert np.array_equal(a.value, b.value)
-    c, = estimate_hypergradient(None, [[0.0]], 500, [cfg], stream_tag=5, phi=step_phi).per_point
+    c, = estimate_hypergradient(STEP, [[0.0]], 500, [cfg], PHI_LOWER, stream_tag=5).per_point
     assert not np.array_equal(a.value, c.value)
 
 
 def test_estimator_validates_inputs(minimax):
     cfg = [SmoothingConfig()]
-    for estimator in (estimate_hypergradient, estimate_smoothed_value):
-        with pytest.raises(ValueError, match="n_samples"):
-            estimator(None, [[0.0]], 0, cfg, phi=step_phi)
-        with pytest.raises(ValueError, match="problem or a direct phi"):
-            estimator(None, [[0.0]], 10, cfg)
-        with pytest.raises(ValueError, match="lower-solver config"):
-            estimator(minimax, [[0.0]], 10, cfg)
-        with pytest.raises(ValueError, match="dimension 1"):
-            estimator(minimax, [[0.0, 0.0]], 10, cfg, LowerSolverConfig())
-        with pytest.raises(ValueError, match="1 points as rows"):
-            estimator(minimax, [0.0], 10, cfg, LowerSolverConfig())
+    with pytest.raises(ValueError, match="n_samples"):
+        estimate_hypergradient(minimax, [[0.0]], 0, cfg, LowerSolverConfig())
+    with pytest.raises(ValueError, match="dimension 1"):
+        estimate_hypergradient(minimax, [[0.0, 0.0]], 10, cfg, LowerSolverConfig())
+    with pytest.raises(ValueError, match="1 points as rows"):
+        estimate_hypergradient(minimax, [0.0], 10, cfg, LowerSolverConfig())
 
 
 # ---------------------------------------------------------------------------
-# estimator vs closed form on the step function
+# estimator vs closed form on the step function; a point's smoothed value is
+# the mean of its per-sample values
 # ---------------------------------------------------------------------------
 
 def test_smoothed_value_away_from_jump():
     cfg = SmoothingConfig(xi=0.05, master_seed=12)
-    val, = estimate_smoothed_value(None, [[-0.5]], 100000, [cfg], phi=step_phi)
-    assert abs(val - 0.5) <= 0.01
+    est, = estimate_hypergradient(STEP, [[-0.5]], 100000, [cfg], PHI_LOWER).per_point
+    assert est.infeasible_count == 0
+    assert abs(np.mean(est.per_sample_f) - 0.5) <= 0.01
 
 
 def test_smoothed_value_at_jump_matches_closed_form():
     cfg = SmoothingConfig(xi=0.05, master_seed=12)
     n = 100000
-    val, = estimate_smoothed_value(None, [[0.0]], n, [cfg], stream_tag=1, phi=step_phi)
+    est, = estimate_hypergradient(STEP, [[0.0]], n, [cfg], PHI_LOWER, stream_tag=1).per_point
+    val = np.mean(est.per_sample_f)
     ref, _ = smoothed_step_reference(0.0, cfg.xi)
     u = drawn_directions(cfg, 1, n)
     samples = np.array([step_phi(cfg.xi * ui) for ui in u[:, 0]])
@@ -159,7 +160,7 @@ def test_smoothed_value_at_jump_matches_closed_form():
 def test_gradient_at_jump_matches_closed_form():
     cfg = SmoothingConfig(xi=0.05, master_seed=12)
     n = 1000000
-    est, = estimate_hypergradient(None, [[0.0]], n, [cfg], stream_tag=2, phi=step_phi).per_point
+    est, = estimate_hypergradient(STEP, [[0.0]], n, [cfg], PHI_LOWER, stream_tag=2).per_point
     _, ref = smoothed_step_reference(0.0, cfg.xi)
     u = drawn_directions(cfg, 2, n)[:, 0]
     contrib = u * np.array(est.per_sample_f) / cfg.xi
@@ -175,9 +176,9 @@ def test_unbiased_on_smooth_quadratic():
     # smoothing a quadratic shifts the value, not the gradient: grad phi_xi = 2x
     cfg = SmoothingConfig(xi=0.1, master_seed=7)
     x = np.array([0.3, -0.2])
-    phi = lambda z: float(np.dot(z, z))
-    batches = np.array([estimate_hypergradient(None, [x], 1000, [cfg], stream_tag=t,
-                                               phi=phi).per_point[0].value
+    problem = phi_problem(lambda z: float(np.dot(z, z)), n=2)
+    batches = np.array([estimate_hypergradient(problem, [x], 1000, [cfg], PHI_LOWER,
+                                               stream_tag=t).per_point[0].value
                         for t in range(200)])
     mean = batches.mean(axis=0)
     se = batches.std(axis=0, ddof=1) / math.sqrt(len(batches))
@@ -187,14 +188,14 @@ def test_unbiased_on_smooth_quadratic():
 def test_variance_scales_inversely_with_n():
     cfg = SmoothingConfig(xi=0.1, master_seed=15)
     x = np.array([0.2])
-    phi = lambda z: float(np.dot(z, z))
+    problem = phi_problem(lambda z: float(np.dot(z, z)))
     log_n, log_var = [], []
     tag = 0
     for n in (100, 1000, 10000):
         vals = []
         for _ in range(30):
-            vals.append(estimate_hypergradient(None, [x], n, [cfg], stream_tag=tag,
-                                               phi=phi).per_point[0].value[0])
+            vals.append(estimate_hypergradient(problem, [x], n, [cfg], PHI_LOWER,
+                                               stream_tag=tag).per_point[0].value[0])
             tag += 1
         log_n.append(math.log(n))
         log_var.append(math.log(np.var(vals, ddof=1)))
@@ -227,24 +228,16 @@ def test_gradient_norm_bound_values():
     assert lipschitz_bound(1.0, 0.1) == pytest.approx(100.0, rel=1e-12)
 
 
-def test_smoothed_value_shares_sampling_with_gradient():
-    cfg = SmoothingConfig(xi=0.05, master_seed=31)
-    est, = estimate_hypergradient(None, [[0.2]], 64, [cfg], stream_tag=9, phi=step_phi).per_point
-    val, = estimate_smoothed_value(None, [[0.2]], 64, [cfg], stream_tag=9, phi=step_phi)
-    assert val == pytest.approx(np.mean(est.per_sample_f), abs=0.0)
-
-
 def test_a_failing_point_fails_alone():
     # phi is NaN beyond z = 1: the point at 5 fails on its first sample, and
     # the point at 0 gets the value it gets alone
     cfg = SmoothingConfig(xi=0.05, master_seed=4)
-    phi = lambda z: math.nan if z[0] > 1.0 else step_phi(z)
-    alone, = estimate_smoothed_value(None, [[0.0]], 32, [cfg], phi=phi)
-    value, failed = estimate_smoothed_value(None, [[0.0], [5.0]], 32, [cfg, cfg], phi=phi)
-    assert value == alone
+    problem = phi_problem(lambda z: math.nan if z[0] > 1.0 else step_phi(z))
+    alone, = estimate_hypergradient(problem, [[0.0]], 32, [cfg], PHI_LOWER).per_point
+    ests = estimate_hypergradient(problem, [[0.0], [5.0]], 32, [cfg, cfg], PHI_LOWER)
+    est, failed = ests.per_point
+    assert np.array_equal(est.value, alone.value)
+    assert est.per_sample_f == alone.per_sample_f
     assert isinstance(failed, EstimatorError) and failed.sample_index == 0
-    est_alone, = estimate_hypergradient(None, [[0.0]], 32, [cfg], phi=phi).per_point
-    ests = estimate_hypergradient(None, [[0.0], [5.0]], 32, [cfg, cfg], phi=phi)
-    assert np.array_equal(ests.per_point[0].value, est_alone.value)
-    assert str(ests.per_point[1]) == str(failed) == "non-finite objective value on sample 0"
+    assert str(failed) == "non-finite objective value on sample 0"
     assert ests.samples_used == 32
