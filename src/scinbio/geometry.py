@@ -12,13 +12,16 @@ The scan runs on lanes (see the lane convention in scinbio.problems) in four
 phases.  The first three find the stationary roots of all cells together:
 
 1. grad_y g on every cell's y-grid, whole cells per oracle call up to a fixed
-   lane budget, so memory stays flat whatever the resolution;
+   lane budget, so memory stays flat whatever the resolution; the cells'
+   parameters go in as (C, 1, n) against the shared grid as (1, R, 1), so
+   the oracle computes each cell's x-only terms once;
 2. every sign-change bracket of the scan polished in one lockstep call:
    12 bisections, then guarded Newton with a bisection fallback, each lane
    taking exactly the steps it would take alone, and the oracles called on
    the lanes still iterating only;
-3. per cell, grid zeros and polished roots sorted and merged, and every
-   candidate re-checked with one grad_y g and one hess_yy g lane call.
+3. grid zeros and polished roots sorted by (cell, y) and merged, and every
+   candidate re-checked with one grad_y g and one hess_yy g lane call.  The
+   roots stay columns (cell, y, grad_y g, d2g/dy2), never per-root objects.
 
 find_stationary_points_1d is the same finder run on one cell.  The fourth
 phase hunts the degenerate points:
@@ -29,11 +32,13 @@ phase hunts the degenerate points:
    Jacobian ends only its own lane), and the hits are then taken in scan
    order, the first of each pair, so the records come out as if the pairs
    were hunted one at a time.
+
+A scan builds StationaryPointRecords only for the degenerate points: the
+degenerate grid roots and the hunted hits.
 """
 
-import itertools
 from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -70,12 +75,22 @@ class StationaryPointRecord:
     fold_class: str
 
 
+class Roots(NamedTuple):
+    """Stationary roots as columns sorted by (cell, y): the index of each
+    root's cell (its parameter row), y, grad_y g and d2g/dy2 there."""
+    cell: np.ndarray
+    y: np.ndarray
+    grad: np.ndarray
+    lam: np.ndarray
+
+
 @dataclass
 class BifurcationScan:
     grid_resolution: int
     indicator: np.ndarray        # (R, R) bool, True = degenerate point located in cell
     lambda_min_grid: np.ndarray  # (R, R) min |lambda| over the cell's roots (nan if none)
-    branch_points: List[StationaryPointRecord]
+    branch_points: List[StationaryPointRecord]  # degenerate grid roots, then hunted hits
+    roots: Roots                 # every cell's roots; cell (i, j) has index i R + j
     bbox: tuple
     cell_size: tuple
 
@@ -108,12 +123,14 @@ class DimensionEstimate:
 # stays flat whatever its resolution.
 _LANE_BUDGET = 1 << 14
 
+# the axes of length one that a one-dimensional follower adds to each output
+_DROP = {"grad_y_g": (..., 0), "hess_yy_g": (..., 0, 0), "grad_x_grad_y_g": (..., 0, slice(None))}
+
 
 def _lane_call(problem, name, x, y):
-    """grad_y_g, hess_yy_g or grad_x_grad_y_g of a problem on lanes
-    x (L, n), y (L,): (L,) for the first two, (L, n) for the cross-derivative."""
-    tail = (problem.n,) if name == "grad_x_grad_y_g" else ()
-    return call_oracle(problem, name, x, y[:, None]).reshape(y.shape + tail)
+    """grad_y_g, hess_yy_g or grad_x_grad_y_g at x (..., n) and y (...) of batch
+    shape B: shape B for the first two, B + (n,) for the cross-derivative."""
+    return call_oracle(problem, name, x, y[..., None])[_DROP[name]]
 
 
 def _polish(problem, x, a, b, fa):
@@ -160,19 +177,15 @@ def _polish(problem, x, a, b, fa):
     return y
 
 
-def _cell_roots(problem, xs, y_range, resolution):
-    """Sorted (y, grad, lambda) triples of the stationary points on y_range,
-    one list for each parameter row of xs (C, n), in the three phases of the
-    module docstring."""
+def _cell_roots(problem, xs, y_range, resolution) -> Roots:
+    """The stationary points on y_range at each parameter row of xs (C, n),
+    in the three phases of the module docstring."""
     lo, hi = float(y_range[0]), float(y_range[1])
     ys = np.linspace(lo, hi, resolution)
-    n_cells = xs.shape[0]
     per_call = max(1, _LANE_BUDGET // resolution)
     zero_cell, zero_y, br_cell, br_k, br_fa = [], [], [], [], []
-    for c0 in range(0, n_cells, per_call):
-        chunk = xs[c0:c0 + per_call]
-        vals = _lane_call(problem, "grad_y_g", np.repeat(chunk, resolution, axis=0),
-                          np.tile(ys, chunk.shape[0])).reshape(chunk.shape[0], resolution)
+    for c0 in range(0, xs.shape[0], per_call):
+        vals = _lane_call(problem, "grad_y_g", xs[c0:c0 + per_call, None, :], ys[None, :])
         # (cell, grid index) pairs in row-major order, as np.nonzero gives
         # them; its 2-d path costs several times the flat search
         c, k = np.divmod(np.flatnonzero(vals == 0.0), resolution)
@@ -190,30 +203,30 @@ def _cell_roots(problem, xs, y_range, resolution):
     y = np.concatenate(zero_y + [polished])
     order = np.lexsort((y, cell))
     cell, y = cell[order], y[order]
+    # a root less than min_gap above the last root kept in its cell merges
+    # into it; only a run of such close roots needs the loop
     min_gap = (hi - lo) / (10.0 * resolution)
-    kept, last_c, last_r = [], -1, 0.0
-    for t, (c, r) in enumerate(zip(cell.tolist(), y.tolist())):
-        if c != last_c or r - last_r >= min_gap:
-            kept.append(t)
-            last_c, last_r = c, r
-    cell, y = cell[kept], y[kept]
+    keep = np.ones(y.size, dtype=bool)
+    keep[1:] = (cell[1:] != cell[:-1]) | (y[1:] - y[:-1] >= min_gap)
+    for t in np.flatnonzero(~keep):
+        k = t - 1
+        while not keep[k]:
+            k -= 1
+        keep[t] = y[t] - y[k] >= min_gap
+    cell, y = cell[keep], y[keep]
     gv = _lane_call(problem, "grad_y_g", xs[cell], y)
     lam = _lane_call(problem, "hess_yy_g", xs[cell], y)
     ok = ~(np.abs(gv) > 1e-10 * (1.0 + np.abs(y)))
-    out = [[] for _ in range(n_cells)]
-    for c, r, g, l in zip(cell[ok].tolist(), y[ok].tolist(), gv[ok].tolist(), lam[ok].tolist()):
-        out[c].append((r, g, l))
-    return out
+    return Roots(cell[ok], y[ok], gv[ok], lam[ok])
 
 
 def _make_record(x, y, grad, lam):
-    tau = degeneracy_threshold(lam)
-    degenerate = abs(lam) < tau
+    degenerate = bool(abs(lam) < degeneracy_threshold(lam))
     return StationaryPointRecord(
-        x=np.asarray(x, dtype=float).copy(),
+        x=np.array(x, dtype=float),
         y=np.array([y], dtype=float),
-        grad_norm=abs(grad),
-        lambda_min_abs=abs(lam),
+        grad_norm=float(abs(grad)),
+        lambda_min_abs=float(abs(lam)),
         degenerate=degenerate,
         fold_class=UNDETERMINED if degenerate else NONDEGENERATE,
     )
@@ -228,8 +241,8 @@ def find_stationary_points_1d(problem, x, y_range, resolution) -> List[Stationar
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return [_make_record(x, y, gv, lam)
-            for (y, gv, lam) in _cell_roots(problem, x[None, :], y_range, resolution)[0]]
+    roots = _cell_roots(problem, x[None, :], y_range, resolution)
+    return [_make_record(x, *root) for root in zip(*(c.tolist() for c in roots[1:]))]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +271,8 @@ def _hunt_degenerate(problem, xa, xb, y_seed, y_lo, y_hi):
     """Solve grad_y g = 0 = d2g/dy2 for (s, y) with x(s) = xa + s (xb - xa),
     one lane per row of xa, xb (P, n) and y_seed (P,), all lanes in lockstep.
 
-    Returns, per lane, (x_star, y_star, grad, hess) or None.  Each lane takes
+    Returns the lanes that located a degenerate point, in lane order, and
+    x_star (H, n), y_star, grad and hess (H,) there.  Each lane takes
     exactly the steps it would take alone, and the oracles see only the lanes
     still iterating.  Derivatives of the Hessian are central finite
     differences; the gradient's parameter derivative uses the
@@ -309,108 +323,81 @@ def _hunt_degenerate(problem, xa, xb, y_seed, y_lo, y_hi):
     keep = ((np.abs(gv) <= 1e-9 * (1.0 + np.abs(yh)))
             & (np.abs(hv) < degeneracy_threshold(hv))
             & (-0.05 <= sh) & (sh <= 1.05))
-    out = [None] * n_lanes
-    for t, xt, yt, gt, ht in zip(hit[keep].tolist(), x[keep], yh[keep].tolist(),
-                                 gv[keep].tolist(), hv[keep].tolist()):
-        out[t] = (xt, yt, gt, ht)
-    return out
+    return hit[keep], x[keep], yh[keep], gv[keep], hv[keep]
 
 
-def _collision_seeds(roots_more, y_lo, y_hi, edge):
-    """Midpoints of the adjacent opposite-curvature root pairs, closest pair
-    first, without those near the window edges (a root entering through the
-    window boundary is not a bifurcation)."""
-    pairs = sorted((y2 - y1, 0.5 * (y1 + y2))
-                   for (y1, _, l1), (y2, _, l2) in zip(roots_more[:-1], roots_more[1:])
-                   if l1 * l2 < 0)
-    return [mid for _, mid in pairs if y_lo + edge <= mid <= y_hi - edge]
-
-
-def _hunt_lanes(cell_roots, r, y_lo, y_hi, edge):
-    """Lanes of the scan's degenerate-point hunt on an r x r grid whose cell
-    (i, j) has the roots cell_roots[i r + j]: every neighbor pair whose root
-    counts differ, the (i, i + 1) pairs first and then the (j, j + 1) pairs,
-    times each collision seed of the cell with more roots, closest first.
-    Returns the pair's index, both cells' indices and the seed of each lane."""
-    neighbors = itertools.chain(
-        ((i * r + j, (i + 1) * r + j) for i in range(r - 1) for j in range(r)),
-        ((i * r + j, i * r + j + 1) for i in range(r) for j in range(r - 1)))
-    pair, a, b, seeds = [], [], [], []
-    for p, (ca, cb) in enumerate(neighbors):
-        ra, rb = cell_roots[ca], cell_roots[cb]
-        if len(ra) == len(rb):
-            continue
-        ss = _collision_seeds(ra if len(ra) > len(rb) else rb, y_lo, y_hi, edge)
-        pair += [p] * len(ss)
-        a += [ca] * len(ss)
-        b += [cb] * len(ss)
-        seeds += ss
-    return (np.array(pair, dtype=int), np.array(a, dtype=int), np.array(b, dtype=int),
-            np.array(seeds, dtype=float))
+def _hunt_lanes(roots, r, y_lo, y_hi, edge):
+    """Lanes of the scan's degenerate-point hunt on an r x r grid, cell (i, j)
+    at index i r + j: every neighbor pair whose root counts differ, the
+    (i, i + 1) pairs first and then the (j, j + 1) pairs, times each seed of
+    the cell with more roots.  A cell's seeds are the midpoints of its
+    adjacent opposite-curvature root pairs, closest pair first, but not near
+    the window edges (a root entering through the window boundary is not a
+    bifurcation).  Returns each lane's pair index, both cells and its seed."""
+    cell, y, lam = roots.cell, roots.y, roots.lam
+    adj = np.flatnonzero((cell[1:] == cell[:-1]) & (lam[:-1] * lam[1:] < 0))
+    owner, gap, mid = cell[adj], y[adj + 1] - y[adj], 0.5 * (y[adj] + y[adj + 1])
+    order = np.lexsort((mid, gap, owner))
+    order = order[(y_lo + edge <= mid[order]) & (mid[order] <= y_hi - edge)]
+    owner, mid = owner[order], mid[order]
+    n_seeds = np.bincount(owner, minlength=r * r)
+    count = np.bincount(cell, minlength=r * r)
+    index = np.arange(r * r).reshape(r, r)
+    ca = np.concatenate([index[:-1].ravel(), index[:, :-1].ravel()])
+    cb = np.concatenate([index[1:].ravel(), index[:, 1:].ravel()])
+    pair = np.flatnonzero(count[ca] != count[cb])
+    more = np.where(count[ca[pair]] > count[cb[pair]], ca[pair], cb[pair])
+    k = n_seeds[more]
+    # lane t of pair p takes seed t - (first lane of p) + (first seed of its cell)
+    seed = np.arange(k.sum()) + np.repeat(np.cumsum(n_seeds)[more] - np.cumsum(k), k)
+    pair = np.repeat(pair, k)
+    return pair, ca[pair], cb[pair], mid[seed]
 
 
 def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> BifurcationScan:
     """Grid scan over a 2-d parameter box marking cells that contain a located
-    degenerate stationary point; emits all stationary records found."""
+    degenerate stationary point; records the degenerate points it finds."""
     if problem.n != 2:
         raise ValueError("scanner requires n = 2")
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
     if y_resolution < 2:
         raise ValueError("y_resolution must be at least 2")
-    lo, hi = problem.feasible_set.bbox
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = (np.asarray(b, dtype=float) for b in problem.feasible_set.bbox)
     r = grid_resolution
     w = (hi - lo) / r
-    c1 = lo[0] + (np.arange(r) + 0.5) * w[0]
-    c2 = lo[1] + (np.arange(r) + 0.5) * w[1]
+    c1, c2 = (lo[a] + (np.arange(r) + 0.5) * w[a] for a in (0, 1))
     y_lo, y_hi = float(y_range[0]), float(y_range[1])
 
     xs = np.column_stack([np.repeat(c1, r), np.tile(c2, r)])
-    cell_roots = _cell_roots(problem, xs, (y_lo, y_hi), y_resolution)
-    indicator = np.zeros((r, r), dtype=bool)
-    lam_grid = np.full((r, r), np.nan)
-    records: List[StationaryPointRecord] = []
-    for i in range(r):
-        for j in range(r):
-            x = xs[i * r + j]
-            rs = cell_roots[i * r + j]
-            if rs:
-                lam_grid[i, j] = min(abs(l) for (_, _, l) in rs)
-            for (y, gv, lam) in rs:
-                rec = _make_record(x, y, gv, lam)
-                records.append(rec)
-                if rec.degenerate:
-                    indicator[i, j] = True
+    roots = _cell_roots(problem, xs, (y_lo, y_hi), y_resolution)
+    lam_grid, indicator = np.full((r, r), np.nan), np.zeros((r, r), dtype=bool)
+    np.fmin.at(lam_grid.reshape(-1), roots.cell, np.abs(roots.lam))
+    degenerate = np.abs(roots.lam) < degeneracy_threshold(roots.lam)
+    indicator.flat[roots.cell[degenerate]] = True
+    records = [_make_record(xs[c], *root)
+               for c, *root in zip(*(col[degenerate].tolist() for col in roots))]
 
     # hunt for degenerate points wherever the root count changes between
     # neighboring cells (the measure-zero set a center grid cannot hit)
     edge = 2.0 * (y_hi - y_lo) / y_resolution
-    pair, a, b, seeds = _hunt_lanes(cell_roots, r, y_lo, y_hi, edge)
-    hits = _hunt_degenerate(problem, xs[a], xs[b], seeds, y_lo, y_hi)
+    pair, a, b, seeds = _hunt_lanes(roots, r, y_lo, y_hi, edge)
+    lane, x_star, y_star, gv, hv = _hunt_degenerate(problem, xs[a], xs[b], seeds, y_lo, y_hi)
     # the merging pair need not be the closest one: a pair keeps the hit of
-    # its first seed that located a degenerate point
-    found, last_pair = set(), -1
-    for p, hit in zip(pair.tolist(), hits):
-        if hit is None or p == last_pair:
-            continue
-        last_pair = p
-        x_star, y_star, gv, hv = hit
-        key = (round(float(x_star[0]) / 1e-9), round(float(x_star[1]) / 1e-9))
-        if key in found:
-            continue
-        found.add(key)
-        records.append(_make_record(x_star, y_star, gv, hv))
-        ii = min(int((x_star[0] - lo[0]) / w[0]), r - 1)
-        jj = min(int((x_star[1] - lo[1]) / w[1]), r - 1)
-        indicator[max(ii, 0), max(jj, 0)] = True
-
+    # its first seed that located a degenerate point, and a point that
+    # several pairs locate (equal to 1e-9) is recorded at its first
+    first = np.unique(pair[lane], return_index=True)[1]
+    first = first[np.sort(np.unique(np.round(x_star[first] / 1e-9), axis=0,
+                                    return_index=True)[1])]
+    records += [_make_record(x_star[t], y_star[t], gv[t], hv[t]) for t in first.tolist()]
+    i, j = np.clip(((x_star[first] - lo) / w).astype(int), 0, r - 1).T
+    indicator[i, j] = True
     return BifurcationScan(
         grid_resolution=r,
         indicator=indicator,
         lambda_min_grid=lam_grid,
         branch_points=records,
+        roots=roots,
         bbox=(lo, hi),
         cell_size=(float(w[0]), float(w[1])),
     )
@@ -442,8 +429,7 @@ def check_fold_conditions(problem, record: StationaryPointRecord) -> str:
     # (3) third derivative in y, 5-point stencil
     h = TAU_FOLD * (1.0 + abs(float(y[0])))
     shifts = np.array([2 * h, h, -h, -2 * h])
-    p2, p1, m1, m2 = call_oracle(problem, "g", np.repeat(x, 4, axis=0),
-                                 y + shifts[:, None]).tolist()
+    p2, p1, m1, m2 = call_oracle(problem, "g", x, y + shifts[:, None]).tolist()
     c3_val = abs((p2 - 2 * p1 + 2 * m1 - m2) / (2 * h ** 3))
 
     if c2_val >= TAU_FOLD and c3_val >= TAU_FOLD:

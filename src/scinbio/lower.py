@@ -130,6 +130,8 @@ def solve_cubic_subproblem(grad, hess, M) -> CubicStep:
 
     each form free of cancellation on its side.  When |g| <= 1e-13 (|g| + 1)
     the step is s = 0 for h >= 0 and the hard-case step s = -2h/M for h < 0.
+    The model value r (g sign(s) + r (h/2 + M r/6)) overflows to -inf, not
+    to inf - inf.  A step that overflows raises LowerSolveError.
     """
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
     hess = np.atleast_2d(np.asarray(hess, dtype=float))
@@ -139,9 +141,11 @@ def solve_cubic_subproblem(grad, hess, M) -> CubicStep:
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         raise ValueError("non-finite subproblem inputs")
     g, h = grad, hess[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where drops
+    with np.errstate(all="ignore"):  # the branch np.where drops, and overflow
         s, r, hard = _cubic_step_1d(g, h, M)
-    value = g * s + 0.5 * h * s * s + (M / 6.0) * r ** 3
+        value = r * (g * np.sign(s) + r * (0.5 * h + (M / 6.0) * r))
+    if not np.isfinite(s).all():
+        raise LowerSolveError(f"cubic step overflows at g = {float(g[0])}, h = {float(h[0])}")
     return CubicStep(s, float(value[0]), float(r[0]), bool(hard[0]))
 
 
@@ -149,12 +153,18 @@ def _cubic_step_1d(g, h, M):
     """Closed-form cubic step (s, r, hard_case) for arrays of 1-D (g, h).
 
     np.where evaluates both forms of r; the one it drops may divide by zero,
-    so callers run this under np.errstate.
+    so callers run this under np.errstate.  Where 2 M |g| overflows,
+    sqrt(2 M) sqrt(|g|) is its root, and |g| / (d / 2) rounds as 2|g| / d
+    without overflowing.
     """
     ag = np.abs(g)
     tiny = ag <= 1e-13 * (ag + 1.0)
-    root = np.hypot(h, np.sqrt(2.0 * M * ag))
-    r = np.where(h >= 0.0, 2.0 * ag / (h + root), (root - h) / M)
+    q = 2.0 * M * ag
+    sq = np.sqrt(q)
+    if not math.isfinite(q.sum()):
+        sq = np.where(np.isinf(q), math.sqrt(2.0 * M) * np.sqrt(ag), sq)
+    root = np.hypot(h, sq)
+    r = np.where(h >= 0.0, ag / (0.5 * (h + root)), (root - h) / M)
     s = -np.copysign(r, g)
     if not tiny.any():  # the common case: the root above serves every lane, none is hard
         return s, r, tiny

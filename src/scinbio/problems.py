@@ -9,11 +9,15 @@ pure functions of (x, y): solvers may hand them reused scratch buffers.
 The follower y is one-dimensional: y0 has shape (1,), and the y-derivatives
 keep their axes of length one.
 
-Lane convention.  An oracle evaluates L independent points at once: x has
-shape (L, n) and y shape (L, 1), and f and g return shape (L,), grad_y_g
-(L, 1), hess_yy_g (L, 1, 1) and grad_x_grad_y_g the cross-derivative block
-(L, 1, n).  One point is a batch of one lane.  Every oracle call in the
-package goes through `call_oracle`, which checks the output's shape.  A
+Lane convention.  An oracle evaluates a batch of points at once: x has shape
+(..., n) and y shape (..., 1), and their batch shapes broadcast to B
+(`batch_shape`).  f and g return shape B, grad_y_g B + (1,), hess_yy_g
+B + (1, 1) and grad_x_grad_y_g the cross-derivative block B + (1, n).  L lanes
+(L, n), (L, 1) are the common case, one point is a batch of one, and a scan
+hands one x per cell as (C, 1, n) against a shared y-grid (1, R, 1).  Oracles
+index x[..., j] and y[..., 0], add trailing axes with [..., None] and compute
+elementwise, so each point has the bits it has alone.  Every oracle call in
+the package goes through `call_oracle`, which checks the output's shape.  A
 feasible set's `project` and `contains` act on the last axis.  The GDA
 baseline uses no bundle: it integrates the saddle flow of `minimax_gradient`.
 """
@@ -70,8 +74,9 @@ class BilevelProblem:
 
     f, g, grad_y_g, hess_yy_g and grad_x_grad_y_g (the cross-derivative
     block d/dx of grad_y g, which only the geometry diagnostics consult)
-    follow the lane convention of this module: (L, n) and (L, 1) inputs give
-    (L,), (L,), (L, 1), (L, 1, 1) and (L, 1, n) outputs.  y0 has shape (1,).
+    follow the lane convention of this module: (..., n) and (..., 1) inputs
+    of batch shape B give B, B, B + (1,), B + (1, 1) and B + (1, n) outputs.
+    y0 has shape (1,).
     """
 
     n: int
@@ -85,21 +90,33 @@ class BilevelProblem:
     feasible_set: FeasibleSet
 
 
+# each oracle's output shape after the batch shape (grad_x_grad_y_g adds n)
+_TAILS = {"f": (), "g": (), "grad_y_g": (1,), "hess_yy_g": (1, 1), "grad_x_grad_y_g": (1,)}
+
+
+def batch_shape(x, y):
+    """The broadcast of the batch shapes of points x (..., n), y (..., 1);
+    ValueError when they do not broadcast."""
+    bx, by = x.shape[:-1], y.shape[:-1]
+    return bx if bx == by else np.broadcast_shapes(bx, by)
+
+
 def call_oracle(problem, name, x, y):
-    """Oracle `name` of `problem` on lanes x (L, n), y (L, 1), as a float array.
+    """Oracle `name` of `problem` on points x (..., n), y (..., 1), as a float array.
 
     Raises ValueError naming the oracle and the shape the lane convention
     expects when the output has another shape.
     """
-    lanes = y.shape[0]
-    expected = {"f": (lanes,), "g": (lanes,), "grad_y_g": (lanes, 1),
-                "hess_yy_g": (lanes, 1, 1), "grad_x_grad_y_g": (lanes, 1, problem.n)}[name]
-    if lanes == 0:
+    expected = batch_shape(x, y) + _TAILS[name]
+    if name == "grad_x_grad_y_g":
+        expected += (problem.n,)
+    if 0 in expected:
         return np.empty(expected)
     out = np.asarray(getattr(problem, name)(x, y), dtype=float)
     if out.shape != expected:
-        raise ValueError(f"{name} returned shape {out.shape} for {lanes} lanes; the lane "
-                         f"convention of scinbio.problems expects {expected}")
+        raise ValueError(f"{name} returned shape {out.shape} for x {x.shape} and y "
+                         f"{y.shape}; the lane convention of scinbio.problems expects "
+                         f"{expected}")
     return out
 
 
@@ -156,19 +173,19 @@ def builtin_minimax() -> BilevelProblem:
     """Nonconvex-nonconcave minimax test problem as a bilevel bundle (n = 1)."""
 
     def f(x, y):
-        return _mm_f(x[:, 0], y[:, 0])
+        return _mm_f(x[..., 0], y[..., 0])
 
     def g(x, y):
         return -f(x, y)
 
     def grad_y_g(x, y):
-        return -_mm_fy(x[:, 0], y[:, 0])[:, None]
+        return -_mm_fy(x[..., 0], y[..., 0])[..., None]
 
     def hess_yy_g(x, y):
-        return -_mm_fyy(x[:, 0], y[:, 0])[:, None, None]
+        return -_mm_fyy(x[..., 0], y[..., 0])[..., None, None]
 
     def grad_x_grad_y_g(x, y):
-        return -_mm_fxy(x[:, 0], y[:, 0])[:, None, None]
+        return -_mm_fxy(x[..., 0], y[..., 0])[..., None, None]
 
     return BilevelProblem(
         n=1,
@@ -187,35 +204,34 @@ def builtin_minimax() -> BilevelProblem:
 # f(x,y) = y separates the two lower-level branches, so the hyperfunction
 # jumps at x = 0 where gradient descent from y0 = 0 stalls on the hump.
 # Like the other builtins below, the oracles compute on the components
-# x[:, j], y[:, 0] and add the trailing axes of the lane convention at the
+# x[..., j], y[..., 0] and add the trailing axes of the lane convention at the
 # end.  Powers are spelled as products, and polynomials in y in Horner form,
 # wherever that suffices; the one power left, in the fold's confinement term,
-# is np.power.  The arithmetic is elementwise, so each lane has the bits of
-# its point evaluated as a batch of one.
+# is np.power.
 
 _DOUBLE_WELL_F_BAR = 5.33  # 1.5 x max|y| over the sublevel grid (max 3.553)
 
 
 def builtin_shifted_double_well() -> BilevelProblem:
     def f(x, y):
-        return y[:, 0]
+        return np.broadcast_to(y[..., 0], batch_shape(x, y))
 
     def g(x, y):
-        u = y[:, 0] - x[:, 0]
+        u = y[..., 0] - x[..., 0]
         u2 = u * u
         return u2 * u2 - 2.0 * u2
 
     def grad_y_g(x, y):
-        u = y[:, 0] - x[:, 0]
-        return (4.0 * u * u * u - 4.0 * u)[:, None]
+        u = y[..., 0] - x[..., 0]
+        return (4.0 * u * u * u - 4.0 * u)[..., None]
 
     def hess_yy_g(x, y):
-        u = y[:, 0] - x[:, 0]
-        return (12.0 * u * u - 4.0)[:, None, None]
+        u = y[..., 0] - x[..., 0]
+        return (12.0 * u * u - 4.0)[..., None, None]
 
     def grad_x_grad_y_g(x, y):
-        u = y[:, 0] - x[:, 0]
-        return (-(12.0 * u * u - 4.0))[:, None, None]
+        u = y[..., 0] - x[..., 0]
+        return (-(12.0 * u * u - 4.0))[..., None, None]
 
     return BilevelProblem(
         n=1,
@@ -247,36 +263,32 @@ def _fold_overhang(y):
 
 def builtin_fold_family() -> BilevelProblem:
     def f(x, y):
-        return x[:, 0] + y[:, 0]
+        return x[..., 0] + y[..., 0]
 
     def g(x, y):
-        x1 = x[:, 0]
-        yy = y[:, 0]
+        x1, yy = x[..., 0], y[..., 0]
         r = _fold_overhang(yy)
         r2 = r * r
         return ((1.0 - 2.0 * x1) * yy + (3.0 * x1 - 2.0 * x1 * x1) * (yy * yy * yy)
                 + _FOLD_CONF * (r2 * r2))
 
     def grad_y_g(x, y):
-        x1 = x[:, 0]
-        yy = y[:, 0]
+        x1, yy = x[..., 0], y[..., 0]
         r = _fold_overhang(yy)
         return ((1.0 - 2.0 * x1)
                 + 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy * yy
-                + 4.0 * _FOLD_CONF * np.power(r, 3) * np.sign(yy))[:, None]
+                + 4.0 * _FOLD_CONF * np.power(r, 3) * np.sign(yy))[..., None]
 
     def hess_yy_g(x, y):
-        x1 = x[:, 0]
-        yy = y[:, 0]
+        x1, yy = x[..., 0], y[..., 0]
         r = _fold_overhang(yy)
         return (6.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
-                + 12.0 * _FOLD_CONF * r * r)[:, None, None]
+                + 12.0 * _FOLD_CONF * r * r)[..., None, None]
 
     def grad_x_grad_y_g(x, y):
-        x1 = x[:, 0]
-        yy = y[:, 0]
+        x1, yy = x[..., 0], y[..., 0]
         d1 = -2.0 + 3.0 * (3.0 - 4.0 * x1) * yy * yy
-        return np.stack([d1, np.zeros_like(d1)], axis=-1)[:, None, :]
+        return np.stack([d1, np.zeros_like(d1)], axis=-1)[..., None, :]
 
     return BilevelProblem(
         n=2,
@@ -300,43 +312,35 @@ def builtin_fold_family() -> BilevelProblem:
 _QUARTIC_F_BAR = 310.6  # 1.5 x max|x1 + y| over the sublevel grid (max 207.06)
 
 
-def _q_c3(x1, x2):
-    return x1 * x1 - 5.0 * x1 * x2 + 2.0 * x2 * x2 - 7.0 * x1 + 8.0 * x2 - 30.0
-
-
-def _q_c2(x1, x2):
-    return x1 * x1 - 3.0 * x1 * x2 + 4.0 * x2 * x2 - 5.0 * x1 + 2.0 * x2 - 40.0
+def _q_coefficients(x):
+    """c3(x) and c2(x) of the quartic family."""
+    x1, x2 = x[..., 0], x[..., 1]
+    return (x1 * x1 - 5.0 * x1 * x2 + 2.0 * x2 * x2 - 7.0 * x1 + 8.0 * x2 - 30.0,
+            x1 * x1 - 3.0 * x1 * x2 + 4.0 * x2 * x2 - 5.0 * x1 + 2.0 * x2 - 40.0)
 
 
 def builtin_quartic_family() -> BilevelProblem:
     def f(x, y):
-        return x[:, 0] + y[:, 0]
+        return x[..., 0] + y[..., 0]
 
     def g(x, y):
-        c3 = _q_c3(x[:, 0], x[:, 1])
-        c2 = _q_c2(x[:, 0], x[:, 1])
-        yy = y[:, 0]
+        (c3, c2), yy = _q_coefficients(x), y[..., 0]
         return (((yy + c3) * yy + c2) * yy + c3) * yy
 
     def grad_y_g(x, y):
-        c3 = _q_c3(x[:, 0], x[:, 1])
-        c2 = _q_c2(x[:, 0], x[:, 1])
-        yy = y[:, 0]
-        return (((4.0 * yy + 3.0 * c3) * yy + 2.0 * c2) * yy + c3)[:, None]
+        (c3, c2), yy = _q_coefficients(x), y[..., 0]
+        return (((4.0 * yy + 3.0 * c3) * yy + 2.0 * c2) * yy + c3)[..., None]
 
     def hess_yy_g(x, y):
-        c3 = _q_c3(x[:, 0], x[:, 1])
-        c2 = _q_c2(x[:, 0], x[:, 1])
-        yy = y[:, 0]
-        return ((12.0 * yy + 6.0 * c3) * yy + 2.0 * c2)[:, None, None]
+        (c3, c2), yy = _q_coefficients(x), y[..., 0]
+        return ((12.0 * yy + 6.0 * c3) * yy + 2.0 * c2)[..., None, None]
 
     def grad_x_grad_y_g(x, y):
-        x1, x2 = x[:, 0], x[:, 1]
-        yy = y[:, 0]
+        x1, x2, yy = x[..., 0], x[..., 1], y[..., 0]
         dc3 = np.stack([2.0 * x1 - 5.0 * x2 - 7.0, -5.0 * x1 + 4.0 * x2 + 8.0], axis=-1)
         dc2 = np.stack([2.0 * x1 - 3.0 * x2 - 5.0, -3.0 * x1 + 8.0 * x2 + 2.0], axis=-1)
-        row = (3.0 * yy * yy + 1.0)[:, None] * dc3 + (2.0 * yy)[:, None] * dc2
-        return row[:, None, :]
+        row = (3.0 * yy * yy + 1.0)[..., None] * dc3 + (2.0 * yy)[..., None] * dc2
+        return row[..., None, :]
 
     return BilevelProblem(
         n=2,

@@ -8,7 +8,7 @@ from scinbio import (BilevelProblem, LowerSolverConfig, box_set, builtin_fold_fa
                      builtin_shifted_double_well, scan_bifurcation_set,
                      solve_cubic_subproblem, stationarity_measure)
 from scinbio.lower import _cubic_step_1d
-from scinbio.problems import call_oracle
+from scinbio.problems import batch_shape, call_oracle
 
 
 @pytest.fixture(scope="session")
@@ -44,19 +44,20 @@ def quadratic_problem(y0=None):
     y0 = np.zeros(1) if y0 is None else np.asarray(y0, dtype=float)
 
     def f(x, y):
-        return y[..., 0]
+        return np.broadcast_to(y[..., 0], batch_shape(x, y))
 
     def g(x, y):
-        return 0.5 * (y[..., 0] * y[..., 0])
+        yy = f(x, y)
+        return 0.5 * (yy * yy)
 
     def grad(x, y):
-        return np.asarray(y, dtype=float).copy()
+        return np.broadcast_to(y, batch_shape(x, y) + (1,)).copy()
 
     def hess(x, y):
-        return np.ones(np.shape(y) + (1,))
+        return np.ones(batch_shape(x, y) + (1, 1))
 
     def cross(x, y):
-        return np.zeros(np.shape(y) + (1,))
+        return np.zeros(batch_shape(x, y) + (1, 1))
 
     return BilevelProblem(n=1, f=f, g=g, grad_y_g=grad, hess_yy_g=hess,
                           grad_x_grad_y_g=cross, y0=y0, f_bar=10.0,
@@ -70,19 +71,20 @@ def phi_problem(phi, n=1, lo=-10.0, hi=10.0, f_bar=10.0):
     lane at step 0."""
 
     def f(x, y):
-        return np.array([phi(row) for row in x])
+        values = np.array([phi(row) for row in x.reshape(-1, n)]).reshape(x.shape[:-1])
+        return np.broadcast_to(values, batch_shape(x, y))
 
     def g(x, y):
-        return np.zeros(len(y))
+        return np.zeros(batch_shape(x, y))
 
     def grad(x, y):
-        return np.zeros(np.shape(y))
+        return np.zeros(batch_shape(x, y) + (1,))
 
     def hess(x, y):
-        return np.zeros(np.shape(y) + (1,))
+        return np.zeros(batch_shape(x, y) + (1, 1))
 
     def cross(x, y):
-        return np.zeros(np.shape(y) + (n,))
+        return np.zeros(batch_shape(x, y) + (1, n))
 
     return BilevelProblem(n=n, f=f, g=g, grad_y_g=grad, hess_yy_g=hess,
                           grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=f_bar,

@@ -455,9 +455,24 @@ def test_scan_csv_centers_are_the_evaluated_points(tmp_path, fold):
     with_roots = {(float(r[0]), float(r[1])) for r in rows if r[3]}
     assert len(centers) == 144 and len(with_roots) >= 72
     scan = scan_bifurcation_set(fold, 12, (-1.0, 1.0), 400)
-    points = {tuple(rec.x.tolist()) for rec in scan.branch_points}
-    # every cell with roots has its records at exactly the center the CSV writes
-    assert points & centers == with_roots
+    c1, c2 = scan.cell_centers()
+    i, j = np.divmod(scan.roots.cell, 12)
+    points = set(zip(c1[i].tolist(), c2[j].tolist()))
+    # every cell with roots has its roots at exactly the center the CSV writes
+    assert points == with_roots
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("fold", "f455f0421f38744dffe82b16ce7ad2e66c54b817859726a4a3888958b0284dc8"),
+    ("quartic", "613b09173d2a8cf9892e9a13d9e2587fe0680371c9ab3e25d894370f77152f5b"),
+])
+def test_scan_csv_pinned_at_72(tmp_path, name, digest):
+    # sha256 of scan_<problem>.csv at 72^2 and the default y windows, as the
+    # scan wrote it while it kept one record per root
+    out = tmp_path / "scan"
+    assert run_cli("scan", "--problem", name, "--out", str(out), "--set", "emit=csv",
+                   "--set", "scan.grid_resolution=72") == 0
+    assert hashlib.sha256((out / f"scan_{name}.csv").read_bytes()).hexdigest() == digest
 
 
 def test_scan_writes_an_undetermined_fit_as_null(tmp_path, capsys):

@@ -43,6 +43,18 @@ def test_only_problems_calls_bundle_oracles():
     assert hits == []
 
 
+def test_builtin_oracles_index_any_batch_shape():
+    # the builtins index components as x[..., j] and add axes with
+    # [..., None]; a subscript [:, ...] would take only (L, n) lanes and
+    # break on the scan's broadcast batches (C, 1, n) x (1, R, 1)
+    with open(os.path.join(SRC, "scinbio", "problems.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    hits = [f"problems.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+            and node.slice.elts and isinstance(node.slice.elts[0], ast.Slice)]
+    assert hits == []
+
+
 def _unused_imports(path):
     """`file:line name` for each name a top-level import binds that the module never reads."""
     with open(path, encoding="utf-8") as fh:

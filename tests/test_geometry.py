@@ -16,6 +16,7 @@ from scinbio.geometry import (FOLD, NON_FOLD_DEGENERATE, NONDEGENERATE,
                               BifurcationScan, StationaryPointRecord,
                               _cell_roots, _hunt_degenerate, _hunt_lanes,
                               distance_to_marked)
+from scinbio.problems import batch_shape
 
 
 def arr(*vals):
@@ -57,11 +58,13 @@ def test_lockstep_polish_keeps_lanes_independent(double_well):
     # steps.  Each cell's roots must be the bits of that cell polished alone.
     xs = np.array([[0.0], [0.3], [-0.55], [1e-3]])
     together = _cell_roots(double_well, xs, (-2.0, 2.0), 15)
-    assert [y for y, _, _ in together[0]] == [-1.0, 0.0, 1.0]
-    for x, roots in zip(xs, together):
+    assert together.y[together.cell == 0].tolist() == [-1.0, 0.0, 1.0]
+    for c, x in enumerate(xs):
         alone = find_stationary_points_1d(double_well, x, (-2.0, 2.0), 15)
         assert len(alone) == 3
-        assert [(y, abs(g), abs(lam)) for y, g, lam in roots] == [
+        mine = together.cell == c
+        assert list(zip(together.y[mine].tolist(), np.abs(together.grad[mine]).tolist(),
+                        np.abs(together.lam[mine]).tolist())) == [
             (r.y[0], r.grad_norm, r.lambda_min_abs) for r in alone]
 
 
@@ -151,10 +154,10 @@ def test_nondegenerate_problem_unmarked():
         return np.asarray(y, dtype=float) - x[..., :1]
 
     def hess(x, y):
-        return np.ones(np.shape(y) + (1,))
+        return np.ones(batch_shape(x, y) + (1, 1))
 
     def cross(x, y):
-        return np.broadcast_to([-1.0, 0.0], np.shape(y) + (2,)).copy()
+        return np.broadcast_to([-1.0, 0.0], batch_shape(x, y) + (1, 2)).copy()
 
     p = BilevelProblem(n=2, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
                        hess_yy_g=hess, grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=5.0,
@@ -212,28 +215,36 @@ def test_quartic_scan_is_complete(quartic):
                          [("fold", (-1.0, 1.0), 400), ("quartic", (-250.0, 250.0), 2000)])
 def test_scan_roots_equal_single_cell_roots(request, name, y_range, y_resolution):
     # the scan polishes all cells' brackets in one lockstep call; each cell's
-    # records (ahead of the hunted degenerate points) must be the bits of
-    # find_stationary_points_1d at that cell's center
+    # root columns must be the bits of find_stationary_points_1d at that
+    # cell's center, and its records the degenerate ones of those, then the
+    # hunted degenerate points
     problem = request.getfixturevalue(name)
     scan = scan_bifurcation_set(problem, 12, y_range, y_resolution)
     c1, c2 = scan.cell_centers()
-    alone = [rec for a in c1 for b in c2
+    alone = [(c, rec) for c, (a, b) in enumerate((a, b) for a in c1 for b in c2)
              for rec in find_stationary_points_1d(problem, arr(a, b), y_range, y_resolution)]
     assert len(alone) >= 144
-    assert all(rec.degenerate for rec in scan.branch_points[len(alone):])
-    for rec, ref in zip(scan.branch_points, alone):
+    roots = scan.roots
+    assert list(zip(roots.cell.tolist(), roots.y.tolist(), np.abs(roots.grad).tolist(),
+                    np.abs(roots.lam).tolist())) == [
+        (c, rec.y[0], rec.grad_norm, rec.lambda_min_abs) for c, rec in alone]
+    degenerate = [rec for _, rec in alone if rec.degenerate]
+    assert all(rec.degenerate for rec in scan.branch_points)
+    for rec, ref in zip(scan.branch_points, degenerate):
         assert np.array_equal(rec.x, ref.x) and np.array_equal(rec.y, ref.y)
-        assert (rec.grad_norm, rec.lambda_min_abs, rec.degenerate) == (
-            ref.grad_norm, ref.lambda_min_abs, ref.degenerate)
+        assert (rec.grad_norm, rec.lambda_min_abs) == (ref.grad_norm, ref.lambda_min_abs)
 
 
 @pytest.mark.parametrize("oracle", ["grad_y_g", "hess_yy_g"])
 def test_scan_rejects_oracle_off_lane_convention(fold, oracle):
     # an oracle that ignores the lane axis is named with the expected shape
+    # (grad_y_g meets it first on the grid phase's (C, 1, 2) x (1, R, 1)
+    # batch, hess_yy_g on lanes)
     single = {"grad_y_g": lambda x, y: np.array([0.5]),
               "hess_yy_g": lambda x, y: np.array([[1.0]])}[oracle]
+    expected = {"grad_y_g": r"\(16, 50, 1\)", "hess_yy_g": r"\(\d+, 1, 1\)"}[oracle]
     bad = dataclasses.replace(fold, **{oracle: single})
-    with pytest.raises(ValueError, match=rf"{oracle} returned shape .* expects \(\d+, 1"):
+    with pytest.raises(ValueError, match=rf"{oracle} returned shape .* expects {expected}$"):
         scan_bifurcation_set(bad, 4, (-1.0, 1.0), 50)
 
 
@@ -260,10 +271,27 @@ def test_scan_indicators_pinned_at_72(request, name, y_range, y_resolution, n_ma
     assert hashlib.sha256(scan.indicator.tobytes()).hexdigest() == digest
 
 
-def _same_hit(p, q):
-    if p is None or q is None:
-        return p is q
-    return np.array_equal(p[0], q[0]) and p[1:] == q[1:]
+@pytest.mark.parametrize("name, y_range, y_resolution, n_roots, n_records, digest", [
+    ("fold", (-1.0, 1.0), 400, 5184, 72,
+     "e31343b59c86b1fcafe39236f2821b969ffa8fd192753d8f632e59b60d492d4f"),
+    ("quartic", (-250.0, 250.0), 2000, 6054, 252,
+     "241060cb704f1f8c2fcc530b1c0f12effcdecd4da693be5530b39c2aa6b26fd9"),
+], ids=["fold", "quartic"])
+def test_scan_lambda_grid_and_records_pinned_at_72(request, name, y_range, y_resolution,
+                                                   n_roots, n_records, digest):
+    # sha256 of the 72^2 lambda_min_grid as the scan computed it while it
+    # kept one record per root; records exist for the degenerate points only
+    scan = scan_bifurcation_set(request.getfixturevalue(name), 72, y_range, y_resolution)
+    assert hashlib.sha256(scan.lambda_min_grid.tobytes()).hexdigest() == digest
+    assert scan.roots.y.size == n_roots
+    assert len(scan.branch_points) == n_records
+    assert all(rec.degenerate for rec in scan.branch_points)
+
+
+def _hits_by_lane(hunt):
+    """{lane: the bytes of x*, y*, gradient and Hessian} of a hunt's hits."""
+    lane, *columns = hunt
+    return {t: b"".join(c[k].tobytes() for c in columns) for k, t in enumerate(lane.tolist())}
 
 
 def test_lockstep_hunt_equals_single_pair_hunts(quartic):
@@ -283,16 +311,16 @@ def test_lockstep_hunt_equals_single_pair_hunts(quartic):
     xa = np.vstack([xs[a], xs[:2]])
     xb = np.vstack([xs[b], xs[:1], xs[1:2]])
     seeds = np.append(seeds, [0.0, 1e6])
-    together = _hunt_degenerate(quartic, xa, xb, seeds, y_lo, y_hi)
-    assert together[-2:] == [None, None]
-    n_hits = sum(hit is not None for hit in together)
-    assert 0 < n_hits < len(seeds) - 2
-    for k, hit in enumerate(together):
-        alone, = _hunt_degenerate(quartic, xa[k:k + 1], xb[k:k + 1], seeds[k:k + 1], y_lo, y_hi)
-        assert _same_hit(hit, alone), k
+    together = _hits_by_lane(_hunt_degenerate(quartic, xa, xb, seeds, y_lo, y_hi))
+    assert len(seeds) - 2 not in together and len(seeds) - 1 not in together
+    assert 0 < len(together) < len(seeds) - 2
+    for k in range(len(seeds)):
+        alone = _hunt_degenerate(quartic, xa[k:k + 1], xb[k:k + 1], seeds[k:k + 1], y_lo, y_hi)
+        assert _hits_by_lane(alone) == ({0: together[k]} if k in together else {}), k
     perm = np.random.default_rng(5).permutation(len(seeds))
     permuted = _hunt_degenerate(quartic, xa[perm], xb[perm], seeds[perm], y_lo, y_hi)
-    assert all(_same_hit(permuted[t], together[k]) for t, k in enumerate(perm))
+    assert _hits_by_lane(permuted) == {t: together[k] for t, k in enumerate(perm.tolist())
+                                       if k in together}
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +344,10 @@ def test_fold_conditions_reject_cusp_like():
         return 4.0 * yy ** 3 + x[..., :1]
 
     def hess(x, y):
-        return (12.0 * np.asarray(y, dtype=float) ** 2)[..., None]
+        return np.broadcast_to((12.0 * y ** 2)[..., None], batch_shape(x, y) + (1, 1))
 
     def cross(x, y):  # d/dx (4 y^3 + x) = 1
-        return np.ones(np.shape(y) + (1,))
+        return np.ones(batch_shape(x, y) + (1, 1))
 
     p = BilevelProblem(n=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
                        hess_yy_g=hess, grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=10.0,
@@ -406,7 +434,7 @@ def test_distances_and_measures_equal_scipy_edt(data):
     ref = ndimage.distance_transform_edt(~indicator, sampling=(w1, w2))
     assert np.array_equal(distance_to_marked(indicator, (w1, w2)), ref)
     scan = BifurcationScan(grid_resolution=r1, indicator=indicator, lambda_min_grid=None,
-                           branch_points=[], bbox=None, cell_size=(w1, w2))
+                           branch_points=[], roots=None, bbox=None, cell_size=(w1, w2))
     deltas = [0.0] + sorted(set(ref.ravel().tolist()))[:8]
     assert neighborhood_measure(scan, deltas) == [
         (d, float(np.count_nonzero(ref <= d) * (w1 * w2))) for d in deltas]

@@ -153,6 +153,36 @@ def test_subproblem_property_global_min_on_its_radius(seed, g_scale, h_scale, M)
     assert abs(abs(step.s[0]) - r) <= 1e-9 * (1.0 + r)
 
 
+@pytest.mark.parametrize("g, M", [(1e306, 420.0), (1e308, 32.0), (1e300, 420.0)])
+def test_subproblem_steps_where_2_M_g_overflows(g, M):
+    # 2 M |g| overflows for the first two, and 2 |g| too for the second; the
+    # step is still the positive root of (M/2) r^2 + r - |g| = 0.  The model
+    # value -(M/3) r^3 - r^2 / 2 lies below -1.8e308 for all three, so it
+    # rounds to -inf, never to inf - inf = NaN
+    step = solve_cubic_subproblem([g], [[1.0]], M)
+    ctx = decimal.Context(prec=60)
+    gd, Md = decimal.Decimal(g), decimal.Decimal(M)
+    r_exact = float(ctx.divide(ctx.sqrt(1 + 2 * Md * gd) - 1, Md))
+    assert step.boundary_multiplier == pytest.approx(r_exact, rel=1e-14)
+    assert step.s[0] == -step.boundary_multiplier
+    assert step.model_value == -math.inf
+    assert not step.hard_case
+
+
+def test_an_overflowing_cubic_step_is_a_lower_solve_error():
+    # h = -1e308 makes r = (sqrt(h^2 + 2 M |g|) - h) / M = 2e308: no float
+    with pytest.raises(LowerSolveError, match="overflows"):
+        solve_cubic_subproblem([1.0], [[-1e308]], 1.0)
+    # in a solve it stops its own lane only, at the iterate it cannot reach
+    p = dataclasses.replace(quadratic_problem(y0=[1.0]), hess_yy_g=lambda x, y: np.where(
+        x[..., None] > 0.0, -1e308, np.ones(y.shape + (1,))))
+    cfg = LowerSolverConfig(method="cubic_newton", M=1.0, max_iters=3)
+    res = solve_lower(p, np.array([[0.5], [-0.5]]), cfg)
+    assert isinstance(res.errors[0], LowerSolveError)
+    assert str(res.errors[0]) == "non-finite iterate at lower-level step 1"
+    assert res.errors[1] is None and np.isfinite(res.y_hat[1, 0])
+
+
 def test_subproblem_rejects_bad_inputs():
     with pytest.raises(ValueError, match="grad must be"):
         solve_cubic_subproblem([1.0, 0.0], [[1.0, 0.5], [0.0, 1.0]], 1.0)
@@ -200,7 +230,7 @@ def poisoned(problem, kind):
     """problem whose lanes with x_1 > 0.3 meet a non-finite value once some
     |y_i| > 0.2: a NaN gradient, a NaN or infinite Hessian, or a gradient of
     magnitude 1.7e308, whose gradient step overflows when eta > 1."""
-    hot = lambda x, y: (x[:, :1] > 0.3) & (np.abs(y) > 0.2).any(axis=1, keepdims=True)
+    hot = lambda x, y: (x[..., :1] > 0.3) & (np.abs(y) > 0.2).any(axis=-1, keepdims=True)
     grad, hess = problem.grad_y_g, problem.hess_yy_g
     if kind == "gradient":
         return dataclasses.replace(problem, grad_y_g=lambda x, y: np.where(hot(x, y), math.nan,

@@ -166,9 +166,53 @@ def test_call_oracle_names_a_wrong_shape(fold, oracle, expected):
     xs, ys = np.full((3, 2), 0.25), np.full((3, 1), 0.5)
     assert call_oracle(fold, oracle, xs, ys).shape == expected
     with pytest.raises(ValueError, match=re.escape(
-            f"{oracle} returned shape {expected[1:]} for 3 lanes; the lane convention "
-            f"of scinbio.problems expects {expected}")):
+            f"{oracle} returned shape {expected[1:]} for x (3, 2) and y (3, 1); the lane "
+            f"convention of scinbio.problems expects {expected}")):
         call_oracle(bad, oracle, xs, ys)
+
+
+_ORACLES = ("f", "g", "grad_y_g", "hess_yy_g", "grad_x_grad_y_g")
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_broadcast_batches_equal_flattened_lanes_bit_for_bit(name, data):
+    # x (C, 1, n) against y (1, R, 1), as the scan's grid phase hands them,
+    # gives each of the C R points the bits of the flattened (C R, n) lanes
+    problem = get_problem(name)
+    C, R = data.draw(st.integers(1, 5), label="C"), data.draw(st.integers(1, 5), label="R")
+    lo, hi = problem.feasible_set.bbox
+    span = _LANE_Y_SPAN[name]
+    t = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=C * problem.n,
+                                    max_size=C * problem.n), label="t"))
+    x = (lo + t.reshape(C, problem.n) * (hi - lo))[:, None, :]
+    y = np.array(data.draw(st.lists(st.floats(-span, span), min_size=R, max_size=R),
+                           label="y")).reshape(1, R, 1)
+    xs = np.broadcast_to(x, (C, R, problem.n)).reshape(C * R, problem.n)
+    ys = np.broadcast_to(y, (C, R, 1)).reshape(C * R, 1)
+    for oracle in _ORACLES:
+        grid = call_oracle(problem, oracle, x, y)
+        lanes = call_oracle(problem, oracle, xs, ys)
+        assert grid.shape == (C, R) + lanes.shape[1:], oracle
+        assert grid.reshape(lanes.shape).tobytes() == lanes.tobytes(), oracle
+
+
+def test_call_oracle_names_the_broadcast_shape(fold):
+    # an oracle that answers on x's batch shape alone, not the broadcast one
+    bad = dataclasses.replace(fold, grad_y_g=lambda x, y: np.zeros(x.shape[:-1] + (1,)))
+    x, y = np.full((3, 1, 2), 0.25), np.full((1, 4, 1), 0.5)
+    assert call_oracle(fold, "grad_y_g", x, y).shape == (3, 4, 1)
+    with pytest.raises(ValueError, match=re.escape(
+            "grad_y_g returned shape (3, 1, 1) for x (3, 1, 2) and y (1, 4, 1); the lane "
+            "convention of scinbio.problems expects (3, 4, 1)")):
+        call_oracle(bad, "grad_y_g", x, y)
+
+
+@pytest.mark.parametrize("oracle", _ORACLES)
+def test_call_oracle_rejects_batches_that_do_not_broadcast(fold, oracle):
+    with pytest.raises(ValueError, match="cannot be broadcast"):
+        call_oracle(fold, oracle, np.full((3, 2), 0.25), np.full((2, 1), 0.5))
 
 
 # ---------------------------------------------------------------------------
