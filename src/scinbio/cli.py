@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O failure.
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -285,13 +284,13 @@ def _smoothing_config(cfg, seed):
 def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
     """Verdict, best point and output files of one seed's finished run."""
     name = cfg["problem"]
-    xs = trace.x_history()
+    xs = trace.x
 
     result = {"seed": seed, "x_final": [float(v) for v in trace.x_final],
               "x_out": [float(v) for v in trace.x_out]}
     T = cfg["outer.T"]
     window = 500 if T >= 1000 else max(1, T // 4)
-    if T >= 2 * window and window >= 1:
+    if T >= 2 * window:
         last, best, ratio = tail_stability(xs, window=window)
         result["tail_window"] = window
         result["tail_ratio"] = ratio
@@ -312,8 +311,7 @@ def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
 
     files = {}
     if "csv" in cfg["emit"]:
-        write_trace_csv(dataclasses.replace(trace, rows=trace.rows[::cfg["stride"]]),
-                        os.path.join(out, f"trace_seed{seed}.csv"))
+        write_trace_csv(trace, os.path.join(out, f"trace_seed{seed}.csv"), cfg["stride"])
         files["trace"] = f"trace_seed{seed}.csv"
     if "json" in cfg["emit"]:
         extra = {"seed": seed, "run_config": cfg, "result": result}

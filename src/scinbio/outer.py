@@ -5,15 +5,16 @@ K_t-step lower solves, take a projected step x_{t+1} = proj(x_t - beta ghat),
 and record the projected gradient mapping norm.  The loop is deterministic
 given (master_seed, config).  Several seeds run in lockstep: one estimator
 call per iteration serves every seed, so all their lower solves share each
-oracle call, and each seed's numbers are those of the seed run alone.
+oracle call, and each seed's numbers are those of the seed run alone.  The
+run keeps its state and trace as (seed, t) arrays; each seed's OuterTrace is
+views into them.
 """
 
 import dataclasses
 import json
 import math
-import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,6 +37,7 @@ OUTPUT_BEST_MAPPING = "best_mapping"
 
 TRACE_SCHEMA = "scinbio-trace-v1"
 SUMMARY_SCHEMA = "scinbio-summary-v1"
+ORACLE_KEYS = ("f", "g", "grad", "hess")
 
 
 @dataclass(frozen=True)
@@ -106,33 +108,30 @@ class OuterConfig:
 
 
 @dataclass
-class TraceRow:
-    t: int
+class OuterTrace:
+    """One seed's run, as views into the lockstep run's (seed, t) arrays.
+
+    x (T + 1, n) holds the iterates x_0 .. x_T, so x_final is x[-1].  For each
+    iteration t < T, estimate (T, n) is the hypergradient estimate taken at
+    x[t], mapping_norm (T,) the norm of its projected gradient mapping,
+    infeasible_count (T,) its samples outside the feasible set, and
+    n_samples, k_steps (T,) the schedule's N_t and K_t.
+    """
+
     x: np.ndarray
     estimate: np.ndarray
-    mapping_norm: float
-    n_samples: int
-    k_steps: int
-    infeasible_count: int
-    wall_time: float  # seconds into the (lockstep) iteration when the row was made
-
-
-@dataclass
-class OuterTrace:
-    rows: List[TraceRow]
+    mapping_norm: np.ndarray
+    infeasible_count: np.ndarray
+    n_samples: np.ndarray
+    k_steps: np.ndarray
     x_out: np.ndarray
-    x_final: np.ndarray
     random_index: Optional[int]
     oracle_totals: dict
     config_echo: dict
 
-    def x_history(self):
-        """Array of x_0 .. x_T (the recorded iterates plus the final point)."""
-        xs = [row.x for row in self.rows] + [self.x_final]
-        return np.asarray(xs)
-
-    def mapping_norms(self):
-        return np.array([row.mapping_norm for row in self.rows])
+    @property
+    def x_final(self):
+        return self.x[-1]
 
 
 def gradient_mapping(x, direction, beta, feasible_set):
@@ -178,10 +177,11 @@ class LockstepRun:
 
     @property
     def rows(self):
-        """Every recorded iteration of the seeds that finished (benchmarks/tracing.py
-        counts a run's outer iterations by it)."""
-        return [row for trace in self.traces if isinstance(trace, OuterTrace)
-                for row in trace.rows]
+        """A range as long as the iterations recorded by the seeds that
+        finished: benchmarks/tracing.py counts a run's outer iterations by its
+        len()."""
+        return range(sum(len(trace.mapping_norm) for trace in self.traces
+                         if isinstance(trace, OuterTrace)))
 
 
 def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
@@ -192,88 +192,81 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
 
     The seeds run in lockstep: at iteration t one estimator call draws every
     running seed's N_t directions from that seed's stream and solves all their
-    samples together.  A seed whose estimate fails stops there; the others
-    run on, each with the numbers it gets when run alone.
+    samples together, and one mapping, norm and projection pass steps them.
+    A seed whose estimate fails stops there; the others run on, each with the
+    numbers it gets when run alone.
     """
     configs = list(smoothings)
     for config in configs:
         validate_run(problem, outer, config)
     fs = problem.feasible_set
-    center = 0.5 * (fs.bbox[0] + fs.bbox[1])
-    starts = [center] * len(configs) if x0 is None else list(x0)
-    if len(starts) != len(configs):
-        raise ValueError(f"{len(starts)} starts for {len(configs)} seeds")
-    xs = [fs.project(np.atleast_1d(np.asarray(x, dtype=float))) for x in starts]
+    S, T = len(configs), outer.T
+    starts = [0.5 * (fs.bbox[0] + fs.bbox[1])] * S if x0 is None else list(x0)
+    if len(starts) != S:
+        raise ValueError(f"{len(starts)} starts for {S} seeds")
+    x = np.empty((S, T + 1, problem.n))
+    x[:, 0] = [fs.project(np.atleast_1d(np.asarray(start, dtype=float))) for start in starts]
+    estimate = np.empty((S, T, problem.n))
+    mapping_norm = np.empty((S, T))
+    infeasible = np.empty((S, T), dtype=int)
+    totals = np.zeros((S, len(ORACLE_KEYS)), dtype=int)
 
     sched = outer.schedules or constant_schedules(1, lower.max_iters)
-    rows = [[] for _ in configs]
-    totals = [{"f": 0, "g": 0, "grad": 0, "hess": 0} for _ in configs]
-    failures = [None] * len(configs)
-    for t in range(outer.T):
-        running = [s for s, err in enumerate(failures) if err is None]
+    n_t = np.array([sched.n_t(t) for t in range(T)], dtype=int)
+    k_t = np.array([sched.k_t(t) for t in range(T)], dtype=int)
+    failures = [None] * S
+    running = list(range(S))
+    for t in range(T):
         if not running:
             break
-        t0 = time.perf_counter()
-        n_t = int(sched.n_t(t))
-        k_t = int(sched.k_t(t))
-        lower_t = dataclasses.replace(lower, max_iters=k_t)
-        ests = estimate_hypergradient(problem, np.array([xs[s] for s in running]), n_t,
+        lower_t = dataclasses.replace(lower, max_iters=int(k_t[t]))
+        ests = estimate_hypergradient(problem, x[running, t], int(n_t[t]),
                                       [configs[s] for s in running], lower_t,
-                                      stream_tag=t)
-        for s, est in zip(running, ests.per_point):
+                                      stream_tag=t).per_point
+        for s, est in zip(running, ests):
             if not isinstance(est, GradientEstimate):
                 failures[s] = est
-                continue
-            x = xs[s]
-            gm = gradient_mapping(x, est.value, outer.beta, fs)
-            rows[s].append(TraceRow(
-                t=t, x=x.copy(), estimate=est.value.copy(),
-                mapping_norm=float(np.linalg.norm(gm)),
-                n_samples=n_t, k_steps=k_t,
-                infeasible_count=est.infeasible_count,
-                wall_time=time.perf_counter() - t0,
-            ))
-            for key in totals[s]:
-                totals[s][key] += est.oracle_counts.get(key, 0)
-            xs[s] = fs.project(x - outer.beta * est.value)
+        ests = [est for est in ests if isinstance(est, GradientEstimate)]
+        running = [s for s in running if failures[s] is None]
+        if not ests:
+            continue
+        xt, d = x[running, t], np.array([est.value for est in ests])
+        gm = gradient_mapping(xt, d, outer.beta, fs)
+        estimate[running, t] = d
+        mapping_norm[running, t] = np.sqrt(np.vecdot(gm, gm))
+        infeasible[running, t] = [est.infeasible_count for est in ests]
+        totals[running] += [[est.oracle_counts.get(key, 0) for key in ORACLE_KEYS]
+                            for est in ests]
+        x[running, t + 1] = fs.project(xt - outer.beta * d)
 
-    return LockstepRun([failures[s] or _finish(problem, outer, lower, configs[s], rows[s],
-                                               xs[s], totals[s])
-                        for s in range(len(configs))])
+    return LockstepRun([failures[s] or OuterTrace(
+        x[s], estimate[s], mapping_norm[s], infeasible[s], n_t, k_t,
+        *_output_point(problem, outer, configs[s], x[s], mapping_norm[s]),
+        oracle_totals=dict(zip(ORACLE_KEYS, totals[s].tolist())),
+        config_echo=_config_echo(outer, lower, configs[s])) for s in range(S)])
 
 
-def _finish(problem, outer, lower, smoothing, rows, x, totals):
-    """One seed's OuterTrace: its output point and configuration echo."""
+def _output_point(problem, outer, smoothing, x, mapping_norm):
+    """(x_out, random_index) of one seed's iterates x (T + 1, n) under the
+    output rule."""
     T = outer.T
-    x_final = x.copy()
-    r_index = None
-    if outer.output_rule == OUTPUT_BEST_MAPPING and rows:
-        k = int(np.argmin([row.mapping_norm for row in rows]))
-        x_out = rows[k].x.copy()
-    elif outer.output_rule == OUTPUT_RANDOM_INDEX and rows:
+    if outer.output_rule == OUTPUT_BEST_MAPPING and T > 0:
+        return x[int(np.argmin(mapping_norm))].copy(), None
+    if outer.output_rule == OUTPUT_RANDOM_INDEX and T > 0:
         pmf = random_index_pmf(np.full(T, outer.beta),
                                lipschitz_bound(problem.f_bar, smoothing.xi))
         gen = rng.stream(smoothing.master_seed, rng.DOMAIN_OUTPUT_INDEX)
         # R ranges over the recorded iterations 1..T; x_R is the R-th iterate
         r_index = 1 + int(gen.choice(T, p=pmf))
-        x_out = (rows[r_index].x.copy() if r_index < T else x_final.copy())
-    else:
-        x_out = x_final.copy()
+        return x[r_index].copy(), r_index
+    return x[-1].copy(), None
 
-    return OuterTrace(rows=rows, x_out=x_out, x_final=x_final,
-                      random_index=r_index, oracle_totals=totals,
-                      config_echo={
-                          "T": T,
-                          "beta": float(outer.beta),
-                          "output_rule": outer.output_rule,
-                          "xi": smoothing.xi,
-                          "master_seed": smoothing.master_seed,
-                          "lower": {
-                              "method": lower.method, "eta": lower.eta,
-                              "M": lower.M, "max_iters": lower.max_iters,
-                              "grad_tol": lower.grad_tol,
-                          },
-                      })
+
+def _config_echo(outer, lower, smoothing):
+    return {"T": outer.T, "beta": float(outer.beta), "output_rule": outer.output_rule,
+            "xi": smoothing.xi, "master_seed": smoothing.master_seed,
+            "lower": {key: getattr(lower, key)
+                      for key in ("method", "eta", "M", "max_iters", "grad_tol")}}
 
 
 def tail_stability(x_history, window=500):
@@ -299,21 +292,23 @@ def _fmt(v):
     return repr(float(v))
 
 
-def write_trace_csv(trace: OuterTrace, path):
-    """One row per iteration: t, x components, estimate components,
+def write_trace_csv(trace: OuterTrace, path, stride=1):
+    """One line per stride-th iteration: t, x components, estimate components,
     mapping_norm, N_t, K_t, infeasible_count.  Byte-stable given the trace."""
-    n = len(trace.x_final)
+    n = trace.x.shape[1]
     cols = (["t"] + [f"x{j}" for j in range(n)] + [f"est{j}" for j in range(n)]
             + ["mapping_norm", "N_t", "K_t", "infeasible_count"])
-    lines = [f"# schema: {TRACE_SCHEMA}", ",".join(cols)]
-    for row in trace.rows:
-        parts = ([str(row.t)] + [_fmt(v) for v in row.x]
-                 + [_fmt(v) for v in row.estimate]
-                 + [_fmt(row.mapping_norm), str(row.n_samples),
-                    str(row.k_steps), str(row.infeasible_count)])
-        lines.append(",".join(parts))
+    every = slice(None, None, stride)
+    columns = zip(range(len(trace.mapping_norm))[every], trace.x[:-1][every].tolist(),
+                  trace.estimate[every].tolist(), trace.mapping_norm[every].tolist(),
+                  trace.n_samples[every].tolist(), trace.k_steps[every].tolist(),
+                  trace.infeasible_count[every].tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# schema: {TRACE_SCHEMA}\n" + ",".join(cols) + "\n")
+        for t, x, est, norm, n_t, k_t, infeasible in columns:
+            parts = ([str(t)] + [_fmt(v) for v in x] + [_fmt(v) for v in est]
+                     + [_fmt(norm), str(n_t), str(k_t), str(infeasible)])
+            fh.write(",".join(parts) + "\n")
 
 
 def canonical_json(obj):

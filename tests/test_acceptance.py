@@ -80,7 +80,7 @@ def gda_sweep():
 def test_criterion_1_experiment_tail_stability(experiment_sweep):
     ratios = {}
     for seed, (_, _, trace) in experiment_sweep.items():
-        _, _, ratio = tail_stability(trace.x_history(), window=500)
+        _, _, ratio = tail_stability(trace.x, window=500)
         ratios[seed] = ratio
     worst = max(ratios.values())
     report(1, worst <= 5.0,
@@ -92,7 +92,7 @@ def test_criterion_1_experiment_tail_stability(experiment_sweep):
 # ---------------------------------------------------------------------------
 
 def _phase_block_means(problem, lower, trace, block=50):
-    xs = trace.x_history()[:-1]
+    xs = trace.x[:-1]
     n_blocks = len(xs) // block
     means = xs[:n_blocks * block].reshape(n_blocks, block, -1).mean(axis=1)
     y_hat = run_lower_lean(problem, means, lower).y_hat
@@ -302,7 +302,7 @@ def test_criterion_9_rate_proxy():
     sched = default_schedules(n=1, d_hat=0.0, base_k=1, n_max=256)
     outer = OuterConfig(T=1600, beta=beta, schedules=sched)
     trace, = run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[2.0]]).traces
-    sq = trace.mapping_norms() ** 2
+    sq = trace.mapping_norm ** 2
     m100, m400, m1600 = sq[:100].mean(), sq[:400].mean(), sq[:1600].mean()
     ok = m400 <= m100 / 2.0 and m1600 <= m400 / 2.0
     report(9, ok, f"running mean of mapping_norm^2: {m100:.4f} -> {m400:.4f} -> "

@@ -228,10 +228,16 @@ def assert_same_seed_files(a, b, seed):
 
 
 def test_lockstep_seed_outputs_equal_a_seed_run_alone(tmp_path):
-    common = ("--problem", "minimax", "--set", "outer.T=40", "--set", "lower.K=60")
-    assert run_cli("run", "--seed", "0,7", "--out", str(tmp_path / "both"), *common) == 0
-    assert run_cli("run", "--seed", "7", "--out", str(tmp_path / "alone"), *common) == 0
-    assert_same_seed_files(tmp_path / "both", tmp_path / "alone", 7)
+    cases = [("minimax", "0,7", 7, ["--set", "lower.K=60"]),
+             # n = 2: the step's projection and mapping norm run across the seeds
+             ("fold", "11,12,13", 12, ["--set", "lower.method=cubic_newton",
+                                        "--set", "lower.K=10"])]
+    for problem, seeds, seed, settings in cases:
+        common = ["--problem", problem, "--set", "outer.T=40", *settings]
+        together, alone = tmp_path / f"{problem}_all", tmp_path / f"{problem}_alone"
+        assert run_cli("run", "--seed", seeds, "--out", str(together), *common) == 0
+        assert run_cli("run", "--seed", str(seed), "--out", str(alone), *common) == 0
+        assert_same_seed_files(together, alone, seed)
 
 
 def test_a_diverging_seed_fails_alone_in_lockstep(tmp_path, monkeypatch):

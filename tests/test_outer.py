@@ -76,7 +76,7 @@ def test_quadratic_hook_converges():
     outer = OuterConfig(T=200, beta=beta, schedules=sched)
     trace, = run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[1.0]]).traces
     assert abs(trace.x_final[0]) <= 0.05
-    assert len(trace.rows) == 200
+    assert len(trace.mapping_norm) == 200
 
 
 def test_zero_iterations_returns_projected_start():
@@ -84,7 +84,7 @@ def test_zero_iterations_returns_projected_start():
     outer = OuterConfig(T=0, beta=0.01)
     trace, = run_scinbio(problem, outer, PHI_LOWER, [SmoothingConfig(xi=0.5, master_seed=0)],
                          x0=[[7.0]]).traces
-    assert trace.rows == []
+    assert len(trace.mapping_norm) == 0
     assert trace.x_out[0] == 3.0  # projected onto the box
 
 
@@ -101,9 +101,9 @@ def test_iterates_stay_feasible_and_reprojection_fixed():
     outer = OuterConfig(T=50, beta=0.002)
     trace, = run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[0.4]]).traces
     fs = problem.feasible_set
-    for row in trace.rows[1:]:
-        assert fs.contains(row.x)
-        assert np.abs(fs.project(row.x) - row.x).max() <= 1e-12
+    for x in trace.x[1:-1]:
+        assert fs.contains(x)
+        assert np.abs(fs.project(x) - x).max() <= 1e-12
 
 
 def test_trace_is_bit_reproducible():
@@ -112,8 +112,26 @@ def test_trace_is_bit_reproducible():
     outer = OuterConfig(T=40, beta=0.005)
     t1, = run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[0.7]]).traces
     t2, = run_scinbio(problem, outer, PHI_LOWER, [smoothing], x0=[[0.7]]).traces
-    assert np.array_equal(t1.x_history(), t2.x_history())
-    assert np.array_equal(t1.mapping_norms(), t2.mapping_norms())
+    assert np.array_equal(t1.x, t2.x)
+    assert np.array_equal(t1.mapping_norm, t2.mapping_norm)
+
+
+def test_mapping_norm_column_is_the_per_row_norm(fold):
+    # the run takes each iteration's norms over all seeds at once; every entry
+    # must equal, bit for bit, the norm of that one seed's mapping
+    seeds = (11, 12, 13)
+    lower = LowerSolverConfig(method="cubic_newton", M=420.0, max_iters=10)
+    outer = OuterConfig(T=30, beta=0.005, schedules=constant_schedules(3, 10))
+    fs = fold.feasible_set
+    x0 = [rng_mod.init_stream(seed).uniform(*fs.bbox) for seed in seeds]
+    run = run_scinbio(fold, outer, lower,
+                      [SmoothingConfig(xi=0.05, master_seed=2024 + seed) for seed in seeds],
+                      x0=x0)
+    for trace in run.traces:
+        assert trace.x.shape == (31, 2)
+        ref = [np.linalg.norm(gradient_mapping(x, est, outer.beta, fs))
+               for x, est in zip(trace.x[:-1], trace.estimate)]
+        assert trace.mapping_norm.tolist() == ref
 
 
 def test_output_rules():
@@ -127,8 +145,8 @@ def test_output_rules():
             assert np.array_equal(trace.x_out, trace.x_final)
             assert trace.random_index is None
         elif rule == "best_mapping":
-            k = int(np.argmin(trace.mapping_norms()))
-            assert np.array_equal(trace.x_out, trace.rows[k].x)
+            k = int(np.argmin(trace.mapping_norm))
+            assert np.array_equal(trace.x_out, trace.x[k])
         else:
             assert 1 <= trace.random_index <= 30
 
@@ -159,14 +177,12 @@ def test_budget_accounting_matches_counters(double_well):
     trace, = run_scinbio(double_well, outer, lower, [smoothing], x0=[[0.3]]).traces
     # gradient descent evaluates grad at every iterate including the last
     assert trace.oracle_totals["grad"] == sum(
-        row.n_samples * (row.k_steps + 1) for row in trace.rows) - _infeasible_evals(trace)
-    assert trace.oracle_totals["f"] == sum(
-        row.n_samples for row in trace.rows) - sum(
-        row.infeasible_count for row in trace.rows)
+        trace.n_samples * (trace.k_steps + 1)) - _infeasible_evals(trace)
+    assert trace.oracle_totals["f"] == sum(trace.n_samples) - sum(trace.infeasible_count)
 
 
 def _infeasible_evals(trace):
-    return sum(row.infeasible_count * (row.k_steps + 1) for row in trace.rows)
+    return sum(trace.infeasible_count * (trace.k_steps + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +226,19 @@ def test_validation_does_not_grow_with_T():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_a_run_holds_its_trace_as_columns():
+    # x, estimate, mapping_norm and infeasible_count are 15 x 1,000 x 8 B
+    # each, about 0.5 MB: nothing made per seed and iteration may outlive it
+    problem = hook_problem()
+    configs = [SmoothingConfig(xi=0.5, master_seed=seed) for seed in range(15)]
+    outer = OuterConfig(T=1000, beta=0.005)
+    tracemalloc.start()
+    try:
+        run = run_scinbio(problem, outer, PHI_LOWER, configs)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(trace.mapping_norm) for trace in run.traces] == [1000] * 15
+    assert held <= 2 ** 20
