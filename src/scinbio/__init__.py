@@ -21,8 +21,7 @@ from .outer import (LockstepRun, OuterConfig, OuterTrace, Schedules,
 from .problems import (BilevelProblem, FeasibleSet, PROBLEM_NAMES, box_set,
                        builtin_fold_family, builtin_minimax, builtin_quartic_family,
                        builtin_shifted_double_well, get_problem, minimax_gradient)
-from .smoothing import (GradientEstimate, GradientEstimates, SmoothingConfig,
-                        estimate_hypergradient,
+from .smoothing import (GradientEstimates, SmoothingConfig, estimate_hypergradient,
                         gradient_norm_bound, lipschitz_bound, smoothed_step_reference)
 
 __version__ = "0.1.0"

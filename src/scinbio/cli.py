@@ -175,7 +175,7 @@ def resolve_config(args):
         if cfg[key] is None:
             cfg[key] = value
 
-    for section, check in (("outer", lambda: _outer_config(cfg).validate()),
+    for section, check in (("outer", lambda: _outer_config(cfg)),
                            ("lower", lambda: lower_config(cfg)),
                            ("smoothing", lambda: _smoothing_config(cfg, 0))):
         try:
@@ -255,12 +255,12 @@ def _solve_points(problem, xs, lower_cfg):
 
 
 def _estimate_at(problem, x, n_samples, smoothing, lower_cfg, stream_tag):
-    """The GradientEstimate at the point x (n,), run as a batch of one; its
-    EstimatorError is raised."""
-    est, = estimate_hypergradient(problem, x[None, :], n_samples, [smoothing], lower_cfg,
-                                  stream_tag=stream_tag).per_point
-    if isinstance(est, Exception):
-        raise est
+    """The one-row GradientEstimates at the point x (n,); its EstimatorError
+    is raised."""
+    est = estimate_hypergradient(problem, x[None, :], n_samples, [smoothing], lower_cfg,
+                                 stream_tag=stream_tag)
+    if est.errors[0] is not None:
+        raise est.errors[0]
     return est
 
 
@@ -318,7 +318,7 @@ def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
         if cfg["audit"]:
             audit_n = 1024
             est = _estimate_at(problem, trace.x_final, audit_n, smoothing, lower, T + 1)
-            gm = gradient_mapping(trace.x_final, est.value, cfg["outer.beta"],
+            gm = gradient_mapping(trace.x_final, est.value[0], cfg["outer.beta"],
                                   problem.feasible_set)
             extra["audit"] = {"n_samples": audit_n,
                               "mapping_norm": float(np.linalg.norm(gm))}
@@ -563,7 +563,7 @@ def cmd_estimate(cfg, x_text):
     n = cfg["estimate.N"]
     batches = cfg["estimate.batches"]
     ests = [_estimate_at(problem, x, n, smoothing, lower, b) for b in range(batches)]
-    estimates = np.asarray([est.value for est in ests])
+    estimates = np.concatenate([est.value for est in ests])
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / np.sqrt(batches)
     payload = {
@@ -574,7 +574,7 @@ def cmd_estimate(cfg, x_text):
         "estimate_norm": float(np.linalg.norm(estimates[0])),
         "n_samples": n,
         "infeasible_count": ests[0].infeasible_count,
-        "smoothed_value": float(np.mean(ests[0].per_sample_f)),
+        "smoothed_value": float(np.mean(ests[0].per_sample_f[0])),
         "gradient_norm_bound": gradient_norm_bound(problem.f_bar, smoothing.xi),
         "batches": batches,
         "batch_mean": [float(v) for v in mean],

@@ -6,8 +6,8 @@ and record the projected gradient mapping norm.  The loop is deterministic
 given (master_seed, config).  Several seeds run in lockstep: one estimator
 call per iteration serves every seed, so all their lower solves share each
 oracle call, and each seed's numbers are those of the seed run alone.  The
-run keeps its state and trace as (seed, t) arrays; each seed's OuterTrace is
-views into them.
+run keeps its state and trace as (seed, t) arrays, filled from the columns of
+each call's GradientEstimates; each seed's OuterTrace is views into them.
 """
 
 import dataclasses
@@ -21,13 +21,12 @@ import numpy as np
 from . import rng
 from .errors import ConfigError
 from .lower import LowerSolverConfig
-from .smoothing import (GradientEstimate, SmoothingConfig, estimate_hypergradient,
-                        lipschitz_bound)
+from .smoothing import ORACLE_KEYS, SmoothingConfig, estimate_hypergradient, lipschitz_bound
 
 __all__ = [
     "OuterConfig", "OuterTrace", "LockstepRun", "Schedules", "default_schedules",
-    "gradient_mapping", "run_scinbio", "random_index_pmf", "validate_run",
-    "tail_stability", "write_trace_csv", "write_summary_json",
+    "constant_schedules", "gradient_mapping", "run_scinbio", "random_index_pmf",
+    "validate_run", "tail_stability", "write_trace_csv", "write_summary_json",
     "TRACE_SCHEMA",
 ]
 
@@ -37,7 +36,6 @@ OUTPUT_BEST_MAPPING = "best_mapping"
 
 TRACE_SCHEMA = "scinbio-trace-v1"
 SUMMARY_SCHEMA = "scinbio-summary-v1"
-ORACLE_KEYS = ("f", "g", "grad", "hess")
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ class OuterConfig:
     schedules: Optional[Schedules] = None
     output_rule: str = OUTPUT_LAST
 
-    def validate(self):
+    def __post_init__(self):
         msgs = []
         if self.T < 0:
             msgs.append("T must be nonnegative")
@@ -158,12 +156,10 @@ def random_index_pmf(betas, l_hat):
 
 
 def validate_run(problem, outer: OuterConfig, smoothing: SmoothingConfig):
-    """Raise ConfigError for a configuration `run_scinbio` cannot run.
-
-    Besides `outer.validate()`, the random-index output rule needs
-    beta < 1/L with L = f_bar / xi^2 (see `random_index_pmf`).
+    """Raise ConfigError where the configs, each valid alone, do not fit the
+    problem: the random-index output rule needs beta < 1/L with
+    L = f_bar / xi^2 (see `random_index_pmf`).
     """
-    outer.validate()
     if outer.output_rule == OUTPUT_RANDOM_INDEX and outer.T > 0:
         random_index_pmf([outer.beta], lipschitz_bound(problem.f_bar, smoothing.xi))
 
@@ -215,28 +211,24 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
     n_t = np.array([sched.n_t(t) for t in range(T)], dtype=int)
     k_t = np.array([sched.k_t(t) for t in range(T)], dtype=int)
     failures = [None] * S
-    running = list(range(S))
+    running = np.arange(S)
     for t in range(T):
-        if not running:
+        if not running.size:
             break
         lower_t = dataclasses.replace(lower, max_iters=int(k_t[t]))
         ests = estimate_hypergradient(problem, x[running, t], int(n_t[t]),
                                       [configs[s] for s in running], lower_t,
-                                      stream_tag=t).per_point
-        for s, est in zip(running, ests):
-            if not isinstance(est, GradientEstimate):
-                failures[s] = est
-        ests = [est for est in ests if isinstance(est, GradientEstimate)]
-        running = [s for s in running if failures[s] is None]
-        if not ests:
-            continue
-        xt, d = x[running, t], np.array([est.value for est in ests])
+                                      stream_tag=t)
+        for s, exc in zip(running, ests.errors):
+            failures[s] = exc
+        ok = np.array([exc is None for exc in ests.errors])
+        running, d = running[ok], ests.value[ok]
+        xt = x[running, t]
         gm = gradient_mapping(xt, d, outer.beta, fs)
         estimate[running, t] = d
         mapping_norm[running, t] = np.sqrt(np.vecdot(gm, gm))
-        infeasible[running, t] = [est.infeasible_count for est in ests]
-        totals[running] += [[est.oracle_counts.get(key, 0) for key in ORACLE_KEYS]
-                            for est in ests]
+        infeasible[running, t] = ests.infeasible[ok]
+        totals[running] += ests.oracle_counts[ok]
         x[running, t + 1] = fs.project(xt - outer.beta * d)
 
     return LockstepRun([failures[s] or OuterTrace(

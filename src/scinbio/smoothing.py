@@ -4,12 +4,12 @@ The smoothed objective is the convolution of phi(x) = f(x, y_alg(x)) with the
 Gaussian kernel of bandwidth xi.  Its gradient admits the single-sample form
 E[u phi(x + xi u)] / xi with u ~ N(0, I), which is estimated by Monte Carlo;
 sample points falling outside the feasible set contribute the value cap f_bar
-(the constant extension of phi outside the domain).
+(the constant extension of phi outside the domain).  One estimator call serves
+S points and returns its results as columns over them (GradientEstimates).
 """
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -19,10 +19,11 @@ from .lower import LowerSolverConfig, run_lower_lean
 from .problems import call_oracle
 
 __all__ = [
-    "SmoothingConfig", "GradientEstimate", "GradientEstimates",
-    "estimate_hypergradient",
+    "SmoothingConfig", "GradientEstimates", "ORACLE_KEYS", "estimate_hypergradient",
     "smoothed_step_reference", "gradient_norm_bound", "lipschitz_bound",
 ]
+
+ORACLE_KEYS = ("f", "g", "grad", "hess")
 
 
 @dataclass(frozen=True)
@@ -43,39 +44,52 @@ class SmoothingConfig:
 
 
 @dataclass
-class GradientEstimate:
-    value: np.ndarray
-    samples_used: int
-    per_sample_f: List[float]
-    infeasible_count: int
-    oracle_counts: dict
-
-
-@dataclass
 class GradientEstimates:
-    """Estimates at several points from one call, in the order of the points:
-    each entry is the point's GradientEstimate, or the EstimatorError that
-    stopped it.  samples_used and infeasible_count total the points that
+    """Estimates at S points from one call, as columns in the order of the
+    points: value (S, n); per_sample_f (S, N), each sample's hyperfunction
+    value (f_bar outside the feasible set), whose row mean is the point's
+    smoothed value; infeasible (S,), the samples outside the feasible set;
+    oracle_counts (S, 4), one column per ORACLE_KEYS entry.  errors[s] is the
+    EstimatorError that stopped point s, or None; a stopped point's value row
+    is NaN.  samples_used and infeasible_count total the points that
     succeeded."""
 
-    per_point: list
+    value: np.ndarray
+    per_sample_f: np.ndarray
+    infeasible: np.ndarray
+    oracle_counts: np.ndarray
+    errors: list
     samples_used: int
     infeasible_count: int
 
 
-def _sample_values(problem, points, u, xis, lower):
-    """Hyperfunction values at points[s] + xi_s u[s, i] with the f_bar
-    convention, for all points at once: every feasible sample of every point
-    is one lane of a single lower solve.
+def estimate_hypergradient(problem, x, n_samples, smoothings, lower: LowerSolverConfig,
+                           stream_tag: int = 0) -> GradientEstimates:
+    """Monte Carlo estimates (1/(N xi)) sum_i u_i f(x + xi u_i, y_hat(x + xi u_i))
+    at the S points x (S, n), one SmoothingConfig per point.
 
-    Returns values (S, N), infeasible counts (S,), oracle counts per point and
-    per point the EstimatorError of its first failing sample in sample order
-    (a failed lower solve or a non-finite value), or None.
+    Each point draws its N directions deterministically from (master_seed,
+    stream_tag) of its own config.  Every feasible sample of every point is
+    one lane of a single cold-started lower solve, and infeasible samples
+    contribute f_bar.  A point stops at its first bad sample in sample order,
+    a failed lower solve or a non-finite value; the other points are
+    unaffected.
     """
-    S, N = u.shape[:2]
-    xt = points[:, None, :] + np.asarray(xis)[:, None, None] * u
-    values = np.empty((S, N))
-    counts = [{"f": 0, "g": 0, "grad": 0, "hess": 0} for _ in range(S)]
+    configs = list(smoothings)
+    S = len(configs)
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != S:
+        raise ValueError(f"x must hold {S} points as rows, got shape {x.shape}")
+    if x.shape[1] != problem.n:
+        raise ValueError(f"x must have dimension {problem.n}")
+    xis = np.array([c.xi for c in configs])
+    u = np.stack([rng.stream(c.master_seed, rng.DOMAIN_ESTIMATOR, stream_tag)
+                  .standard_normal((n_samples, x.shape[1])) for c in configs])
+    xt = x[:, None, :] + xis[:, None, None] * u
+    values = np.empty((S, n_samples))
+    counts = np.zeros((S, len(ORACLE_KEYS)), dtype=int)
     feasible = problem.feasible_set.contains(xt)
     values[~feasible] = problem.f_bar
     solve_errors = {}
@@ -85,10 +99,9 @@ def _sample_values(problem, points, u, xis, lower):
         res = run_lower_lean(problem, lanes, lower)
         with np.errstate(all="ignore"):  # a failed lane's value is NaN; reported below
             values[feasible] = call_oracle(problem, "f", lanes, res.y_hat)
-        per_point = {key: np.bincount(owner, weights=res.oracle_counts[key], minlength=S)
-                     for key in ("g", "grad", "hess")}
-        per_point["f"] = np.bincount(owner, minlength=S)
-        counts = [{key: int(c[s]) for key, c in per_point.items()} for s in range(S)]
+        # the solve counts no f; weights=None counts its one call per lane, at y_hat
+        for j, key in enumerate(ORACLE_KEYS):
+            counts[:, j] = np.bincount(owner, weights=res.oracle_counts.get(key), minlength=S)
         solve_errors = {(int(owner[lane]), int(sample[lane])): exc
                         for lane, exc in enumerate(res.errors) if exc is not None}
     bad = ~np.isfinite(values)
@@ -102,45 +115,11 @@ def _sample_values(problem, points, u, xis, lower):
                 f"non-finite objective value on sample {i}" if exc is None
                 else f"lower-level solve failed on sample {i}: {exc}", sample_index=i)
             errors[s].__cause__ = exc
-    return values, (~feasible).sum(axis=1), counts, errors
-
-
-def estimate_hypergradient(problem, x, n_samples, smoothings, lower: LowerSolverConfig,
-                           stream_tag: int = 0) -> GradientEstimates:
-    """Monte Carlo estimates (1/(N xi)) sum_i u_i f(x + xi u_i, y_hat(x + xi u_i))
-    at the S points x (S, n), one SmoothingConfig per point.
-
-    Each point draws its N directions deterministically from (master_seed,
-    stream_tag) of its own config; each feasible sample runs a cold-started
-    lower solve and infeasible samples contribute f_bar.  The lower solves of
-    all points share one batched solve, and a failure stops only its point.
-    The mean of a point's per_sample_f is its smoothed hyperfunction value.
-    """
-    configs = list(smoothings)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != len(configs):
-        raise ValueError(f"x must hold {len(configs)} points as rows, got shape {x.shape}")
-    if x.shape[1] != problem.n:
-        raise ValueError(f"x must have dimension {problem.n}")
-    u = np.stack([rng.stream(c.master_seed, rng.DOMAIN_ESTIMATOR, stream_tag)
-                  .standard_normal((n_samples, x.shape[1])) for c in configs])
-    values, infeasible, counts, errors = _sample_values(
-        problem, x, u, [c.xi for c in configs], lower)
-    estimates = []
-    for s, c in enumerate(configs):
-        if errors[s] is not None:
-            estimates.append(errors[s])
-            continue
-        est = (u[s] * values[s][:, None]).sum(axis=0) / (n_samples * c.xi)
-        estimates.append(GradientEstimate(value=est, samples_used=n_samples,
-                                          per_sample_f=values[s].tolist(),
-                                          infeasible_count=int(infeasible[s]),
-                                          oracle_counts=counts[s]))
-    done = [e for e in estimates if isinstance(e, GradientEstimate)]
-    return GradientEstimates(estimates, sum(e.samples_used for e in done),
-                             sum(e.infeasible_count for e in done))
+    stopped = np.where(bad, np.nan, values)  # NaN rows; an inf sample would warn in inf - inf
+    value = (u * stopped[:, :, None]).sum(axis=1) / (n_samples * xis[:, None])
+    infeasible, ok = (~feasible).sum(axis=1), ~bad.any(axis=1)
+    return GradientEstimates(value, values, infeasible, counts, errors,
+                             n_samples * int(ok.sum()), int(infeasible[ok].sum()))
 
 
 def smoothed_step_reference(x, xi):

@@ -145,9 +145,8 @@ def test_criterion_3_estimator_closed_form():
     checks = []
     for tag, x in enumerate((-0.5, 0.0, 0.5)):
         n = 100000
-        est, = estimate_hypergradient(problem, [[x]], n, [cfg], PHI_LOWER,
-                                      stream_tag=tag).per_point
-        val = np.mean(est.per_sample_f)
+        est = estimate_hypergradient(problem, [[x]], n, [cfg], PHI_LOWER, stream_tag=tag)
+        val = np.mean(est.per_sample_f[0])
         ref, _ = smoothed_step_reference(x, xi)
         u = rng_mod.stream(cfg.master_seed, rng_mod.DOMAIN_ESTIMATOR,
                            tag).standard_normal((n, 1))[:, 0]
@@ -155,13 +154,13 @@ def test_criterion_3_estimator_closed_form():
         se = samples.std(ddof=1) / math.sqrt(n)
         checks.append(abs(val - ref) <= 3 * se)
     n = 1000000
-    est, = estimate_hypergradient(problem, [[0.0]], n, [cfg], PHI_LOWER, stream_tag=9).per_point
+    est = estimate_hypergradient(problem, [[0.0]], n, [cfg], PHI_LOWER, stream_tag=9)
     _, dref = smoothed_step_reference(0.0, xi)
     u = rng_mod.stream(cfg.master_seed, rng_mod.DOMAIN_ESTIMATOR,
                        9).standard_normal((n, 1))[:, 0]
-    contrib = u * np.asarray(est.per_sample_f) / xi
+    contrib = u * est.per_sample_f[0] / xi
     se = contrib.std(ddof=1) / math.sqrt(n)
-    checks.append(abs(est.value[0] - dref) <= 3 * se)
+    checks.append(abs(est.value[0, 0] - dref) <= 3 * se)
     report(3, all(checks),
            "smoothed values at x in {-0.5, 0, 0.5} and gradient at 0 "
            "within 3 standard errors of the closed form")
@@ -194,10 +193,10 @@ def test_criterion_4_gradient_bound(minimax, double_well, fold, quartic):
             x = gen.uniform(lo, hi)
             batch = []
             for _ in range(10):
-                est, = estimate_hypergradient(problem, [x], 10, [cfg], lower,
-                                              stream_tag=tag).per_point
-                assert max(abs(v) for v in est.per_sample_f) <= problem.f_bar
-                batch.append(est.value)
+                est = estimate_hypergradient(problem, [x], 10, [cfg], lower, stream_tag=tag)
+                assert est.errors == [None]
+                assert max(abs(v) for v in est.per_sample_f[0]) <= problem.f_bar
+                batch.append(est.value[0])
                 tag += 1
             batch = np.asarray(batch)
             mean = batch.mean(axis=0)

@@ -294,6 +294,33 @@ def test_run_outputs_match_pinned_digests(tmp_path, monkeypatch, problem):
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
 
 
+def test_audit_summary_matches_pinned_digest(tmp_path, monkeypatch):
+    # the --audit block is the one summary field GOLDEN does not cover
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("run", "--problem", "fold", "--seed", "5", "--out", "out", "--audit",
+                   "--set", "outer.T=30", "--set", "lower.method=cubic_newton",
+                   "--set", "lower.K=10", "--set", "emit=json") == 0
+    assert hashlib.sha256((tmp_path / "out" / "summary_seed5.json").read_bytes()).hexdigest() \
+        == "4e0d2a9a4a87ce5ab562301c0b5f6389fc123dcda86584f97a7c4d0c655c2241"
+
+
+ESTIMATE_GOLDEN = {  # fold's x lies near the edge x1 = 1: 26 of its 64 samples are infeasible
+    "quartic": ("1.0,2.0", "26adc12ce5a2a217e45e165ec9d9d3f044b47a2d937172dd9c8fca5d728b0e26"),
+    "double-well": ("0.3", "f8cc10f8dc877a6315271f8bd90afbad7a4edad079aaf2830913e94b9b119334"),
+    "fold": ("0.98,0.1", "651ce1f7ba7c4c04acfc423d0f0e5fbda338325cff52e29748b0485c04d7c64c"),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(ESTIMATE_GOLDEN))
+def test_estimate_stdout_matches_pinned_digest(tmp_path, monkeypatch, capsys, problem):
+    x, digest = ESTIMATE_GOLDEN[problem]
+    monkeypatch.chdir(tmp_path)  # the payload echoes the output directory
+    assert run_cli("estimate", "--problem", problem, "--x", x, "--out", "out",
+                   "--set", "estimate.N=64", "--set", "estimate.batches=3",
+                   "--set", "lower.K=20") == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_workers_must_be_positive(tmp_path, capsys, value):
     out = tmp_path / "o"
@@ -313,10 +340,10 @@ def test_audit_re_estimates_at_the_final_point(tmp_path, minimax):
     summary = json.loads((out / "summary_seed3.json").read_text())
     x_final = np.array(summary["final"]["x_final"])
     lower = LowerSolverConfig(method="gradient_descent", eta=0.01, M=32.0, max_iters=30)
-    est, = estimate_hypergradient(minimax, [x_final], 1024,
-                                  [SmoothingConfig(xi=0.05, master_seed=2024 + 3)], lower,
-                                  stream_tag=21).per_point
-    gm = gradient_mapping(x_final, est.value, 0.005, minimax.feasible_set)
+    est = estimate_hypergradient(minimax, [x_final], 1024,
+                                 [SmoothingConfig(xi=0.05, master_seed=2024 + 3)], lower,
+                                 stream_tag=21)
+    gm = gradient_mapping(x_final, est.value[0], 0.005, minimax.feasible_set)
     assert summary["audit"]["n_samples"] == 1024
     assert math.isfinite(summary["audit"]["mapping_norm"])
     assert summary["audit"]["mapping_norm"] == float(np.linalg.norm(gm))
@@ -386,11 +413,11 @@ def test_estimate_reports_the_smoothed_value_of_batch_0(tmp_path, capsys, fold):
                    "--set", "estimate.N=64", "--set", "lower.K=10") == 0
     payload = json.loads(capsys.readouterr().out)
     lower = LowerSolverConfig(method="gradient_descent", eta=0.002, M=420.0, max_iters=10)
-    est, = estimate_hypergradient(fold, [[0.4, 0.1]], 64,
-                                  [SmoothingConfig(xi=0.05, master_seed=2024)], lower,
-                                  stream_tag=0).per_point
-    assert payload["estimate"] == est.value.tolist()
-    assert payload["smoothed_value"] == float(np.mean(est.per_sample_f))
+    est = estimate_hypergradient(fold, [[0.4, 0.1]], 64,
+                                 [SmoothingConfig(xi=0.05, master_seed=2024)], lower,
+                                 stream_tag=0)
+    assert payload["estimate"] == est.value[0].tolist()
+    assert payload["smoothed_value"] == float(np.mean(est.per_sample_f[0]))
 
 
 def test_estimate_single_sample_is_well_formed(tmp_path, capsys):

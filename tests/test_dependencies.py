@@ -1,6 +1,7 @@
 """The runtime needs numpy and the standard library only; SciPy is a test dependency."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -74,3 +75,25 @@ def test_no_unused_top_level_imports():
              + [os.path.join(tests, name) for name in sorted(os.listdir(tests))
                 if name.endswith(".py")])
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+
+def test_module_all_lists_exist_and_cover_the_package_exports():
+    # each name in a module's __all__ exists, and each name the package
+    # __init__ imports from a module with an __all__ is listed in it
+    package = os.path.join(SRC, "scinbio")
+    listed, hits = {}, []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "__init__.py":
+            module = importlib.import_module(f"scinbio.{name[:-3]}")
+            if hasattr(module, "__all__"):
+                listed[module.__name__] = module.__all__
+                hits += [f"{name}: __all__ names undefined {attr}" for attr in module.__all__
+                         if not hasattr(module, attr)]
+    with open(os.path.join(package, "__init__.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and f"scinbio.{node.module}" in listed:
+            hits += [f"{node.module}.__all__ lacks {alias.name}" for alias in node.names
+                     if alias.name not in listed[f"scinbio.{node.module}"]]
+    assert hits == []

@@ -212,16 +212,15 @@ def test_trace_csv_layout(tmp_path):
 
 
 def test_outer_config_validation_collects_messages():
-    outer = OuterConfig(T=-1, beta=-0.5, output_rule="nope")
     with pytest.raises(ConfigError) as err:
-        outer.validate()
+        OuterConfig(T=-1, beta=-0.5, output_rule="nope")
     assert len(err.value.messages) == 3
 
 
 def test_validation_does_not_grow_with_T():
     tracemalloc.start()
     try:
-        OuterConfig(T=10 ** 6).validate()
+        OuterConfig(T=10 ** 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

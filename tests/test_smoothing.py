@@ -93,33 +93,33 @@ def test_step_reference_error_decreases_with_xi():
 def test_constant_phi_estimate_is_scaled_direction_mean():
     cfg = SmoothingConfig(xi=0.1, master_seed=42)
     c = 2.5
-    est, = estimate_hypergradient(phi_problem(lambda z: c), [[0.3]], 5000, [cfg], PHI_LOWER,
-                                  stream_tag=7).per_point
+    value = estimate_hypergradient(phi_problem(lambda z: c), [[0.3]], 5000, [cfg], PHI_LOWER,
+                                   stream_tag=7).value[0]
     u = drawn_directions(cfg, 7, 5000)
     exact = (u * np.full((5000, 1), c)).sum(axis=0) / (5000 * cfg.xi)
-    assert np.array_equal(est.value, exact)
-    assert np.abs(est.value - c * u.mean(axis=0) / cfg.xi).max() <= 1e-12
-    assert np.linalg.norm(est.value) <= 4.0 * abs(c) / (cfg.xi * math.sqrt(5000))
+    assert np.array_equal(value, exact)
+    assert np.abs(value - c * u.mean(axis=0) / cfg.xi).max() <= 1e-12
+    assert np.linalg.norm(value) <= 4.0 * abs(c) / (cfg.xi * math.sqrt(5000))
 
 
 def test_all_samples_infeasible_take_cap():
     p = quadratic_problem()  # feasible box [-1, 1], f_bar = 10
     cfg = SmoothingConfig(xi=0.05, master_seed=3)
     lower = LowerSolverConfig(max_iters=5)
-    est, = estimate_hypergradient(p, [[-10.0]], 2000, [cfg], lower, stream_tag=0).per_point
-    assert est.infeasible_count == 2000
-    assert all(v == p.f_bar for v in est.per_sample_f)
+    est = estimate_hypergradient(p, [[-10.0]], 2000, [cfg], lower, stream_tag=0)
+    assert est.infeasible[0] == 2000
+    assert all(v == p.f_bar for v in est.per_sample_f[0])
     u = drawn_directions(cfg, 0, 2000)
     exact = (u * np.full((2000, 1), p.f_bar)).sum(axis=0) / (2000 * cfg.xi)
-    assert np.array_equal(est.value, exact)
+    assert np.array_equal(est.value[0], exact)
 
 
 def test_estimator_determinism():
     cfg = SmoothingConfig(xi=0.05, master_seed=99)
-    a, = estimate_hypergradient(STEP, [[0.0]], 500, [cfg], PHI_LOWER, stream_tag=4).per_point
-    b, = estimate_hypergradient(STEP, [[0.0]], 500, [cfg], PHI_LOWER, stream_tag=4).per_point
+    a = estimate_hypergradient(STEP, [[0.0]], 500, [cfg], PHI_LOWER, stream_tag=4)
+    b = estimate_hypergradient(STEP, [[0.0]], 500, [cfg], PHI_LOWER, stream_tag=4)
     assert np.array_equal(a.value, b.value)
-    c, = estimate_hypergradient(STEP, [[0.0]], 500, [cfg], PHI_LOWER, stream_tag=5).per_point
+    c = estimate_hypergradient(STEP, [[0.0]], 500, [cfg], PHI_LOWER, stream_tag=5)
     assert not np.array_equal(a.value, c.value)
 
 
@@ -140,16 +140,16 @@ def test_estimator_validates_inputs(minimax):
 
 def test_smoothed_value_away_from_jump():
     cfg = SmoothingConfig(xi=0.05, master_seed=12)
-    est, = estimate_hypergradient(STEP, [[-0.5]], 100000, [cfg], PHI_LOWER).per_point
-    assert est.infeasible_count == 0
-    assert abs(np.mean(est.per_sample_f) - 0.5) <= 0.01
+    est = estimate_hypergradient(STEP, [[-0.5]], 100000, [cfg], PHI_LOWER)
+    assert est.infeasible[0] == 0
+    assert abs(np.mean(est.per_sample_f[0]) - 0.5) <= 0.01
 
 
 def test_smoothed_value_at_jump_matches_closed_form():
     cfg = SmoothingConfig(xi=0.05, master_seed=12)
     n = 100000
-    est, = estimate_hypergradient(STEP, [[0.0]], n, [cfg], PHI_LOWER, stream_tag=1).per_point
-    val = np.mean(est.per_sample_f)
+    est = estimate_hypergradient(STEP, [[0.0]], n, [cfg], PHI_LOWER, stream_tag=1)
+    val = np.mean(est.per_sample_f[0])
     ref, _ = smoothed_step_reference(0.0, cfg.xi)
     u = drawn_directions(cfg, 1, n)
     samples = np.array([step_phi(cfg.xi * ui) for ui in u[:, 0]])
@@ -160,12 +160,12 @@ def test_smoothed_value_at_jump_matches_closed_form():
 def test_gradient_at_jump_matches_closed_form():
     cfg = SmoothingConfig(xi=0.05, master_seed=12)
     n = 1000000
-    est, = estimate_hypergradient(STEP, [[0.0]], n, [cfg], PHI_LOWER, stream_tag=2).per_point
+    est = estimate_hypergradient(STEP, [[0.0]], n, [cfg], PHI_LOWER, stream_tag=2)
     _, ref = smoothed_step_reference(0.0, cfg.xi)
     u = drawn_directions(cfg, 2, n)[:, 0]
-    contrib = u * np.array(est.per_sample_f) / cfg.xi
+    contrib = u * est.per_sample_f[0] / cfg.xi
     se = contrib.std(ddof=1) / math.sqrt(n)
-    assert abs(est.value[0] - ref) <= 3 * se
+    assert abs(est.value[0, 0] - ref) <= 3 * se
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_unbiased_on_smooth_quadratic():
     x = np.array([0.3, -0.2])
     problem = phi_problem(lambda z: float(np.dot(z, z)), n=2)
     batches = np.array([estimate_hypergradient(problem, [x], 1000, [cfg], PHI_LOWER,
-                                               stream_tag=t).per_point[0].value
+                                               stream_tag=t).value[0]
                         for t in range(200)])
     mean = batches.mean(axis=0)
     se = batches.std(axis=0, ddof=1) / math.sqrt(len(batches))
@@ -195,7 +195,7 @@ def test_variance_scales_inversely_with_n():
         vals = []
         for _ in range(30):
             vals.append(estimate_hypergradient(problem, [x], n, [cfg], PHI_LOWER,
-                                               stream_tag=tag).per_point[0].value[0])
+                                               stream_tag=tag).value[0, 0])
             tag += 1
         log_n.append(math.log(n))
         log_var.append(math.log(np.var(vals, ddof=1)))
@@ -211,7 +211,7 @@ def test_mean_estimate_respects_gradient_bound(double_well):
     for _ in range(5):
         x = rng.uniform(-2, 2, size=1)
         batches = np.array([estimate_hypergradient(double_well, [x], 40, [cfg], lower,
-                                                   stream_tag=t).per_point[0].value
+                                                   stream_tag=t).value[0]
                             for t in range(8)])
         mean = batches.mean(axis=0)
         se = np.linalg.norm(batches.std(axis=0, ddof=1)) / math.sqrt(len(batches))
@@ -233,11 +233,42 @@ def test_a_failing_point_fails_alone():
     # the point at 0 gets the value it gets alone
     cfg = SmoothingConfig(xi=0.05, master_seed=4)
     problem = phi_problem(lambda z: math.nan if z[0] > 1.0 else step_phi(z))
-    alone, = estimate_hypergradient(problem, [[0.0]], 32, [cfg], PHI_LOWER).per_point
+    alone = estimate_hypergradient(problem, [[0.0]], 32, [cfg], PHI_LOWER)
     ests = estimate_hypergradient(problem, [[0.0], [5.0]], 32, [cfg, cfg], PHI_LOWER)
-    est, failed = ests.per_point
-    assert np.array_equal(est.value, alone.value)
-    assert est.per_sample_f == alone.per_sample_f
+    assert ests.errors[0] is None
+    assert np.array_equal(ests.value[0], alone.value[0])
+    assert np.array_equal(ests.per_sample_f[0], alone.per_sample_f[0])
+    assert np.isnan(ests.value[1]).all()
+    failed = ests.errors[1]
     assert isinstance(failed, EstimatorError) and failed.sample_index == 0
     assert str(failed) == "non-finite objective value on sample 0"
     assert ests.samples_used == 32
+
+
+@pytest.mark.parametrize("name, lower, points", [
+    ("minimax", LowerSolverConfig(method="gradient_descent", eta=0.01, M=32.0, max_iters=50),
+     [[-1.0], [2.97], [0.4]]),
+    ("fold", LowerSolverConfig(method="cubic_newton", eta=0.002, M=420.0, max_iters=10),
+     [[0.3, -0.2], [0.98, 0.1], [0.6, 0.5]]),
+])
+def test_each_row_is_its_point_estimated_alone(request, name, lower, points):
+    # points with their own xi and master_seed share one call and one lower
+    # solve; the second point lies near the box edge, so some of its samples
+    # are infeasible
+    problem = request.getfixturevalue(name)
+    configs = [SmoothingConfig(xi=0.05, master_seed=3), SmoothingConfig(xi=0.1, master_seed=11),
+               SmoothingConfig(xi=0.02, master_seed=40)]
+    together = estimate_hypergradient(problem, points, 48, configs, lower, stream_tag=5)
+    assert together.errors == [None] * 3
+    assert together.infeasible[1] > 0
+    for s, (x, cfg) in enumerate(zip(points, configs)):
+        alone = estimate_hypergradient(problem, [x], 48, [cfg], lower, stream_tag=5)
+        assert alone.errors == [None]
+        for column in ("value", "per_sample_f", "infeasible", "oracle_counts"):
+            assert np.array_equal(getattr(together, column)[s], getattr(alone, column)[0])
+        # the batched sum over samples equals the per-point loop form
+        u = drawn_directions(cfg, 5, 48, problem.n)
+        reference = (u * together.per_sample_f[s][:, None]).sum(axis=0) / (48 * cfg.xi)
+        assert np.array_equal(together.value[s], reference)
+    assert together.samples_used == 3 * 48
+    assert together.infeasible_count == together.infeasible.sum()
