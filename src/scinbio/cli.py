@@ -409,14 +409,12 @@ def cmd_scan(cfg):
     files = {}
     if "csv" in cfg["emit"]:
         path = os.path.join(out, f"scan_{name}.csv")
-        c1, c2 = scan.cell_centers()
+        c1, c2 = ([repr(c) for c in axis.tolist()] for axis in scan.cell_centers())
         lines = [f"# schema: {SCAN_CSV_SCHEMA}", "x1,x2,marked,lambda_min_abs"]
-        for i in range(res):
-            for j in range(res):
-                lam = scan.lambda_min_grid[i, j]
-                lam_txt = repr(float(lam)) if np.isfinite(lam) else ""
-                lines.append(f"{float(c1[i])!r},{float(c2[j])!r},"
-                             f"{int(scan.indicator[i, j])},{lam_txt}")
+        for x1, flags, lams in zip(c1, scan.indicator.astype(int).tolist(),
+                                   scan.lambda_min_grid.tolist()):
+            lines += [f"{x1},{x2},{flag},{repr(lam) if math.isfinite(lam) else ''}"
+                      for x2, flag, lam in zip(c2, flags, lams)]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         files["csv"] = path

@@ -207,14 +207,16 @@ def builtin_minimax() -> BilevelProblem:
 # x[..., j], y[..., 0] and add the trailing axes of the lane convention at the
 # end.  Powers are spelled as products, and polynomials in y in Horner form,
 # wherever that suffices; the one power left, in the fold's confinement term,
-# is np.power.
+# is np.power.  The scan's grid kernels, grad_y_g of the fold and the quartic,
+# allocate one batch-shaped array and run the chain in place on it (t *= y,
+# t += c): the same operations in the same order, so the same bits.
 
 _DOUBLE_WELL_F_BAR = 5.33  # 1.5 x max|y| over the sublevel grid (max 3.553)
 
 
 def builtin_shifted_double_well() -> BilevelProblem:
     def f(x, y):
-        return np.broadcast_to(y[..., 0], batch_shape(x, y))
+        return np.broadcast_to(y[..., 0], batch_shape(x, y)).copy()
 
     def g(x, y):
         u = y[..., 0] - x[..., 0]
@@ -274,10 +276,11 @@ def builtin_fold_family() -> BilevelProblem:
 
     def grad_y_g(x, y):
         x1, yy = x[..., 0], y[..., 0]
-        r = _fold_overhang(yy)
-        return ((1.0 - 2.0 * x1)
-                + 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy * yy
-                + 4.0 * _FOLD_CONF * np.power(r, 3) * np.sign(yy))[..., None]
+        t = 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
+        t *= yy
+        t += 1.0 - 2.0 * x1
+        t += 4.0 * _FOLD_CONF * np.power(_fold_overhang(yy), 3) * np.sign(yy)
+        return t[..., None]
 
     def hess_yy_g(x, y):
         x1, yy = x[..., 0], y[..., 0]
@@ -329,7 +332,12 @@ def builtin_quartic_family() -> BilevelProblem:
 
     def grad_y_g(x, y):
         (c3, c2), yy = _q_coefficients(x), y[..., 0]
-        return (((4.0 * yy + 3.0 * c3) * yy + 2.0 * c2) * yy + c3)[..., None]
+        t = 4.0 * yy + 3.0 * c3
+        t *= yy
+        t += 2.0 * c2
+        t *= yy
+        t += c3
+        return t[..., None]
 
     def hess_yy_g(x, y):
         (c3, c2), yy = _q_coefficients(x), y[..., 0]

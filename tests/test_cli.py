@@ -508,6 +508,23 @@ def test_scan_csv_pinned_at_72(tmp_path, name, digest):
     assert hashlib.sha256((out / f"scan_{name}.csv").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, resolution, csv_digest, svg_digest", [
+    ("fold", 200, "0dca07e1c377e27c24aaf66a32418d6f80613267b93f5a34c2163a73c3087092",
+     "dfad37d142e1490886bfc1d134dd2ac1defd191d2a3803f6e15a07f271c61f53"),
+    ("quartic", 300, "dd7bb620b239bcfae8371400545fcc98b77cafb42fa9712a6af1650a9ad20fd1",
+     "6b090f7207464c7229caad222ed0d09d1ca02a4aa050228b1b83680278521505"),
+], ids=["fold", "quartic"])
+def test_scan_outputs_pinned_at_default_scale(tmp_path, name, resolution, csv_digest,
+                                              svg_digest):
+    # sha256 of scan_<problem>.csv and .svg at the default resolutions and y
+    # windows, as the scan wrote them with 8 quartic cells per grid call
+    out = tmp_path / "scan"
+    assert run_cli("scan", "--problem", name, "--out", str(out), "--set", "emit=csv,svg",
+                   "--set", f"scan.grid_resolution={resolution}") == 0
+    for ext, digest in (("csv", csv_digest), ("svg", svg_digest)):
+        assert hashlib.sha256((out / f"scan_{name}.{ext}").read_bytes()).hexdigest() == digest
+
+
 def test_scan_writes_an_undetermined_fit_as_null(tmp_path, capsys):
     # at fold 4^2 the box counts do not change with the radius, so the fit is
     # undetermined; JSON has no NaN

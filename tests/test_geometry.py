@@ -12,6 +12,7 @@ from scipy import ndimage
 from scinbio import (BilevelProblem, box_set, box_counting_dimension,
                      check_fold_conditions, find_stationary_points_1d,
                      neighborhood_measure, scan_bifurcation_set)
+from scinbio import geometry
 from scinbio.geometry import (FOLD, NON_FOLD_DEGENERATE, NONDEGENERATE,
                               BifurcationScan, StationaryPointRecord,
                               _cell_roots, _hunt_degenerate, _hunt_lanes,
@@ -286,6 +287,30 @@ def test_scan_lambda_grid_and_records_pinned_at_72(request, name, y_range, y_res
     assert scan.roots.y.size == n_roots
     assert len(scan.branch_points) == n_records
     assert all(rec.degenerate for rec in scan.branch_points)
+
+
+@pytest.mark.parametrize("name, y_range, y_resolution", [
+    ("fold", (-1.0, 1.0), 400), ("quartic", (-250.0, 250.0), 2000)], ids=["fold", "quartic"])
+def test_scan_is_independent_of_the_lane_budget(request, monkeypatch, name, y_range,
+                                                y_resolution):
+    # the grid phase's batch size moves no bit: 1 << 10 lanes is one quartic
+    # cell (two fold cells) per grid call, 1 << 20 is 524 quartic cells and
+    # the whole fold scan in one call
+    problem = request.getfixturevalue(name)
+
+    def scan_bytes(budget):
+        monkeypatch.setattr("scinbio.geometry._LANE_BUDGET", budget)
+        scan = scan_bifurcation_set(problem, 24, y_range, y_resolution)
+        records = [(r.x.tobytes(), r.y.tobytes(),
+                    np.array([r.grad_norm, r.lambda_min_abs]).tobytes(), r.degenerate,
+                    r.fold_class) for r in scan.branch_points]
+        return ([column.tobytes() for column in scan.roots], scan.lambda_min_grid.tobytes(),
+                scan.indicator.tobytes(), records)
+
+    default = scan_bytes(geometry._LANE_BUDGET)
+    assert default[3] and default[2].count(1) > 0
+    for budget in (1 << 10, 1 << 20):
+        assert scan_bytes(budget) == default, budget
 
 
 def _hits_by_lane(hunt):

@@ -198,6 +198,27 @@ def test_broadcast_batches_equal_flattened_lanes_bit_for_bit(name, data):
         assert grid.reshape(lanes.shape).tobytes() == lanes.tobytes(), oracle
 
 
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_oracles_are_pure(name):
+    # kernels may work in place on their own temporaries, never on their
+    # inputs: on lanes, on a scan's broadcast batch and on one point (where
+    # y[..., 0] is 0-d), x and y keep their bytes and no output is a view
+    # of either
+    problem = get_problem(name)
+    rng = np.random.default_rng(5)
+    lo, hi = problem.feasible_set.bbox
+    span = _LANE_Y_SPAN[name]
+    for bx, by in (((7,), (7,)), ((4, 1), (1, 6)), ((), ())):
+        x = rng.uniform(lo, hi, size=bx + (problem.n,))
+        y = rng.uniform(-span, span, size=by + (1,))
+        x0, y0 = x.copy(), y.copy()
+        for oracle in _ORACLES:
+            out = getattr(problem, oracle)(x, y)
+            assert x.tobytes() == x0.tobytes() and y.tobytes() == y0.tobytes(), (oracle, bx)
+            assert not np.shares_memory(out, x), (oracle, bx)
+            assert not np.shares_memory(out, y), (oracle, bx)
+
+
 def test_call_oracle_names_the_broadcast_shape(fold):
     # an oracle that answers on x's batch shape alone, not the broadcast one
     bad = dataclasses.replace(fold, grad_y_g=lambda x, y: np.zeros(x.shape[:-1] + (1,)))
