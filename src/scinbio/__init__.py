@@ -8,7 +8,7 @@ a gradient descent-ascent baseline for minimax comparisons.
 
 from .baselines import GdaTrace, detect_cycle, run_gda
 from .errors import ConfigError, EstimatorError, LowerSolveError, NumericalError
-from .geometry import (BifurcationScan, DimensionEstimate, StationaryPointRecord,
+from .geometry import (BifurcationScan, DimensionEstimate, Points,
                        box_counting_dimension, check_fold_conditions,
                        find_stationary_points_1d, neighborhood_measure,
                        scan_bifurcation_set)

@@ -9,6 +9,7 @@ slow convergence.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -91,7 +92,7 @@ def run_gda(grad_f, init, step, max_steps, *, integrator="rk4") -> GdaTrace:
         raise ValueError("integrator must be 'euler' or 'rk4'")
     x, y = float(init[0]), float(init[1])
     h = float(step)
-    recorded = [(x, y)]
+    recorded = array("d", (x, y))  # the trajectory, flat: x0, y0, x1, y1, ...
     verdict = BUDGET_EXHAUSTED
     steps_taken = 0
     x_prev_window, y_prev_window = x, y
@@ -111,7 +112,7 @@ def run_gda(grad_f, init, step, max_steps, *, integrator="rk4") -> GdaTrace:
         steps_taken = k + 1
         if not (math.isfinite(x) and math.isfinite(y)):
             raise NumericalError(f"non-finite GDA iterate at step {k + 1}")
-        recorded.append((x, y))
+        recorded.extend((x, y))
         if (k + 1) % CONVERGED_WINDOW == 0:
             disp = float(np.hypot(x - x_prev_window, y - y_prev_window))
             x_prev_window, y_prev_window = x, y
@@ -119,7 +120,7 @@ def run_gda(grad_f, init, step, max_steps, *, integrator="rk4") -> GdaTrace:
                 verdict = CONVERGED
                 break
 
-    points = np.asarray(recorded)
+    points = np.frombuffer(recorded, dtype=float).reshape(-1, 2)
     witness = None
     if verdict != CONVERGED:
         witness = detect_cycle(points)

@@ -495,11 +495,13 @@ def cmd_gda(cfg):
         if "csv" in cfg["emit"]:
             path = os.path.join(out, f"gda_seed{seed}.csv")
             stride = cfg["stride"]
-            lines = [f"# schema: {GDA_CSV_SCHEMA}", "k,x,y"]
-            for k, (x, y) in enumerate(trace.points[::stride].tolist()):
-                lines.append(f"{k * stride},{x!r},{y!r}")
+            pts = trace.points[::stride]
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write(f"# schema: {GDA_CSV_SCHEMA}\nk,x,y\n")
+                for c0 in range(0, len(pts), 4096):  # a chunk of rows per write
+                    xs, ys = pts[c0:c0 + 4096].T.tolist()
+                    fh.write("".join(f"{(c0 + k) * stride},{x!r},{y!r}\n"
+                                     for k, (x, y) in enumerate(zip(xs, ys))))
             files["csv"] = f"gda_seed{seed}.csv"
         if "svg" in cfg["emit"]:
             path = os.path.join(out, f"gda_seed{seed}.svg")

@@ -31,22 +31,22 @@ phase hunts the degenerate points:
    that pair, is one lane of a single lockstep 2 x 2 Newton iteration.  Each
    lane again takes exactly the steps it would take alone (a singular
    Jacobian ends only its own lane), and the hits are then taken in scan
-   order, the first of each pair, so the records come out as if the pairs
+   order, the first of each pair, so the points come out as if the pairs
    were hunted one at a time.
 
-A scan builds StationaryPointRecords only for the degenerate points: the
-degenerate grid roots and the hunted hits.
+A scan keeps its degenerate points as columns too (Points): the degenerate
+grid roots, then the hunted hits.  check_fold_conditions classifies them all.
 """
 
 from dataclasses import dataclass
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .problems import call_oracle
 
 __all__ = [
-    "StationaryPointRecord", "BifurcationScan", "DimensionEstimate",
+    "Points", "BifurcationScan", "DimensionEstimate",
     "find_stationary_points_1d", "scan_bifurcation_set",
     "check_fold_conditions", "box_counting_dimension", "neighborhood_measure",
     "distance_to_marked",
@@ -55,7 +55,6 @@ __all__ = [
 
 FOLD = "fold"
 NON_FOLD_DEGENERATE = "non_fold_degenerate"
-NONDEGENERATE = "nondegenerate"
 UNDETERMINED = "undetermined"
 
 TAU_FOLD = 1e-4
@@ -64,16 +63,6 @@ TAU_FOLD = 1e-4
 def degeneracy_threshold(hess_scale):
     """tau_det = 1e-6 (1 + |hess|): scale-relative singularity cutoff."""
     return 1e-6 * (1.0 + abs(hess_scale))
-
-
-@dataclass
-class StationaryPointRecord:
-    x: np.ndarray
-    y: np.ndarray
-    grad_norm: float
-    lambda_min_abs: float
-    degenerate: bool
-    fold_class: str
 
 
 class Roots(NamedTuple):
@@ -85,12 +74,20 @@ class Roots(NamedTuple):
     lam: np.ndarray
 
 
+class Points(NamedTuple):
+    """Stationary points as columns: x (P, n), y, grad_y g and d2g/dy2 (P,)."""
+    x: np.ndarray
+    y: np.ndarray
+    grad: np.ndarray
+    lam: np.ndarray
+
+
 @dataclass
 class BifurcationScan:
     grid_resolution: int
     indicator: np.ndarray        # (R, R) bool, True = degenerate point located in cell
     lambda_min_grid: np.ndarray  # (R, R) min |lambda| over the cell's roots (nan if none)
-    branch_points: List[StationaryPointRecord]  # degenerate grid roots, then hunted hits
+    points: Points               # degenerate grid roots, then the first hit of each pair
     roots: Roots                 # every cell's roots; cell (i, j) has index i R + j
     bbox: tuple
     cell_size: tuple
@@ -128,12 +125,13 @@ class DimensionEstimate:
 _LANE_BUDGET = 1 << 16
 
 # the axes of length one that a one-dimensional follower adds to each output
-_DROP = {"grad_y_g": (..., 0), "hess_yy_g": (..., 0, 0), "grad_x_grad_y_g": (..., 0, slice(None))}
+_DROP = {"g": (...,), "grad_y_g": (..., 0), "hess_yy_g": (..., 0, 0),
+         "grad_x_grad_y_g": (..., 0, slice(None))}
 
 
 def _lane_call(problem, name, x, y):
-    """grad_y_g, hess_yy_g or grad_x_grad_y_g at x (..., n) and y (...) of batch
-    shape B: shape B for the first two, B + (n,) for the cross-derivative."""
+    """g, grad_y_g, hess_yy_g or grad_x_grad_y_g at x (..., n) and y (...) of
+    batch shape B: shape B, or B + (n,) for the cross-derivative."""
     return call_oracle(problem, name, x, y[..., None])[_DROP[name]]
 
 
@@ -224,20 +222,9 @@ def _cell_roots(problem, xs, y_range, resolution) -> Roots:
     return Roots(cell[ok], y[ok], gv[ok], lam[ok])
 
 
-def _make_record(x, y, grad, lam):
-    degenerate = bool(abs(lam) < degeneracy_threshold(lam))
-    return StationaryPointRecord(
-        x=np.array(x, dtype=float),
-        y=np.array([y], dtype=float),
-        grad_norm=float(abs(grad)),
-        lambda_min_abs=float(abs(lam)),
-        degenerate=degenerate,
-        fold_class=UNDETERMINED if degenerate else NONDEGENERATE,
-    )
-
-
-def find_stationary_points_1d(problem, x, y_range, resolution) -> List[StationaryPointRecord]:
-    """Stationary points of g(x, .) on y_range via grid bracketing + polish.
+def find_stationary_points_1d(problem, x, y_range, resolution) -> Roots:
+    """Stationary points of g(x, .) on y_range via grid bracketing + polish,
+    as the Roots of one cell: the cell column is all 0.
 
     Every reported root satisfies |grad_y g| <= 1e-10 (1 + |y|) on
     re-evaluation; roots closer than (hi - lo) / (10 resolution) are merged.
@@ -245,8 +232,7 @@ def find_stationary_points_1d(problem, x, y_range, resolution) -> List[Stationar
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    roots = _cell_roots(problem, x[None, :], y_range, resolution)
-    return [_make_record(x, *root) for root in zip(*(c.tolist() for c in roots[1:]))]
+    return _cell_roots(problem, x[None, :], y_range, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +346,7 @@ def _hunt_lanes(roots, r, y_lo, y_hi, edge):
 
 def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> BifurcationScan:
     """Grid scan over a 2-d parameter box marking cells that contain a located
-    degenerate stationary point; records the degenerate points it finds."""
+    degenerate stationary point; keeps the degenerate points it finds."""
     if problem.n != 2:
         raise ValueError("scanner requires n = 2")
     if grid_resolution < 2:
@@ -379,8 +365,6 @@ def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> Bif
     np.fmin.at(lam_grid.reshape(-1), roots.cell, np.abs(roots.lam))
     degenerate = np.abs(roots.lam) < degeneracy_threshold(roots.lam)
     indicator.flat[roots.cell[degenerate]] = True
-    records = [_make_record(xs[c], *root)
-               for c, *root in zip(*(col[degenerate].tolist() for col in roots))]
 
     # hunt for degenerate points wherever the root count changes between
     # neighboring cells (the measure-zero set a center grid cannot hit)
@@ -389,58 +373,50 @@ def scan_bifurcation_set(problem, grid_resolution, y_range, y_resolution) -> Bif
     lane, x_star, y_star, gv, hv = _hunt_degenerate(problem, xs[a], xs[b], seeds, y_lo, y_hi)
     # the merging pair need not be the closest one: a pair keeps the hit of
     # its first seed that located a degenerate point, and a point that
-    # several pairs locate (equal to 1e-9) is recorded at its first
+    # several pairs locate (equal to 1e-9) is kept at its first
     first = np.unique(pair[lane], return_index=True)[1]
     first = first[np.sort(np.unique(np.round(x_star[first] / 1e-9), axis=0,
                                     return_index=True)[1])]
-    records += [_make_record(x_star[t], y_star[t], gv[t], hv[t]) for t in first.tolist()]
+    grid = Points(xs[roots.cell], *roots[1:])
+    points = Points(*(np.concatenate([g[degenerate], h[first]])
+                      for g, h in zip(grid, (x_star, y_star, gv, hv))))
     i, j = np.clip(((x_star[first] - lo) / w).astype(int), 0, r - 1).T
     indicator[i, j] = True
-    return BifurcationScan(
-        grid_resolution=r,
-        indicator=indicator,
-        lambda_min_grid=lam_grid,
-        branch_points=records,
-        roots=roots,
-        bbox=(lo, hi),
-        cell_size=(float(w[0]), float(w[1])),
-    )
+    return BifurcationScan(grid_resolution=r, indicator=indicator, lambda_min_grid=lam_grid,
+                           points=points, roots=roots, bbox=(lo, hi),
+                           cell_size=(float(w[0]), float(w[1])))
 
 
 # ---------------------------------------------------------------------------
 # Fold-condition classification
 # ---------------------------------------------------------------------------
 
-def check_fold_conditions(problem, record: StationaryPointRecord) -> str:
-    """Classify a degenerate stationary point against the three fold conditions:
+def check_fold_conditions(problem, points: Points) -> np.ndarray:
+    """Classify degenerate stationary points against the three fold conditions:
     simple zero eigenvalue, transversal parameter dependence of the projected
-    gradient, and nonzero third derivative along the null direction.
+    gradient, and nonzero third derivative along the null direction.  Returns
+    one label per point, all P points checked in one call per oracle.
 
-    For a one-dimensional follower the degenerate record's zero eigenvalue is
+    For a one-dimensional follower a degenerate point's zero eigenvalue is
     its only one, so (1) holds, and the null direction is v = 1.  Finite
     differences cannot certify a value is nonzero, so values inside
     (tau_fold/10, tau_fold) return UNDETERMINED rather than a binary answer.
     """
-    if not record.degenerate:
-        raise ValueError("fold check requires a degenerate record")
-    x = np.asarray(record.x, dtype=float)[None, :]
-    y = np.asarray(record.y, dtype=float)
+    x, y, _, lam = points
+    if not np.all(np.abs(lam) < degeneracy_threshold(lam)):
+        raise ValueError("fold check requires degenerate points")
 
     # (2) parameter derivative of grad_y g
-    J = call_oracle(problem, "grad_x_grad_y_g", x, y[None, :])[0]
-    c2_val = float(np.linalg.norm(J[0]))
+    c2_val = np.linalg.norm(_lane_call(problem, "grad_x_grad_y_g", x, y), axis=-1)
 
     # (3) third derivative in y, 5-point stencil
-    h = TAU_FOLD * (1.0 + abs(float(y[0])))
-    shifts = np.array([2 * h, h, -h, -2 * h])
-    p2, p1, m1, m2 = call_oracle(problem, "g", x, y + shifts[:, None]).tolist()
-    c3_val = abs((p2 - 2 * p1 + 2 * m1 - m2) / (2 * h ** 3))
+    h = TAU_FOLD * (1.0 + np.abs(y))
+    p2, p1, m1, m2 = _lane_call(problem, "g", x, y + np.stack([2 * h, h, -h, -2 * h]))
+    c3_val = np.abs((p2 - 2 * p1 + 2 * m1 - m2) / (2 * h ** 3))
 
-    if c2_val >= TAU_FOLD and c3_val >= TAU_FOLD:
-        return FOLD
-    if c2_val <= TAU_FOLD / 10 or c3_val <= TAU_FOLD / 10:
-        return NON_FOLD_DEGENERATE
-    return UNDETERMINED
+    non_fold = (c2_val <= TAU_FOLD / 10) | (c3_val <= TAU_FOLD / 10)
+    return np.where((c2_val >= TAU_FOLD) & (c3_val >= TAU_FOLD), FOLD,
+                    np.where(non_fold, NON_FOLD_DEGENERATE, UNDETERMINED))
 
 
 # ---------------------------------------------------------------------------

@@ -264,9 +264,9 @@ def test_criterion_7_fold_eigenvalue_scaling(fold):
     deltas = [1e-1, 1e-2, 1e-3, 1e-4]
     lams = []
     for d in deltas:
-        recs = find_stationary_points_1d(fold, np.array([0.5 + d, 0.0]),
-                                         (-1.0, 1.0), 4000)
-        lams.append(min(r.lambda_min_abs for r in recs))
+        roots = find_stationary_points_1d(fold, np.array([0.5 + d, 0.0]),
+                                          (-1.0, 1.0), 4000)
+        lams.append(np.abs(roots.lam).min())
     slope = float(np.polyfit(np.log(deltas), np.log(lams), 1)[0])
     report(7, 0.4 <= slope <= 0.6,
            f"|lambda_min| vs delta log-log slope {slope:.3f} in [0.4, 0.6]")

@@ -574,6 +574,28 @@ def test_gda_counts_cycles_on_seed_population(tmp_path):
             assert entry["final_window_displacement"] > 1e-5
 
 
+# sha256 of the outputs of `gda --out out` on one seed of each verdict (8
+# cycles, 2 converges, 9 exhausts its budget) at the benchmark's settings
+GDA_GOLDEN = {
+    "gda_seed8.csv": "73c3f397eb36aae609eabf1050f032674fd06a3ec6c8f152fcfab3ecc0572cb6",
+    "gda_seed2.csv": "0b6ed90efe8de4bf3d7f0e98ad654f23a90e7b4b5b9a9ff734d714eda0c170c9",
+    "gda_seed9.csv": "cd3790a5ff8c7e0a325febb2d216c5ac68e380d25286c4be5eeef32d14742849",
+    "gda_seed8.svg": "4923f6842a5b999be14642d1d2dcbaeba0e0cb97d017fb53310ac8b72d2421cd",
+    "gda_seed2.svg": "740653440e68133740754c8726e90a7983e1960d1edb1d513628476be935d065",
+    "gda_seed9.svg": "7fbad34737f1362402d7d7e4fe604df637fd30cb83d1391758bf888efee27ce1",
+    "gda_report.json": "a85916ff81742fb640a20aef8c9d0879952c4215e20d3340a19ecd6507f3577e",
+}
+
+
+def test_gda_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report echoes the output directory
+    assert run_cli("gda", "--problem", "minimax", "--seed", "8,2,9", "--out", "out",
+                   "--set", "gda.step=0.01", "--set", "gda.max_steps=20000",
+                   "--set", "gda.integrator=rk4") == 0
+    for name, digest in GDA_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+
 def test_gda_tiny_budget_all_exhausted(tmp_path):
     out = tmp_path / "gda"
     code = run_cli("gda", "--problem", "minimax", "--seed", "0,1,2",

@@ -13,10 +13,9 @@ from scinbio import (BilevelProblem, box_set, box_counting_dimension,
                      check_fold_conditions, find_stationary_points_1d,
                      neighborhood_measure, scan_bifurcation_set)
 from scinbio import geometry
-from scinbio.geometry import (FOLD, NON_FOLD_DEGENERATE, NONDEGENERATE,
-                              BifurcationScan, StationaryPointRecord,
+from scinbio.geometry import (FOLD, NON_FOLD_DEGENERATE, BifurcationScan, Points,
                               _cell_roots, _hunt_degenerate, _hunt_lanes,
-                              distance_to_marked)
+                              degeneracy_threshold, distance_to_marked)
 from scinbio.problems import batch_shape
 
 
@@ -24,32 +23,36 @@ def arr(*vals):
     return np.array([float(v) for v in vals])
 
 
+def is_degenerate(lam):
+    return np.abs(lam) < degeneracy_threshold(lam)
+
+
 # ---------------------------------------------------------------------------
 # 1-d stationary-point finder
 # ---------------------------------------------------------------------------
 
 def test_fold_family_two_branches(fold):
-    recs = find_stationary_points_1d(fold, arr(0.75, 0.0), (-1.0, 1.0), 2000)
-    ys = sorted(r.y[0] for r in recs)
+    roots = find_stationary_points_1d(fold, arr(0.75, 0.0), (-1.0, 1.0), 2000)
+    ys = sorted(roots.y.tolist())
     ref = math.sqrt((2 * 0.75 - 1) / (9 * 0.75 - 6 * 0.75 ** 2))
     assert len(ys) == 2
     assert ys[0] == pytest.approx(-ref, abs=1e-3)
     assert ys[1] == pytest.approx(+ref, abs=1e-3)
-    assert all(not r.degenerate for r in recs)
+    assert not is_degenerate(roots.lam).any()
 
 
 def test_fold_family_no_roots_before_fold(fold):
-    recs = find_stationary_points_1d(fold, arr(0.3, 0.0), (-0.3, 0.3), 2000)
-    assert recs == []
+    roots = find_stationary_points_1d(fold, arr(0.3, 0.0), (-0.3, 0.3), 2000)
+    assert roots.y.size == 0
 
 
 def test_double_well_three_roots(double_well):
-    recs = find_stationary_points_1d(double_well, arr(0.0), (-2.0, 2.0), 2000)
-    ys = sorted(r.y[0] for r in recs)
+    roots = find_stationary_points_1d(double_well, arr(0.0), (-2.0, 2.0), 2000)
+    ys = sorted(roots.y.tolist())
     assert np.allclose(ys, [-1.0, 0.0, 1.0], atol=1e-10)
-    lams = sorted(r.lambda_min_abs for r in recs)
+    lams = sorted(np.abs(roots.lam).tolist())
     assert np.allclose(lams, [4.0, 8.0, 8.0], atol=1e-8)
-    assert all(r.fold_class == NONDEGENERATE for r in recs)
+    assert not is_degenerate(roots.lam).any()
 
 
 def test_lockstep_polish_keeps_lanes_independent(double_well):
@@ -62,22 +65,22 @@ def test_lockstep_polish_keeps_lanes_independent(double_well):
     assert together.y[together.cell == 0].tolist() == [-1.0, 0.0, 1.0]
     for c, x in enumerate(xs):
         alone = find_stationary_points_1d(double_well, x, (-2.0, 2.0), 15)
-        assert len(alone) == 3
+        assert alone.y.size == 3
         mine = together.cell == c
         assert list(zip(together.y[mine].tolist(), np.abs(together.grad[mine]).tolist(),
-                        np.abs(together.lam[mine]).tolist())) == [
-            (r.y[0], r.grad_norm, r.lambda_min_abs) for r in alone]
+                        np.abs(together.lam[mine]).tolist())) == list(zip(
+            alone.y.tolist(), np.abs(alone.grad).tolist(), np.abs(alone.lam).tolist()))
 
 
 def test_roots_satisfy_gradient_tolerance(quartic):
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.uniform(-4, 5, size=2)
-        recs = find_stationary_points_1d(quartic, x, (-250.0, 250.0), 3000)
-        assert recs  # coercive quartic always has a stationary point
-        for r in recs:
-            gv = float(quartic.grad_y_g(x[None, :], r.y[None, :])[0, 0])
-            assert abs(gv) <= 1e-10 * (1.0 + abs(r.y[0]))
+        roots = find_stationary_points_1d(quartic, x, (-250.0, 250.0), 3000)
+        assert roots.y.size  # coercive quartic always has a stationary point
+        for y in roots.y.tolist():
+            gv = float(quartic.grad_y_g(x[None, :], arr(y)[None, :])[0, 0])
+            assert abs(gv) <= 1e-10 * (1.0 + abs(y))
 
 
 def test_finder_validates_inputs(fold, minimax):
@@ -90,9 +93,9 @@ def test_branch_continuity(fold):
     xs = np.arange(0.55, 1.0, 1e-3)
     prev = None
     for x1 in xs:
-        recs = find_stationary_points_1d(fold, arr(x1, 0.0), (0.0, 1.0), 500)
-        assert len(recs) == 1
-        y = recs[0].y[0]
+        roots = find_stationary_points_1d(fold, arr(x1, 0.0), (0.0, 1.0), 500)
+        assert roots.y.size == 1
+        y = roots.y[0]
         if prev is not None:
             # local slope of sqrt((2x-1)/(9x-6x^2)) stays below ~10 on [0.55, 1]
             assert abs(y - prev) <= 10.0 * 1e-3 * 10.0
@@ -103,9 +106,9 @@ def test_fold_eigenvalue_sqrt_scaling(fold):
     deltas = [1e-1, 1e-2, 1e-3, 1e-4]
     lams = []
     for d in deltas:
-        recs = find_stationary_points_1d(fold, arr(0.5 + d, 0.0), (-1.0, 1.0), 4000)
-        assert recs
-        lams.append(min(r.lambda_min_abs for r in recs))
+        roots = find_stationary_points_1d(fold, arr(0.5 + d, 0.0), (-1.0, 1.0), 4000)
+        assert roots.y.size
+        lams.append(np.abs(roots.lam).min())
     slope = np.polyfit(np.log(deltas), np.log(lams), 1)[0]
     assert 0.4 <= slope <= 0.6
 
@@ -119,12 +122,13 @@ def test_fold_scan_marks_line(fold_scan):
     assert len(marked) >= 150
     cell_w = fold_scan.cell_size[0]
     assert np.abs(marked[:, 0] - 0.5).max() <= cell_w
-    # indicator implies a degenerate record in the cell
-    degenerate = [r for r in fold_scan.branch_points if r.degenerate]
-    assert len(degenerate) >= 150
-    for r in degenerate[:20]:
-        assert abs(r.x[0] - 0.5) <= 1e-6
-        assert abs(r.y[0]) <= 1e-6
+    # indicator implies a degenerate point in the cell
+    points = fold_scan.points
+    assert is_degenerate(points.lam).all()
+    assert points.y.size >= 150
+    for x, y in zip(points.x[:20].tolist(), points.y[:20].tolist()):
+        assert abs(x[0] - 0.5) <= 1e-6
+        assert abs(y) <= 1e-6
 
 
 def test_scan_indicator_backed_by_degenerate_records(fold_scan):
@@ -132,11 +136,11 @@ def test_scan_indicator_backed_by_degenerate_records(fold_scan):
     w1, w2 = fold_scan.cell_size
     r = fold_scan.grid_resolution
     cells_with_degenerate = set()
-    for rec in fold_scan.branch_points:
-        if rec.degenerate:
-            i = min(int((rec.x[0] - lo[0]) / w1), r - 1)
-            j = min(int((rec.x[1] - lo[1]) / w2), r - 1)
-            cells_with_degenerate.add((i, j))
+    points = fold_scan.points
+    for x in points.x[is_degenerate(points.lam)].tolist():
+        i = min(int((x[0] - lo[0]) / w1), r - 1)
+        j = min(int((x[1] - lo[1]) / w2), r - 1)
+        cells_with_degenerate.add((i, j))
     for i, j in zip(*np.nonzero(fold_scan.indicator)):
         assert (i, j) in cells_with_degenerate
 
@@ -217,23 +221,26 @@ def test_quartic_scan_is_complete(quartic):
 def test_scan_roots_equal_single_cell_roots(request, name, y_range, y_resolution):
     # the scan polishes all cells' brackets in one lockstep call; each cell's
     # root columns must be the bits of find_stationary_points_1d at that
-    # cell's center, and its records the degenerate ones of those, then the
+    # cell's center, and its points the degenerate ones of those, then the
     # hunted degenerate points
     problem = request.getfixturevalue(name)
     scan = scan_bifurcation_set(problem, 12, y_range, y_resolution)
     c1, c2 = scan.cell_centers()
-    alone = [(c, rec) for c, (a, b) in enumerate((a, b) for a in c1 for b in c2)
-             for rec in find_stationary_points_1d(problem, arr(a, b), y_range, y_resolution)]
+    alone = [(c, [a, b], y, abs(g), abs(lam))
+             for c, (a, b) in enumerate((a, b) for a in c1 for b in c2)
+             for _, y, g, lam in zip(*(column.tolist() for column in find_stationary_points_1d(
+                 problem, arr(a, b), y_range, y_resolution)))]
     assert len(alone) >= 144
     roots = scan.roots
     assert list(zip(roots.cell.tolist(), roots.y.tolist(), np.abs(roots.grad).tolist(),
                     np.abs(roots.lam).tolist())) == [
-        (c, rec.y[0], rec.grad_norm, rec.lambda_min_abs) for c, rec in alone]
-    degenerate = [rec for _, rec in alone if rec.degenerate]
-    assert all(rec.degenerate for rec in scan.branch_points)
-    for rec, ref in zip(scan.branch_points, degenerate):
-        assert np.array_equal(rec.x, ref.x) and np.array_equal(rec.y, ref.y)
-        assert (rec.grad_norm, rec.lambda_min_abs) == (ref.grad_norm, ref.lambda_min_abs)
+        (c, y, g, lam) for c, _, y, g, lam in alone]
+    degenerate = [ref[1:] for ref in alone if ref[4] < degeneracy_threshold(ref[4])]
+    points = scan.points
+    assert is_degenerate(points.lam).all()
+    for point, ref in zip(zip(points.x.tolist(), points.y.tolist(), np.abs(points.grad).tolist(),
+                              np.abs(points.lam).tolist()), degenerate):
+        assert point == ref
 
 
 @pytest.mark.parametrize("oracle", ["grad_y_g", "hess_yy_g"])
@@ -272,21 +279,32 @@ def test_scan_indicators_pinned_at_72(request, name, y_range, y_resolution, n_ma
     assert hashlib.sha256(scan.indicator.tobytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name, y_range, y_resolution, n_roots, n_records, digest", [
+@pytest.mark.parametrize("name, y_range, y_resolution, n_roots, n_records, digest, "
+                         "points_digest", [
     ("fold", (-1.0, 1.0), 400, 5184, 72,
-     "e31343b59c86b1fcafe39236f2821b969ffa8fd192753d8f632e59b60d492d4f"),
+     "e31343b59c86b1fcafe39236f2821b969ffa8fd192753d8f632e59b60d492d4f",
+     "0661dd62eeb44968d0c939795e01ac3b322eb319786c143299a1adba33eb19ea"),
     ("quartic", (-250.0, 250.0), 2000, 6054, 252,
-     "241060cb704f1f8c2fcc530b1c0f12effcdecd4da693be5530b39c2aa6b26fd9"),
+     "241060cb704f1f8c2fcc530b1c0f12effcdecd4da693be5530b39c2aa6b26fd9",
+     "3f27f50c34078248060f21a77373d726719afa88a532e15c10ffaa9b8c84b3fc"),
 ], ids=["fold", "quartic"])
 def test_scan_lambda_grid_and_records_pinned_at_72(request, name, y_range, y_resolution,
-                                                   n_roots, n_records, digest):
+                                                   n_roots, n_records, digest, points_digest):
     # sha256 of the 72^2 lambda_min_grid as the scan computed it while it
     # kept one record per root; records exist for the degenerate points only
-    scan = scan_bifurcation_set(request.getfixturevalue(name), 72, y_range, y_resolution)
+    problem = request.getfixturevalue(name)
+    scan = scan_bifurcation_set(problem, 72, y_range, y_resolution)
     assert hashlib.sha256(scan.lambda_min_grid.tobytes()).hexdigest() == digest
     assert scan.roots.y.size == n_roots
-    assert len(scan.branch_points) == n_records
-    assert all(rec.degenerate for rec in scan.branch_points)
+    points = scan.points
+    assert points.y.size == n_records
+    assert is_degenerate(points.lam).all()
+    # sha256 of the points in order, each as the bytes of x, y, then
+    # [|grad_y g|, |d2g/dy2|], as the scan recorded them one object per point
+    rows = np.column_stack([points.x, points.y, np.abs(points.grad), np.abs(points.lam)])
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == points_digest
+    # the paper's assumption holds on them: every one is a fold point
+    assert check_fold_conditions(problem, points).tolist() == [FOLD] * n_records
 
 
 @pytest.mark.parametrize("name, y_range, y_resolution", [
@@ -301,14 +319,11 @@ def test_scan_is_independent_of_the_lane_budget(request, monkeypatch, name, y_ra
     def scan_bytes(budget):
         monkeypatch.setattr("scinbio.geometry._LANE_BUDGET", budget)
         scan = scan_bifurcation_set(problem, 24, y_range, y_resolution)
-        records = [(r.x.tobytes(), r.y.tobytes(),
-                    np.array([r.grad_norm, r.lambda_min_abs]).tobytes(), r.degenerate,
-                    r.fold_class) for r in scan.branch_points]
         return ([column.tobytes() for column in scan.roots], scan.lambda_min_grid.tobytes(),
-                scan.indicator.tobytes(), records)
+                scan.indicator.tobytes(), [column.tobytes() for column in scan.points])
 
     default = scan_bytes(geometry._LANE_BUDGET)
-    assert default[3] and default[2].count(1) > 0
+    assert default[3][1] and default[2].count(1) > 0
     for budget in (1 << 10, 1 << 20):
         assert scan_bytes(budget) == default, budget
 
@@ -352,15 +367,17 @@ def test_lockstep_hunt_equals_single_pair_hunts(quartic):
 # fold conditions
 # ---------------------------------------------------------------------------
 
+def point(x, y, lam=0.0):
+    """One stationary point as Points columns, with grad_y g = 0."""
+    return Points(np.array([x], dtype=float), arr(y), arr(0.0), arr(lam))
+
+
 def test_fold_conditions_on_fold_family(fold):
-    rec = StationaryPointRecord(x=arr(0.5, 0.0), y=arr(0.0), grad_norm=0.0,
-                                lambda_min_abs=0.0, degenerate=True,
-                                fold_class="undetermined")
-    assert check_fold_conditions(fold, rec) == FOLD
+    assert check_fold_conditions(fold, point([0.5, 0.0], 0.0)).tolist() == [FOLD]
 
 
-def test_fold_conditions_reject_cusp_like():
-    # g = y^4 + x y: third derivative along the null direction vanishes at y = 0
+def cusp_like_problem():
+    """g = y^4 + x y: third derivative along the null direction vanishes at y = 0."""
     def g(x, y):
         return y[..., 0] ** 4 + x[..., 0] * y[..., 0]
 
@@ -374,27 +391,57 @@ def test_fold_conditions_reject_cusp_like():
     def cross(x, y):  # d/dx (4 y^3 + x) = 1
         return np.ones(batch_shape(x, y) + (1, 1))
 
-    p = BilevelProblem(n=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
-                       hess_yy_g=hess, grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=10.0,
-                       feasible_set=box_set([-1.0], [1.0]))
-    rec = StationaryPointRecord(x=arr(0.0), y=arr(0.0), grad_norm=0.0,
-                                lambda_min_abs=0.0, degenerate=True,
-                                fold_class="undetermined")
-    assert check_fold_conditions(p, rec) == NON_FOLD_DEGENERATE
+    return BilevelProblem(n=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
+                          hess_yy_g=hess, grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=10.0,
+                          feasible_set=box_set([-1.0], [1.0]))
+
+
+def test_fold_conditions_reject_cusp_like():
+    assert check_fold_conditions(cusp_like_problem(), point([0.0], 0.0)).tolist() == [
+        NON_FOLD_DEGENERATE]
 
 
 def test_fold_conditions_require_degenerate_record(fold):
-    rec = StationaryPointRecord(x=arr(0.75, 0.0), y=arr(0.385), grad_norm=0.0,
-                                lambda_min_abs=0.42, degenerate=False,
-                                fold_class=NONDEGENERATE)
     with pytest.raises(ValueError):
-        check_fold_conditions(fold, rec)
+        check_fold_conditions(fold, point([0.75, 0.0], 0.385, lam=0.42))
 
 
 def test_scanned_fold_points_classify_as_folds(fold, fold_scan):
-    degenerate = [r for r in fold_scan.branch_points if r.degenerate]
-    for rec in degenerate[::40]:
-        assert check_fold_conditions(fold, rec) == FOLD
+    points = fold_scan.points
+    assert is_degenerate(points.lam).all()
+    assert check_fold_conditions(fold, Points(*(c[::40] for c in points))).tolist() == (
+        [FOLD] * len(points.y[::40]))
+
+
+def test_fold_conditions_batch_equals_single_points(fold):
+    # one problem holding both kinds of point: the fold family, and at
+    # x1 < 0 the cusp-like g = y^4 + x2 y, whose point x = (-1, 0), y = 0 is
+    # the cusp-like one of the test above with x2 as its parameter
+    cusp = cusp_like_problem()
+
+    def g(x, y):
+        return np.where(x[..., 0] < 0, cusp.g(x[..., 1:], y), fold.g(x, y))
+
+    def cross(x, y):
+        return np.where((x[..., 0] < 0)[..., None, None], [[0.0, 1.0]],
+                        fold.grad_x_grad_y_g(x, y))
+
+    mixed = dataclasses.replace(fold, g=g, grad_x_grad_y_g=cross)
+    folds = scan_bifurcation_set(fold, 72, (-1.0, 1.0), 400).points
+    assert folds.y.size == 72
+    both = Points(*(np.concatenate([c[:30], p, c[30:]])
+                    for c, p in zip(folds, point([-1.0, 0.0], 0.0))))
+    labels = check_fold_conditions(mixed, both)
+    assert labels.tolist() == [FOLD] * 30 + [NON_FOLD_DEGENERATE] + [FOLD] * 42
+    for k in range(labels.size):
+        alone = Points(*(c[k:k + 1] for c in both))
+        assert check_fold_conditions(mixed, alone).tolist() == [labels[k]]
+    perm = np.random.default_rng(2).permutation(labels.size)
+    assert np.array_equal(check_fold_conditions(mixed, Points(*(c[perm] for c in both))),
+                          labels[perm])
+    one_nondegenerate = Points(*map(np.concatenate, zip(both, point([0.75, 0.0], 0.385, 0.42))))
+    with pytest.raises(ValueError, match="degenerate"):
+        check_fold_conditions(mixed, one_nondegenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +506,7 @@ def test_distances_and_measures_equal_scipy_edt(data):
     ref = ndimage.distance_transform_edt(~indicator, sampling=(w1, w2))
     assert np.array_equal(distance_to_marked(indicator, (w1, w2)), ref)
     scan = BifurcationScan(grid_resolution=r1, indicator=indicator, lambda_min_grid=None,
-                           branch_points=[], roots=None, bbox=None, cell_size=(w1, w2))
+                           points=None, roots=None, bbox=None, cell_size=(w1, w2))
     deltas = [0.0] + sorted(set(ref.ravel().tolist()))[:8]
     assert neighborhood_measure(scan, deltas) == [
         (d, float(np.count_nonzero(ref <= d) * (w1 * w2))) for d in deltas]
