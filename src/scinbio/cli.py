@@ -244,14 +244,13 @@ def experiment_initialization(problem_name, problem, seed):
 # run
 # ---------------------------------------------------------------------------
 
-def _solve_points(problem, xs, lower_cfg):
-    """y_hat at each row of xs from one batched solve; a failed point raises
-    the error its own solve would."""
-    res = run_lower_lean(problem, xs, lower_cfg)
-    for exc in res.errors:
+def _solved(res, rows):
+    """y_hat of the solve res at the slice rows of its points; the first
+    failed point there raises the error its own solve would."""
+    for exc in res.errors[rows]:
         if exc is not None:
             raise exc
-    return res.y_hat
+    return res.y_hat[rows]
 
 
 def _estimate_at(problem, x, n_samples, smoothing, lower_cfg, stream_tag):
@@ -262,12 +261,6 @@ def _estimate_at(problem, x, n_samples, smoothing, lower_cfg, stream_tag):
     if est.errors[0] is not None:
         raise est.errors[0]
     return est
-
-
-def _phase_points(problem, xs, lower_cfg, stride):
-    xs = xs[::stride]
-    y_hat = _solve_points(problem, xs, lower_cfg)
-    return list(zip(xs[:, 0].tolist(), y_hat[:, 0].tolist()))
 
 
 def _outer_config(cfg):
@@ -298,11 +291,18 @@ def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
     else:
         result["verdict"] = "short-run"
 
+    # one solve serves the best-of-last-100 tail and the phase plot: tail
+    # rows first, then phase rows; each part raises its first error where
+    # it is used, as its own solve would
+    tail = xs[:-1][-100:]
+    phase = xs[::max(1, (len(xs) - 1) // 400)] if "svg" in cfg["emit"] else xs[:0]
+    rows = np.concatenate([tail, phase])
+    solve = run_lower_lean(problem, rows, lower) if len(rows) else None
+
     # best of the last 100 iterations by hyperfunction value
-    if len(xs) > 1:
-        tail = xs[:-1][-100:]
+    if len(tail):
         offset = len(xs) - 1 - len(tail)
-        y_hat = _solve_points(problem, tail, lower)
+        y_hat = _solved(solve, slice(len(tail)))
         vals = call_oracle(problem, "f", tail, y_hat)
         k = int(np.argmin(vals))
         result["best_of_last_100"] = {"t": offset + k, "x": [float(v) for v in tail[k]],
@@ -326,8 +326,8 @@ def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
                            extra=extra)
         files["summary"] = f"summary_seed{seed}.json"
     if "svg" in cfg["emit"]:
-        stride = max(1, (len(xs) - 1) // 400) if len(xs) > 1 else 1
-        pts = _phase_points(problem, xs, lower, stride)
+        pts = list(zip(phase[:, 0].tolist(),
+                       _solved(solve, slice(len(tail), None))[:, 0].tolist()))
         lo, hi = problem.feasible_set.bbox
         py = [p[1] for p in pts]
         pad = 0.5

@@ -142,32 +142,35 @@ def solve_cubic_subproblem(grad, hess, M) -> CubicStep:
         raise ValueError("non-finite subproblem inputs")
     g, h = grad, hess[:, 0]
     with np.errstate(all="ignore"):  # the branch np.where drops, and overflow
-        s, r, hard = _cubic_step_1d(g, h, M)
+        s, r, hard = _cubic_step_1d(g, np.abs(g), h, M)
         value = r * (g * np.sign(s) + r * (0.5 * h + (M / 6.0) * r))
     if not np.isfinite(s).all():
         raise LowerSolveError(f"cubic step overflows at g = {float(g[0])}, h = {float(h[0])}")
     return CubicStep(s, float(value[0]), float(r[0]), bool(hard[0]))
 
 
-def _cubic_step_1d(g, h, M):
-    """Closed-form cubic step (s, r, hard_case) for arrays of 1-D (g, h).
+def _cubic_step_1d(g, ag, h, M):
+    """Closed-form cubic step (s, r, hard_case) for arrays of 1-D (g, h),
+    with ag = |g|.
 
     np.where evaluates both forms of r; the one it drops may divide by zero,
     so callers run this under np.errstate.  Where 2 M |g| overflows,
     sqrt(2 M) sqrt(|g|) is its root, and |g| / (d / 2) rounds as 2|g| / d
     without overflowing.
     """
-    ag = np.abs(g)
-    tiny = ag <= 1e-13 * (ag + 1.0)
     q = 2.0 * M * ag
     sq = np.sqrt(q)
-    if not math.isfinite(q.sum()):
+    finite = math.isfinite(q.sum())
+    if not finite:
         sq = np.where(np.isinf(q), math.sqrt(2.0 * M) * np.sqrt(ag), sq)
     root = np.hypot(h, sq)
     r = np.where(h >= 0.0, ag / (0.5 * (h + root)), (root - h) / M)
     s = -np.copysign(r, g)
-    if not tiny.any():  # the common case: the root above serves every lane, none is hard
-        return s, r, tiny
+    # the common case: a finite |g| > 2e-13 exceeds 1e-13 (|g| + 1), so when
+    # every lane's does, none is tiny and the root above serves them all
+    if finite and ag.min(initial=math.inf) > 2e-13:
+        return s, r, np.zeros(ag.shape, dtype=bool)
+    tiny = ag <= 1e-13 * (ag + 1.0)
     # |g| ~ 0: no step for h >= 0, the hard-case step s = r = -2h/M for h < 0
     hard = tiny & (h < 0.0)
     r = np.where(tiny, np.where(hard, -2.0 * h / M, 0.0), r)
@@ -246,9 +249,10 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
                     break
                 lanes, xa, ya, g = lanes[keep], xa[keep], ya[keep], g[keep]
                 if cubic:
-                    lam, b_nu, b_k, b_y, b_gn = (a[keep] for a in (lam, b_nu, b_k, b_y, b_gn))
+                    lam, gn, b_nu, b_k, b_y, b_gn = (a[keep] for a in
+                                                     (lam, gn, b_nu, b_k, b_y, b_gn))
             if cubic:
-                ya = ya + _cubic_step_1d(g[:, 0], lam, M)[0][:, None]
+                ya = ya + _cubic_step_1d(g[:, 0], gn, lam, M)[0][:, None]
             else:
                 ya = ya - config.eta * g
             # a non-finite gradient makes the next iterate non-finite

@@ -156,7 +156,7 @@ def _reference_cubic_step(g, H, M):
     form evaluated as is."""
     if np.isfinite(g).all() and np.isfinite(H).all():
         return solve_cubic_subproblem(g, H, M).s
-    return _cubic_step_1d(g, H[0], M)[0]
+    return _cubic_step_1d(g, np.abs(g), H[0], M)[0]
 
 
 def central_diff_grad(fun, y, step):

@@ -10,6 +10,7 @@ from scinbio import (LowerSolverConfig, SmoothingConfig, builtin_minimax,
                      estimate_hypergradient, gradient_mapping, scan_bifurcation_set)
 from scinbio import cli
 from scinbio.cli import main, parse_seed_list
+from scinbio.errors import LowerSolveError
 from scinbio.outer import canonical_json
 from scinbio.rng import seeded_initialization
 
@@ -263,6 +264,29 @@ def test_a_diverging_seed_fails_alone_in_lockstep(tmp_path, monkeypatch):
     assert runs["both"][1]["counts"]["errors"] == 1
     assert not (tmp_path / "both" / "trace_seed7.csv").exists()
     assert_same_seed_files(tmp_path / "both", tmp_path / "zero", 0)
+
+
+@pytest.mark.parametrize("row, written", [(0, set()), (100, {"trace_seed0.csv",
+                                                                "summary_seed0.json"})])
+def test_a_post_run_point_fails_its_seed_where_it_is_used(tmp_path, monkeypatch, row,
+                                                             written):
+    # one solve serves the best-of-last-100 tail (rows 0-99 at T = 150) and
+    # the phase plot (rows 100-250): a failed tail point stops the seed before
+    # it writes a file, a failed phase point after its trace and summary
+    solve = cli.run_lower_lean
+
+    def failing(problem, xs, lower_cfg):
+        res = solve(problem, xs, lower_cfg)
+        res.errors[row] = LowerSolveError("injected")
+        return res
+
+    monkeypatch.setattr(cli, "run_lower_lean", failing)
+    out = tmp_path / "out"
+    assert run_cli("run", "--seed", "0", "--out", str(out), "--set", "outer.T=150",
+                   "--set", "lower.K=20") == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["0"]["error"] == "LowerSolveError: injected"
+    assert {f.name for f in out.iterdir()} == written | {"report.json"}
 
 
 # sha256 of the outputs of `run --out out` at T = 50 (the other settings are the

@@ -7,16 +7,56 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# numpy.random and what its import pulls in: about 6 MiB that a process
+# which never draws should not load
+RANDOM_MODULES = {"numpy.random", "secrets", "_hashlib"}
+
+
+def _modules_loaded_by(code, cwd=None):
+    """The names in sys.modules after a fresh interpreter runs code."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                         env=env, cwd=cwd, capture_output=True, text=True, check=True,
+                         timeout=60)
+    return set(out.stdout.splitlines()[-1].split())
 
 
 def test_cli_import_loads_no_scipy():
-    code = ("import sys, scinbio.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    loaded = _modules_loaded_by("import scinbio.cli")
+    assert sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) == []
+
+
+@pytest.mark.parametrize("code", [
+    "import scinbio.cli",
+    "from scinbio.cli import main\n"
+    "assert main(['scan', '--problem', 'fold', '--set', 'scan.grid_resolution=8',"
+    " '--out', 'out']) == 0",
+], ids=["import", "scan"])
+def test_import_and_scan_load_no_numpy_random(code, tmp_path):
+    # scan never draws, so it never pays for numpy.random
+    assert _modules_loaded_by(code, cwd=tmp_path) & RANDOM_MODULES == set()
+
+
+def test_estimate_loads_numpy_random(tmp_path):
+    code = ("from scinbio.cli import main\n"
+            "assert main(['estimate', '--problem', 'fold', '--x', '0.4,0.1',"
+            " '--out', 'out']) == 0")
+    assert "numpy.random" in _modules_loaded_by(code, cwd=tmp_path)
+
+
+def test_only_rng_names_numpy_random():
+    package = os.path.join(SRC, "scinbio")
+    named = re.compile(r"\b(numpy|np)\.random\b")
+    hits = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "rng.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                hits += [f"{name}:{i}" for i, line in enumerate(fh, 1) if named.search(line)]
+    assert hits == []
 
 
 def test_sources_do_not_name_scipy():

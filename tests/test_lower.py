@@ -1,11 +1,12 @@
 import dataclasses
 import decimal
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -13,7 +14,7 @@ from scinbio import (LowerSolverConfig, builtin_fold_family, builtin_minimax,
                      builtin_shifted_double_well, solve_cubic_subproblem, solve_lower,
                      stationarity_measure)
 from scinbio.errors import LowerSolveError
-from scinbio.lower import run_lower_lean
+from scinbio.lower import _cubic_step_1d, run_lower_lean
 
 from conftest import quadratic_problem, reference_solve
 
@@ -181,6 +182,64 @@ def test_an_overflowing_cubic_step_is_a_lower_solve_error():
     assert isinstance(res.errors[0], LowerSolveError)
     assert str(res.errors[0]) == "non-finite iterate at lower-level step 1"
     assert res.errors[1] is None and np.isfinite(res.y_hat[1, 0])
+
+
+def full_cubic_rule(g, h, M):
+    """The cubic step of `_cubic_step_1d` with the tiny-|g| test run on every
+    lane: the reference its shortcut for lanes that cannot be tiny must equal."""
+    ag = np.abs(g)
+    tiny = ag <= 1e-13 * (ag + 1.0)
+    q = 2.0 * M * ag
+    sq = np.where(np.isinf(q), math.sqrt(2.0 * M) * np.sqrt(ag), np.sqrt(q))
+    root = np.hypot(h, sq)
+    r = np.where(h >= 0.0, ag / (0.5 * (h + root)), (root - h) / M)
+    s = -np.copysign(r, g)
+    hard = tiny & (h < 0.0)
+    r = np.where(tiny, np.where(hard, -2.0 * h / M, 0.0), r)
+    return np.where(tiny, r, s), r, hard
+
+
+def assert_cubic_step_is_the_full_rule(g, h, M):
+    g, h = np.asarray(g, dtype=float), np.asarray(h, dtype=float)
+    with np.errstate(all="ignore"):
+        got, want = _cubic_step_1d(g, np.abs(g), h, M), full_cubic_rule(g, h, M)
+    for a, b in zip(got, want):  # bit for bit: signed zeros, NaNs and all
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (g, h, M)
+
+
+def _largest_tiny_gradient():
+    g = 1e-13
+    while np.nextafter(g, math.inf) <= 1e-13 * (np.nextafter(g, math.inf) + 1.0):
+        g = np.nextafter(g, math.inf)
+    while g > 1e-13 * (g + 1.0):
+        g = np.nextafter(g, 0.0)
+    return float(g)
+
+
+_TINY_EDGE = _largest_tiny_gradient()
+CUBIC_EDGE_GRADIENTS = [
+    0.0, _TINY_EDGE, float(np.nextafter(_TINY_EDGE, math.inf)),
+    float(np.nextafter(_TINY_EDGE, 0.0)), 2e-13, float(np.nextafter(2e-13, 0.0)),
+    float(np.nextafter(2e-13, math.inf)), 1e308, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("g", CUBIC_EDGE_GRADIENTS + [-v for v in CUBIC_EDGE_GRADIENTS])
+def test_cubic_step_shortcut_is_the_full_rule_at_the_edges(g):
+    # _TINY_EDGE is the largest |g| <= 1e-13 (|g| + 1), one ulp below the
+    # first regular |g|; 2 M |g| overflows at 1e308; inf counts as tiny
+    for h, M in itertools.product([-1.5, -0.0, 0.0, 2.0], [1.0, 32.0]):
+        assert_cubic_step_is_the_full_rule([g], [h], M)
+        assert_cubic_step_is_the_full_rule([0.7, g], [1.0, h], M)  # next to a regular lane
+
+
+@settings(max_examples=300, deadline=None)
+@example(lanes=[], M=1.0)
+@given(lanes=st.lists(st.tuples(
+           st.one_of(st.floats(), st.sampled_from(CUBIC_EDGE_GRADIENTS)),
+           st.one_of(st.floats(), st.sampled_from([-1.5, -0.0, 0.0, 2.0]))), max_size=8),
+       M=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_cubic_step_shortcut_is_the_full_rule(lanes, M):
+    assert_cubic_step_is_the_full_rule([g for g, _ in lanes], [h for _, h in lanes], M)
 
 
 def test_subproblem_rejects_bad_inputs():
