@@ -15,7 +15,9 @@ phases.  The first three find the stationary roots of all cells together:
    lane budget (32 quartic cells of 2,000 points, 163 fold cells of 400), so
    memory stays flat whatever the resolution and each call's arrays stay in
    cache; the cells' parameters go in as (C, 1, n) against the shared grid
-   as (1, R, 1), so the oracle computes each cell's x-only terms once;
+   as (1, R, 1), so the oracle computes each cell's x-only terms once.  The
+   brackets are found from one sign byte per grid point, and the product
+   of a neighbor pair is taken only where their sign bits differ;
 2. every sign-change bracket of the scan polished in one lockstep call:
    12 bisections, then guarded Newton with a bisection fallback, each lane
    taking exactly the steps it would take alone, and the oracles called on
@@ -179,6 +181,30 @@ def _polish(problem, x, a, b, fa):
     return y
 
 
+_EMPTY_INDEX = np.empty(0, dtype=np.intp)
+
+
+def _grid_signs(vals):
+    """The grid zeros (cell, k) of vals (C, R), and its brackets (cell, k, fa):
+    the k with vals[cell, k] * vals[cell, k + 1] < 0, fa = vals[cell, k].
+    Both come in row-major order, as np.nonzero gives them; its 2-d path
+    costs several times the flat search.
+
+    Only neighbors whose sign bits differ can have a negative product, so the
+    product is taken on those candidates alone, and it still decides: one
+    that underflows to -0.0, or that a zero or a NaN makes zero or NaN,
+    brackets nothing.  Most chunks hold no exact zero; vals.all() skips their
+    search.
+    """
+    r = vals.shape[1]
+    zeros = (_EMPTY_INDEX,) * 2 if vals.all() else np.divmod(np.flatnonzero(vals == 0.0), r)
+    neg = np.signbit(vals)
+    c, k = np.divmod(np.flatnonzero(neg[:, :-1] != neg[:, 1:]), r - 1)
+    fa = vals[c, k]
+    bracket = fa * vals[c, k + 1] < 0.0
+    return zeros, (c[bracket], k[bracket], fa[bracket])
+
+
 def _cell_roots(problem, xs, y_range, resolution) -> Roots:
     """The stationary points on y_range at each parameter row of xs (C, n),
     in the three phases of the module docstring."""
@@ -188,15 +214,12 @@ def _cell_roots(problem, xs, y_range, resolution) -> Roots:
     zero_cell, zero_y, br_cell, br_k, br_fa = [], [], [], [], []
     for c0 in range(0, xs.shape[0], per_call):
         vals = _lane_call(problem, "grad_y_g", xs[c0:c0 + per_call, None, :], ys[None, :])
-        # (cell, grid index) pairs in row-major order, as np.nonzero gives
-        # them; its 2-d path costs several times the flat search
-        c, k = np.divmod(np.flatnonzero(vals == 0.0), resolution)
-        zero_cell.append(c + c0)
-        zero_y.append(ys[k])
-        c, k = np.divmod(np.flatnonzero(vals[:, :-1] * vals[:, 1:] < 0.0), resolution - 1)
+        (zc, zk), (c, k, fa) = _grid_signs(vals)
+        zero_cell.append(zc + c0)
+        zero_y.append(ys[zk])
         br_cell.append(c + c0)
         br_k.append(k)
-        br_fa.append(vals[c, k])
+        br_fa.append(fa)
     br_cell, br_k = np.concatenate(br_cell), np.concatenate(br_k)
     polished = _polish(problem, xs[br_cell], ys[br_k], ys[br_k + 1], np.concatenate(br_fa))
 
@@ -438,7 +461,9 @@ def box_counting_dimension(points, radii) -> DimensionEstimate:
     counts = []
     for r in radii:
         cells = np.floor((points - origin) / (2.0 * r)).astype(np.int64)
-        counts.append(int(np.unique(cells, axis=0).shape[0]))
+        # a flag keeps np.unique off its masked-array check, which imports
+        # numpy.ma (12-17 ms, 1.25 MiB) into every scan process
+        counts.append(np.unique(cells, axis=0, return_index=True)[1].size)
     if len(set(counts)) < 2:
         return DimensionEstimate(radii, counts, float("nan"), float("nan"),
                                  float("nan"), determined=False)

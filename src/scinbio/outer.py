@@ -212,10 +212,12 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
     k_t = np.array([sched.k_t(t) for t in range(T)], dtype=int)
     failures = [None] * S
     running = np.arange(S)
+    lower_t = None
     for t in range(T):
         if not running.size:
             break
-        lower_t = dataclasses.replace(lower, max_iters=int(k_t[t]))
+        if lower_t is None or lower_t.max_iters != k_t[t]:
+            lower_t = dataclasses.replace(lower, max_iters=int(k_t[t]))
         ests = estimate_hypergradient(problem, x[running, t], int(n_t[t]),
                                       [configs[s] for s in running], lower_t,
                                       stream_tag=t)
@@ -224,12 +226,14 @@ def run_scinbio(problem, outer: OuterConfig, lower: LowerSolverConfig,
         ok = np.array([exc is None for exc in ests.errors])
         running, d = running[ok], ests.value[ok]
         xt = x[running, t]
-        gm = gradient_mapping(xt, d, outer.beta, fs)
+        # one projection gives x_{t+1} and the gradient mapping (xt - x_{t+1}) / beta
+        nxt = fs.project(xt - outer.beta * d)
+        gm = (xt - nxt) / outer.beta
         estimate[running, t] = d
         mapping_norm[running, t] = np.sqrt(np.vecdot(gm, gm))
         infeasible[running, t] = ests.infeasible[ok]
         totals[running] += ests.oracle_counts[ok]
-        x[running, t + 1] = fs.project(xt - outer.beta * d)
+        x[running, t + 1] = nxt
 
     return LockstepRun([failures[s] or OuterTrace(
         x[s], estimate[s], mapping_norm[s], infeasible[s], n_t, k_t,

@@ -209,7 +209,11 @@ def builtin_minimax() -> BilevelProblem:
 # wherever that suffices; the one power left, in the fold's confinement term,
 # is np.power.  The scan's grid kernels, grad_y_g of the fold and the quartic,
 # allocate one batch-shaped array and run the chain in place on it (t *= y,
-# t += c): the same operations in the same order, so the same bits.
+# t += c): the same operations in the same order, so the same bits.  The
+# fold's kernel adds its confinement term only when some y lies outside
+# [-1.5, 1.5] or is NaN: on that window the term is +-0.0, and the chain
+# before it ends in + (1 - 2 x1), which is never -0.0, so t is never -0.0
+# and adding +-0.0 leaves its bits alone.
 
 _DOUBLE_WELL_F_BAR = 5.33  # 1.5 x max|y| over the sublevel grid (max 3.553)
 
@@ -279,7 +283,9 @@ def builtin_fold_family() -> BilevelProblem:
         t = 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
         t *= yy
         t += 1.0 - 2.0 * x1
-        t += 4.0 * _FOLD_CONF * np.power(_fold_overhang(yy), 3) * np.sign(yy)
+        if not (yy.min(initial=np.inf) >= -_FOLD_EDGE
+                and yy.max(initial=-np.inf) <= _FOLD_EDGE):
+            t += 4.0 * _FOLD_CONF * np.power(_fold_overhang(yy), 3) * np.sign(yy)
         return t[..., None]
 
     def hess_yy_g(x, y):

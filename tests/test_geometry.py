@@ -14,7 +14,7 @@ from scinbio import (BilevelProblem, box_set, box_counting_dimension,
                      neighborhood_measure, scan_bifurcation_set)
 from scinbio import geometry
 from scinbio.geometry import (FOLD, NON_FOLD_DEGENERATE, BifurcationScan, Points,
-                              _cell_roots, _hunt_degenerate, _hunt_lanes,
+                              _cell_roots, _grid_signs, _hunt_degenerate, _hunt_lanes,
                               degeneracy_threshold, distance_to_marked)
 from scinbio.problems import batch_shape
 
@@ -70,6 +70,54 @@ def test_lockstep_polish_keeps_lanes_independent(double_well):
         assert list(zip(together.y[mine].tolist(), np.abs(together.grad[mine]).tolist(),
                         np.abs(together.lam[mine]).tolist())) == list(zip(
             alone.y.tolist(), np.abs(alone.grad).tolist(), np.abs(alone.lam).tolist()))
+
+
+def _product_rule(vals):
+    """Grid zeros and brackets of vals (C, R) as the scan first found them:
+    from the product of every neighbor pair."""
+    r = vals.shape[1]
+    zeros = np.divmod(np.flatnonzero(vals == 0.0), r)
+    c, k = np.divmod(np.flatnonzero(vals[:, :-1] * vals[:, 1:] < 0.0), r - 1)
+    return zeros, (c, k, vals[c, k])
+
+
+def _assert_same_hits(vals):
+    with np.errstate(all="ignore"):
+        got, want = _grid_signs(vals), _product_rule(vals)
+    for g, w in zip(got[0] + got[1], want[0] + want[1]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    return got
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, -0.0, 1.0, -1.0]],
+    [[1.0, -1.0, 2.0, -3.0], [-0.5, -0.5, 0.5, 0.25]],    # no zero in the chunk
+    [[1.0, 0.0, 0.0, 0.0, -1.0, 0.0, -0.0, 2.0]],         # runs of zeros
+    [[_NAN, -1.0, _INF, -_INF, 0.0, -2.0, _NAN, _NAN]],
+    [[-_INF, _INF, -0.0, _INF, 0.0, -_INF, 3.0, _NAN]],
+    [[1e-200, -1e-200, 1e-200], [-1e-200, 1e-100, -1e-300]],
+    [[1.0], [-0.0], [_NAN]],                               # one column
+    [[1.0, -2.0], [0.0, -0.0], [-_INF, _NAN]],             # two columns
+    np.empty((0, 5)),
+])
+def test_grid_signs_equal_product_rule(rows):
+    _assert_same_hits(np.array(rows, dtype=float))
+
+
+def test_grid_signs_drop_underflowing_products():
+    # opposite signs whose product underflows to -0.0 bracket nothing
+    (zc, _), (c, k, fa) = _assert_same_hits(np.array([[1e-200, -1e-200, -1.0, 1.0]]))
+    assert zc.size == 0 and c.tolist() == [0] and k.tolist() == [2] and fa.tolist() == [-1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 9)),
+              elements=st.floats() | st.sampled_from([0.0, -0.0, 1e-200, -1e-200])))
+def test_grid_signs_equal_product_rule_on_any_array(vals):
+    _assert_same_hits(vals)
 
 
 def test_roots_satisfy_gradient_tolerance(quartic):

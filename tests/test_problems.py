@@ -71,6 +71,68 @@ def test_fold_confinement_inactive_in_window(fold):
         assert at(fold, "g", x, arr(y)) == cubic
 
 
+def _fold_grad_y_g_full(x, y):
+    """The fold's grad_y_g with its confinement term always added: the
+    formula the oracle reduces to when every y lies in [-1.5, 1.5]."""
+    x1, yy = x[..., 0], y[..., 0]
+    t = 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
+    t *= yy
+    t += 1.0 - 2.0 * x1
+    t += 40.0 * np.power(np.maximum(0.0, np.abs(yy) - 1.5), 3) * np.sign(yy)
+    return t[..., None]
+
+
+def _x1_cancelling_at(y):
+    """An x1 at which the fold's grad_y_g without its confinement term is
+    exactly 0.0 at y, so that the term shows in the sum however small it is
+    (one ulp beyond the window it is 4.4e-46).  Near the smaller root of
+    3 y^2 (3 x1 - 2 x1^2) + 1 - 2 x1 = 0 the chain cancels exactly at some x1."""
+    a = 9.0 * y * y - 2.0
+    root = (a - math.sqrt(a * a + 24.0 * y * y)) / (12.0 * y * y)
+    x1 = root + np.arange(-2000, 2000) * np.spacing(root)
+    t = 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * y
+    t *= y
+    t += 1.0 - 2.0 * x1
+    return float(x1[np.flatnonzero(t == 0.0)[0]])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_fold_grad_y_g_window_shortcut_keeps_every_bit(fold):
+    # the oracle skips the confinement term when every y lies in [-1.5, 1.5];
+    # it must give the bits of the full formula, signbit and NaN included,
+    # inside, on and one ulp beyond either edge
+    edge = np.nextafter(1.5, np.inf)
+    ys = [0.0, -0.0, 0.3, -1.2, 1.5, -1.5, np.nextafter(1.5, 0.0), edge, -edge,
+          2.0, -3.0, np.nan, np.inf, -np.inf]
+    x1s = [0.0, 0.5, 0.25, 1.0, -2.0, np.nan, np.inf, -np.inf, _x1_cancelling_at(edge)]
+    for x1 in x1s:
+        for y in ys:
+            x, yy = np.array([[x1, 0.3]]), np.array([[y]])
+            assert _same_bits(call_oracle(fold, "grad_y_g", x, yy),
+                              _fold_grad_y_g_full(x, yy)), (x1, y)
+    # beyond the window by one ulp the term is nonzero at the cancelling x1,
+    # so a bound one ulp wider changes the result
+    x = np.array([[x1s[-1], 0.0]] * 2)
+    assert np.all(_fold_grad_y_g_full(x, np.array([[edge], [-edge]]))[:, 0] != 0.0)
+    # whole batches, in the window and across it, as lanes and in the scan's
+    # broadcast shapes x (C, 1, 2) against y (1, R, 1)
+    inside = [y for y in ys if abs(y) <= 1.5]
+    xc = np.array([[x1, -0.5] for x1 in x1s])
+    for batch in (inside, ys):
+        yl = np.array(batch)
+        xl = np.repeat(xc, yl.size, axis=0)
+        yl = np.tile(yl, len(x1s))[:, None]
+        assert _same_bits(call_oracle(fold, "grad_y_g", xl, yl), _fold_grad_y_g_full(xl, yl))
+        xb, yb = xc[:, None, :], np.array(batch)[None, :, None]
+        assert _same_bits(call_oracle(fold, "grad_y_g", xb, yb), _fold_grad_y_g_full(xb, yb))
+    empty_x, empty_y = np.empty((0, 2)), np.empty((0, 1))
+    assert call_oracle(fold, "grad_y_g", empty_x, empty_y).shape == (0, 1)
+
+
 def test_quartic_coefficient_structure(quartic):
     rng = np.random.default_rng(3)
     for _ in range(20):
