@@ -15,9 +15,15 @@ phases.  The first three find the stationary roots of all cells together:
    lane budget (32 quartic cells of 2,000 points, 163 fold cells of 400), so
    memory stays flat whatever the resolution and each call's arrays stay in
    cache; the cells' parameters go in as (C, 1, n) against the shared grid
-   as (1, R, 1), so the oracle computes each cell's x-only terms once.  The
-   brackets are found from one sign byte per grid point, and the product
-   of a neighbor pair is taken only where their sign bits differ;
+   as (1, R, 1), so the oracle computes each cell's x-only terms once.  A
+   problem that declares grad_y_root_bound has each call evaluate only the
+   grid columns with |y| below the chunk's largest bound, plus the nearest
+   column beyond it on each side: outside, grad_y g is nonzero with the
+   sign of y, so the zeros and brackets are the full grid's, bit for bit
+   (the quartic's 72^2 and 300^2 scans evaluate 37 % and 26 % of their
+   grids).  The brackets are found from one sign byte per grid point, and
+   the product of a neighbor pair is taken only where their sign bits
+   differ;
 2. every sign-change bracket of the scan polished in one lockstep call:
    12 bisections, then guarded Newton with a bisection fallback, each lane
    taking exactly the steps it would take alone, and the oracles called on
@@ -211,14 +217,25 @@ def _cell_roots(problem, xs, y_range, resolution) -> Roots:
     lo, hi = float(y_range[0]), float(y_range[1])
     ys = np.linspace(lo, hi, resolution)
     per_call = max(1, _LANE_BUDGET // resolution)
+    bound = problem.grad_y_root_bound
+    radius = None if bound is None else bound(xs)
     zero_cell, zero_y, br_cell, br_k, br_fa = [], [], [], [], []
     for c0 in range(0, xs.shape[0], per_call):
-        vals = _lane_call(problem, "grad_y_g", xs[c0:c0 + per_call, None, :], ys[None, :])
+        # the columns with |y| < rmax and the nearest one beyond on each side,
+        # at least two; the columns left out hold no zero and no sign change
+        start, stop = 0, resolution
+        rmax = np.inf if radius is None else radius[c0:c0 + per_call].max()
+        if np.isfinite(rmax):
+            stop = min(int(np.searchsorted(ys, rmax)) + 1, resolution)
+            start = max(0, min(int(np.searchsorted(ys, -rmax, side="right")) - 1, stop - 2))
+            stop = max(stop, start + 2)
+        vals = _lane_call(problem, "grad_y_g", xs[c0:c0 + per_call, None, :],
+                          ys[None, start:stop])
         (zc, zk), (c, k, fa) = _grid_signs(vals)
         zero_cell.append(zc + c0)
-        zero_y.append(ys[zk])
+        zero_y.append(ys[zk + start])
         br_cell.append(c + c0)
-        br_k.append(k)
+        br_k.append(k + start)
         br_fa.append(fa)
     br_cell, br_k = np.concatenate(br_cell), np.concatenate(br_k)
     polished = _polish(problem, xs[br_cell], ys[br_k], ys[br_k + 1], np.concatenate(br_fa))

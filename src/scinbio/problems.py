@@ -20,6 +20,12 @@ elementwise, so each point has the bits it has alone.  Every oracle call in
 the package goes through `call_oracle`, which checks the output's shape.  A
 feasible set's `project` and `contains` act on the last axis.  The GDA
 baseline uses no bundle: it integrates the saddle flow of `minimax_gradient`.
+
+Root bound.  A bundle may declare `grad_y_root_bound`, which maps x (..., n)
+to R (...): for every y with |y| >= R(x), the computed grad_y_g(x, y) is
+nonzero and has the sign of y.  The scan evaluates grad_y_g only where
+|y| < R and on the nearest grid column beyond it on each side.  None (the
+default), or a non-finite R, makes no such claim.
 """
 
 import math
@@ -76,7 +82,9 @@ class BilevelProblem:
     block d/dx of grad_y g, which only the geometry diagnostics consult)
     follow the lane convention of this module: (..., n) and (..., 1) inputs
     of batch shape B give B, B, B + (1,), B + (1, 1) and B + (1, n) outputs.
-    y0 has shape (1,).
+    y0 has shape (1,).  grad_y_root_bound, when not None, maps x (..., n) to
+    R (...) such that the computed grad_y_g(x, y) is nonzero with the sign
+    of y wherever |y| >= R(x); the scan leaves the grid beyond R unevaluated.
     """
 
     n: int
@@ -88,6 +96,7 @@ class BilevelProblem:
     y0: np.ndarray
     f_bar: float
     feasible_set: FeasibleSet
+    grad_y_root_bound: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 # each oracle's output shape after the batch shape (grad_x_grad_y_g adds n)
@@ -257,6 +266,9 @@ def builtin_shifted_double_well() -> BilevelProblem:
 # is unbounded below, so a quartic confinement term is added outside
 # |y| <= 1.5.  The term and all of its derivatives vanish identically on
 # [-1.5, 1.5], leaving the stationary structure near y = 0 untouched.
+# The fold declares no grad_y_root_bound: at x1 = 0, grad_y g is 1 on
+# [-1.5, 1.5] and the confinement term puts a root near y = -1.79, so no
+# radius valid for every y narrows its scan window [-1, 1].
 
 _FOLD_CONF = 10.0
 _FOLD_EDGE = 1.5
@@ -349,6 +361,21 @@ def builtin_quartic_family() -> BilevelProblem:
         (c3, c2), yy = _q_coefficients(x), y[..., 0]
         return ((12.0 * yy + 6.0 * c3) * yy + 2.0 * c2)[..., None, None]
 
+    # grad_y_g runs the Horner chain of 4 y^3 + A y^2 + B y + C with A =
+    # fl(3 c3), B = 2 c2 and C = c3 as written: 4 y and 2 c2 are exact, every
+    # other + and * rounds once, nothing is fused.  So its error is at most
+    # gamma_6 (4|y|^3 + |A| y^2 + |B||y| + |C|), gamma_6 = 6u/(1 - 6u) ~ 6.7e-16
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1).
+    # For |y| >= 1 the exact value has the sign of y and exceeds that error
+    # once 4|y| > S (1 + gamma_6) / (1 - gamma_6), S = |A| + |B| + |C|.  The
+    # factor 1 + 1e-9 covers gamma_6 and the rounding of S and R; the 1e-12
+    # on top is spare slack (underflow, which gamma_6 does not model, costs
+    # far less).
+    def grad_y_root_bound(x):
+        c3, c2 = _q_coefficients(x)
+        s = np.abs(3.0 * c3) + np.abs(2.0 * c2) + np.abs(c3)
+        return np.maximum(1.0, (0.25 * (1.0 + 1e-9)) * s) + 1e-12
+
     def grad_x_grad_y_g(x, y):
         x1, x2, yy = x[..., 0], x[..., 1], y[..., 0]
         dc3 = np.stack([2.0 * x1 - 5.0 * x2 - 7.0, -5.0 * x1 + 4.0 * x2 + 8.0], axis=-1)
@@ -364,6 +391,7 @@ def builtin_quartic_family() -> BilevelProblem:
         y0=np.array([0.0]),
         f_bar=_QUARTIC_F_BAR,
         feasible_set=box_set([-4.0, -4.0], [5.0, 5.0]),
+        grad_y_root_bound=grad_y_root_bound,
     )
 
 

@@ -185,6 +185,23 @@ def test_smoke_run_writes_expected_files(tmp_path):
     assert (out / "report.json").exists()
 
 
+def test_best_mapping_output_rule_is_echoed(tmp_path):
+    # the rule reaches the run: the summary echoes it, holds no random index,
+    # and x_out is an iterate with the least mapping norm of the trace
+    out = tmp_path / "out"
+    code = run_cli("run", "--problem", "minimax", "--seed", "0", "--out", str(out),
+                   "--set", "outer.T=20", "--set", "lower.K=20", "--set", "sampling.N=2",
+                   "--set", "outer.output_rule=best_mapping")
+    assert code == 0
+    summary = json.loads((out / "summary_seed0.json").read_text())
+    assert summary["run_config"]["outer.output_rule"] == "best_mapping"
+    assert summary["config"]["output_rule"] == "best_mapping"
+    assert summary["final"]["random_index"] is None
+    rows = [line.split(",") for line in (out / "trace_seed0.csv").read_text().splitlines()[2:]]
+    norms = [float(row[3]) for row in rows]
+    assert summary["final"]["x_out"] == [float(rows[norms.index(min(norms))][1])]
+
+
 def test_minimax_run_draws_only_the_leader_start_per_seed(tmp_path, monkeypatch):
     # the follower is a fixed algorithm: its y0 is the problem's own for every
     # seed, and only the leader's x0 comes from the seed's draw; all seeds

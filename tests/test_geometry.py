@@ -265,7 +265,8 @@ def test_quartic_scan_is_complete(quartic):
 
 
 @pytest.mark.parametrize("name, y_range, y_resolution",
-                         [("fold", (-1.0, 1.0), 400), ("quartic", (-250.0, 250.0), 2000)])
+                         [("fold", (-1.0, 1.0), 400), ("quartic", (-250.0, 250.0), 2000),
+                          ("quartic", (-400.0, 300.0), 1400)])
 def test_scan_roots_equal_single_cell_roots(request, name, y_range, y_resolution):
     # the scan polishes all cells' brackets in one lockstep call; each cell's
     # root columns must be the bits of find_stationary_points_1d at that
@@ -355,6 +356,12 @@ def test_scan_lambda_grid_and_records_pinned_at_72(request, name, y_range, y_res
     assert check_fold_conditions(problem, points).tolist() == [FOLD] * n_records
 
 
+def _scan_bytes(scan):
+    """The bytes of a scan's roots, lambda grid, indicator and points."""
+    return ([column.tobytes() for column in scan.roots], scan.lambda_min_grid.tobytes(),
+            scan.indicator.tobytes(), [column.tobytes() for column in scan.points])
+
+
 @pytest.mark.parametrize("name, y_range, y_resolution", [
     ("fold", (-1.0, 1.0), 400), ("quartic", (-250.0, 250.0), 2000)], ids=["fold", "quartic"])
 def test_scan_is_independent_of_the_lane_budget(request, monkeypatch, name, y_range,
@@ -366,14 +373,88 @@ def test_scan_is_independent_of_the_lane_budget(request, monkeypatch, name, y_ra
 
     def scan_bytes(budget):
         monkeypatch.setattr("scinbio.geometry._LANE_BUDGET", budget)
-        scan = scan_bifurcation_set(problem, 24, y_range, y_resolution)
-        return ([column.tobytes() for column in scan.roots], scan.lambda_min_grid.tobytes(),
-                scan.indicator.tobytes(), [column.tobytes() for column in scan.points])
+        return _scan_bytes(scan_bifurcation_set(problem, 24, y_range, y_resolution))
 
     default = scan_bytes(geometry._LANE_BUDGET)
     assert default[3][1] and default[2].count(1) > 0
     for budget in (1 << 10, 1 << 20):
         assert scan_bytes(budget) == default, budget
+
+
+def _cell_centers(problem, r):
+    """The scan's r x r cell centers as parameter rows, cell (i, j) at i r + j."""
+    lo, hi = problem.feasible_set.bbox
+    c1, c2 = (lo[a] + (np.arange(r) + 0.5) * ((hi[a] - lo[a]) / r) for a in (0, 1))
+    return np.column_stack([np.repeat(c1, r), np.tile(c2, r)])
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 2000])
+@pytest.mark.parametrize("y_range", [(-250.0, 250.0), (-3.0, 7.0), (100.0, 250.0),
+                                     (240.0, 250.0)])
+def test_root_window_keeps_every_bit(quartic, y_range, resolution):
+    # the grid phase evaluates the quartic only inside its root bound; every
+    # column of the roots must be the bits of the full grid's
+    xs = _cell_centers(quartic, 72)
+    windowed = _cell_roots(quartic, xs, y_range, resolution)
+    full = _cell_roots(dataclasses.replace(quartic, grad_y_root_bound=None), xs, y_range,
+                       resolution)
+    for a, b in zip(windowed, full):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_root_window_scan_keeps_every_bit(quartic):
+    def scan_bytes(problem):
+        return _scan_bytes(scan_bifurcation_set(problem, 24, (-250.0, 250.0), 2000))
+
+    windowed = scan_bytes(quartic)
+    assert windowed[2].count(1) > 0
+    assert windowed == scan_bytes(dataclasses.replace(quartic, grad_y_root_bound=None))
+
+
+def _shifted_line(tight):
+    """grad_y g = y - x1 with the tight root bound nextafter(|x1|, inf), or none."""
+    def g(x, y):
+        return 0.5 * y[..., 0] * y[..., 0] - x[..., 0] * y[..., 0]
+
+    def grad(x, y):
+        return y - x
+
+    def hess(x, y):
+        return np.ones(batch_shape(x, y) + (1, 1))
+
+    def cross(x, y):
+        return np.full(batch_shape(x, y) + (1, 1), -1.0)
+
+    bound = (lambda x: np.nextafter(np.abs(x[..., 0]), np.inf)) if tight else None
+    return BilevelProblem(n=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad, hess_yy_g=hess,
+                          grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=10.0,
+                          feasible_set=box_set([-10.0], [10.0]), grad_y_root_bound=bound)
+
+
+@pytest.mark.parametrize("a", [3.5, -3.5, 3.25, -9.5])
+def test_root_window_keeps_a_root_beyond_its_last_inner_column(a):
+    # on the grid -10, -9, ..., 10 the window of R = nextafter(|a|, inf)
+    # holds the columns with |y| < R; the root a lies between the last of
+    # them and the first column outside, which the window must still evaluate
+    tight = find_stationary_points_1d(_shifted_line(True), arr(a), (-10.0, 10.0), 21)
+    full = find_stationary_points_1d(_shifted_line(False), arr(a), (-10.0, 10.0), 21)
+    assert tight.y.tolist() == [a]
+    for c, d in zip(tight, full):
+        assert c.tobytes() == d.tobytes()
+
+
+def test_root_window_not_finite_scans_the_full_grid(quartic):
+    # a bound that is NaN or infinite on some cell makes no claim there: the
+    # chunk that holds that cell is scanned whole
+    xs = _cell_centers(quartic, 8)
+    full = _cell_roots(dataclasses.replace(quartic, grad_y_root_bound=None), xs,
+                       (-250.0, 250.0), 500)
+    for bad in (np.nan, np.inf):
+        def bound(x, bad=bad):
+            return np.where(x[..., 0] > 0.0, bad, 1.0)
+        odd = dataclasses.replace(quartic, grad_y_root_bound=bound)
+        for c, d in zip(_cell_roots(odd, xs, (-250.0, 250.0), 500), full):
+            assert c.tobytes() == d.tobytes()
 
 
 def _hits_by_lane(hunt):

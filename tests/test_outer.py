@@ -147,6 +147,7 @@ def test_output_rules():
         elif rule == "best_mapping":
             k = int(np.argmin(trace.mapping_norm))
             assert np.array_equal(trace.x_out, trace.x[k])
+            assert trace.random_index is None
         else:
             assert 1 <= trace.random_index <= 30
 

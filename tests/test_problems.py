@@ -144,6 +144,35 @@ def test_quartic_coefficient_structure(quartic):
         assert g0 == pytest.approx(c3, rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.floats(-8.0, 10.0), min_size=2, max_size=2))
+def test_quartic_root_bound_keeps_its_contract(quartic, x):
+    # for |y| >= R(x) the computed grad_y g is nonzero with the sign of y, on
+    # a box wider than the feasible one, at R itself and just above it
+    x = np.array(x)
+    r = float(quartic.grad_y_root_bound(x))
+    assert r >= 1.0
+    for y in (r, np.nextafter(r, np.inf), 2.0 * r, 1e3):
+        if y < r:
+            continue
+        for signed in (y, -y):
+            g = float(at(quartic, "grad_y_g", x, arr(signed))[0])
+            assert g != 0.0 and np.signbit(g) == np.signbit(signed), (signed, r, g)
+
+
+def test_root_bound_is_declared_by_the_quartic_alone():
+    assert [name for name in PROBLEM_NAMES
+            if get_problem(name).grad_y_root_bound is not None] == ["quartic"]
+
+
+def test_quartic_root_bound_follows_the_lane_convention(quartic):
+    # R is elementwise in the parameters: a (C, 1, n) batch gives (C, 1),
+    # each entry the bits of its point alone
+    x = np.array([[-4.0, 5.0], [0.3, -1.2], [5.0, 5.0]])
+    alone = [float(quartic.grad_y_root_bound(p)) for p in x]
+    assert quartic.grad_y_root_bound(x[:, None, :]).tolist() == [[r] for r in alone]
+
+
 # ---------------------------------------------------------------------------
 # derivative oracles vs finite differences on random feasible points
 # ---------------------------------------------------------------------------
