@@ -17,7 +17,13 @@ B + (1, 1) and grad_x_grad_y_g the cross-derivative block B + (1, n).  L lanes
 hands one x per cell as (C, 1, n) against a shared y-grid (1, R, 1).  Oracles
 index x[..., j] and y[..., 0], add trailing axes with [..., None] and compute
 elementwise, so each point has the bits it has alone.  Every oracle call in
-the package goes through `call_oracle`, which checks the output's shape.  A
+the package goes through `call_oracle`, which checks the output's shape,
+except calls of a float form.  Float form.  A bundle's grad_y_g may carry the
+attribute `float_form(xs, y)`: xs is one lane's x as a list of n floats, y
+is a float, and it returns grad_y_g there as a float with the bits the array
+oracle gives that lane (`lower.solve_lower` runs small gradient-descent
+solves on it).  The attribute belongs to the function, so a replaced or
+wrapped grad_y_g has none.  Only the minimax bundle declares one.  A
 feasible set's `project` and `contains` act on the last axis.  The GDA
 baseline uses no bundle: it integrates the saddle flow of `minimax_gradient`.
 
@@ -139,10 +145,22 @@ def _mm_f(a, b):
     return (a * a - b * b) * np.sin(a + b) + a * b * np.sin(a - b)
 
 
-def _mm_fy(a, b):
-    d, s = a - b, a + b
-    return (-a * b * np.cos(d) + a * np.sin(d)
-            - 2.0 * b * np.sin(s) + (a * a - b * b) * np.cos(s))
+def _mm_fy_with(sin, cos):
+    """df/dy computed with the given sin and cos: numpy's for arrays, math's
+    for floats.  Both forms run the same operations in the same order, and
+    numpy's float64 sin and cos give math's bits, so a float has the bits of
+    its lane."""
+
+    def fy(a, b):
+        d, s = a - b, a + b
+        return (-a * b * cos(d) + a * sin(d)
+                - 2.0 * b * sin(s) + (a * a - b * b) * cos(s))
+
+    return fy
+
+
+_mm_fy = _mm_fy_with(np.sin, np.cos)
+_mm_fy_float = _mm_fy_with(math.sin, math.cos)
 
 
 def _mm_fyy(a, b):
@@ -189,6 +207,8 @@ def builtin_minimax() -> BilevelProblem:
 
     def grad_y_g(x, y):
         return -_mm_fy(x[..., 0], y[..., 0])[..., None]
+
+    grad_y_g.float_form = lambda xs, y: -_mm_fy_float(xs[0], y)
 
     def hess_yy_g(x, y):
         return -_mm_fyy(x[..., 0], y[..., 0])[..., None, None]

@@ -56,6 +56,10 @@ def test_minimax_gradient_has_the_oracle_bits(minimax, points):
         assert type(fx) is float and type(fy) is float
         single = -minimax.grad_y_g(xs[k:k + 1], ys[k:k + 1])[0, 0]
         assert fy == _mm_fy(x, y) == single == lanes[k]
+        # the float form that small gradient-descent solves run on
+        form = minimax.grad_y_g.float_form([x], y)
+        assert type(form) is float and form == -fy
+        assert np.float64(form).tobytes() == (-lanes[k]).tobytes()
 
 
 def test_budget_exhausted_on_tiny_budget():

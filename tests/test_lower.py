@@ -14,7 +14,7 @@ from scinbio import (LowerSolverConfig, builtin_fold_family, builtin_minimax,
                      builtin_shifted_double_well, solve_cubic_subproblem, solve_lower,
                      stationarity_measure)
 from scinbio.errors import LowerSolveError
-from scinbio.lower import _cubic_step_1d, run_lower_lean
+from scinbio.lower import _FLOAT_LANES, _cubic_step_1d, run_lower_lean
 
 from conftest import quadratic_problem, reference_solve
 
@@ -474,11 +474,22 @@ def assert_lanes_match_single_solves(problem, xs, cfg):
 
 
 def assert_same_solve(a, b):
-    """Two solves of the same lanes agree in y_hat, selection and oracle counts."""
-    assert np.array_equal(a.y_hat, b.y_hat)
-    assert np.array_equal(a.selected_index, b.selected_index)
+    """Two solves of the same lanes agree in every column bit for bit (dtype,
+    shape and bytes, NaNs included) and in each lane's error: type, text and
+    iterate_index."""
+    def same(u, v):
+        assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+    for name in ("y_hat", "grad_norm", "selected_index"):
+        same(getattr(a, name), getattr(b, name))
+    assert (a.stationarity is None) == (b.stationarity is None)
+    if a.stationarity is not None:
+        same(a.stationarity, b.stationarity)
     assert a.oracle_counts.keys() == b.oracle_counts.keys()
-    assert all(np.array_equal(a.oracle_counts[k], b.oracle_counts[k]) for k in a.oracle_counts)
+    for key in a.oracle_counts:
+        same(a.oracle_counts[key], b.oracle_counts[key])
+    assert [None if e is None else (type(e), str(e), e.iterate_index) for e in a.errors] == \
+        [None if e is None else (type(e), str(e), e.iterate_index) for e in b.errors]
 
 
 def test_lean_path_matches_recording_solver(minimax, double_well):
@@ -600,6 +611,108 @@ def test_permuting_or_splitting_a_batch_permutes_or_splits_results(data):
         for key, counts in part.oracle_counts.items():
             assert np.array_equal(counts, whole.oracle_counts[key][lanes])
         assert [e is None for e in part.errors] == [whole.errors[i] is None for i in lanes]
+
+
+# ---------------------------------------------------------------------------
+# the float loop of small gradient-descent solves
+# ---------------------------------------------------------------------------
+
+def plain(problem):
+    """problem with grad_y_g wrapped in a plain function: no float form, so
+    every solve runs the lockstep loop."""
+    grad = problem.grad_y_g
+    return dataclasses.replace(problem, grad_y_g=lambda x, y: grad(x, y))
+
+
+def with_float_form(problem, grad, form):
+    """problem whose grad_y_g is the array oracle grad carrying the float
+    form `form`, and a list that records each call of the form."""
+    calls = []
+
+    def grad_y_g(x, y):
+        return grad(x, y)
+
+    def counted(xs, y):
+        calls.append(y)
+        return form(xs, y)
+
+    grad_y_g.float_form = counted
+    return dataclasses.replace(problem, grad_y_g=grad_y_g), calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_float_loop_is_the_lockstep_loop(minimax, data):
+    L = data.draw(st.integers(0, _FLOAT_LANES), label="L")
+    xs = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=L, max_size=L),
+                            label="x"), dtype=float).reshape(L, 1)
+    K = data.draw(st.integers(0, 300), label="K")
+    eta = data.draw(st.floats(1e-4, 0.05), label="eta")
+    tol = data.draw(st.one_of(st.just(0.0), st.floats(1e-8, 1e-2), st.just("tie")),
+                    label="tol")
+    if tol == "tie":
+        # the least |grad_y g| of lane 0 up to a step j < K: that lane stops
+        # at the first step reaching it under <=, and runs past it under <
+        tol = 0.0
+        if L and K:
+            norms = reference_solve(minimax, xs[:1], LowerSolverConfig(
+                eta=eta, max_iters=K))[0]["grad_norms"]
+            j = data.draw(st.integers(0, len(norms) - 2), label="j")
+            least = float(norms[:j + 1].min())
+            tol = least if math.isfinite(least) else 0.0
+    cfg = LowerSolverConfig(eta=eta, max_iters=K, grad_tol=tol)
+    assert_same_solve(solve_lower(minimax, xs, cfg), solve_lower(plain(minimax), xs, cfg))
+
+
+@pytest.mark.parametrize("method, L, runs_float", [
+    ("gradient_descent", _FLOAT_LANES, True),
+    ("gradient_descent", _FLOAT_LANES + 1, False),
+    ("cubic_newton", 3, False)])
+def test_the_float_form_serves_small_gradient_descent_only(minimax, method, L, runs_float):
+    p, calls = with_float_form(minimax, minimax.grad_y_g, minimax.grad_y_g.float_form)
+    xs = np.linspace(-2.0, 2.0, L)[:, None]
+    cfg = LowerSolverConfig(method=method, eta=0.01, M=32.0, max_iters=20)
+    assert_same_solve(solve_lower(p, xs, cfg), solve_lower(plain(minimax), xs, cfg))
+    assert len(calls) == (L * 21 if runs_float else 0)
+
+
+def _failing_forms(kind):
+    """(problem, array oracle, its float form, config, lanes) of a solve whose
+    float loop fails and hands over: NaN once |y| > 0.2 on the lanes with
+    x > 0.3; 1.7e308 there instead, whose step overflows y to inf so that the
+    next math.sin raises; or inf at the last step, on the lanes with x > 0.
+    The first lane, x = 0, runs clean in each, and the second fails."""
+    mm = builtin_minimax()
+    grad, form = mm.grad_y_g, mm.grad_y_g.float_form
+    hot = lambda x, y: (x > 0.3) & (np.abs(y) > 0.2)
+    xs = np.array([[0.0], [1.0], [-1.0], [0.5], [-0.5], [0.7]])
+    if kind == "nan":
+        return (mm, lambda x, y: np.where(hot(x, y), math.nan, grad(x, y)),
+                lambda x, y: math.nan if hot(x[0], y) else form(x, y),
+                LowerSolverConfig(eta=0.05, max_iters=100, grad_tol=1e-6), xs)
+    if kind == "overflow":
+        def huge(x, y):
+            g = form(x, y)
+            return 1.7e308 * ((g > 0) - (g < 0)) if hot(x[0], y) else g
+        return (mm, lambda x, y: np.where(hot(x, y), 1.7e308 * np.sign(grad(x, y)),
+                                          grad(x, y)),
+                huge, LowerSolverConfig(eta=1.5, max_iters=10), xs)
+    # y_k = k / 4 on every lane, and the gradient is inf from y = 0.7 on
+    return (quadratic_problem(),
+            lambda x, y: np.where((y < 0.7) | (x <= 0.0), -1.0, math.inf),
+            lambda x, y: -1.0 if y < 0.7 or x[0] <= 0.0 else math.inf,
+            LowerSolverConfig(eta=0.25, max_iters=3), xs)
+
+
+@pytest.mark.parametrize("kind", ["nan", "overflow", "last-step inf"])
+def test_a_failing_float_loop_hands_the_solve_to_the_lockstep_loop(kind):
+    problem, grad, form, cfg, xs = _failing_forms(kind)
+    p, calls = with_float_form(problem, grad, form)
+    with np.errstate(all="ignore"):
+        res = solve_lower(p, xs, cfg)
+        twin = solve_lower(dataclasses.replace(problem, grad_y_g=grad), xs, cfg)
+    assert calls and any(e is not None for e in twin.errors)
+    assert_same_solve(res, twin)
 
 
 @pytest.mark.parametrize("method", ["gradient_descent", "cubic_newton"])
