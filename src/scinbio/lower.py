@@ -6,10 +6,11 @@ each oracle call serves every lane still iterating (the lane convention of
 `problems`).  Inputs are checked once per solve.  Lanes stop on their own
 (early exit on grad_tol), fail on their own (a non-finite value is reported
 for that lane only) and select their own iterate.  One point is a batch of
-one lane.  Gradient descent on at most _FLOAT_LANES lanes whose grad_y_g has
-a float form (`problems`) runs each lane's steps in Python floats instead,
-with the same arithmetic and so the same result; a solve whose floats raise
-or turn non-finite runs again in lockstep, which reports the failure.
+one lane.  A solve of at most _FLOAT_LANES lanes whose oracles have float
+forms (`problems`: grad_y_g for gradient descent, grad_y_g and hess_yy_g for
+cubic Newton) runs each lane's steps in Python floats instead, with the same
+arithmetic and so the same result; a solve whose floats raise or turn
+non-finite runs again in lockstep, which reports the failure.
 
 The follower y is one-dimensional.  With g = dg/dy and h = d2g/dy2 at the
 iterate, the cubic method minimizes the model
@@ -25,6 +26,7 @@ K-step history, so its memory is O(L) floats for any budget K.  Solvers are
 reentrant: each solve owns its state and oracles are pure.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -194,44 +196,103 @@ def _flag(errors, lanes, values, what, k):
                                            iterate_index=k)
 
 
-# One step of all L lanes on minimax (K = 200, 2-core Xeon), float loop against
-# lockstep loop: 0.4 against 10.7 us at L = 1, 3.3 against 11.1 us at L = 9,
-# 9 against 11.5 us at L = 24 and 11.7 against 11.8 us at L = 32.  The two
-# meet near L = 32; 24 leaves a margin.
+# One step of all L lanes, float loop against lockstep loop (2-core Xeon).
+# Gradient descent on minimax (K = 200): 0.4 against 10.7 us at L = 1, 3.3
+# against 11.1 us at L = 9, 9 against 11.5 us at L = 24 and 11.7 against
+# 11.8 us at L = 32.  Cubic Newton on the fold (K = 200, M = 420): 0.8
+# against 43 us at L = 1, 7 against 43 us at L = 9, 19 against 43 us at
+# L = 24, 37 against 45 us at L = 48 and 49 against 43 us at L = 64.  The
+# two meet near L = 32 for gradient descent and near L = 56 for cubic
+# Newton; 24 leaves a margin for both.
 _FLOAT_LANES = 24
 
+# libm's hypot, the one np.hypot calls: math.hypot rounds differently in the
+# last bit.  numpy has already imported ctypes.
+_hypot = ctypes.CDLL(None).hypot
+_hypot.restype, _hypot.argtypes = ctypes.c_double, (ctypes.c_double, ctypes.c_double)
 
-def _float_descent(form, x, y0, config):
-    """Gradient descent lane by lane on the float form of grad_y_g, or None
-    when a lane's floats raise or end non-finite.
+
+def _descent_lane(xs, y, config, grad, hess):
+    """One gradient-descent lane in floats from y on the float form grad:
+    its row (y_hat, |grad_y g| there, NaN for nu_M, selected step, last
+    step) and the values whose finiteness shows it met no non-finite one.
 
     A non-finite gradient makes every later iterate non-finite, and a
     non-finite iterate stays so (inf - finite is inf, NaN stays NaN), so the
     last gradient and iterate tell whether a lane met one.
     """
     K, eta, tol = config.max_iters, config.eta, config.grad_tol
-    ys, gns, ks = [], [], []
+    for k in range(K + 1):
+        g = grad(xs, y)
+        if k == K or tol > 0 and abs(g) <= tol:
+            break
+        y = y - eta * g
+    return (y, abs(g), math.nan, k, k), (g, y)
+
+
+def _cubic_lane(xs, y, config, grad, hess):
+    """One cubic-Newton lane in floats from y on the float forms grad and
+    hess, with the arithmetic of the lockstep loop: its row (the selected
+    iterate, |grad_y g| and nu_M there, its step, the last step) and the last
+    step's g, h and iterate.
+
+    A lane whose 2 M |g| overflows raises OverflowError (lockstep takes
+    sqrt(2 M) sqrt(|g|) there).  Otherwise a non-finite g, or h, at a step
+    before the last either makes the next iterate non-finite, which stays so,
+    or leaves the iterate where it is (h = inf, or NaN with a tiny |g|), so
+    that the oracles repeat it up to the last step.  So finite last values
+    mean finite values at every step, where the running best under a strict
+    < is np.argmin's first smallest nu_M.
+    """
+    K, M, tol = config.max_iters, config.M, config.grad_tol
+    c = -(2.0 / (3.0 * M))
+    for k in range(K + 1):
+        g, h = grad(xs, y), hess(xs, y)
+        ag = abs(g)
+        # np.maximum keeps its second argument on a tie (0.0 against -0.0
+        # gives -0.0), max its first
+        nu = max(c * h, math.sqrt(ag / M))
+        if k == 0 or nu < b_nu:
+            b_y, b_gn, b_nu, b_k = y, ag, nu, k
+        if k == K or tol > 0 and ag <= tol:
+            break
+        # the step of _cubic_step_1d
+        q = 2.0 * M * ag
+        if q == math.inf:
+            raise OverflowError("2 M |g| overflows")
+        if ag <= 1e-13 * (ag + 1.0):
+            y = y + (-2.0 * h / M if h < 0.0 else 0.0)
+        else:
+            root = _hypot(h, math.sqrt(q))
+            y = y + -math.copysign(ag / (0.5 * (h + root)) if h >= 0.0 else (root - h) / M, g)
+    return (b_y, b_gn, b_nu, b_k, k), (g, h, y)
+
+
+def _float_solve(lane, x, y0, config, grad, hess):
+    """The solve of x (L, n) from y0 run by lane(xs, y0, config, grad, hess)
+    on each lane's x as a list of floats, or None when a lane raises
+    ValueError or OverflowError (math.sin(inf), say) or ends with a
+    non-finite value: the lockstep loop then runs the solve again and
+    reports the failure.
+    """
+    rows = []
     try:
         for xs in x.tolist():
-            y = y0
-            for k in range(K + 1):
-                g = form(xs, y)
-                if k == K or tol > 0 and abs(g) <= tol:
-                    break
-                y = y - eta * g
-            if not (math.isfinite(g) and math.isfinite(y)):
+            row, last = lane(xs, y0, config, grad, hess)
+            if not all(map(math.isfinite, last)):
                 return None
-            ys.append(y)
-            gns.append(abs(g))
-            ks.append(k)
-    except (ValueError, OverflowError):  # math.sin(inf), say
+            rows.append(row)
+    except (ValueError, OverflowError):
         return None
-    L = len(ks)
-    index = np.array(ks, dtype=int)
-    counts = {"g": np.zeros(L, dtype=int), "grad": index + 1, "hess": np.zeros(L, dtype=int)}
-    return LowerSolveResult(y_hat=np.array(ys, dtype=float).reshape(L, 1),
-                            grad_norm=np.array(gns, dtype=float), stationarity=None,
-                            selected_index=index, oracle_counts=counts, errors=[None] * L)
+    L = len(rows)
+    y_hat, grad_norm, nu, index, last = np.array(rows, dtype=float).reshape(L, 5).T.copy()
+    index, last = index.astype(int), last.astype(int)
+    cubic = config.method == CUBIC_NEWTON
+    counts = {"g": np.zeros(L, dtype=int), "grad": last + 1,
+              "hess": last + 1 if cubic else np.zeros(L, dtype=int)}
+    return LowerSolveResult(y_hat=y_hat.reshape(L, 1), grad_norm=grad_norm,
+                            stationarity=nu if cubic else None, selected_index=index,
+                            oracle_counts=counts, errors=[None] * L)
 
 
 def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
@@ -251,9 +312,11 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
         raise ValueError(f"x must have shape (L, {problem.n}), got {x.shape}")
     cubic = config.method == CUBIC_NEWTON
     L, K, M, tol = x.shape[0], config.max_iters, config.M, config.grad_tol
-    form = getattr(problem.grad_y_g, "float_form", None)
-    if not cubic and form is not None and L <= _FLOAT_LANES:
-        res = _float_descent(form, x, float(problem.y0[0]), config)
+    grad = getattr(problem.grad_y_g, "float_form", None)
+    hess = getattr(problem.hess_yy_g, "float_form", None)
+    if L <= _FLOAT_LANES and grad is not None and (hess is not None or not cubic):
+        res = _float_solve(_cubic_lane if cubic else _descent_lane, x, float(problem.y0[0]),
+                           config, grad, hess)
         if res is not None:
             return res
     y_hat, grad_norm, nu_hat = np.empty((L, 1)), np.empty(L), np.empty(L) if cubic else None

@@ -18,14 +18,19 @@ hands one x per cell as (C, 1, n) against a shared y-grid (1, R, 1).  Oracles
 index x[..., j] and y[..., 0], add trailing axes with [..., None] and compute
 elementwise, so each point has the bits it has alone.  Every oracle call in
 the package goes through `call_oracle`, which checks the output's shape,
-except calls of a float form.  Float form.  A bundle's grad_y_g may carry the
-attribute `float_form(xs, y)`: xs is one lane's x as a list of n floats, y
-is a float, and it returns grad_y_g there as a float with the bits the array
-oracle gives that lane (`lower.solve_lower` runs small gradient-descent
-solves on it).  The attribute belongs to the function, so a replaced or
-wrapped grad_y_g has none.  Only the minimax bundle declares one.  A
-feasible set's `project` and `contains` act on the last axis.  The GDA
-baseline uses no bundle: it integrates the saddle flow of `minimax_gradient`.
+except calls of a float form.  A feasible set's `project` and `contains` act
+on the last axis.  The GDA baseline uses no bundle: it integrates the saddle
+flow of `minimax_gradient`.
+
+Float form.  A bundle's grad_y_g and hess_yy_g may carry the attribute
+`float_form(xs, y)`: xs is one lane's x as a list of n floats, y is a float,
+and it returns the oracle there as a float with the bits the array oracle
+gives that lane, or raises ValueError where it makes no such promise
+(`lower.solve_lower` runs small solves on the forms and hands a solve whose
+form raises to its lockstep loop).  The attribute belongs to the function,
+so a replaced or wrapped oracle has none.  Every builtin declares both
+forms; the fold's serve only its window |y| <= 1.5, where the confinement
+terms are +-0.0, and raise outside it or at a NaN y.
 
 Root bound.  A bundle may declare `grad_y_root_bound`, which maps x (..., n)
 to R (...): for every y with |y| >= R(x), the computed grad_y_g(x, y) is
@@ -145,28 +150,27 @@ def _mm_f(a, b):
     return (a * a - b * b) * np.sin(a + b) + a * b * np.sin(a - b)
 
 
-def _mm_fy_with(sin, cos):
-    """df/dy computed with the given sin and cos: numpy's for arrays, math's
-    for floats.  Both forms run the same operations in the same order, and
-    numpy's float64 sin and cos give math's bits, so a float has the bits of
-    its lane."""
+def _mm_y_derivatives(sin, cos):
+    """df/dy and d2f/dy2 computed with the given sin and cos: numpy's for
+    arrays, math's for floats.  Both forms run the same operations in the
+    same order, and numpy's float64 sin and cos give math's bits, so a float
+    has the bits of its lane."""
 
     def fy(a, b):
         d, s = a - b, a + b
         return (-a * b * cos(d) + a * sin(d)
                 - 2.0 * b * sin(s) + (a * a - b * b) * cos(s))
 
-    return fy
+    def fyy(a, b):
+        return (-a * b * sin(a - b) - 2.0 * a * cos(a - b)
+                - 4.0 * b * cos(a + b) - (a * a - b * b) * sin(a + b)
+                - 2.0 * sin(a + b))
+
+    return fy, fyy
 
 
-_mm_fy = _mm_fy_with(np.sin, np.cos)
-_mm_fy_float = _mm_fy_with(math.sin, math.cos)
-
-
-def _mm_fyy(a, b):
-    return (-a * b * np.sin(a - b) - 2.0 * a * np.cos(a - b)
-            - 4.0 * b * np.cos(a + b) - (a * a - b * b) * np.sin(a + b)
-            - 2.0 * np.sin(a + b))
+_mm_fy, _mm_fyy = _mm_y_derivatives(np.sin, np.cos)
+_mm_fy_float, _mm_fyy_float = _mm_y_derivatives(math.sin, math.cos)
 
 
 def _mm_fxy(a, b):
@@ -213,6 +217,8 @@ def builtin_minimax() -> BilevelProblem:
     def hess_yy_g(x, y):
         return -_mm_fyy(x[..., 0], y[..., 0])[..., None, None]
 
+    hess_yy_g.float_form = lambda xs, y: -_mm_fyy_float(xs[0], y)
+
     def grad_x_grad_y_g(x, y):
         return -_mm_fxy(x[..., 0], y[..., 0])[..., None, None]
 
@@ -247,6 +253,14 @@ def builtin_minimax() -> BilevelProblem:
 _DOUBLE_WELL_F_BAR = 5.33  # 1.5 x max|y| over the sublevel grid (max 3.553)
 
 
+def _dw_grad(u):
+    return 4.0 * u * u * u - 4.0 * u
+
+
+def _dw_hess(u):
+    return 12.0 * u * u - 4.0
+
+
 def builtin_shifted_double_well() -> BilevelProblem:
     def f(x, y):
         return np.broadcast_to(y[..., 0], batch_shape(x, y)).copy()
@@ -257,16 +271,16 @@ def builtin_shifted_double_well() -> BilevelProblem:
         return u2 * u2 - 2.0 * u2
 
     def grad_y_g(x, y):
-        u = y[..., 0] - x[..., 0]
-        return (4.0 * u * u * u - 4.0 * u)[..., None]
+        return _dw_grad(y[..., 0] - x[..., 0])[..., None]
 
     def hess_yy_g(x, y):
-        u = y[..., 0] - x[..., 0]
-        return (12.0 * u * u - 4.0)[..., None, None]
+        return _dw_hess(y[..., 0] - x[..., 0])[..., None, None]
+
+    grad_y_g.float_form = lambda xs, y: _dw_grad(y - xs[0])
+    hess_yy_g.float_form = lambda xs, y: _dw_hess(y - xs[0])
 
     def grad_x_grad_y_g(x, y):
-        u = y[..., 0] - x[..., 0]
-        return (-(12.0 * u * u - 4.0))[..., None, None]
+        return (-_dw_hess(y[..., 0] - x[..., 0]))[..., None, None]
 
     return BilevelProblem(
         n=1,
@@ -299,6 +313,14 @@ def _fold_overhang(y):
     return np.maximum(0.0, np.abs(y) - _FOLD_EDGE)
 
 
+def _fold_window(xs, y):
+    """x1 of the lane xs for the fold's float forms; ValueError unless
+    |y| <= 1.5."""
+    if not -_FOLD_EDGE <= y <= _FOLD_EDGE:
+        raise ValueError(f"y = {y} lies outside the fold's float window")
+    return xs[0]
+
+
 def builtin_fold_family() -> BilevelProblem:
     def f(x, y):
         return x[..., 0] + y[..., 0]
@@ -325,6 +347,20 @@ def builtin_fold_family() -> BilevelProblem:
         r = _fold_overhang(yy)
         return (6.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
                 + 12.0 * _FOLD_CONF * r * r)[..., None, None]
+
+    # on the window the confinement term of grad_y_g is +-0.0, which leaves
+    # the chain's bits alone, and that of hess_yy_g is +0.0; outside it, or
+    # at a NaN y, the forms raise and a solve runs in lockstep, since the
+    # bits of np.power depend on numpy's CPU dispatch
+    def grad_form(xs, y):
+        x1 = _fold_window(xs, y)
+        return 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * y * y + (1.0 - 2.0 * x1)
+
+    def hess_form(xs, y):
+        x1 = _fold_window(xs, y)
+        return 6.0 * (3.0 * x1 - 2.0 * x1 * x1) * y + 0.0
+
+    grad_y_g.float_form, hess_yy_g.float_form = grad_form, hess_form
 
     def grad_x_grad_y_g(x, y):
         x1, yy = x[..., 0], y[..., 0]
@@ -353,9 +389,8 @@ def builtin_fold_family() -> BilevelProblem:
 _QUARTIC_F_BAR = 310.6  # 1.5 x max|x1 + y| over the sublevel grid (max 207.06)
 
 
-def _q_coefficients(x):
-    """c3(x) and c2(x) of the quartic family."""
-    x1, x2 = x[..., 0], x[..., 1]
+def _q_coefficients(x1, x2):
+    """c3 and c2 of the quartic family at x = (x1, x2), arrays or floats."""
     return (x1 * x1 - 5.0 * x1 * x2 + 2.0 * x2 * x2 - 7.0 * x1 + 8.0 * x2 - 30.0,
             x1 * x1 - 3.0 * x1 * x2 + 4.0 * x2 * x2 - 5.0 * x1 + 2.0 * x2 - 40.0)
 
@@ -365,11 +400,11 @@ def builtin_quartic_family() -> BilevelProblem:
         return x[..., 0] + y[..., 0]
 
     def g(x, y):
-        (c3, c2), yy = _q_coefficients(x), y[..., 0]
+        (c3, c2), yy = _q_coefficients(x[..., 0], x[..., 1]), y[..., 0]
         return (((yy + c3) * yy + c2) * yy + c3) * yy
 
     def grad_y_g(x, y):
-        (c3, c2), yy = _q_coefficients(x), y[..., 0]
+        (c3, c2), yy = _q_coefficients(x[..., 0], x[..., 1]), y[..., 0]
         t = 4.0 * yy + 3.0 * c3
         t *= yy
         t += 2.0 * c2
@@ -378,8 +413,18 @@ def builtin_quartic_family() -> BilevelProblem:
         return t[..., None]
 
     def hess_yy_g(x, y):
-        (c3, c2), yy = _q_coefficients(x), y[..., 0]
+        (c3, c2), yy = _q_coefficients(x[..., 0], x[..., 1]), y[..., 0]
         return ((12.0 * yy + 6.0 * c3) * yy + 2.0 * c2)[..., None, None]
+
+    def grad_form(xs, y):
+        c3, c2 = _q_coefficients(*xs)
+        return ((4.0 * y + 3.0 * c3) * y + 2.0 * c2) * y + c3
+
+    def hess_form(xs, y):
+        c3, c2 = _q_coefficients(*xs)
+        return (12.0 * y + 6.0 * c3) * y + 2.0 * c2
+
+    grad_y_g.float_form, hess_yy_g.float_form = grad_form, hess_form
 
     # grad_y_g runs the Horner chain of 4 y^3 + A y^2 + B y + C with A =
     # fl(3 c3), B = 2 c2 and C = c3 as written: 4 y and 2 c2 are exact, every
@@ -392,7 +437,7 @@ def builtin_quartic_family() -> BilevelProblem:
     # on top is spare slack (underflow, which gamma_6 does not model, costs
     # far less).
     def grad_y_root_bound(x):
-        c3, c2 = _q_coefficients(x)
+        c3, c2 = _q_coefficients(x[..., 0], x[..., 1])
         s = np.abs(3.0 * c3) + np.abs(2.0 * c2) + np.abs(c3)
         return np.maximum(1.0, (0.25 * (1.0 + 1e-9)) * s) + 1e-12
 

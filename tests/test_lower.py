@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import decimal
 import itertools
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from scinbio import (LowerSolverConfig, builtin_fold_family, builtin_minimax,
-                     builtin_shifted_double_well, solve_cubic_subproblem, solve_lower,
-                     stationarity_measure)
+                     builtin_quartic_family, builtin_shifted_double_well, get_problem,
+                     solve_cubic_subproblem, solve_lower, stationarity_measure)
 from scinbio.errors import LowerSolveError
-from scinbio.lower import _FLOAT_LANES, _cubic_step_1d, run_lower_lean
+from scinbio.lower import _FLOAT_LANES, _cubic_step_1d, _hypot, run_lower_lean
+from scinbio.problems import LOWER_DEFAULTS
 
 from conftest import quadratic_problem, reference_solve
 
@@ -614,40 +616,79 @@ def test_permuting_or_splitting_a_batch_permutes_or_splits_results(data):
 
 
 # ---------------------------------------------------------------------------
-# the float loop of small gradient-descent solves
+# the float loop of small solves
 # ---------------------------------------------------------------------------
 
+_ORACLES_WITH_FORMS = ("grad_y_g", "hess_yy_g")
+
+
 def plain(problem):
-    """problem with grad_y_g wrapped in a plain function: no float form, so
-    every solve runs the lockstep loop."""
-    grad = problem.grad_y_g
-    return dataclasses.replace(problem, grad_y_g=lambda x, y: grad(x, y))
+    """problem with grad_y_g and hess_yy_g wrapped in plain functions: no
+    float form, so every solve runs the lockstep loop."""
+    def wrap(oracle):
+        return lambda x, y: oracle(x, y)
+
+    return dataclasses.replace(problem, **{name: wrap(getattr(problem, name))
+                                           for name in _ORACLES_WITH_FORMS})
 
 
-def with_float_form(problem, grad, form):
-    """problem whose grad_y_g is the array oracle grad carrying the float
-    form `form`, and a list that records each call of the form."""
-    calls = []
+def with_float_forms(problem, forms):
+    """problem whose oracles named in forms, a dict name -> (array oracle,
+    float form or None), are those array oracles carrying those forms, and a
+    Counter of their calls: the oracle's name for an array call, name +
+    ".float_form" for a call of its form."""
+    calls = collections.Counter()
 
-    def grad_y_g(x, y):
-        return grad(x, y)
+    def wrap(name, array, form):
+        def oracle(x, y):
+            calls[name] += 1
+            return array(x, y)
 
-    def counted(xs, y):
-        calls.append(y)
-        return form(xs, y)
+        def counted(xs, y):
+            calls[name + ".float_form"] += 1
+            return form(xs, y)
 
-    grad_y_g.float_form = counted
-    return dataclasses.replace(problem, grad_y_g=grad_y_g), calls
+        if form is not None:
+            oracle.float_form = counted
+        return oracle
+
+    return dataclasses.replace(problem, **{name: wrap(name, *pair)
+                                           for name, pair in forms.items()}), calls
 
 
-@settings(max_examples=100, deadline=None)
+def counted(problem):
+    """problem with its own float forms, and the Counter of
+    `with_float_forms`."""
+    return with_float_forms(problem, {
+        name: (getattr(problem, name), getattr(getattr(problem, name), "float_form", None))
+        for name in _ORACLES_WITH_FORMS})
+
+
+# problem, method, x span (None for the box) and y0 span of the property test
+_FLOAT_CASES = [("minimax", "gradient_descent", 6.0, None),
+                ("minimax", "cubic_newton", 6.0, 6.0),
+                ("fold", "cubic_newton", None, 1.5),
+                ("double-well", "cubic_newton", None, 3.0),
+                ("quartic", "cubic_newton", None, 200.0)]
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_the_float_loop_is_the_lockstep_loop(minimax, data):
+def test_the_float_loop_is_the_lockstep_loop(data):
+    name, method, x_span, y_span = data.draw(st.sampled_from(_FLOAT_CASES), label="case")
+    problem = get_problem(name)
     L = data.draw(st.integers(0, _FLOAT_LANES), label="L")
-    xs = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=L, max_size=L),
-                            label="x"), dtype=float).reshape(L, 1)
-    K = data.draw(st.integers(0, 300), label="K")
+    lo, hi = problem.feasible_set.bbox if x_span is None else (-x_span, x_span)
+    t = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=L * problem.n,
+                                    max_size=L * problem.n), label="t"))
+    xs = lo + t.reshape(L, problem.n) * (hi - lo)
+    if y_span is not None and data.draw(st.booleans(), label="own y0"):
+        problem = dataclasses.replace(problem, y0=np.array(
+            [data.draw(st.floats(-y_span, y_span), label="y0")]))
+    cubic = method == "cubic_newton"
+    K = data.draw(st.integers(0, 60 if cubic else 300), label="K")
     eta = data.draw(st.floats(1e-4, 0.05), label="eta")
+    M = LOWER_DEFAULTS[name]["M"] * data.draw(st.floats(0.1, 10.0), label="M factor")
     tol = data.draw(st.one_of(st.just(0.0), st.floats(1e-8, 1e-2), st.just("tie")),
                     label="tol")
     if tol == "tie":
@@ -655,64 +696,161 @@ def test_the_float_loop_is_the_lockstep_loop(minimax, data):
         # at the first step reaching it under <=, and runs past it under <
         tol = 0.0
         if L and K:
-            norms = reference_solve(minimax, xs[:1], LowerSolverConfig(
-                eta=eta, max_iters=K))[0]["grad_norms"]
+            norms = reference_solve(problem, xs[:1], LowerSolverConfig(
+                method=method, eta=eta, M=M, max_iters=K))[0]["grad_norms"]
             j = data.draw(st.integers(0, len(norms) - 2), label="j")
             least = float(norms[:j + 1].min())
             tol = least if math.isfinite(least) else 0.0
-    cfg = LowerSolverConfig(eta=eta, max_iters=K, grad_tol=tol)
-    assert_same_solve(solve_lower(minimax, xs, cfg), solve_lower(plain(minimax), xs, cfg))
+    cfg = LowerSolverConfig(method=method, eta=eta, M=M, max_iters=K, grad_tol=tol)
+    with np.errstate(all="ignore"):
+        assert_same_solve(solve_lower(problem, xs, cfg), solve_lower(plain(problem), xs, cfg))
 
 
-@pytest.mark.parametrize("method, L, runs_float", [
-    ("gradient_descent", _FLOAT_LANES, True),
-    ("gradient_descent", _FLOAT_LANES + 1, False),
-    ("cubic_newton", 3, False)])
-def test_the_float_form_serves_small_gradient_descent_only(minimax, method, L, runs_float):
-    p, calls = with_float_form(minimax, minimax.grad_y_g, minimax.grad_y_g.float_form)
+def _edge_case(kind):
+    """(problem, x, config, whether the float loop serves the solve alone) of
+    a cubic-Newton solve at an edge of the float step."""
+    cfg = lambda name, K: LowerSolverConfig(method="cubic_newton", M=LOWER_DEFAULTS[name]["M"],
+                                            max_iters=K)
+    fold, well = builtin_fold_family(), builtin_shifted_double_well()
+    if kind == "no lanes":
+        return fold, np.empty((0, 2)), cfg("fold", 10), True
+    if kind == "no steps":
+        return (builtin_quartic_family(), np.array([[0.5, -1.0], [4.0, 4.5]]), cfg("quartic", 0),
+                True)
+    if kind == "nu tie":
+        # at x1 = 1/2 and y = 0 the fold's g and h are 0.0: no step, and
+        # nu_M = max(0.0, -0.0) is -0.0 at every step
+        return dataclasses.replace(fold, y0=np.array([0.0])), np.array([[0.5, 0.3]]), \
+            cfg("fold", 5), True
+    if kind == "tiny gradient":
+        # y0 - x = 1, a minimizer of the double well: g = 0, h = 8
+        return dataclasses.replace(well, y0=np.array([1.0])), np.array([[0.0], [0.5]]), \
+            cfg("double-well", 5), True
+    if kind == "hard case":
+        # y0 = x, the double well's hump: g = 0, h = -4, the step -2 h / M
+        return dataclasses.replace(well, y0=np.array([0.25])), np.array([[0.25], [-1.0]]), \
+            cfg("double-well", 8), True
+    if kind == "hypot rounding":
+        # math.hypot and np.hypot round the first step's root of these lanes
+        # differently
+        return well, np.array([[-1.884], [-1.692], [-1.287]]), cfg("double-well", 1), True
+    if kind == "leaves the window":
+        # at x1 = 0 the fold's g is 1 on the window; the lane heads for the
+        # root near y = -1.79, so its forms raise and the solve runs lockstep
+        return fold, np.array([[0.0, 0.0], [0.6, 0.2]]), cfg("fold", 200), False
+    # y0 = 2e102 makes the double well's 2 M |g| overflow, which lockstep
+    # steps through as sqrt(2 M) sqrt(|g|) and the float loop hands over
+    return dataclasses.replace(well, y0=np.array([2e102])), np.array([[0.0]]), \
+        cfg("double-well", 3), False
+
+
+@pytest.mark.parametrize("kind", ["no lanes", "no steps", "nu tie", "tiny gradient",
+                                  "hard case", "hypot rounding", "leaves the window",
+                                  "2 M |g| overflows"])
+def test_the_float_loop_is_the_lockstep_loop_at_the_edges(kind):
+    problem, xs, cfg, alone = _edge_case(kind)
+    p, calls = counted(problem)
+    res = solve_lower(p, xs, cfg)
+    assert_same_solve(res, solve_lower(plain(problem), xs, cfg))
+    assert res.errors == [None] * len(xs)
+    assert calls["grad_y_g.float_form"] > 0 or not len(xs)
+    assert (calls["grad_y_g"] + calls["hess_yy_g"] == 0) == alone
+    if kind == "nu tie":
+        assert res.selected_index.tolist() == [0]
+        assert res.stationarity.tobytes() == np.float64(-0.0).tobytes()
+
+
+@pytest.mark.parametrize("method, L, hess_form, runs_float", [
+    ("gradient_descent", _FLOAT_LANES, True, True),
+    ("gradient_descent", _FLOAT_LANES + 1, True, False),
+    ("cubic_newton", 3, True, True),
+    ("cubic_newton", _FLOAT_LANES, True, True),
+    ("cubic_newton", _FLOAT_LANES + 1, True, False),
+    ("cubic_newton", 3, False, False)])
+def test_the_float_forms_serve_small_solves_only(minimax, method, L, hess_form, runs_float):
+    # cubic Newton needs the forms of both oracles
+    p, calls = with_float_forms(minimax, {
+        "grad_y_g": (minimax.grad_y_g, minimax.grad_y_g.float_form),
+        "hess_yy_g": (minimax.hess_yy_g, minimax.hess_yy_g.float_form if hess_form else None)})
     xs = np.linspace(-2.0, 2.0, L)[:, None]
     cfg = LowerSolverConfig(method=method, eta=0.01, M=32.0, max_iters=20)
     assert_same_solve(solve_lower(p, xs, cfg), solve_lower(plain(minimax), xs, cfg))
-    assert len(calls) == (L * 21 if runs_float else 0)
+    cubic = method == "cubic_newton"
+    assert calls["grad_y_g.float_form"] == (L * 21 if runs_float else 0)
+    assert calls["hess_yy_g.float_form"] == (L * 21 if runs_float and cubic else 0)
+    assert (calls["grad_y_g"] == 0) == runs_float
 
 
 def _failing_forms(kind):
-    """(problem, array oracle, its float form, config, lanes) of a solve whose
-    float loop fails and hands over: NaN once |y| > 0.2 on the lanes with
-    x > 0.3; 1.7e308 there instead, whose step overflows y to inf so that the
-    next math.sin raises; or inf at the last step, on the lanes with x > 0.
-    The first lane, x = 0, runs clean in each, and the second fails."""
-    mm = builtin_minimax()
-    grad, form = mm.grad_y_g, mm.grad_y_g.float_form
+    """(problem, forms, config, lanes) of a solve whose float loop fails and
+    hands over, forms as `with_float_forms` takes them.  Gradient descent on
+    minimax: NaN once |y| > 0.2 on the lanes with x > 0.3; 1.7e308 there
+    instead, whose step overflows y to inf so that the next math.sin raises;
+    or inf at the last step, on the lanes with x > 0.  Cubic Newton on the
+    double well: a NaN Hessian once |y| > 0.2 on the lanes with x > 0.3; an
+    inf one there, whose step is 0, so that the lane stays where it is; or
+    h = -1e308 there, whose step overflows y to inf (the double well's lanes
+    with x = 1 never get there, so x = 0.5 comes second).  The first lane,
+    x = 0, runs clean in each, and the second fails."""
+    mm, well = builtin_minimax(), builtin_shifted_double_well()
     hot = lambda x, y: (x > 0.3) & (np.abs(y) > 0.2)
     xs = np.array([[0.0], [1.0], [-1.0], [0.5], [-0.5], [0.7]])
-    if kind == "nan":
-        return (mm, lambda x, y: np.where(hot(x, y), math.nan, grad(x, y)),
-                lambda x, y: math.nan if hot(x[0], y) else form(x, y),
-                LowerSolverConfig(eta=0.05, max_iters=100, grad_tol=1e-6), xs)
-    if kind == "overflow":
+    if kind in ("nan", "overflow"):
+        grad, form = mm.grad_y_g, mm.grad_y_g.float_form
+        if kind == "nan":
+            return (mm, {"grad_y_g": (lambda x, y: np.where(hot(x, y), math.nan, grad(x, y)),
+                                      lambda x, y: math.nan if hot(x[0], y) else form(x, y))},
+                    LowerSolverConfig(eta=0.05, max_iters=100, grad_tol=1e-6), xs)
+
         def huge(x, y):
             g = form(x, y)
             return 1.7e308 * ((g > 0) - (g < 0)) if hot(x[0], y) else g
-        return (mm, lambda x, y: np.where(hot(x, y), 1.7e308 * np.sign(grad(x, y)),
-                                          grad(x, y)),
-                huge, LowerSolverConfig(eta=1.5, max_iters=10), xs)
-    # y_k = k / 4 on every lane, and the gradient is inf from y = 0.7 on
-    return (quadratic_problem(),
+        return (mm, {"grad_y_g": (lambda x, y: np.where(hot(x, y), 1.7e308 * np.sign(grad(x, y)),
+                                                        grad(x, y)), huge)},
+                LowerSolverConfig(eta=1.5, max_iters=10), xs)
+    if kind == "last-step inf":
+        # y_k = k / 4 on every lane, and the gradient is inf from y = 0.7 on
+        return (quadratic_problem(), {"grad_y_g": (
             lambda x, y: np.where((y < 0.7) | (x <= 0.0), -1.0, math.inf),
-            lambda x, y: -1.0 if y < 0.7 or x[0] <= 0.0 else math.inf,
+            lambda x, y: -1.0 if y < 0.7 or x[0] <= 0.0 else math.inf)},
             LowerSolverConfig(eta=0.25, max_iters=3), xs)
+    well = dataclasses.replace(well, y0=np.array([0.1]))
+    hess, form = well.hess_yy_g, well.hess_yy_g.float_form
+    bad = {"cubic NaN Hessian": math.nan, "cubic inf Hessian": math.inf,
+           "cubic overflowing step": -1e308}[kind]
+    return (well, {"grad_y_g": (well.grad_y_g, well.grad_y_g.float_form),
+                   "hess_yy_g": (lambda x, y: np.where(hot(x, y)[..., None], bad, hess(x, y)),
+                                 lambda x, y: bad if hot(x[0], y) else form(x, y))},
+            LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=6), xs[[0, 3, 2, 1, 4, 5]])
 
 
-@pytest.mark.parametrize("kind", ["nan", "overflow", "last-step inf"])
+@pytest.mark.parametrize("kind", ["nan", "overflow", "last-step inf", "cubic NaN Hessian",
+                                  "cubic inf Hessian", "cubic overflowing step"])
 def test_a_failing_float_loop_hands_the_solve_to_the_lockstep_loop(kind):
-    problem, grad, form, cfg, xs = _failing_forms(kind)
-    p, calls = with_float_form(problem, grad, form)
+    problem, forms, cfg, xs = _failing_forms(kind)
+    p, calls = with_float_forms(problem, forms)
     with np.errstate(all="ignore"):
         res = solve_lower(p, xs, cfg)
-        twin = solve_lower(dataclasses.replace(problem, grad_y_g=grad), xs, cfg)
-    assert calls and any(e is not None for e in twin.errors)
+        twin = solve_lower(dataclasses.replace(problem, **{
+            name: array for name, (array, _) in forms.items()}), xs, cfg)
+    assert calls["grad_y_g.float_form"] and calls["grad_y_g"]
+    assert twin.errors[0] is None and twin.errors[1] is not None
     assert_same_solve(res, twin)
+
+
+def test_libm_hypot_is_numpy_hypot():
+    # the float cubic step roots with libm's hypot through ctypes; it must
+    # round as np.hypot does in the lockstep step, at the edges of the
+    # doubles and on random pairs over sixteen decades
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.inf, -math.inf,
+             math.nan, 1.0, 3.0]
+    a, b = np.array(list(itertools.product(edges, repeat=2))).T
+    rng = np.random.default_rng(11)
+    shape = (2, 10 ** 5)
+    c, d = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+    for u, v in ((a, b), (c, d)):
+        got = np.array([_hypot(p, q) for p, q in zip(u.tolist(), v.tolist())])
+        assert got.tobytes() == np.hypot(u, v).tobytes()
 
 
 @pytest.mark.parametrize("method", ["gradient_descent", "cubic_newton"])

@@ -289,6 +289,41 @@ def test_broadcast_batches_equal_flattened_lanes_bit_for_bit(name, data):
         assert grid.reshape(lanes.shape).tobytes() == lanes.tobytes(), oracle
 
 
+# y values a float form must round as its lane does: signed zeros,
+# subnormals, the fold's window edges and their neighbours, and NaN
+_FORM_EDGE_YS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.5, -1.5,
+                 math.nextafter(1.5, 0.0), math.nextafter(-1.5, 0.0),
+                 math.nextafter(1.5, 2.0), math.nextafter(-1.5, -2.0), 1e6, -1e6, math.nan]
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_float_forms_have_the_bits_of_their_lanes(name, data):
+    # every builtin's grad_y_g and hess_yy_g declare a float form; off the
+    # fold's window |y| <= 1.5 (NaN included) the fold's forms raise
+    problem = get_problem(name)
+    lo, hi = problem.feasible_set.bbox
+    t = data.draw(st.lists(st.floats(0.0, 1.0), min_size=problem.n, max_size=problem.n),
+                  label="t")
+    x = lo + np.array(t) * (hi - lo)
+    y = data.draw(st.one_of(st.floats(-1e6, 1e6), st.floats(-2.0, 2.0),
+                            st.sampled_from(_FORM_EDGE_YS)), label="y")
+    for oracle in ("grad_y_g", "hess_yy_g"):
+        form = getattr(problem, oracle).float_form
+        if name == "fold" and not abs(y) <= 1.5:
+            with pytest.raises(ValueError, match="outside the fold's float window"):
+                form(x.tolist(), y)
+            continue
+        value = form(x.tolist(), y)
+        lane = call_oracle(problem, oracle, x[None, :], np.array([[y]])).reshape(())
+        assert type(value) is float, oracle
+        if math.isnan(y):
+            assert math.isnan(value) and np.isnan(lane), oracle
+        else:
+            assert np.float64(value).tobytes() == lane.tobytes(), (oracle, x, y)
+
+
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_oracles_are_pure(name):
     # kernels may work in place on their own temporaries, never on their
