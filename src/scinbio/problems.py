@@ -314,8 +314,11 @@ def _fold_overhang(y):
 
 
 def _fold_window(xs, y):
-    """x1 of the lane xs for the fold's float forms; ValueError unless
-    |y| <= 1.5."""
+    """x1 of the lane xs for the fold's float forms.  They serve |y| <= 1.5,
+    where the confinement term is +-0.0 in grad_y_g, which leaves the
+    chain's bits alone, and +0.0 in hess_yy_g; elsewhere, and at a NaN y,
+    ValueError hands a solve to lockstep, since the bits of np.power depend
+    on numpy's CPU dispatch."""
     if not -_FOLD_EDGE <= y <= _FOLD_EDGE:
         raise ValueError(f"y = {y} lies outside the fold's float window")
     return xs[0]
@@ -348,10 +351,6 @@ def builtin_fold_family() -> BilevelProblem:
         return (6.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
                 + 12.0 * _FOLD_CONF * r * r)[..., None, None]
 
-    # on the window the confinement term of grad_y_g is +-0.0, which leaves
-    # the chain's bits alone, and that of hess_yy_g is +0.0; outside it, or
-    # at a NaN y, the forms raise and a solve runs in lockstep, since the
-    # bits of np.power depend on numpy's CPU dispatch
     def grad_form(xs, y):
         x1 = _fold_window(xs, y)
         return 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * y * y + (1.0 - 2.0 * x1)

@@ -644,12 +644,12 @@ def with_float_forms(problem, forms):
             calls[name] += 1
             return array(x, y)
 
-        def counted(xs, y):
+        def form_call(xs, y):
             calls[name + ".float_form"] += 1
             return form(xs, y)
 
         if form is not None:
-            oracle.float_form = counted
+            oracle.float_form = form_call
         return oracle
 
     return dataclasses.replace(problem, **{name: wrap(name, *pair)
