@@ -13,7 +13,7 @@ from .geometry import (BifurcationScan, DimensionEstimate, Points,
                        find_stationary_points_1d, neighborhood_measure,
                        scan_bifurcation_set)
 from .lower import (CubicStep, LowerSolveResult, LowerSolverConfig,
-                    solve_cubic_subproblem, solve_lower, stationarity_measure)
+                    solve_cubic_subproblem, solve_lower)
 from .outer import (LockstepRun, OuterConfig, OuterTrace, Schedules,
                     constant_schedules, default_schedules, gradient_mapping,
                     random_index_pmf, run_scinbio, tail_stability,
@@ -22,6 +22,6 @@ from .problems import (BilevelProblem, FeasibleSet, PROBLEM_NAMES, box_set,
                        builtin_fold_family, builtin_minimax, builtin_quartic_family,
                        builtin_shifted_double_well, get_problem, minimax_gradient)
 from .smoothing import (GradientEstimates, SmoothingConfig, estimate_hypergradient,
-                        gradient_norm_bound, lipschitz_bound, smoothed_step_reference)
+                        gradient_norm_bound, lipschitz_bound)
 
 __version__ = "0.1.0"

@@ -306,7 +306,7 @@ def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
         vals = call_oracle(problem, "f", tail, y_hat)
         k = int(np.argmin(vals))
         result["best_of_last_100"] = {"t": offset + k, "x": [float(v) for v in tail[k]],
-                                      "y_hat": [float(v) for v in y_hat[k]],
+                                      "y_hat": [float(y_hat[k])],
                                       "f": float(vals[k])}
 
     files = {}
@@ -326,8 +326,7 @@ def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
                            extra=extra)
         files["summary"] = f"summary_seed{seed}.json"
     if "svg" in cfg["emit"]:
-        pts = list(zip(phase[:, 0].tolist(),
-                       _solved(solve, slice(len(tail), None))[:, 0].tolist()))
+        pts = list(zip(phase[:, 0].tolist(), _solved(solve, slice(len(tail), None)).tolist()))
         lo, hi = problem.feasible_set.bbox
         py = [p[1] for p in pts]
         pad = 0.5

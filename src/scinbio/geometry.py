@@ -8,14 +8,16 @@ neighboring grid cells (or a root's curvature collapses), a two-variable
 Newton iteration solves  grad_y g = 0, d2g/dy2 = 0  along the connecting
 segment and pins the degenerate point to machine precision.
 
-The scan runs on lanes (see the lane convention in scinbio.problems) in four
-phases.  The first three find the stationary roots of all cells together:
+The scan runs on lanes in four phases: each oracle call hands `call_oracle`
+the lanes' x (..., n) and y of their batch shape (the lane convention of
+scinbio.problems) and gets values of that shape back.  The first three find
+the stationary roots of all cells together:
 
 1. grad_y g on every cell's y-grid, whole cells per oracle call up to a fixed
    lane budget (32 quartic cells of 2,000 points, 163 fold cells of 400), so
    memory stays flat whatever the resolution and each call's arrays stay in
    cache; the cells' parameters go in as (C, 1, n) against the shared grid
-   as (1, R, 1), so the oracle computes each cell's x-only terms once.  A
+   as (1, R), so the oracle computes each cell's x-only terms once.  A
    problem that declares grad_y_root_bound has each call evaluate only the
    grid columns with |y| below the chunk's largest bound, plus the nearest
    column beyond it on each side: outside, grad_y g is nonzero with the
@@ -132,17 +134,6 @@ class DimensionEstimate:
 # 1 << 12 ... 1 << 18: 2.76, 2.05, 1.43, 1.17, 1.10, 1.11, 1.19 s.
 _LANE_BUDGET = 1 << 16
 
-# the axes of length one that a one-dimensional follower adds to each output
-_DROP = {"g": (...,), "grad_y_g": (..., 0), "hess_yy_g": (..., 0, 0),
-         "grad_x_grad_y_g": (..., 0, slice(None))}
-
-
-def _lane_call(problem, name, x, y):
-    """g, grad_y_g, hess_yy_g or grad_x_grad_y_g at x (..., n) and y (...) of
-    batch shape B: shape B, or B + (n,) for the cross-derivative."""
-    return call_oracle(problem, name, x, y[..., None])[_DROP[name]]
-
-
 def _polish(problem, x, a, b, fa):
     """Roots of the sign changes bracketed by [a, b] at the parameters x, all
     brackets in lockstep: 12 bisections, then guarded Newton with a bisection
@@ -153,7 +144,7 @@ def _polish(problem, x, a, b, fa):
     live = np.arange(a.size)
     for _ in range(12):
         mid = 0.5 * (a[live] + b[live])
-        fm = _lane_call(problem, "grad_y_g", x[live], mid)
+        fm = call_oracle(problem, "grad_y_g", x[live], mid)
         left = (fa[live] < 0) == (fm < 0)
         a[live[left]], fa[live[left]] = mid[left], fm[left]
         b[live[~left]] = mid[~left]
@@ -163,13 +154,13 @@ def _polish(problem, x, a, b, fa):
             return y
     y[live] = 0.5 * (a[live] + b[live])
     for _ in range(40):
-        fy = _lane_call(problem, "grad_y_g", x[live], y[live])
+        fy = call_oracle(problem, "grad_y_g", x[live], y[live])
         far = ~(np.abs(fy) <= 1e-12 * (1.0 + np.abs(y[live])))
         live, fy = live[far], fy[far]
         if live.size == 0:
             break
         yl = y[live]
-        hy = _lane_call(problem, "hess_yy_g", x[live], yl)
+        hy = call_oracle(problem, "hess_yy_g", x[live], yl)
         with np.errstate(divide="ignore", invalid="ignore"):
             y_new = yl - fy / hy
         newton = (hy != 0.0) & (a[live] <= y_new) & (y_new <= b[live])
@@ -229,8 +220,8 @@ def _cell_roots(problem, xs, y_range, resolution) -> Roots:
             stop = min(int(np.searchsorted(ys, rmax)) + 1, resolution)
             start = max(0, min(int(np.searchsorted(ys, -rmax, side="right")) - 1, stop - 2))
             stop = max(stop, start + 2)
-        vals = _lane_call(problem, "grad_y_g", xs[c0:c0 + per_call, None, :],
-                          ys[None, start:stop])
+        vals = call_oracle(problem, "grad_y_g", xs[c0:c0 + per_call, None, :],
+                           ys[None, start:stop])
         (zc, zk), (c, k, fa) = _grid_signs(vals)
         zero_cell.append(zc + c0)
         zero_y.append(ys[zk + start])
@@ -256,8 +247,8 @@ def _cell_roots(problem, xs, y_range, resolution) -> Roots:
             k -= 1
         keep[t] = y[t] - y[k] >= min_gap
     cell, y = cell[keep], y[keep]
-    gv = _lane_call(problem, "grad_y_g", xs[cell], y)
-    lam = _lane_call(problem, "hess_yy_g", xs[cell], y)
+    gv = call_oracle(problem, "grad_y_g", xs[cell], y)
+    lam = call_oracle(problem, "hess_yy_g", xs[cell], y)
     ok = ~(np.abs(gv) > 1e-10 * (1.0 + np.abs(y)))
     return Roots(cell[ok], y[ok], gv[ok], lam[ok])
 
@@ -321,13 +312,13 @@ def _hunt_degenerate(problem, xa, xb, y_seed, y_lo, y_hi):
         k, sl, yl, xal, dxl = live.size, s[live], y[live], xa[live], dx[live]
         x = xal + sl[:, None] * dxl
         ey = 1e-6 * (1.0 + np.abs(yl))
-        gv = _lane_call(problem, "grad_y_g", x, yl)
-        dg_ds = (_lane_call(problem, "grad_x_grad_y_g", x, yl)[:, None, :]
-                 @ dxl[:, :, None])[:, 0, 0]
-        h = _lane_call(problem, "hess_yy_g",
-                       np.concatenate([x, xal + (sl + e)[:, None] * dxl,
-                                       xal + (sl - e)[:, None] * dxl, x, x]),
-                       np.concatenate([yl, yl, yl, yl + ey, yl - ey])).reshape(5, k)
+        gv = call_oracle(problem, "grad_y_g", x, yl)
+        dg_ds = (call_oracle(problem, "grad_x_grad_y_g", x, yl)[:, None, :]
+                 @ dxl[:, :, None]).reshape(k)
+        h = call_oracle(problem, "hess_yy_g",
+                        np.concatenate([x, xal + (sl + e)[:, None] * dxl,
+                                        xal + (sl - e)[:, None] * dxl, x, x]),
+                        np.concatenate([yl, yl, yl, yl + ey, yl - ey])).reshape(5, k)
         hv = h[0]
         dh_ds = (h[1] - h[2]) / (2 * e)
         dh_dy = (h[3] - h[4]) / (2 * ey)
@@ -348,8 +339,8 @@ def _hunt_degenerate(problem, xa, xb, y_seed, y_lo, y_hi):
     hit = np.flatnonzero(converged)
     sh, yh = s[hit], y[hit]
     x = xa[hit] + sh[:, None] * dx[hit]
-    gv = _lane_call(problem, "grad_y_g", x, yh)
-    hv = _lane_call(problem, "hess_yy_g", x, yh)
+    gv = call_oracle(problem, "grad_y_g", x, yh)
+    hv = call_oracle(problem, "hess_yy_g", x, yh)
     keep = ((np.abs(gv) <= 1e-9 * (1.0 + np.abs(yh)))
             & (np.abs(hv) < degeneracy_threshold(hv))
             & (-0.05 <= sh) & (sh <= 1.05))
@@ -447,11 +438,11 @@ def check_fold_conditions(problem, points: Points) -> np.ndarray:
         raise ValueError("fold check requires degenerate points")
 
     # (2) parameter derivative of grad_y g
-    c2_val = np.linalg.norm(_lane_call(problem, "grad_x_grad_y_g", x, y), axis=-1)
+    c2_val = np.linalg.norm(call_oracle(problem, "grad_x_grad_y_g", x, y), axis=-1)
 
     # (3) third derivative in y, 5-point stencil
     h = TAU_FOLD * (1.0 + np.abs(y))
-    p2, p1, m1, m2 = _lane_call(problem, "g", x, y + np.stack([2 * h, h, -h, -2 * h]))
+    p2, p1, m1, m2 = call_oracle(problem, "g", x, y + np.stack([2 * h, h, -h, -2 * h]))
     c3_val = np.abs((p2 - 2 * p1 + 2 * m1 - m2) / (2 * h ** 3))
 
     non_fold = (c2_val <= TAU_FOLD / 10) | (c3_val <= TAU_FOLD / 10)

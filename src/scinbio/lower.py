@@ -12,11 +12,11 @@ cubic Newton) runs each lane's steps in Python floats instead, with the same
 arithmetic and so the same result; a solve whose floats raise or turn
 non-finite runs again in lockstep, which reports the failure.
 
-The follower y is one-dimensional.  With g = dg/dy and h = d2g/dy2 at the
-iterate, the cubic method minimizes the model
-m(s) = g s + 1/2 h s^2 + (M/6)|s|^3 in closed form at every step and selects
-the iterate with the smallest second-order stationarity measure (Nesterov &
-Polyak, Math. Program. 108, 2006)
+The follower y is one-dimensional, so a solve's iterates are one float per
+lane.  With g = dg/dy and h = d2g/dy2 at the iterate, the cubic method
+minimizes the model m(s) = g s + 1/2 h s^2 + (M/6)|s|^3 in closed form at
+every step and selects the iterate with the smallest second-order
+stationarity measure (Nesterov & Polyak, Math. Program. 108, 2006)
 
     nu_M(y) = max( sqrt(|g| / M),  -(2 / (3 M)) h ).
 
@@ -37,8 +37,8 @@ from .errors import ConfigError, LowerSolveError
 from .problems import call_oracle
 
 __all__ = [
-    "LowerSolverConfig", "LowerSolveResult", "CubicStep",
-    "stationarity_measure", "solve_cubic_subproblem", "solve_lower",
+    "LowerSolverConfig", "LowerSolveResult", "CubicStep", "solve_cubic_subproblem",
+    "solve_lower",
 ]
 
 GRADIENT_DESCENT = "gradient_descent"
@@ -78,11 +78,11 @@ class LowerSolverConfig:
 
 @dataclass
 class LowerSolveResult:
-    """What a solve keeps of its L lanes, with no step axis: y_hat (L, 1)
-    and selected_index (L,), each lane's selected iterate and its step;
-    grad_norm (L,), |grad_y g| at y_hat, and stationarity (L,), nu_M at
-    y_hat (None for gradient descent); each oracle count an (L,) integer
-    array; errors[l], the LowerSolveError that stopped lane l, or None.
+    """What a solve keeps of its L lanes, as (L,) columns with no step axis:
+    y_hat and selected_index, each lane's selected iterate and its step;
+    grad_norm, |grad_y g| at y_hat, and stationarity, nu_M at y_hat (None
+    for gradient descent); each oracle count, an integer column; errors[l],
+    the LowerSolveError that stopped lane l, or None.
     """
 
     y_hat: np.ndarray
@@ -95,36 +95,23 @@ class LowerSolveResult:
 
 @dataclass(frozen=True)
 class CubicStep:
-    s: np.ndarray
+    s: float
     model_value: float
     boundary_multiplier: float  # r with (h + M r / 2) s = -g and r = |s|
     hard_case: bool
 
 
-def stationarity_measure(grad_norm, lambda_min, M):
-    """nu_M: max of sqrt(grad_norm / M) and -(2 / (3 M)) lambda_min (elementwise)."""
-    if np.any(np.asarray(grad_norm) < 0):
-        raise ValueError("grad_norm must be >= 0")
-    return _nu(grad_norm, lambda_min, _checked_M(M))
-
-
-def _checked_M(M):
-    M = float(M)
-    if not 0 < M < math.inf:
-        raise ValueError("M must be positive and finite")
-    return M
-
-
 def _nu(grad_norm, lambda_min, M):
-    return np.maximum(np.sqrt(grad_norm / M), -(2.0 / (3.0 * M)) * lambda_min)
+    # np.maximum keeps its second argument on a tie: +0.0 where g = 0 and h = +0.0
+    return np.maximum(-(2.0 / (3.0 * M)) * lambda_min, np.sqrt(grad_norm / M))
 
 
 # ---------------------------------------------------------------------------
 # Cubic-model subproblem
 # ---------------------------------------------------------------------------
 
-def solve_cubic_subproblem(grad, hess, M) -> CubicStep:
-    """Global minimizer of g s + 1/2 h s^2 + (M/6)|s|^3 for grad (1,) and hess (1, 1).
+def solve_cubic_subproblem(g, h, M) -> CubicStep:
+    """Global minimizer of g s + 1/2 h s^2 + (M/6)|s|^3 for real scalars g and h.
 
     The minimizer has a closed form (Nesterov & Polyak, Math. Program. 108,
     2006, sec. 5): s = -sign(g) r, where r >= 0 is the positive root of
@@ -138,25 +125,25 @@ def solve_cubic_subproblem(grad, hess, M) -> CubicStep:
     The model value r (g sign(s) + r (h/2 + M r/6)) overflows to -inf, not
     to inf - inf.  A step that overflows raises LowerSolveError.
     """
-    grad = np.atleast_1d(np.asarray(grad, dtype=float))
-    hess = np.atleast_2d(np.asarray(hess, dtype=float))
-    if grad.shape != (1,) or hess.shape != (1, 1):
-        raise ValueError(f"grad must be (1,) and hess (1, 1), got {grad.shape} and {hess.shape}")
-    M = _checked_M(M)
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+    g, h = np.asarray(g, dtype=float), np.asarray(h, dtype=float)
+    if g.ndim or h.ndim:
+        raise ValueError(f"g and h must be scalars, got shapes {g.shape} and {h.shape}")
+    M = float(M)
+    if not 0 < M < math.inf:
+        raise ValueError("M must be positive and finite")
+    if not (math.isfinite(g) and math.isfinite(h)):
         raise ValueError("non-finite subproblem inputs")
-    g, h = grad, hess[:, 0]
     with np.errstate(all="ignore"):  # the branch np.where drops, and overflow
         s, r, hard = _cubic_step_1d(g, np.abs(g), h, M)
         value = r * (g * np.sign(s) + r * (0.5 * h + (M / 6.0) * r))
-    if not np.isfinite(s).all():
-        raise LowerSolveError(f"cubic step overflows at g = {float(g[0])}, h = {float(h[0])}")
-    return CubicStep(s, float(value[0]), float(r[0]), bool(hard[0]))
+    if not math.isfinite(s):
+        raise LowerSolveError(f"cubic step overflows at g = {float(g)}, h = {float(h)}")
+    return CubicStep(float(s), float(value), float(r), bool(hard))
 
 
 def _cubic_step_1d(g, ag, h, M):
-    """Closed-form cubic step (s, r, hard_case) for arrays of 1-D (g, h),
-    with ag = |g|.
+    """Closed-form cubic step (s, r, hard_case) for arrays g and h of one
+    shape, with ag = |g|.
 
     np.where evaluates both forms of r; the one it drops may divide by zero,
     so callers run this under np.errstate.  Where 2 M |g| overflows,
@@ -188,9 +175,9 @@ def _cubic_step_1d(g, ag, h, M):
 # ---------------------------------------------------------------------------
 
 def _flag(errors, lanes, values, what, k):
-    """Record a non-finite `what` at step k in each of the lanes whose row of
-    values holds a non-finite value, unless the lane failed before."""
-    for lane in lanes[~np.isfinite(values.reshape(len(values), -1)).all(axis=1)]:
+    """Record a non-finite `what` at step k in each of the lanes whose value
+    is non-finite, unless the lane failed before."""
+    for lane in lanes[~np.isfinite(values)]:
         if errors[lane] is None:
             errors[lane] = LowerSolveError(f"non-finite {what} at lower-level step {k}",
                                            iterate_index=k)
@@ -249,9 +236,9 @@ def _cubic_lane(xs, y, config, grad, hess):
     for k in range(K + 1):
         g, h = grad(xs, y), hess(xs, y)
         ag = abs(g)
-        # np.maximum keeps its second argument on a tie (0.0 against -0.0
-        # gives -0.0), max its first
-        nu = max(c * h, math.sqrt(ag / M))
+        # max keeps its first argument on a tie, as np.maximum in _nu keeps
+        # its second: +0.0 where g = 0 and h = +0.0
+        nu = max(math.sqrt(ag / M), c * h)
         if k == 0 or nu < b_nu:
             b_y, b_gn, b_nu, b_k = y, ag, nu, k
         if k == K or tol > 0 and ag <= tol:
@@ -286,13 +273,19 @@ def _float_solve(lane, x, y0, config, grad, hess):
         return None
     L = len(rows)
     y_hat, grad_norm, nu, index, last = np.array(rows, dtype=float).reshape(L, 5).T.copy()
-    index, last = index.astype(int), last.astype(int)
+    return _result(config, y_hat, grad_norm, nu, index.astype(int), last.astype(int),
+                   [None] * L)
+
+
+def _result(config, y_hat, grad_norm, nu, index, last, errors):
+    """The LowerSolveResult of lanes whose last step was last (L,): each ran
+    last + 1 gradients, and as many Hessians for cubic Newton."""
     cubic = config.method == CUBIC_NEWTON
-    counts = {"g": np.zeros(L, dtype=int), "grad": last + 1,
-              "hess": last + 1 if cubic else np.zeros(L, dtype=int)}
-    return LowerSolveResult(y_hat=y_hat.reshape(L, 1), grad_norm=grad_norm,
+    counts = {"g": np.zeros(len(last), dtype=int), "grad": last + 1,
+              "hess": last + 1 if cubic else np.zeros(len(last), dtype=int)}
+    return LowerSolveResult(y_hat=y_hat, grad_norm=grad_norm,
                             stationarity=nu if cubic else None, selected_index=index,
-                            oracle_counts=counts, errors=[None] * L)
+                            oracle_counts=counts, errors=errors)
 
 
 def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
@@ -315,23 +308,23 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
     grad = getattr(problem.grad_y_g, "float_form", None)
     hess = getattr(problem.hess_yy_g, "float_form", None)
     if L <= _FLOAT_LANES and grad is not None and (hess is not None or not cubic):
-        res = _float_solve(_cubic_lane if cubic else _descent_lane, x, float(problem.y0[0]),
+        res = _float_solve(_cubic_lane if cubic else _descent_lane, x, float(problem.y0),
                            config, grad, hess)
         if res is not None:
             return res
-    y_hat, grad_norm, nu_hat = np.empty((L, 1)), np.empty(L), np.empty(L) if cubic else None
+    y_hat, grad_norm, nu_hat = np.empty(L), np.empty(L), np.empty(L)
     index, last = np.empty(L, dtype=int), np.empty(L, dtype=int)
     errors = [None] * L
     # the lanes still iterating, their points and iterates and, for cubic
     # Newton, nu_M, step, y and |grad_y g| of the best iterate so far
-    lanes, xa, ya = np.arange(L), x, np.full((L, 1), problem.y0, dtype=float)
-    b_nu, b_k, b_y, b_gn = np.empty(L), np.empty(L, dtype=int), np.empty((L, 1)), np.empty(L)
+    lanes, xa, ya = np.arange(L), x, np.full(L, problem.y0, dtype=float)
+    b_nu, b_k, b_y, b_gn = np.empty(L), np.empty(L, dtype=int), np.empty(L), np.empty(L)
     with np.errstate(all="ignore"):
         for k in range(K + 1):
             g = call_oracle(problem, "grad_y_g", xa, ya)
-            gn = np.abs(g[:, 0]) if cubic or tol > 0 else None
+            gn = np.abs(g) if cubic or tol > 0 else None
             if cubic:
-                lam = call_oracle(problem, "hess_yy_g", xa, ya)[:, 0, 0]
+                lam = call_oracle(problem, "hess_yy_g", xa, ya)
                 nu = _nu(gn, lam, M)
                 take = nu < b_nu if k else np.ones(len(lanes), dtype=bool)
                 # nu_M is non-finite where g is, and a non-finite nu_M or
@@ -342,7 +335,7 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
                     take |= np.isnan(nu) & ~np.isnan(b_nu)  # a first NaN is the least
                 np.copyto(b_nu, nu, where=take)
                 np.copyto(b_k, k, where=take)
-                np.copyto(b_y, ya, where=take[:, None])
+                np.copyto(b_y, ya, where=take)
                 np.copyto(b_gn, gn, where=take)
             stop = np.ones(len(lanes), dtype=bool) if k == K else gn <= tol if tol > 0 else None
             if stop is not None and stop.any():
@@ -354,7 +347,7 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
                 else:
                     # a stopping lane's gradient shows in no later iterate
                     _flag(errors, out, g[stop], "gradient", k)
-                    y_hat[out], index[out], grad_norm[out] = ya[stop], k, np.abs(g[stop, 0])
+                    y_hat[out], index[out], grad_norm[out] = ya[stop], k, np.abs(g[stop])
                 keep = ~stop
                 if not keep.any():
                     break
@@ -363,17 +356,14 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
                     lam, gn, b_nu, b_k, b_y, b_gn = (a[keep] for a in
                                                      (lam, gn, b_nu, b_k, b_y, b_gn))
             if cubic:
-                ya = ya + _cubic_step_1d(g[:, 0], gn, lam, M)[0][:, None]
+                ya = ya + _cubic_step_1d(g, gn, lam, M)[0]
             else:
                 ya = ya - config.eta * g
             # a non-finite gradient makes the next iterate non-finite
             if not math.isfinite(ya.sum()):
                 _flag(errors, lanes, g, "gradient", k)
                 _flag(errors, lanes, ya, "iterate", k + 1)
-    counts = {"g": np.zeros(L, dtype=int), "grad": last + 1,
-              "hess": last + 1 if cubic else np.zeros(L, dtype=int)}
-    return LowerSolveResult(y_hat=y_hat, grad_norm=grad_norm, stationarity=nu_hat,
-                            selected_index=index, oracle_counts=counts, errors=errors)
+    return _result(config, y_hat, grad_norm, nu_hat, index, last, errors)
 
 
 def run_lower_lean(problem, x, config: LowerSolverConfig) -> LowerSolveResult:

@@ -6,19 +6,17 @@ lower-level initialization y0, a uniform value cap f_bar on |f| over the
 reachable region, and a convex compact feasible set for x.  Oracles must be
 pure functions of (x, y): solvers may hand them reused scratch buffers.
 
-The follower y is one-dimensional: y0 has shape (1,), and the y-derivatives
-keep their axes of length one.
-
-Lane convention.  An oracle evaluates a batch of points at once: x has shape
-(..., n) and y shape (..., 1), and their batch shapes broadcast to B
-(`batch_shape`).  f and g return shape B, grad_y_g B + (1,), hess_yy_g
-B + (1, 1) and grad_x_grad_y_g the cross-derivative block B + (1, n).  L lanes
-(L, n), (L, 1) are the common case, one point is a batch of one, and a scan
-hands one x per cell as (C, 1, n) against a shared y-grid (1, R, 1).  Oracles
-index x[..., j] and y[..., 0], add trailing axes with [..., None] and compute
-elementwise, so each point has the bits it has alone.  Every oracle call in
-the package goes through `call_oracle`, which checks the output's shape,
-except calls of a float form.  A feasible set's `project` and `contains` act
+Lane convention.  The follower y is one-dimensional, so y0 is a float and
+y has no axis of its own.  An oracle evaluates a batch of points at once: x
+has shape (..., n), y is an array of batch shape, and the two batch shapes
+broadcast to B (`batch_shape`).  f, g, grad_y_g and hess_yy_g return shape
+B, and grad_x_grad_y_g, the gradient of grad_y_g in x, returns B + (n,).
+L lanes (L, n), (L,) are the common case, one point is a batch of one, and
+a scan hands one x per cell as (C, 1, n) against a shared y-grid (1, R).
+Oracles index x[..., j], take y as it is and compute elementwise, so each
+point has the bits it has alone.  Every oracle call in the package goes
+through `call_oracle`, which checks the output's shape, except calls of a
+float form.  A feasible set's `project` and `contains` act
 on the last axis.  The GDA baseline uses no bundle: it integrates the saddle
 flow of `minimax_gradient`.
 
@@ -89,13 +87,13 @@ def box_set(lo, hi) -> FeasibleSet:
 class BilevelProblem:
     """Oracle bundle for min_{x in X} f(x, y^alg(x)) with algorithmic lower level.
 
-    f, g, grad_y_g, hess_yy_g and grad_x_grad_y_g (the cross-derivative
-    block d/dx of grad_y g, which only the geometry diagnostics consult)
-    follow the lane convention of this module: (..., n) and (..., 1) inputs
-    of batch shape B give B, B, B + (1,), B + (1, 1) and B + (1, n) outputs.
-    y0 has shape (1,).  grad_y_root_bound, when not None, maps x (..., n) to
-    R (...) such that the computed grad_y_g(x, y) is nonzero with the sign
-    of y wherever |y| >= R(x); the scan leaves the grid beyond R unevaluated.
+    f, g, grad_y_g, hess_yy_g and grad_x_grad_y_g (d/dx of grad_y g, which
+    only the geometry diagnostics consult) follow the lane convention of this
+    module: x (..., n) and y of batch shape B give outputs of shape B, and
+    B + (n,) for grad_x_grad_y_g.  y0 is a float.  grad_y_root_bound, when
+    not None, maps x (..., n) to R (...) such that the computed
+    grad_y_g(x, y) is nonzero with the sign of y wherever |y| >= R(x); the
+    scan leaves the grid beyond R unevaluated.
     """
 
     n: int
@@ -104,30 +102,26 @@ class BilevelProblem:
     grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_yy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_x_grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    y0: np.ndarray
+    y0: float
     f_bar: float
     feasible_set: FeasibleSet
     grad_y_root_bound: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-# each oracle's output shape after the batch shape (grad_x_grad_y_g adds n)
-_TAILS = {"f": (), "g": (), "grad_y_g": (1,), "hess_yy_g": (1, 1), "grad_x_grad_y_g": (1,)}
-
-
 def batch_shape(x, y):
-    """The broadcast of the batch shapes of points x (..., n), y (..., 1);
+    """The broadcast of the batch shapes of points x (..., n) and y;
     ValueError when they do not broadcast."""
-    bx, by = x.shape[:-1], y.shape[:-1]
+    bx, by = x.shape[:-1], y.shape
     return bx if bx == by else np.broadcast_shapes(bx, by)
 
 
 def call_oracle(problem, name, x, y):
-    """Oracle `name` of `problem` on points x (..., n), y (..., 1), as a float array.
+    """Oracle `name` of `problem` on points x (..., n) and y, as a float array.
 
     Raises ValueError naming the oracle and the shape the lane convention
     expects when the output has another shape.
     """
-    expected = batch_shape(x, y) + _TAILS[name]
+    expected = batch_shape(x, y)
     if name == "grad_x_grad_y_g":
         expected += (problem.n,)
     if 0 in expected:
@@ -204,30 +198,30 @@ def builtin_minimax() -> BilevelProblem:
     """Nonconvex-nonconcave minimax test problem as a bilevel bundle (n = 1)."""
 
     def f(x, y):
-        return _mm_f(x[..., 0], y[..., 0])
+        return _mm_f(x[..., 0], y)
 
     def g(x, y):
         return -f(x, y)
 
     def grad_y_g(x, y):
-        return -_mm_fy(x[..., 0], y[..., 0])[..., None]
+        return -_mm_fy(x[..., 0], y)
 
     grad_y_g.float_form = lambda xs, y: -_mm_fy_float(xs[0], y)
 
     def hess_yy_g(x, y):
-        return -_mm_fyy(x[..., 0], y[..., 0])[..., None, None]
+        return -_mm_fyy(x[..., 0], y)
 
     hess_yy_g.float_form = lambda xs, y: -_mm_fyy_float(xs[0], y)
 
     def grad_x_grad_y_g(x, y):
-        return -_mm_fxy(x[..., 0], y[..., 0])[..., None, None]
+        return -_mm_fxy(x[..., 0], y)[..., None]
 
     return BilevelProblem(
         n=1,
         f=f, g=g,
         grad_y_g=grad_y_g, hess_yy_g=hess_yy_g,
         grad_x_grad_y_g=grad_x_grad_y_g,
-        y0=np.array([0.0]),
+        y0=0.0,
         f_bar=_MINIMAX_F_BAR,
         feasible_set=box_set([-3.0], [3.0]),
     )
@@ -239,10 +233,9 @@ def builtin_minimax() -> BilevelProblem:
 # f(x,y) = y separates the two lower-level branches, so the hyperfunction
 # jumps at x = 0 where gradient descent from y0 = 0 stalls on the hump.
 # Like the other builtins below, the oracles compute on the components
-# x[..., j], y[..., 0] and add the trailing axes of the lane convention at the
-# end.  Powers are spelled as products, and polynomials in y in Horner form,
-# wherever that suffices; the one power left, in the fold's confinement term,
-# is np.power.  The scan's grid kernels, grad_y_g of the fold and the quartic,
+# x[..., j] and on y as it is.  Powers are spelled as products, and
+# polynomials in y in Horner form, wherever that suffices; the one power
+# left, in the fold's confinement term, is np.power.  The scan's grid kernels, grad_y_g of the fold and the quartic,
 # allocate one batch-shaped array and run the chain in place on it (t *= y,
 # t += c): the same operations in the same order, so the same bits.  The
 # fold's kernel adds its confinement term only when some y lies outside
@@ -263,31 +256,31 @@ def _dw_hess(u):
 
 def builtin_shifted_double_well() -> BilevelProblem:
     def f(x, y):
-        return np.broadcast_to(y[..., 0], batch_shape(x, y)).copy()
+        return np.broadcast_to(y, batch_shape(x, y)).copy()
 
     def g(x, y):
-        u = y[..., 0] - x[..., 0]
+        u = y - x[..., 0]
         u2 = u * u
         return u2 * u2 - 2.0 * u2
 
     def grad_y_g(x, y):
-        return _dw_grad(y[..., 0] - x[..., 0])[..., None]
+        return _dw_grad(y - x[..., 0])
 
     def hess_yy_g(x, y):
-        return _dw_hess(y[..., 0] - x[..., 0])[..., None, None]
+        return _dw_hess(y - x[..., 0])
 
     grad_y_g.float_form = lambda xs, y: _dw_grad(y - xs[0])
     hess_yy_g.float_form = lambda xs, y: _dw_hess(y - xs[0])
 
     def grad_x_grad_y_g(x, y):
-        return (-_dw_hess(y[..., 0] - x[..., 0]))[..., None, None]
+        return (-_dw_hess(y - x[..., 0]))[..., None]
 
     return BilevelProblem(
         n=1,
         f=f, g=g,
         grad_y_g=grad_y_g, hess_yy_g=hess_yy_g,
         grad_x_grad_y_g=grad_x_grad_y_g,
-        y0=np.array([0.0]),
+        y0=0.0,
         f_bar=_DOUBLE_WELL_F_BAR,
         feasible_set=box_set([-2.0], [2.0]),
     )
@@ -326,30 +319,29 @@ def _fold_window(xs, y):
 
 def builtin_fold_family() -> BilevelProblem:
     def f(x, y):
-        return x[..., 0] + y[..., 0]
+        return x[..., 0] + y
 
     def g(x, y):
-        x1, yy = x[..., 0], y[..., 0]
-        r = _fold_overhang(yy)
+        x1 = x[..., 0]
+        r = _fold_overhang(y)
         r2 = r * r
-        return ((1.0 - 2.0 * x1) * yy + (3.0 * x1 - 2.0 * x1 * x1) * (yy * yy * yy)
+        return ((1.0 - 2.0 * x1) * y + (3.0 * x1 - 2.0 * x1 * x1) * (y * y * y)
                 + _FOLD_CONF * (r2 * r2))
 
     def grad_y_g(x, y):
-        x1, yy = x[..., 0], y[..., 0]
-        t = 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
-        t *= yy
+        x1 = x[..., 0]
+        t = 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * y
+        t *= y
         t += 1.0 - 2.0 * x1
-        if not (yy.min(initial=np.inf) >= -_FOLD_EDGE
-                and yy.max(initial=-np.inf) <= _FOLD_EDGE):
-            t += 4.0 * _FOLD_CONF * np.power(_fold_overhang(yy), 3) * np.sign(yy)
-        return t[..., None]
+        if not (y.min(initial=np.inf) >= -_FOLD_EDGE
+                and y.max(initial=-np.inf) <= _FOLD_EDGE):
+            t += 4.0 * _FOLD_CONF * np.power(_fold_overhang(y), 3) * np.sign(y)
+        return t
 
     def hess_yy_g(x, y):
-        x1, yy = x[..., 0], y[..., 0]
-        r = _fold_overhang(yy)
-        return (6.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
-                + 12.0 * _FOLD_CONF * r * r)[..., None, None]
+        x1 = x[..., 0]
+        r = _fold_overhang(y)
+        return 6.0 * (3.0 * x1 - 2.0 * x1 * x1) * y + 12.0 * _FOLD_CONF * r * r
 
     def grad_form(xs, y):
         x1 = _fold_window(xs, y)
@@ -362,16 +354,15 @@ def builtin_fold_family() -> BilevelProblem:
     grad_y_g.float_form, hess_yy_g.float_form = grad_form, hess_form
 
     def grad_x_grad_y_g(x, y):
-        x1, yy = x[..., 0], y[..., 0]
-        d1 = -2.0 + 3.0 * (3.0 - 4.0 * x1) * yy * yy
-        return np.stack([d1, np.zeros_like(d1)], axis=-1)[..., None, :]
+        d1 = -2.0 + 3.0 * (3.0 - 4.0 * x[..., 0]) * y * y
+        return np.stack([d1, np.zeros_like(d1)], axis=-1)
 
     return BilevelProblem(
         n=2,
         f=f, g=g,
         grad_y_g=grad_y_g, hess_yy_g=hess_yy_g,
         grad_x_grad_y_g=grad_x_grad_y_g,
-        y0=np.array([0.1]),
+        y0=0.1,
         f_bar=_FOLD_F_BAR,
         feasible_set=box_set([0.0, -1.0], [1.0, 1.0]),
     )
@@ -396,24 +387,24 @@ def _q_coefficients(x1, x2):
 
 def builtin_quartic_family() -> BilevelProblem:
     def f(x, y):
-        return x[..., 0] + y[..., 0]
+        return x[..., 0] + y
 
     def g(x, y):
-        (c3, c2), yy = _q_coefficients(x[..., 0], x[..., 1]), y[..., 0]
-        return (((yy + c3) * yy + c2) * yy + c3) * yy
+        c3, c2 = _q_coefficients(x[..., 0], x[..., 1])
+        return (((y + c3) * y + c2) * y + c3) * y
 
     def grad_y_g(x, y):
-        (c3, c2), yy = _q_coefficients(x[..., 0], x[..., 1]), y[..., 0]
-        t = 4.0 * yy + 3.0 * c3
-        t *= yy
+        c3, c2 = _q_coefficients(x[..., 0], x[..., 1])
+        t = 4.0 * y + 3.0 * c3
+        t *= y
         t += 2.0 * c2
-        t *= yy
+        t *= y
         t += c3
-        return t[..., None]
+        return t
 
     def hess_yy_g(x, y):
-        (c3, c2), yy = _q_coefficients(x[..., 0], x[..., 1]), y[..., 0]
-        return ((12.0 * yy + 6.0 * c3) * yy + 2.0 * c2)[..., None, None]
+        c3, c2 = _q_coefficients(x[..., 0], x[..., 1])
+        return (12.0 * y + 6.0 * c3) * y + 2.0 * c2
 
     def grad_form(xs, y):
         c3, c2 = _q_coefficients(*xs)
@@ -441,18 +432,17 @@ def builtin_quartic_family() -> BilevelProblem:
         return np.maximum(1.0, (0.25 * (1.0 + 1e-9)) * s) + 1e-12
 
     def grad_x_grad_y_g(x, y):
-        x1, x2, yy = x[..., 0], x[..., 1], y[..., 0]
+        x1, x2 = x[..., 0], x[..., 1]
         dc3 = np.stack([2.0 * x1 - 5.0 * x2 - 7.0, -5.0 * x1 + 4.0 * x2 + 8.0], axis=-1)
         dc2 = np.stack([2.0 * x1 - 3.0 * x2 - 5.0, -3.0 * x1 + 8.0 * x2 + 2.0], axis=-1)
-        row = (3.0 * yy * yy + 1.0)[..., None] * dc3 + (2.0 * yy)[..., None] * dc2
-        return row[..., None, :]
+        return (3.0 * y * y + 1.0)[..., None] * dc3 + (2.0 * y)[..., None] * dc2
 
     return BilevelProblem(
         n=2,
         f=f, g=g,
         grad_y_g=grad_y_g, hess_yy_g=hess_yy_g,
         grad_x_grad_y_g=grad_x_grad_y_g,
-        y0=np.array([0.0]),
+        y0=0.0,
         f_bar=_QUARTIC_F_BAR,
         feasible_set=box_set([-4.0, -4.0], [5.0, 5.0]),
         grad_y_root_bound=grad_y_root_bound,

@@ -20,7 +20,7 @@ from .problems import call_oracle
 
 __all__ = [
     "SmoothingConfig", "GradientEstimates", "ORACLE_KEYS", "estimate_hypergradient",
-    "smoothed_step_reference", "gradient_norm_bound", "lipschitz_bound",
+    "gradient_norm_bound", "lipschitz_bound",
 ]
 
 ORACLE_KEYS = ("f", "g", "grad", "hess")
@@ -120,32 +120,6 @@ def estimate_hypergradient(problem, x, n_samples, smoothings, lower: LowerSolver
     infeasible, ok = (~feasible).sum(axis=1), ~bad.any(axis=1)
     return GradientEstimates(value, values, infeasible, counts, errors,
                              n_samples * int(ok.sum()), int(infeasible[ok].sum()))
-
-
-def smoothed_step_reference(x, xi):
-    """Exact Gaussian smoothing of the step phi(z) = -z (z <= 0), 1 (z > 0).
-
-    value(x)     = Phi(x/xi) - x Phi(-x/xi) + xi phi_std(x/xi)
-    derivative   = phi_std(x/xi)/xi - Phi(-x/xi)
-
-    where Phi / phi_std are the standard normal CDF / density.  Used as the
-    closed-form validation target for the Monte Carlo estimator.
-    """
-    if not xi > 0:
-        raise ValueError("xi must be positive")
-    s = x / xi
-    value = _normal_cdf(s) - x * _normal_cdf(-s) + xi * _normal_pdf(s)
-    derivative = _normal_pdf(s) / xi - _normal_cdf(-s)
-    return float(value), float(derivative)
-
-
-def _normal_cdf(z):
-    """Standard normal CDF, erfc(-z / sqrt 2) / 2: accurate in both tails."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def _normal_pdf(z):
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def gradient_norm_bound(f_bar, xi):

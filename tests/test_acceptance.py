@@ -16,8 +16,7 @@ from scinbio import (LowerSolverConfig, OuterConfig, SmoothingConfig,
                      default_schedules, detect_cycle, estimate_hypergradient,
                      find_stationary_points_1d, gradient_norm_bound,
                      minimax_gradient, neighborhood_measure, run_gda, run_scinbio,
-                     smoothed_step_reference, solve_cubic_subproblem, solve_lower,
-                     tail_stability)
+                     solve_cubic_subproblem, solve_lower, tail_stability)
 from scinbio import rng as rng_mod
 from scinbio.baselines import (BUDGET_EXHAUSTED, CONVERGED, CONVERGED_DISPLACEMENT,
                                CYCLING)
@@ -26,7 +25,7 @@ from scinbio.lower import run_lower_lean
 from scinbio.outer import write_trace_csv
 from scinbio.problems import PROBLEM_NAMES
 
-from conftest import PHI_LOWER, phi_problem
+from conftest import PHI_LOWER, phi_problem, smoothed_step_reference
 from test_lower import brute_force_min
 from test_outer import hook_problem
 
@@ -96,7 +95,7 @@ def _phase_block_means(problem, lower, trace, block=50):
     n_blocks = len(xs) // block
     means = xs[:n_blocks * block].reshape(n_blocks, block, -1).mean(axis=1)
     y_hat = run_lower_lean(problem, means, lower).y_hat
-    return np.column_stack([means[:, 0], y_hat[:, 0]])
+    return np.column_stack([means[:, 0], y_hat])
 
 
 def test_criterion_2_gda_contrast(experiment_sweep, gda_sweep):
@@ -226,7 +225,7 @@ def test_criterion_5_subproblem_oracle():
             hess = 2.0 * rng.normal(size=(1, 1))
             grad = rng.normal(size=1) * rng.uniform(0.1, 3.0)
             M = float(rng.uniform(0.5, 6.0))
-        step = solve_cubic_subproblem(grad, hess, M)
+        step = solve_cubic_subproblem(grad[0], hess[0, 0], M)
         n_hard += step.hard_case
         _, v_ref = brute_force_min(grad, hess, M, span=4.0, seed=int(rng.integers(1 << 30)))
         gap = step.model_value - v_ref
@@ -244,12 +243,12 @@ def test_criterion_5_subproblem_oracle():
 def test_criterion_6_two_phase_cubic_newton(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
     x = np.array([[0.0]])
-    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.1])), x, cfg)
-    lam = double_well.hess_yy_g(x, res.y_hat)[0, 0, 0]
-    y_hat = res.y_hat[0, 0]
+    res = solve_lower(dataclasses.replace(double_well, y0=0.1), x, cfg)
+    lam = double_well.hess_yy_g(x, res.y_hat)[0]
+    y_hat = res.y_hat[0]
     ok_basin = abs(y_hat - 1.0) <= 1e-6 and lam > 0
-    res_saddle = solve_lower(dataclasses.replace(double_well, y0=np.array([0.0])), x, cfg)
-    y_saddle = res_saddle.y_hat[0, 0]
+    res_saddle = solve_lower(dataclasses.replace(double_well, y0=0.0), x, cfg)
+    y_saddle = res_saddle.y_hat[0]
     ok_escape = abs(y_saddle) >= 0.5
     report(6, ok_basin and ok_escape,
            f"|y_hat - 1| = {abs(y_hat - 1.0):.2e}, lambda_min = {lam:.2f} > 0, "

@@ -36,10 +36,10 @@ def test_finite_difference_field_matches_analytic(minimax):
         x, y = rng.uniform(-2, 2, size=2).tolist()
         vx, vy = gda_field(minimax_gradient, x, y)
         h = 1e-6 * (1.0 + abs(x))
-        fd = (minimax.f(np.array([[x + h]]), np.array([[y]]))[0]
-              - minimax.f(np.array([[x - h]]), np.array([[y]]))[0]) / (2.0 * h)
+        fd = (minimax.f(np.array([[x + h]]), np.array([y]))[0]
+              - minimax.f(np.array([[x - h]]), np.array([y]))[0]) / (2.0 * h)
         assert vx == pytest.approx(-fd, abs=1e-8)
-        assert vy == -minimax.grad_y_g(np.array([[x]]), np.array([[y]]))[0, 0]
+        assert vy == -minimax.grad_y_g(np.array([[x]]), np.array([y]))[0]
 
 
 _coord = st.floats(-6.0, 6.0, allow_nan=False)
@@ -49,12 +49,12 @@ _coord = st.floats(-6.0, 6.0, allow_nan=False)
 @given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8))
 def test_minimax_gradient_has_the_oracle_bits(minimax, points):
     xs = np.array([[p[0]] for p in points])
-    ys = np.array([[p[1]] for p in points])
-    lanes = -minimax.grad_y_g(xs, ys)[:, 0]
+    ys = np.array([p[1] for p in points])
+    lanes = -minimax.grad_y_g(xs, ys)
     for k, (x, y) in enumerate(points):
         fx, fy = minimax_gradient(x, y)
         assert type(fx) is float and type(fy) is float
-        single = -minimax.grad_y_g(xs[k:k + 1], ys[k:k + 1])[0, 0]
+        single = -minimax.grad_y_g(xs[k:k + 1], ys[k:k + 1])[0]
         assert fy == _mm_fy(x, y) == single == lanes[k]
         # the float form that small gradient-descent solves run on
         form = minimax.grad_y_g.float_form([x], y)

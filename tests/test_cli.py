@@ -213,8 +213,7 @@ def test_minimax_run_draws_only_the_leader_start_per_seed(tmp_path, monkeypatch)
     def recording(problem, outer, lower, smoothing, x0=None):
         n_calls.append(1)
         for config, start in zip(smoothing, x0, strict=True):
-            calls[config.master_seed - 2024] = (problem.y0.copy(),
-                                                np.array(start, dtype=float))
+            calls[config.master_seed - 2024] = (problem.y0, np.array(start, dtype=float))
         return real(problem, outer, lower, smoothing, x0=x0)
 
     monkeypatch.setattr(cli, "run_scinbio", recording)
@@ -226,7 +225,7 @@ def test_minimax_run_draws_only_the_leader_start_per_seed(tmp_path, monkeypatch)
     assert sorted(calls) == list(range(15))
     y0 = builtin_minimax().y0
     for seed, (follower_y0, x0) in calls.items():
-        assert np.array_equal(follower_y0, y0)
+        assert follower_y0 == y0
         assert x0.shape == (1,)
         assert x0[0] == seeded_initialization(seed)[0]
 
@@ -264,7 +263,7 @@ def test_a_diverging_seed_fails_alone_in_lockstep(tmp_path, monkeypatch):
     def diverging(name):
         p = builtin_minimax()
         return dataclasses.replace(p, grad_y_g=lambda x, y: np.where(
-            x > 1.5, math.nan, p.grad_y_g(x, y)))
+            x[..., 0] > 1.5, math.nan, p.grad_y_g(x, y)))
 
     monkeypatch.setattr(cli, "get_problem", diverging)
     common = ("--problem", "minimax", "--set", "outer.T=20", "--set", "lower.K=50")
@@ -307,13 +306,16 @@ def test_a_post_run_point_fails_its_seed_where_it_is_used(tmp_path, monkeypatch,
 
 
 # sha256 of the outputs of `run --out out` at T = 50 (the other settings are the
-# defaults) for minimax with the GD follower and fold with cubic Newton, K = 10
+# defaults) for minimax with the GD follower and fold, double-well and quartic
+# with cubic Newton, K = 10.  The phase plots pin the post-run y_hat.
 GOLDEN = {
     "minimax": (["--seed", "0,7"], {
         "trace_seed0.csv": "4c240d019e6d6a3b666303e26e2f324d732f15442795e83155cba093dce56e63",
         "trace_seed7.csv": "3d460f0ace8ad6e2b832eef16e6192fc9a68be7698e4564cc5e44e7749419cf3",
         "summary_seed0.json": "537196a1eb65d5bb46f34a69d62e409983b33cf0c64611da27f69d589efd1580",
         "summary_seed7.json": "8ea98e2150d52c75956b497575ab47520166010495a86b7c6652e37de3e2a4ff",
+        "phase_seed0.svg": "2eec561bcf9ef022ae8eb116c1946db32fd47000ddbfc90894bbe46141e686aa",
+        "phase_seed7.svg": "56e94ff24ce53b0788fd13be829700dff2c255b11dacaf46c6e6cd816ba1d9f3",
     }),
     "fold": (["--seed", "11,12", "--set", "lower.method=cubic_newton",
               "--set", "lower.K=10"], {
@@ -321,6 +323,26 @@ GOLDEN = {
         "trace_seed12.csv": "1084e5046961d6e7dd817f243aba2ab71610de1373e0db64320ccc895bd2c208",
         "summary_seed11.json": "f4598974e1f19b3decb9515bf93411a7b7789c95c543b7c2eb536e046aec8a4a",
         "summary_seed12.json": "58f30e905dc59cf1b42cc1d6aa8ff69557139054d48bcf866ee339233a203f23",
+        "phase_seed11.svg": "0c87233c1df746fb37a68655cc407fe18533d7cff6dd257fabaee21d5d5caf2c",
+        "phase_seed12.svg": "654f33ba2bfd812ee57eb46d1f18d1f5726cdf819fff4b0461dce2534f5f97c5",
+    }),
+    "double-well": (["--seed", "0,1", "--set", "lower.method=cubic_newton",
+                     "--set", "lower.K=10"], {
+        "trace_seed0.csv": "871f0a105336273977de3e07ff051b5b7d7cd6c7bc81929ae87c2358f916d606",
+        "trace_seed1.csv": "04dcfdb7fdc74dae95475b70dd30030cf364d4ce049b3e22f98b9d8028311434",
+        "summary_seed0.json": "336960e3e99895ea918ed85b5e35719827c9afc5495fa1896c40dc0647d3b63f",
+        "summary_seed1.json": "e788298a20a5d9c08480bc65ac269f84bae1d07d5e5e40689b2a8728825f503d",
+        "phase_seed0.svg": "8d9d248d053c073730e64b71668c84d73b8c9d792f2fb3144d2fa61546f942e2",
+        "phase_seed1.svg": "6c78cf0d8b165267b41df1d12989490e7359aac64fd514af8094ed92ad9e3945",
+    }),
+    "quartic": (["--seed", "0,1", "--set", "lower.method=cubic_newton",
+                 "--set", "lower.K=10"], {
+        "trace_seed0.csv": "425348132ff625119f1e94efed8cf0598f29e23b3bb7f74eaa4a221900e521c4",
+        "trace_seed1.csv": "1a685427c7a4e1accfec23bd8d2aee04dc65458557200cc6647273e12ff106dd",
+        "summary_seed0.json": "2af1127310bf1f6c1d3d231985d3f79137085df87efbc7514244817cba97c8e1",
+        "summary_seed1.json": "645fd7fe67243ad4f4eda447e0e42263df946934fc19dd3c09a23cb82e0ffdf5",
+        "phase_seed0.svg": "e0d3815aa0956a6ba0b41a2ba2e4449e83b4325cb6ef6e80ac466b2deee63a38",
+        "phase_seed1.svg": "a1aee3950151b82bc55eccc1a9372e2c6a02a5115725c07a4e1287169bd3820e",
     }),
 }
 

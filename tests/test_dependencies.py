@@ -87,9 +87,9 @@ def test_only_problems_calls_bundle_oracles():
 
 
 def test_builtin_oracles_index_any_batch_shape():
-    # the builtins index components as x[..., j] and add axes with
-    # [..., None]; a subscript [:, ...] would take only (L, n) lanes and
-    # break on the scan's broadcast batches (C, 1, n) x (1, R, 1)
+    # the builtins index components as x[..., j] and add the cross-derivative's
+    # axis with [..., None]; a subscript [:, ...] would take only (L, n) lanes
+    # and break on the scan's broadcast batches (C, 1, n) x (1, R)
     with open(os.path.join(SRC, "scinbio", "problems.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     hits = [f"problems.py:{node.lineno}" for node in ast.walk(tree)

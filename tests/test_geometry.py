@@ -127,7 +127,7 @@ def test_roots_satisfy_gradient_tolerance(quartic):
         roots = find_stationary_points_1d(quartic, x, (-250.0, 250.0), 3000)
         assert roots.y.size  # coercive quartic always has a stationary point
         for y in roots.y.tolist():
-            gv = float(quartic.grad_y_g(x[None, :], arr(y)[None, :])[0, 0])
+            gv = float(quartic.grad_y_g(x[None, :], arr(y))[0])
             assert abs(gv) <= 1e-10 * (1.0 + abs(y))
 
 
@@ -201,19 +201,19 @@ def test_scan_requires_2d(double_well):
 def test_nondegenerate_problem_unmarked():
     # g = (y - x1)^2 / 2: unique stationary point with lambda = 1 everywhere
     def g(x, y):
-        return 0.5 * (y[..., 0] - x[..., 0]) ** 2
+        return 0.5 * (y - x[..., 0]) ** 2
 
     def grad(x, y):
-        return np.asarray(y, dtype=float) - x[..., :1]
+        return y - x[..., 0]
 
     def hess(x, y):
-        return np.ones(batch_shape(x, y) + (1, 1))
+        return np.ones(batch_shape(x, y))
 
     def cross(x, y):
-        return np.broadcast_to([-1.0, 0.0], batch_shape(x, y) + (1, 2)).copy()
+        return np.broadcast_to([-1.0, 0.0], batch_shape(x, y) + (2,)).copy()
 
-    p = BilevelProblem(n=2, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
-                       hess_yy_g=hess, grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=5.0,
+    p = BilevelProblem(n=2, f=lambda x, y: y, g=g, grad_y_g=grad,
+                       hess_yy_g=hess, grad_x_grad_y_g=cross, y0=0.0, f_bar=5.0,
                        feasible_set=box_set([-1.0, -1.0], [1.0, 1.0]))
     scan = scan_bifurcation_set(p, 20, (-3.0, 3.0), 200)
     assert not scan.indicator.any()
@@ -238,9 +238,9 @@ def _discriminant_sign_change_cells(quartic, r):
     g1 = lo[0] + k * (hi[0] - lo[0]) / r
     g2 = lo[1] + k * (hi[1] - lo[1]) / r
     corners = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
-    zero = np.zeros((len(corners), 1))
-    c3 = quartic.grad_y_g(corners, zero)[:, 0]               # dg/dy at y = 0
-    c2 = 0.5 * quartic.hess_yy_g(corners, zero)[:, 0, 0]     # d2g/dy2 / 2 at y = 0
+    zero = np.zeros(len(corners))
+    c3 = quartic.grad_y_g(corners, zero)               # dg/dy at y = 0
+    c2 = 0.5 * quartic.hess_yy_g(corners, zero)        # d2g/dy2 / 2 at y = 0
     a, b, c, d = 4.0, 3.0 * c3, 2.0 * c2, c3
     disc = 18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * a * c ** 3 - 27 * a * a * d * d
     sign = np.sign(disc).reshape(r + 1, r + 1)
@@ -295,11 +295,11 @@ def test_scan_roots_equal_single_cell_roots(request, name, y_range, y_resolution
 @pytest.mark.parametrize("oracle", ["grad_y_g", "hess_yy_g"])
 def test_scan_rejects_oracle_off_lane_convention(fold, oracle):
     # an oracle that ignores the lane axis is named with the expected shape
-    # (grad_y_g meets it first on the grid phase's (C, 1, 2) x (1, R, 1)
+    # (grad_y_g meets it first on the grid phase's (C, 1, 2) x (1, R)
     # batch, hess_yy_g on lanes)
-    single = {"grad_y_g": lambda x, y: np.array([0.5]),
-              "hess_yy_g": lambda x, y: np.array([[1.0]])}[oracle]
-    expected = {"grad_y_g": r"\(16, 50, 1\)", "hess_yy_g": r"\(\d+, 1, 1\)"}[oracle]
+    single = {"grad_y_g": lambda x, y: np.array(0.5),
+              "hess_yy_g": lambda x, y: np.array(1.0)}[oracle]
+    expected = {"grad_y_g": r"\(16, 50\)", "hess_yy_g": r"\(\d+,\)"}[oracle]
     bad = dataclasses.replace(fold, **{oracle: single})
     with pytest.raises(ValueError, match=rf"{oracle} returned shape .* expects {expected}$"):
         scan_bifurcation_set(bad, 4, (-1.0, 1.0), 50)
@@ -414,20 +414,20 @@ def test_root_window_scan_keeps_every_bit(quartic):
 def _shifted_line(tight):
     """grad_y g = y - x1 with the tight root bound nextafter(|x1|, inf), or none."""
     def g(x, y):
-        return 0.5 * y[..., 0] * y[..., 0] - x[..., 0] * y[..., 0]
+        return 0.5 * y * y - x[..., 0] * y
 
     def grad(x, y):
-        return y - x
+        return y - x[..., 0]
 
     def hess(x, y):
-        return np.ones(batch_shape(x, y) + (1, 1))
+        return np.ones(batch_shape(x, y))
 
     def cross(x, y):
-        return np.full(batch_shape(x, y) + (1, 1), -1.0)
+        return np.full(batch_shape(x, y) + (1,), -1.0)
 
     bound = (lambda x: np.nextafter(np.abs(x[..., 0]), np.inf)) if tight else None
-    return BilevelProblem(n=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad, hess_yy_g=hess,
-                          grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=10.0,
+    return BilevelProblem(n=1, f=lambda x, y: y, g=g, grad_y_g=grad, hess_yy_g=hess,
+                          grad_x_grad_y_g=cross, y0=0.0, f_bar=10.0,
                           feasible_set=box_set([-10.0], [10.0]), grad_y_root_bound=bound)
 
 
@@ -508,20 +508,19 @@ def test_fold_conditions_on_fold_family(fold):
 def cusp_like_problem():
     """g = y^4 + x y: third derivative along the null direction vanishes at y = 0."""
     def g(x, y):
-        return y[..., 0] ** 4 + x[..., 0] * y[..., 0]
+        return y ** 4 + x[..., 0] * y
 
     def grad(x, y):
-        yy = np.asarray(y, dtype=float)
-        return 4.0 * yy ** 3 + x[..., :1]
+        return 4.0 * y ** 3 + x[..., 0]
 
     def hess(x, y):
-        return np.broadcast_to((12.0 * y ** 2)[..., None], batch_shape(x, y) + (1, 1))
+        return np.broadcast_to(12.0 * y ** 2, batch_shape(x, y))
 
     def cross(x, y):  # d/dx (4 y^3 + x) = 1
-        return np.ones(batch_shape(x, y) + (1, 1))
+        return np.ones(batch_shape(x, y) + (1,))
 
-    return BilevelProblem(n=1, f=lambda x, y: y[..., 0], g=g, grad_y_g=grad,
-                          hess_yy_g=hess, grad_x_grad_y_g=cross, y0=np.zeros(1), f_bar=10.0,
+    return BilevelProblem(n=1, f=lambda x, y: y, g=g, grad_y_g=grad,
+                          hess_yy_g=hess, grad_x_grad_y_g=cross, y0=0.0, f_bar=10.0,
                           feasible_set=box_set([-1.0], [1.0]))
 
 
@@ -552,7 +551,7 @@ def test_fold_conditions_batch_equals_single_points(fold):
         return np.where(x[..., 0] < 0, cusp.g(x[..., 1:], y), fold.g(x, y))
 
     def cross(x, y):
-        return np.where((x[..., 0] < 0)[..., None, None], [[0.0, 1.0]],
+        return np.where((x[..., 0] < 0)[..., None], [0.0, 1.0],
                         fold.grad_x_grad_y_g(x, y))
 
     mixed = dataclasses.replace(fold, g=g, grad_x_grad_y_g=cross)

@@ -13,12 +13,12 @@ from scipy.optimize import minimize
 
 from scinbio import (LowerSolverConfig, builtin_fold_family, builtin_minimax,
                      builtin_quartic_family, builtin_shifted_double_well, get_problem,
-                     solve_cubic_subproblem, solve_lower, stationarity_measure)
+                     solve_cubic_subproblem, solve_lower)
 from scinbio.errors import LowerSolveError
 from scinbio.lower import _FLOAT_LANES, _cubic_step_1d, _hypot, run_lower_lean
 from scinbio.problems import LOWER_DEFAULTS
 
-from conftest import quadratic_problem, reference_solve
+from conftest import quadratic_problem, reference_solve, stationarity_measure
 
 
 def cubic_model(s, grad, hess, M):
@@ -63,29 +63,29 @@ def test_stationarity_measure_values():
 # ---------------------------------------------------------------------------
 
 def test_subproblem_stationary_convex_origin():
-    step = solve_cubic_subproblem([0.0], [[2.0]], 1.0)
-    assert np.array_equal(step.s, [0.0])
+    step = solve_cubic_subproblem(0.0, 2.0, 1.0)
+    assert step.s == 0.0
     assert step.model_value == 0.0
 
 
 def test_subproblem_1d_oracle():
     # grid-search the model psi(s) = s + |s|^3 over [-2, 2], then polish
-    grad, hess, M = np.array([1.0]), np.array([[0.0]]), 6.0
+    g, h, M = 1.0, 0.0, 6.0
     ss = np.arange(-2.0, 2.0, 1e-6)
     vals = ss + np.abs(ss) ** 3
     s0 = ss[int(np.argmin(vals))]
     for _ in range(60):  # Newton on 1 + 3 s^2 sign(s), s < 0 branch
         s0 = s0 - (1.0 + 3.0 * s0 * s0 * np.sign(s0)) / (6.0 * abs(s0))
     assert s0 == pytest.approx(-1.0 / math.sqrt(3.0), abs=1e-12)
-    step = solve_cubic_subproblem(grad, hess, M)
-    assert step.s[0] == pytest.approx(s0, abs=1e-9)
-    assert step.model_value <= cubic_model([s0], grad, hess, M) + 1e-12
+    step = solve_cubic_subproblem(g, h, M)
+    assert step.s == pytest.approx(s0, abs=1e-9)
+    assert step.model_value <= cubic_model([s0], np.array([g]), np.array([[h]]), M) + 1e-12
 
 
 def test_subproblem_pure_saddle_hard_case():
-    step = solve_cubic_subproblem([0.0], [[-4.0]], 24.0)
+    step = solve_cubic_subproblem(0.0, -4.0, 24.0)
     assert step.hard_case
-    assert abs(step.s[0]) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert abs(step.s) == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert step.boundary_multiplier == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
@@ -94,13 +94,13 @@ def test_subproblem_random_instances_beat_random_search():
     for trial in range(100):
         g, h = rng.normal(), 2.0 * rng.normal()
         M = float(rng.uniform(0.5, 8.0))
-        step = solve_cubic_subproblem([g], [[h]], M)
+        step = solve_cubic_subproblem(g, h, M)
         s = rng.uniform(-4, 4, size=10000)
         vals = g * s + 0.5 * h * s * s + (M / 6.0) * np.abs(s) ** 3
         assert step.model_value <= vals.min() + 1e-8
         assert step.model_value <= 0.0
         r = step.boundary_multiplier
-        assert abs(abs(step.s[0]) - r) <= 1e-8 * (1.0 + r)
+        assert abs(abs(step.s) - r) <= 1e-8 * (1.0 + r)
 
 
 def closed_form_cases():
@@ -122,19 +122,19 @@ def test_subproblem_1d_closed_form_is_the_exact_root():
     # 60-digit evaluation of the positive root of (M/2) r^2 + h r - |g| = 0
     ctx = decimal.Context(prec=60)
     for g, h, M in closed_form_cases():
-        step = solve_cubic_subproblem([g], [[h]], M)
+        step = solve_cubic_subproblem(g, h, M)
         if abs(g) <= 1e-13 * (abs(g) + 1.0):
             # below the threshold the step follows the |g| = 0 convention: no
             # step for h >= 0, the hard-case step s = r = -2h/M for h < 0
             r = -2.0 * h / M if h < 0 else 0.0
-            assert (step.s[0], step.boundary_multiplier, step.hard_case) == (r, r, h < 0), \
+            assert (step.s, step.boundary_multiplier, step.hard_case) == (r, r, h < 0), \
                 (g, h, M)
             continue
         gd, hd, Md = (decimal.Decimal(v) for v in (abs(g), h, M))
         root = ctx.sqrt(ctx.add(ctx.multiply(hd, hd), ctx.multiply(2 * Md, gd)))
         r_exact = float(ctx.divide(ctx.subtract(root, hd), Md))
         assert step.boundary_multiplier == pytest.approx(r_exact, rel=1e-13), (g, h, M)
-        assert step.s[0] == -math.copysign(step.boundary_multiplier, g)
+        assert step.s == -math.copysign(step.boundary_multiplier, g)
         assert not step.hard_case
 
 
@@ -145,7 +145,7 @@ def test_subproblem_property_global_min_on_its_radius(seed, g_scale, h_scale, M)
     rng = np.random.default_rng(seed)
     hess = h_scale * rng.normal(size=(1, 1))
     grad = g_scale * rng.normal(size=1)
-    step = solve_cubic_subproblem(grad, hess, M)
+    step = solve_cubic_subproblem(grad[0], hess[0, 0], M)
     h, ag = float(hess[0, 0]), abs(float(grad[0]))
     # every minimizer has (M/2) r^2 <= |h| r + |g|
     radius = (abs(h) + math.sqrt(h * h + 2.0 * M * ag)) / M
@@ -153,7 +153,7 @@ def test_subproblem_property_global_min_on_its_radius(seed, g_scale, h_scale, M)
                                seed=seed % 1000)
     assert step.model_value <= v_ref + 1e-9 * (1.0 + abs(v_ref))
     r = step.boundary_multiplier
-    assert abs(abs(step.s[0]) - r) <= 1e-9 * (1.0 + r)
+    assert abs(abs(step.s) - r) <= 1e-9 * (1.0 + r)
 
 
 @pytest.mark.parametrize("g, M", [(1e306, 420.0), (1e308, 32.0), (1e300, 420.0)])
@@ -162,12 +162,12 @@ def test_subproblem_steps_where_2_M_g_overflows(g, M):
     # step is still the positive root of (M/2) r^2 + r - |g| = 0.  The model
     # value -(M/3) r^3 - r^2 / 2 lies below -1.8e308 for all three, so it
     # rounds to -inf, never to inf - inf = NaN
-    step = solve_cubic_subproblem([g], [[1.0]], M)
+    step = solve_cubic_subproblem(g, 1.0, M)
     ctx = decimal.Context(prec=60)
     gd, Md = decimal.Decimal(g), decimal.Decimal(M)
     r_exact = float(ctx.divide(ctx.sqrt(1 + 2 * Md * gd) - 1, Md))
     assert step.boundary_multiplier == pytest.approx(r_exact, rel=1e-14)
-    assert step.s[0] == -step.boundary_multiplier
+    assert step.s == -step.boundary_multiplier
     assert step.model_value == -math.inf
     assert not step.hard_case
 
@@ -175,15 +175,15 @@ def test_subproblem_steps_where_2_M_g_overflows(g, M):
 def test_an_overflowing_cubic_step_is_a_lower_solve_error():
     # h = -1e308 makes r = (sqrt(h^2 + 2 M |g|) - h) / M = 2e308: no float
     with pytest.raises(LowerSolveError, match="overflows"):
-        solve_cubic_subproblem([1.0], [[-1e308]], 1.0)
+        solve_cubic_subproblem(1.0, -1e308, 1.0)
     # in a solve it stops its own lane only, at the iterate it cannot reach
-    p = dataclasses.replace(quadratic_problem(y0=[1.0]), hess_yy_g=lambda x, y: np.where(
-        x[..., None] > 0.0, -1e308, np.ones(y.shape + (1,))))
+    p = dataclasses.replace(quadratic_problem(y0=1.0), hess_yy_g=lambda x, y: np.where(
+        x[..., 0] > 0.0, -1e308, np.ones(y.shape)))
     cfg = LowerSolverConfig(method="cubic_newton", M=1.0, max_iters=3)
     res = solve_lower(p, np.array([[0.5], [-0.5]]), cfg)
     assert isinstance(res.errors[0], LowerSolveError)
     assert str(res.errors[0]) == "non-finite iterate at lower-level step 1"
-    assert res.errors[1] is None and np.isfinite(res.y_hat[1, 0])
+    assert res.errors[1] is None and np.isfinite(res.y_hat[1])
 
 
 def full_cubic_rule(g, h, M):
@@ -245,17 +245,16 @@ def test_cubic_step_shortcut_is_the_full_rule(lanes, M):
 
 
 def test_subproblem_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="grad must be"):
-        solve_cubic_subproblem([1.0, 0.0], [[1.0, 0.5], [0.0, 1.0]], 1.0)
-    with pytest.raises(ValueError, match="grad must be"):
-        solve_cubic_subproblem([1.0], [[1.0, 0.0]], 1.0)
+    for g, h in (([1.0, 0.0], [[1.0, 0.5], [0.0, 1.0]]), ([1.0], [[1.0, 0.0]]), ([1.0], [[1.0]])):
+        with pytest.raises(ValueError, match="g and h must be scalars"):
+            solve_cubic_subproblem(g, h, 1.0)
     with pytest.raises(ValueError, match="non-finite"):
-        solve_cubic_subproblem([np.nan], [[1.0]], 1.0)
+        solve_cubic_subproblem(np.nan, 1.0, 1.0)
     with pytest.raises(ValueError, match="non-finite"):
-        solve_cubic_subproblem([1.0], [[np.inf]], 1.0)
+        solve_cubic_subproblem(1.0, np.inf, 1.0)
     for M in (-2.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="M must be positive and finite"):
-            solve_cubic_subproblem([1.0], [[1.0]], M)
+            solve_cubic_subproblem(1.0, 1.0, M)
         with pytest.raises(ValueError, match="M must be positive and finite"):
             stationarity_measure(1.0, -1.0, M)
     with pytest.raises(ValueError, match="grad_norm must be >= 0"):
@@ -288,10 +287,10 @@ def assert_matches_reference(problem, x, cfg):
 
 
 def poisoned(problem, kind):
-    """problem whose lanes with x_1 > 0.3 meet a non-finite value once some
-    |y_i| > 0.2: a NaN gradient, a NaN or infinite Hessian, or a gradient of
+    """problem whose lanes with x_1 > 0.3 meet a non-finite value once
+    |y| > 0.2: a NaN gradient, a NaN or infinite Hessian, or a gradient of
     magnitude 1.7e308, whose gradient step overflows when eta > 1."""
-    hot = lambda x, y: (x[..., :1] > 0.3) & (np.abs(y) > 0.2).any(axis=-1, keepdims=True)
+    hot = lambda x, y: (x[..., 0] > 0.3) & (np.abs(y) > 0.2)
     grad, hess = problem.grad_y_g, problem.hess_yy_g
     if kind == "gradient":
         return dataclasses.replace(problem, grad_y_g=lambda x, y: np.where(hot(x, y), math.nan,
@@ -299,7 +298,7 @@ def poisoned(problem, kind):
     if kind in ("Hessian", "Hessian+inf", "Hessian-inf"):
         value = {"Hessian": math.nan, "Hessian+inf": math.inf, "Hessian-inf": -math.inf}[kind]
         return dataclasses.replace(problem, hess_yy_g=lambda x, y: np.where(
-            hot(x, y)[..., None], value, hess(x, y)))
+            hot(x, y), value, hess(x, y)))
     if kind == "overflow":
         return dataclasses.replace(problem, grad_y_g=lambda x, y: np.where(
             hot(x, y), 1.7e308 * np.sign(grad(x, y)), grad(x, y)))
@@ -315,7 +314,7 @@ def test_solve_lower_matches_the_reference(data):
         "minimax": (builtin_minimax(), 0.05, 32.0),
         "fold": (builtin_fold_family(), 0.002, 420.0),
         "double_well": (builtin_shifted_double_well(), 0.05, 24.0),
-        "quadratic": (quadratic_problem(y0=[0.8]), 1.5, 1.0)}[name]
+        "quadratic": (quadratic_problem(y0=0.8), 1.5, 1.0)}[name]
     kind = data.draw(st.sampled_from(["none", "gradient", "Hessian", "Hessian+inf",
                                       "Hessian-inf", "overflow"]), label="poison")
     problem = poisoned(problem, kind)
@@ -328,7 +327,7 @@ def test_solve_lower_matches_the_reference(data):
     t = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=L * problem.n,
                                     max_size=L * problem.n), label="t"))
     res, _ = assert_matches_reference(problem, lo + t.reshape(L, problem.n) * (hi - lo), cfg)
-    assert res.y_hat.shape == (L, 1) and len(res.errors) == L
+    assert res.y_hat.shape == (L,) and len(res.errors) == L
 
 
 # ---------------------------------------------------------------------------
@@ -338,29 +337,29 @@ def test_solve_lower_matches_the_reference(data):
 def test_cubic_newton_double_well(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
     x = np.array([[0.0]])
-    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.1])), x, cfg)
-    assert abs(res.y_hat[0, 0] - 1.0) <= 1e-6
+    res = solve_lower(dataclasses.replace(double_well, y0=0.1), x, cfg)
+    assert abs(res.y_hat[0] - 1.0) <= 1e-6
     assert abs(double_well.g(x, res.y_hat)[0] - (-1.0)) <= 1e-10
     assert res.oracle_counts["grad"][0] == 31
     assert res.oracle_counts["hess"][0] == 31
 
 
 def test_cubic_newton_quadratic_one_step():
-    p = quadratic_problem(y0=[0.8])
+    p = quadratic_problem(y0=0.8)
     cfg = LowerSolverConfig(method="cubic_newton", M=1.0, max_iters=1)
     _, (ref,) = assert_matches_reference(p, np.array([[0.0]]), cfg)
-    step = solve_cubic_subproblem(p.y0, [[1.0]], 1.0)
-    assert abs(ref["ys"][1, 0] - (p.y0[0] + step.s[0])) <= 1e-14
-    assert abs(ref["ys"][1, 0]) < abs(p.y0[0])
+    step = solve_cubic_subproblem(p.y0, 1.0, 1.0)
+    assert abs(ref["ys"][1] - (p.y0 + step.s)) <= 1e-14
+    assert abs(ref["ys"][1]) < abs(p.y0)
 
 
 def test_cubic_newton_escapes_saddle(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=10)
-    res, (ref,) = assert_matches_reference(dataclasses.replace(double_well, y0=np.array([0.0])),
+    res, (ref,) = assert_matches_reference(dataclasses.replace(double_well, y0=0.0),
                                            np.array([[0.0]]), cfg)
     # first step solves the pure negative-curvature model: |s| = 2*4/24
-    assert abs(abs(ref["ys"][1, 0]) - 1.0 / 3.0) <= 1e-12
-    assert abs(res.y_hat[0, 0]) >= 0.5
+    assert abs(abs(ref["ys"][1]) - 1.0 / 3.0) <= 1e-12
+    assert abs(res.y_hat[0]) >= 0.5
 
 
 def test_cubic_newton_descends_on_builtins(minimax, double_well, fold, quartic):
@@ -374,25 +373,25 @@ def test_cubic_newton_descends_on_builtins(minimax, double_well, fold, quartic):
             res, (ref,) = assert_matches_reference(problem, x, cfg)
             gs = problem.g(np.repeat(x, len(ref["ys"]), axis=0), ref["ys"])
             assert all(b <= a + 1e-12 for a, b in zip(gs, gs[1:]))
-            assert problem.g(x, res.y_hat)[0] <= problem.g(x, problem.y0[None, :])[0] + 1e-12
+            assert problem.g(x, res.y_hat)[0] <= problem.g(x, np.array([problem.y0]))[0] + 1e-12
 
 
 def test_cubic_newton_two_phase(double_well):
     cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=30)
     x = np.array([[0.0]])
-    res, (ref,) = assert_matches_reference(dataclasses.replace(double_well, y0=np.array([0.1])),
+    res, (ref,) = assert_matches_reference(dataclasses.replace(double_well, y0=0.1),
                                            x, cfg)
     nus = ref["nus"]
     cummin = np.minimum.accumulate(nus)
     assert cummin[-1] < nus[0]
     assert (np.diff(cummin) <= 0).all()
     assert res.stationarity[0] == cummin[-1]
-    lam = double_well.hess_yy_g(x, res.y_hat)[0, 0, 0]
+    lam = double_well.hess_yy_g(x, res.y_hat)[0]
     assert lam > 0
 
 
 def test_cubic_newton_selection_ties_smallest_index():
-    p = quadratic_problem(y0=[0.0])  # already optimal: nu = 0 at every k
+    p = quadratic_problem(y0=0.0)  # already optimal: nu = 0 at every k
     cfg = LowerSolverConfig(method="cubic_newton", M=1.0, max_iters=5)
     res = solve_lower(p, np.array([[0.0]]), cfg)
     assert res.selected_index[0] == 0
@@ -404,24 +403,24 @@ def test_cubic_newton_selection_ties_smallest_index():
 
 def test_gd_double_well_converges(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=500)
-    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.5])), np.array([[0.0]]),
+    res = solve_lower(dataclasses.replace(double_well, y0=0.5), np.array([[0.0]]),
                       cfg)
-    assert abs(res.y_hat[0, 0] - 1.0) <= 1e-4
+    assert abs(res.y_hat[0] - 1.0) <= 1e-4
     assert res.selected_index[0] == res.oracle_counts["grad"][0] - 1  # the last iterate
 
 
 def test_gd_stalls_at_degenerate_start(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=200)
     res, (ref,) = assert_matches_reference(double_well, np.array([[0.0]]), cfg)
-    assert res.y_hat[0, 0] == 0.0
+    assert res.y_hat[0] == 0.0
     assert (ref["ys"] == 0.0).all() and len(ref["ys"]) == 201
 
 
 def test_gd_zero_iterations(double_well):
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.05, max_iters=0)
-    res = solve_lower(dataclasses.replace(double_well, y0=np.array([0.7])), np.array([[0.3]]),
+    res = solve_lower(dataclasses.replace(double_well, y0=0.7), np.array([[0.3]]),
                       cfg)
-    assert res.y_hat[0, 0] == 0.7
+    assert res.y_hat[0] == 0.7
 
 
 def test_gd_stays_in_level_set(minimax, double_well, fold, quartic):
@@ -434,13 +433,13 @@ def test_gd_stays_in_level_set(minimax, double_well, fold, quartic):
         xs = rng.uniform(lo, hi, size=(10, problem.n))
         _, ref = assert_matches_reference(problem, xs, cfg)
         for x, lane in zip(xs, ref):
-            g0 = problem.g(x[None, :], problem.y0[None, :])[0]
+            g0 = problem.g(x[None, :], np.array([problem.y0]))[0]
             gs = problem.g(np.repeat(x[None, :], len(lane["ys"]), axis=0), lane["ys"])
             assert all(g <= g0 + 1e-12 for g in gs)
 
 
 def test_gd_early_exit():
-    p = quadratic_problem(y0=[1.0])
+    p = quadratic_problem(y0=1.0)
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.5, max_iters=1000,
                             grad_tol=1e-6)
     res, (ref,) = assert_matches_reference(p, np.array([[0.0]]), cfg)
@@ -450,7 +449,7 @@ def test_gd_early_exit():
 
 
 def test_gd_nonfinite_raises():
-    p = quadratic_problem(y0=[1.0])
+    p = quadratic_problem(y0=1.0)
     cfg = LowerSolverConfig(method="gradient_descent", eta=1e300, max_iters=50)
     with np.errstate(over="ignore", invalid="ignore"):
         res = solve_lower(p, np.array([[0.0]]), cfg)
@@ -543,8 +542,8 @@ def test_lean_path_checks_every_gradient(K):
     # y_1 = 0.25 on (the last gradient for K = 1, a mid-loop one for K = 3);
     # lanes with x <= 0 never do, and a failing lane stops only itself
     p = dataclasses.replace(
-        quadratic_problem(y0=[0.0]),
-        grad_y_g=lambda x, y: np.where((y < 0.25) | (x <= 0.0), -1.0, math.nan))
+        quadratic_problem(y0=0.0),
+        grad_y_g=lambda x, y: np.where((y < 0.25) | (x[..., 0] <= 0.0), -1.0, math.nan))
     cfg = LowerSolverConfig(method="gradient_descent", eta=0.25, max_iters=K)
     x = np.array([[0.5]])
     full = solve_lower(p, x, cfg).errors[0]
@@ -558,7 +557,7 @@ def test_lean_path_checks_every_gradient(K):
         assert str(batch.errors[lane]) == str(full)
         assert batch.errors[lane].iterate_index == 1
     for lane in (0, 2):
-        assert batch.y_hat[lane, 0] == 0.25 * K
+        assert batch.y_hat[lane] == 0.25 * K
 
 
 @pytest.mark.parametrize("what", ["Hessian", "iterate"])
@@ -566,14 +565,14 @@ def test_lane_failures_name_step_and_cause(double_well, what):
     # lanes with x > 0 get a NaN Hessian once |y| > 0.2, or an overflowing step
     def hess(x, y):
         h = double_well.hess_yy_g(x, y)
-        return np.where((x[..., None] > 0) & (np.abs(y[..., None]) > 0.2), math.nan, h)
+        return np.where((x[..., 0] > 0) & (np.abs(y) > 0.2), math.nan, h)
 
-    p = dataclasses.replace(double_well, y0=np.array([0.1]))
+    p = dataclasses.replace(double_well, y0=0.1)
     if what == "Hessian":
         p = dataclasses.replace(p, hess_yy_g=hess)
         cfg = LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=6)
     else:
-        p = dataclasses.replace(p, grad_y_g=lambda x, y: np.where(x > 0, -1e308, 1.0) * y)
+        p = dataclasses.replace(p, grad_y_g=lambda x, y: np.where(x[..., 0] > 0, -1e308, 1.0) * y)
         cfg = LowerSolverConfig(method="gradient_descent", eta=1e10, max_iters=6)
     xs = np.array([[0.5], [-0.5]])
     batch = run_lower_lean(p, xs, cfg)
@@ -683,8 +682,8 @@ def test_the_float_loop_is_the_lockstep_loop(data):
                                     max_size=L * problem.n), label="t"))
     xs = lo + t.reshape(L, problem.n) * (hi - lo)
     if y_span is not None and data.draw(st.booleans(), label="own y0"):
-        problem = dataclasses.replace(problem, y0=np.array(
-            [data.draw(st.floats(-y_span, y_span), label="y0")]))
+        problem = dataclasses.replace(problem, y0=data.draw(st.floats(-y_span, y_span),
+                                                            label="y0"))
     cubic = method == "cubic_newton"
     K = data.draw(st.integers(0, 60 if cubic else 300), label="K")
     eta = data.draw(st.floats(1e-4, 0.05), label="eta")
@@ -719,16 +718,17 @@ def _edge_case(kind):
                 True)
     if kind == "nu tie":
         # at x1 = 1/2 and y = 0 the fold's g and h are 0.0: no step, and
-        # nu_M = max(0.0, -0.0) is -0.0 at every step
-        return dataclasses.replace(fold, y0=np.array([0.0])), np.array([[0.5, 0.3]]), \
+        # nu_M, the max of sqrt(|g| / M) = 0.0 and -(2 / (3 M)) h = -0.0, is
+        # 0.0 at every step
+        return dataclasses.replace(fold, y0=0.0), np.array([[0.5, 0.3]]), \
             cfg("fold", 5), True
     if kind == "tiny gradient":
         # y0 - x = 1, a minimizer of the double well: g = 0, h = 8
-        return dataclasses.replace(well, y0=np.array([1.0])), np.array([[0.0], [0.5]]), \
+        return dataclasses.replace(well, y0=1.0), np.array([[0.0], [0.5]]), \
             cfg("double-well", 5), True
     if kind == "hard case":
         # y0 = x, the double well's hump: g = 0, h = -4, the step -2 h / M
-        return dataclasses.replace(well, y0=np.array([0.25])), np.array([[0.25], [-1.0]]), \
+        return dataclasses.replace(well, y0=0.25), np.array([[0.25], [-1.0]]), \
             cfg("double-well", 8), True
     if kind == "hypot rounding":
         # math.hypot and np.hypot round the first step's root of these lanes
@@ -740,7 +740,7 @@ def _edge_case(kind):
         return fold, np.array([[0.0, 0.0], [0.6, 0.2]]), cfg("fold", 200), False
     # y0 = 2e102 makes the double well's 2 M |g| overflow, which lockstep
     # steps through as sqrt(2 M) sqrt(|g|) and the float loop hands over
-    return dataclasses.replace(well, y0=np.array([2e102])), np.array([[0.0]]), \
+    return dataclasses.replace(well, y0=2e102), np.array([[0.0]]), \
         cfg("double-well", 3), False
 
 
@@ -751,13 +751,15 @@ def test_the_float_loop_is_the_lockstep_loop_at_the_edges(kind):
     problem, xs, cfg, alone = _edge_case(kind)
     p, calls = counted(problem)
     res = solve_lower(p, xs, cfg)
-    assert_same_solve(res, solve_lower(plain(problem), xs, cfg))
+    lockstep = solve_lower(plain(problem), xs, cfg)
+    assert_same_solve(res, lockstep)
     assert res.errors == [None] * len(xs)
     assert calls["grad_y_g.float_form"] > 0 or not len(xs)
     assert (calls["grad_y_g"] + calls["hess_yy_g"] == 0) == alone
     if kind == "nu tie":
         assert res.selected_index.tolist() == [0]
-        assert res.stationarity.tobytes() == np.float64(-0.0).tobytes()
+        for solve in (res, lockstep):  # the sign bit too, in both loops
+            assert solve.stationarity.tobytes() == np.float64(0.0).tobytes()
 
 
 @pytest.mark.parametrize("method, L, hess_form, runs_float", [
@@ -793,33 +795,34 @@ def _failing_forms(kind):
     with x = 1 never get there, so x = 0.5 comes second).  The first lane,
     x = 0, runs clean in each, and the second fails."""
     mm, well = builtin_minimax(), builtin_shifted_double_well()
-    hot = lambda x, y: (x > 0.3) & (np.abs(y) > 0.2)
+    hot = lambda x1, y: (x1 > 0.3) & (np.abs(y) > 0.2)
     xs = np.array([[0.0], [1.0], [-1.0], [0.5], [-0.5], [0.7]])
     if kind in ("nan", "overflow"):
         grad, form = mm.grad_y_g, mm.grad_y_g.float_form
         if kind == "nan":
-            return (mm, {"grad_y_g": (lambda x, y: np.where(hot(x, y), math.nan, grad(x, y)),
-                                      lambda x, y: math.nan if hot(x[0], y) else form(x, y))},
+            return (mm, {"grad_y_g": (
+                lambda x, y: np.where(hot(x[..., 0], y), math.nan, grad(x, y)),
+                lambda x, y: math.nan if hot(x[0], y) else form(x, y))},
                     LowerSolverConfig(eta=0.05, max_iters=100, grad_tol=1e-6), xs)
 
         def huge(x, y):
             g = form(x, y)
             return 1.7e308 * ((g > 0) - (g < 0)) if hot(x[0], y) else g
-        return (mm, {"grad_y_g": (lambda x, y: np.where(hot(x, y), 1.7e308 * np.sign(grad(x, y)),
-                                                        grad(x, y)), huge)},
+        return (mm, {"grad_y_g": (lambda x, y: np.where(
+            hot(x[..., 0], y), 1.7e308 * np.sign(grad(x, y)), grad(x, y)), huge)},
                 LowerSolverConfig(eta=1.5, max_iters=10), xs)
     if kind == "last-step inf":
         # y_k = k / 4 on every lane, and the gradient is inf from y = 0.7 on
         return (quadratic_problem(), {"grad_y_g": (
-            lambda x, y: np.where((y < 0.7) | (x <= 0.0), -1.0, math.inf),
+            lambda x, y: np.where((y < 0.7) | (x[..., 0] <= 0.0), -1.0, math.inf),
             lambda x, y: -1.0 if y < 0.7 or x[0] <= 0.0 else math.inf)},
             LowerSolverConfig(eta=0.25, max_iters=3), xs)
-    well = dataclasses.replace(well, y0=np.array([0.1]))
+    well = dataclasses.replace(well, y0=0.1)
     hess, form = well.hess_yy_g, well.hess_yy_g.float_form
     bad = {"cubic NaN Hessian": math.nan, "cubic inf Hessian": math.inf,
            "cubic overflowing step": -1e308}[kind]
     return (well, {"grad_y_g": (well.grad_y_g, well.grad_y_g.float_form),
-                   "hess_yy_g": (lambda x, y: np.where(hot(x, y)[..., None], bad, hess(x, y)),
+                   "hess_yy_g": (lambda x, y: np.where(hot(x[..., 0], y), bad, hess(x, y)),
                                  lambda x, y: bad if hot(x[0], y) else form(x, y))},
             LowerSolverConfig(method="cubic_newton", M=24.0, max_iters=6), xs[[0, 3, 2, 1, 4, 5]])
 
@@ -857,10 +860,10 @@ def test_libm_hypot_is_numpy_hypot():
 def test_huge_finite_gradient_has_a_finite_norm(double_well, method):
     # at y0 = 1e52 the double well's gradient 4e156 is finite but its square
     # overflows: |grad_y g| and nu_M are read off g, not sqrt(g^2)
-    p = dataclasses.replace(double_well, y0=np.array([1e52]))
+    p = dataclasses.replace(double_well, y0=1e52)
     cfg = LowerSolverConfig(method=method, eta=0.02, M=24.0, max_iters=0)
     res, (ref,) = assert_matches_reference(p, np.array([[0.0]]), cfg)
-    g0 = double_well.grad_y_g(np.array([[0.0]]), p.y0[None, :])[0, 0]
+    g0 = double_well.grad_y_g(np.array([[0.0]]), np.array([p.y0]))[0]
     assert res.grad_norm[0] == ref["grad_norm"] == abs(g0) == pytest.approx(4e156, rel=1e-15)
     assert res.errors == [None]
     if method == "cubic_newton":

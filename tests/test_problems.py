@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scinbio import box_set, get_problem
 from scinbio.problems import LOWER_DEFAULTS, PROBLEM_NAMES, call_oracle
 
-from conftest import at, central_diff_grad
+from conftest import at, central_diff
 
 
 def arr(*vals):
@@ -22,42 +22,42 @@ def arr(*vals):
 # ---------------------------------------------------------------------------
 
 def test_minimax_values(minimax):
-    assert at(minimax, "f", arr(0.0), arr(0.0)) == 0.0
-    assert at(minimax, "f", arr(1.0), arr(0.0)) == pytest.approx(math.sin(1.0), abs=1e-12)
+    assert at(minimax, "f", arr(0.0), 0.0) == 0.0
+    assert at(minimax, "f", arr(1.0), 0.0) == pytest.approx(math.sin(1.0), abs=1e-12)
 
 
 def test_minimax_grad_matches_fd(minimax):
     x = arr(1.0)
-    fd = central_diff_grad(lambda y: at(minimax, "g", x, y), arr(0.0), 1e-6)
-    grad = at(minimax, "grad_y_g", x, arr(0.0))
-    assert np.abs(grad - fd).max() <= 1e-6
+    fd = central_diff(lambda y: at(minimax, "g", x, y), 0.0, 1e-6)
+    grad = at(minimax, "grad_y_g", x, 0.0)
+    assert abs(grad - fd) <= 1e-6
 
 
 def test_double_well_values(double_well):
     # stationary points of g(0, .) are the roots of 4y(y^2 - 1)
     for y in (-1.0, 0.0, 1.0):
-        assert at(double_well, "grad_y_g", arr(0.0), arr(y))[0] == 0.0
-    assert at(double_well, "g", arr(0.0), arr(1.0)) == -1.0
-    assert at(double_well, "g", arr(0.5), arr(1.5)) == -1.0
+        assert at(double_well, "grad_y_g", arr(0.0), y) == 0.0
+    assert at(double_well, "g", arr(0.0), 1.0) == -1.0
+    assert at(double_well, "g", arr(0.5), 1.5) == -1.0
 
 
 def test_double_well_shift_structure(double_well):
     rng = np.random.default_rng(7)
     for _ in range(100):
         x, y = rng.uniform(-2, 2), rng.uniform(-4, 4)
-        assert at(double_well, "g", arr(x), arr(y)) == at(double_well, "g", arr(0.0), arr(y - x))
+        assert at(double_well, "g", arr(x), y) == at(double_well, "g", arr(0.0), y - x)
 
 
 def test_fold_branch_values(fold):
     root = math.sqrt((2 * 0.75 - 1) / (9 * 0.75 - 6 * 0.75 ** 2))
     assert root == pytest.approx(0.3849, abs=1e-3)
     for s in (+1.0, -1.0):
-        g = at(fold, "grad_y_g", arr(0.75, 0.3), arr(s * root))
-        assert abs(float(g[0])) < 1e-12
+        g = at(fold, "grad_y_g", arr(0.75, 0.3), s * root)
+        assert abs(g) < 1e-12
     # degenerate point: gradient and curvature both vanish at (x1=1/2, y=0)
-    assert float(at(fold, "grad_y_g", arr(0.5, 0.0), arr(0.0))[0]) == 0.0
-    assert at(fold, "hess_yy_g", arr(0.5, 0.0), arr(0.0))[0, 0] == 0.0
-    assert at(fold, "g", arr(0.5, 0.0), arr(0.0)) == 0.0
+    assert at(fold, "grad_y_g", arr(0.5, 0.0), 0.0) == 0.0
+    assert at(fold, "hess_yy_g", arr(0.5, 0.0), 0.0) == 0.0
+    assert at(fold, "g", arr(0.5, 0.0), 0.0) == 0.0
 
 
 def test_fold_confinement_inactive_in_window(fold):
@@ -68,18 +68,18 @@ def test_fold_confinement_inactive_in_window(fold):
     for y in (-1.5, -0.7, 0.0, 1.2, 1.5):
         x1 = x[0]
         cubic = (1 - 2 * x1) * y + (3 * x1 - 2 * x1 ** 2) * (y * y * y)
-        assert at(fold, "g", x, arr(y)) == cubic
+        assert at(fold, "g", x, y) == cubic
 
 
 def _fold_grad_y_g_full(x, y):
     """The fold's grad_y_g with its confinement term always added: the
     formula the oracle reduces to when every y lies in [-1.5, 1.5]."""
-    x1, yy = x[..., 0], y[..., 0]
-    t = 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * yy
-    t *= yy
+    x1 = x[..., 0]
+    t = 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * y
+    t *= y
     t += 1.0 - 2.0 * x1
-    t += 40.0 * np.power(np.maximum(0.0, np.abs(yy) - 1.5), 3) * np.sign(yy)
-    return t[..., None]
+    t += 40.0 * np.power(np.maximum(0.0, np.abs(y) - 1.5), 3) * np.sign(y)
+    return t
 
 
 def _x1_cancelling_at(y):
@@ -111,26 +111,26 @@ def test_fold_grad_y_g_window_shortcut_keeps_every_bit(fold):
     x1s = [0.0, 0.5, 0.25, 1.0, -2.0, np.nan, np.inf, -np.inf, _x1_cancelling_at(edge)]
     for x1 in x1s:
         for y in ys:
-            x, yy = np.array([[x1, 0.3]]), np.array([[y]])
+            x, yy = np.array([[x1, 0.3]]), np.array([y])
             assert _same_bits(call_oracle(fold, "grad_y_g", x, yy),
                               _fold_grad_y_g_full(x, yy)), (x1, y)
     # beyond the window by one ulp the term is nonzero at the cancelling x1,
     # so a bound one ulp wider changes the result
     x = np.array([[x1s[-1], 0.0]] * 2)
-    assert np.all(_fold_grad_y_g_full(x, np.array([[edge], [-edge]]))[:, 0] != 0.0)
+    assert np.all(_fold_grad_y_g_full(x, np.array([edge, -edge])) != 0.0)
     # whole batches, in the window and across it, as lanes and in the scan's
-    # broadcast shapes x (C, 1, 2) against y (1, R, 1)
+    # broadcast shapes x (C, 1, 2) against y (1, R)
     inside = [y for y in ys if abs(y) <= 1.5]
     xc = np.array([[x1, -0.5] for x1 in x1s])
     for batch in (inside, ys):
         yl = np.array(batch)
         xl = np.repeat(xc, yl.size, axis=0)
-        yl = np.tile(yl, len(x1s))[:, None]
+        yl = np.tile(yl, len(x1s))
         assert _same_bits(call_oracle(fold, "grad_y_g", xl, yl), _fold_grad_y_g_full(xl, yl))
-        xb, yb = xc[:, None, :], np.array(batch)[None, :, None]
+        xb, yb = xc[:, None, :], np.array(batch)[None, :]
         assert _same_bits(call_oracle(fold, "grad_y_g", xb, yb), _fold_grad_y_g_full(xb, yb))
-    empty_x, empty_y = np.empty((0, 2)), np.empty((0, 1))
-    assert call_oracle(fold, "grad_y_g", empty_x, empty_y).shape == (0, 1)
+    empty_x, empty_y = np.empty((0, 2)), np.empty(0)
+    assert call_oracle(fold, "grad_y_g", empty_x, empty_y).shape == (0,)
 
 
 def test_quartic_coefficient_structure(quartic):
@@ -139,8 +139,8 @@ def test_quartic_coefficient_structure(quartic):
         x = rng.uniform(-4, 5, size=2)
         c3 = x[0] ** 2 - 5 * x[0] * x[1] + 2 * x[1] ** 2 - 7 * x[0] + 8 * x[1] - 30
         c2 = x[0] ** 2 - 3 * x[0] * x[1] + 4 * x[1] ** 2 - 5 * x[0] + 2 * x[1] - 40
-        assert at(quartic, "hess_yy_g", x, arr(0.0))[0, 0] == pytest.approx(2 * c2, rel=1e-12)
-        g0 = float(at(quartic, "grad_y_g", x, arr(0.0))[0])
+        assert at(quartic, "hess_yy_g", x, 0.0) == pytest.approx(2 * c2, rel=1e-12)
+        g0 = at(quartic, "grad_y_g", x, 0.0)
         assert g0 == pytest.approx(c3, rel=1e-12)
 
 
@@ -156,7 +156,7 @@ def test_quartic_root_bound_keeps_its_contract(quartic, x):
         if y < r:
             continue
         for signed in (y, -y):
-            g = float(at(quartic, "grad_y_g", x, arr(signed))[0])
+            g = float(at(quartic, "grad_y_g", x, signed))
             assert g != 0.0 and np.signbit(g) == np.signbit(signed), (signed, r, g)
 
 
@@ -184,13 +184,13 @@ def test_analytic_derivatives_match_fd(name):
     lo, hi = problem.feasible_set.bbox
     for _ in range(100):
         x = rng.uniform(lo, hi)
-        y = rng.uniform(-2.0, 2.0, size=1)
+        y = rng.uniform(-2.0, 2.0)
         grad = at(problem, "grad_y_g", x, y)
-        fd_g = central_diff_grad(lambda yy: at(problem, "g", x, yy), y, 1e-5)
-        assert np.abs(grad - fd_g).max() <= 1e-4 * (1.0 + np.abs(grad).max())
-        hess_col = at(problem, "hess_yy_g", x, y)
-        fd_h = central_diff_grad(lambda yy: float(at(problem, "grad_y_g", x, yy)[0]), y, 1e-4)
-        assert np.abs(hess_col[0] - fd_h).max() <= 1e-4 * (1.0 + np.abs(hess_col).max())
+        fd_g = central_diff(lambda yy: at(problem, "g", x, yy), y, 1e-5)
+        assert abs(grad - fd_g) <= 1e-4 * (1.0 + abs(grad))
+        hess = at(problem, "hess_yy_g", x, y)
+        fd_h = central_diff(lambda yy: at(problem, "grad_y_g", x, yy), y, 1e-4)
+        assert abs(hess - fd_h) <= 1e-4 * (1.0 + abs(hess))
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
@@ -200,22 +200,22 @@ def test_cross_derivative_matches_fd(name):
     lo, hi = problem.feasible_set.bbox
     for _ in range(20):
         x = rng.uniform(lo, hi)
-        y = rng.uniform(-1.5, 1.5, size=1)
+        y = rng.uniform(-1.5, 1.5)
         J = at(problem, "grad_x_grad_y_g", x, y)
         for i in range(problem.n):
             xp = x.copy(); xp[i] += 1e-6
             xm = x.copy(); xm[i] -= 1e-6
             fd = (at(problem, "grad_y_g", xp, y) - at(problem, "grad_y_g", xm, y)) / 2e-6
-            assert np.abs(J[:, i] - fd).max() <= 1e-5 * (1.0 + np.abs(J).max())
-    # lane convention: L = 5 lanes give (L, 1, n), each lane the block of its
+            assert abs(J[i] - fd) <= 1e-5 * (1.0 + np.abs(J).max())
+    # lane convention: L = 5 lanes give (L, n), each lane the row of its
     # point run as a batch of one
     xs = rng.uniform(lo, hi, size=(5, problem.n))
-    ys = rng.uniform(-1.5, 1.5, size=(5, 1))
+    ys = rng.uniform(-1.5, 1.5, size=5)
     lanes = problem.grad_x_grad_y_g(xs, ys)
-    assert lanes.shape == (5, 1, problem.n)
+    assert lanes.shape == (5, problem.n)
     for k in range(5):
         single = at(problem, "grad_x_grad_y_g", xs[k], ys[k])
-        assert single.shape == (1, problem.n)
+        assert single.shape == (problem.n,)
         assert np.array_equal(lanes[k], single)
 
 
@@ -234,7 +234,7 @@ def test_lanes_equal_single_points_bit_for_bit(name):
     lo, hi = problem.feasible_set.bbox
     span = _LANE_Y_SPAN[name]
     xs = rng.uniform(lo, hi, size=(2000, problem.n))
-    ys = rng.uniform(-span, span, size=(2000, 1))
+    ys = rng.uniform(-span, span, size=2000)
     for oracle in ("f", "g", "grad_y_g", "hess_yy_g", "grad_x_grad_y_g"):
         fn = getattr(problem, oracle)
         lanes = np.asarray(fn(xs, ys))
@@ -246,20 +246,32 @@ def test_lanes_equal_single_points_bit_for_bit(name):
         assert differ == [], (oracle, len(differ), differ[:5])
 
 
+# the index that adds the length-one y axes of the old convention to an
+# oracle's output
+_OLD_TAILS = {"grad_y_g": (..., None), "hess_yy_g": (..., None, None),
+              "grad_x_grad_y_g": (..., None, slice(None))}
+
+
 @pytest.mark.parametrize("oracle, expected", [
-    ("f", (3,)), ("g", (3,)), ("grad_y_g", (3, 1)), ("hess_yy_g", (3, 1, 1)),
-    ("grad_x_grad_y_g", (3, 1, 2))])
+    ("f", (3,)), ("g", (3,)), ("grad_y_g", (3,)), ("hess_yy_g", (3,)),
+    ("grad_x_grad_y_g", (3, 2))])
 def test_call_oracle_names_a_wrong_shape(fold, oracle, expected):
     # an oracle that drops the lane axis returns its first lane's output only;
-    # the checked call names the oracle and the (L, ...) shape it expected
+    # one that keeps the old tail, B + (1,), B + (1, 1) or B + (1, n), would
+    # broadcast (L,) against (L, 1) into (L, L) unchecked.  The checked call
+    # names the oracle and the (L, ...) shape it expected
     real = getattr(fold, oracle)
-    bad = dataclasses.replace(fold, **{oracle: lambda x, y: real(x, y)[0]})
-    xs, ys = np.full((3, 2), 0.25), np.full((3, 1), 0.5)
+    xs, ys = np.full((3, 2), 0.25), np.full(3, 0.5)
     assert call_oracle(fold, oracle, xs, ys).shape == expected
-    with pytest.raises(ValueError, match=re.escape(
-            f"{oracle} returned shape {expected[1:]} for x (3, 2) and y (3, 1); the lane "
-            f"convention of scinbio.problems expects {expected}")):
-        call_oracle(bad, oracle, xs, ys)
+    wrong = [lambda x, y: real(x, y)[0]]
+    if oracle in _OLD_TAILS:
+        wrong.append(lambda x, y: real(x, y)[_OLD_TAILS[oracle]])
+    for bad_oracle in wrong:
+        bad = dataclasses.replace(fold, **{oracle: bad_oracle})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{oracle} returned shape {bad_oracle(xs, ys).shape} for x (3, 2) and y (3,); "
+                f"the lane convention of scinbio.problems expects {expected}")):
+            call_oracle(bad, oracle, xs, ys)
 
 
 _ORACLES = ("f", "g", "grad_y_g", "hess_yy_g", "grad_x_grad_y_g")
@@ -269,7 +281,7 @@ _ORACLES = ("f", "g", "grad_y_g", "hess_yy_g", "grad_x_grad_y_g")
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_broadcast_batches_equal_flattened_lanes_bit_for_bit(name, data):
-    # x (C, 1, n) against y (1, R, 1), as the scan's grid phase hands them,
+    # x (C, 1, n) against y (1, R), as the scan's grid phase hands them,
     # gives each of the C R points the bits of the flattened (C R, n) lanes
     problem = get_problem(name)
     C, R = data.draw(st.integers(1, 5), label="C"), data.draw(st.integers(1, 5), label="R")
@@ -279,9 +291,9 @@ def test_broadcast_batches_equal_flattened_lanes_bit_for_bit(name, data):
                                     max_size=C * problem.n), label="t"))
     x = (lo + t.reshape(C, problem.n) * (hi - lo))[:, None, :]
     y = np.array(data.draw(st.lists(st.floats(-span, span), min_size=R, max_size=R),
-                           label="y")).reshape(1, R, 1)
+                           label="y")).reshape(1, R)
     xs = np.broadcast_to(x, (C, R, problem.n)).reshape(C * R, problem.n)
-    ys = np.broadcast_to(y, (C, R, 1)).reshape(C * R, 1)
+    ys = np.broadcast_to(y, (C, R)).reshape(C * R)
     for oracle in _ORACLES:
         grid = call_oracle(problem, oracle, x, y)
         lanes = call_oracle(problem, oracle, xs, ys)
@@ -316,7 +328,7 @@ def test_float_forms_have_the_bits_of_their_lanes(name, data):
                 form(x.tolist(), y)
             continue
         value = form(x.tolist(), y)
-        lane = call_oracle(problem, oracle, x[None, :], np.array([[y]])).reshape(())
+        lane = call_oracle(problem, oracle, x[None, :], np.array([y]))[0]
         assert type(value) is float, oracle
         if math.isnan(y):
             assert math.isnan(value) and np.isnan(lane), oracle
@@ -328,15 +340,14 @@ def test_float_forms_have_the_bits_of_their_lanes(name, data):
 def test_oracles_are_pure(name):
     # kernels may work in place on their own temporaries, never on their
     # inputs: on lanes, on a scan's broadcast batch and on one point (where
-    # y[..., 0] is 0-d), x and y keep their bytes and no output is a view
-    # of either
+    # y is 0-d), x and y keep their bytes and no output is a view of either
     problem = get_problem(name)
     rng = np.random.default_rng(5)
     lo, hi = problem.feasible_set.bbox
     span = _LANE_Y_SPAN[name]
     for bx, by in (((7,), (7,)), ((4, 1), (1, 6)), ((), ())):
         x = rng.uniform(lo, hi, size=bx + (problem.n,))
-        y = rng.uniform(-span, span, size=by + (1,))
+        y = rng.uniform(-span, span, size=by)
         x0, y0 = x.copy(), y.copy()
         for oracle in _ORACLES:
             out = getattr(problem, oracle)(x, y)
@@ -347,19 +358,19 @@ def test_oracles_are_pure(name):
 
 def test_call_oracle_names_the_broadcast_shape(fold):
     # an oracle that answers on x's batch shape alone, not the broadcast one
-    bad = dataclasses.replace(fold, grad_y_g=lambda x, y: np.zeros(x.shape[:-1] + (1,)))
-    x, y = np.full((3, 1, 2), 0.25), np.full((1, 4, 1), 0.5)
-    assert call_oracle(fold, "grad_y_g", x, y).shape == (3, 4, 1)
+    bad = dataclasses.replace(fold, grad_y_g=lambda x, y: np.zeros(x.shape[:-1]))
+    x, y = np.full((3, 1, 2), 0.25), np.full((1, 4), 0.5)
+    assert call_oracle(fold, "grad_y_g", x, y).shape == (3, 4)
     with pytest.raises(ValueError, match=re.escape(
-            "grad_y_g returned shape (3, 1, 1) for x (3, 1, 2) and y (1, 4, 1); the lane "
-            "convention of scinbio.problems expects (3, 4, 1)")):
+            "grad_y_g returned shape (3, 1) for x (3, 1, 2) and y (1, 4); the lane "
+            "convention of scinbio.problems expects (3, 4)")):
         call_oracle(bad, "grad_y_g", x, y)
 
 
 @pytest.mark.parametrize("oracle", _ORACLES)
 def test_call_oracle_rejects_batches_that_do_not_broadcast(fold, oracle):
     with pytest.raises(ValueError, match="cannot be broadcast"):
-        call_oracle(fold, oracle, np.full((3, 2), 0.25), np.full((2, 1), 0.5))
+        call_oracle(fold, oracle, np.full((3, 2), 0.25), np.full(2, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +386,7 @@ def test_f_bar_covers_reachable_region(name):
     checked = 0
     for _ in range(1000):
         x = rng.uniform(lo, hi)
-        y = rng.uniform(-y_span, y_span, size=1)
+        y = rng.uniform(-y_span, y_span)
         if at(problem, "g", x, y) <= at(problem, "g", x, problem.y0):
             assert abs(at(problem, "f", x, y)) <= problem.f_bar
             checked += 1

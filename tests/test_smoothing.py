@@ -5,11 +5,11 @@ import pytest
 from scipy.stats import norm
 
 from scinbio import (LowerSolverConfig, SmoothingConfig, estimate_hypergradient,
-                     gradient_norm_bound, lipschitz_bound, smoothed_step_reference)
+                     gradient_norm_bound, lipschitz_bound)
 from scinbio import rng as rng_mod
 from scinbio.errors import EstimatorError
 
-from conftest import PHI_LOWER, phi_problem, quadratic_problem
+from conftest import PHI_LOWER, phi_problem, quadratic_problem, smoothed_step_reference
 
 
 def step_phi(z):
