@@ -9,8 +9,9 @@ for that lane only) and select their own iterate.  One point is a batch of
 one lane.  A solve of at most _FLOAT_LANES lanes whose oracles have float
 forms (`problems`: grad_y_g for gradient descent, grad_y_g and hess_yy_g for
 cubic Newton) runs each lane's steps in Python floats instead, with the same
-arithmetic and so the same result; a solve whose floats raise or turn
-non-finite runs again in lockstep, which reports the failure.
+arithmetic and so the same result.  A solve runs again in lockstep, which
+reports the failure, only when a float form raises, a step divides by zero
+(an M so small that 2 M |g| underflows) or a value turns non-finite.
 
 The follower y is one-dimensional, so a solve's iterates are one float per
 lane.  With g = dg/dy and h = d2g/dy2 at the iterate, the cubic method
@@ -223,13 +224,13 @@ def _cubic_lane(xs, y, config, grad, hess):
     iterate, |grad_y g| and nu_M there, its step, the last step) and the last
     step's g, h and iterate.
 
-    A lane whose 2 M |g| overflows raises OverflowError (lockstep takes
-    sqrt(2 M) sqrt(|g|) there).  Otherwise a non-finite g, or h, at a step
-    before the last either makes the next iterate non-finite, which stays so,
-    or leaves the iterate where it is (h = inf, or NaN with a tiny |g|), so
-    that the oracles repeat it up to the last step.  So finite last values
-    mean finite values at every step, where the running best under a strict
-    < is np.argmin's first smallest nu_M.
+    Where 2 M |g| overflows, the root is sqrt(2 M) sqrt(|g|), as in lockstep.
+    A non-finite g, or h, at a step before the last either makes the next
+    iterate non-finite, which stays so, or leaves the iterate where it is
+    (h = inf, or NaN with a tiny |g|), so that the oracles repeat it up to
+    the last step.  So finite last values mean finite values at every step,
+    where the running best under a strict < is np.argmin's first smallest
+    nu_M.
     """
     K, M, tol = config.max_iters, config.M, config.grad_tol
     c = -(2.0 / (3.0 * M))
@@ -244,13 +245,11 @@ def _cubic_lane(xs, y, config, grad, hess):
         if k == K or tol > 0 and ag <= tol:
             break
         # the step of _cubic_step_1d
-        q = 2.0 * M * ag
-        if q == math.inf:
-            raise OverflowError("2 M |g| overflows")
         if ag <= 1e-13 * (ag + 1.0):
             y = y + (-2.0 * h / M if h < 0.0 else 0.0)
         else:
-            root = _hypot(h, math.sqrt(q))
+            q = 2.0 * M * ag
+            root = _hypot(h, math.sqrt(q) if q < math.inf else math.sqrt(2.0 * M) * math.sqrt(ag))
             y = y + -math.copysign(ag / (0.5 * (h + root)) if h >= 0.0 else (root - h) / M, g)
     return (b_y, b_gn, b_nu, b_k, k), (g, h, y)
 
@@ -258,7 +257,8 @@ def _cubic_lane(xs, y, config, grad, hess):
 def _float_solve(lane, x, y0, config, grad, hess):
     """The solve of x (L, n) from y0 run by lane(xs, y0, config, grad, hess)
     on each lane's x as a list of floats, or None when a lane raises
-    ValueError or OverflowError (math.sin(inf), say) or ends with a
+    ValueError or ArithmeticError (math.sin(inf) raises the one,
+    math.exp(1000) and a division by zero the other) or ends with a
     non-finite value: the lockstep loop then runs the solve again and
     reports the failure.
     """
@@ -269,7 +269,7 @@ def _float_solve(lane, x, y0, config, grad, hess):
             if not all(map(math.isfinite, last)):
                 return None
             rows.append(row)
-    except (ValueError, OverflowError):
+    except (ValueError, ArithmeticError):
         return None
     L = len(rows)
     y_hat, grad_norm, nu, index, last = np.array(rows, dtype=float).reshape(L, 5).T.copy()

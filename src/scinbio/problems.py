@@ -23,12 +23,12 @@ flow of `minimax_gradient`.
 Float form.  A bundle's grad_y_g and hess_yy_g may carry the attribute
 `float_form(xs, y)`: xs is one lane's x as a list of n floats, y is a float,
 and it returns the oracle there as a float with the bits the array oracle
-gives that lane, or raises ValueError where it makes no such promise
-(`lower.solve_lower` runs small solves on the forms and hands a solve whose
-form raises to its lockstep loop).  The attribute belongs to the function,
-so a replaced or wrapped oracle has none.  Every builtin declares both
-forms; the fold's serve only its window |y| <= 1.5, where the confinement
-terms are +-0.0, and raise outside it or at a NaN y.
+gives that lane (any NaN for a NaN), or raises ValueError or OverflowError
+where it makes no such promise (`lower.solve_lower` runs small solves on the
+forms and hands a solve whose form raises to its lockstep loop).  The
+attribute belongs to the function, so a replaced or wrapped oracle has none.
+Every builtin declares both forms, and they serve every y: none raises for a
+finite input.
 
 Root bound.  A bundle may declare `grad_y_root_bound`, which maps x (..., n)
 to R (...): for every y with |y| >= R(x), the computed grad_y_g(x, y) is
@@ -233,15 +233,17 @@ def builtin_minimax() -> BilevelProblem:
 # f(x,y) = y separates the two lower-level branches, so the hyperfunction
 # jumps at x = 0 where gradient descent from y0 = 0 stalls on the hump.
 # Like the other builtins below, the oracles compute on the components
-# x[..., j] and on y as it is.  Powers are spelled as products, and
-# polynomials in y in Horner form, wherever that suffices; the one power
-# left, in the fold's confinement term, is np.power.  The scan's grid kernels, grad_y_g of the fold and the quartic,
-# allocate one batch-shaped array and run the chain in place on it (t *= y,
-# t += c): the same operations in the same order, so the same bits.  The
-# fold's kernel adds its confinement term only when some y lies outside
-# [-1.5, 1.5] or is NaN: on that window the term is +-0.0, and the chain
-# before it ends in + (1 - 2 x1), which is never -0.0, so t is never -0.0
-# and adding +-0.0 leaves its bits alone.
+# x[..., j] and on y as it is.  Powers are spelled as products and
+# polynomials in y in Horner form; no power function is left, since products
+# round the same on every CPU while numpy's power follows its SIMD
+# dispatch.  Each builtin's float forms run its array oracles' operations in
+# their order, so they serve every y.  The scan's grid kernels, grad_y_g of
+# the fold and the quartic, allocate one batch-shaped array and run the
+# chain in place on it (t *= y, t += c): the same operations in the same
+# order, so the same bits.  The fold's kernel adds its confinement term only
+# when some y lies outside [-1.5, 1.5] or is NaN: on that window the term is
+# +-0.0, and the chain before it ends in + (1 - 2 x1), which is never -0.0,
+# so t is never -0.0 and adding +-0.0 leaves its bits alone.
 
 _DOUBLE_WELL_F_BAR = 5.33  # 1.5 x max|y| over the sublevel grid (max 3.553)
 
@@ -306,17 +308,6 @@ def _fold_overhang(y):
     return np.maximum(0.0, np.abs(y) - _FOLD_EDGE)
 
 
-def _fold_window(xs, y):
-    """x1 of the lane xs for the fold's float forms.  They serve |y| <= 1.5,
-    where the confinement term is +-0.0 in grad_y_g, which leaves the
-    chain's bits alone, and +0.0 in hess_yy_g; elsewhere, and at a NaN y,
-    ValueError hands a solve to lockstep, since the bits of np.power depend
-    on numpy's CPU dispatch."""
-    if not -_FOLD_EDGE <= y <= _FOLD_EDGE:
-        raise ValueError(f"y = {y} lies outside the fold's float window")
-    return xs[0]
-
-
 def builtin_fold_family() -> BilevelProblem:
     def f(x, y):
         return x[..., 0] + y
@@ -335,7 +326,8 @@ def builtin_fold_family() -> BilevelProblem:
         t += 1.0 - 2.0 * x1
         if not (y.min(initial=np.inf) >= -_FOLD_EDGE
                 and y.max(initial=-np.inf) <= _FOLD_EDGE):
-            t += 4.0 * _FOLD_CONF * np.power(_fold_overhang(y), 3) * np.sign(y)
+            r = _fold_overhang(y)
+            t += 4.0 * _FOLD_CONF * (r * r * r) * np.sign(y)
         return t
 
     def hess_yy_g(x, y):
@@ -343,13 +335,18 @@ def builtin_fold_family() -> BilevelProblem:
         r = _fold_overhang(y)
         return 6.0 * (3.0 * x1 - 2.0 * x1 * x1) * y + 12.0 * _FOLD_CONF * r * r
 
+    # the forms skip the confinement term where r > 0.0 fails (the window,
+    # and a NaN y), where it is +-0.0 in grad_y_g and +0.0 in hess_yy_g;
+    # elsewhere sign(y) is +-1, so copysign gives the array's product
     def grad_form(xs, y):
-        x1 = _fold_window(xs, y)
-        return 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * y * y + (1.0 - 2.0 * x1)
+        x1, r = xs[0], abs(y) - _FOLD_EDGE
+        t = 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * y * y + (1.0 - 2.0 * x1)
+        return t + math.copysign(4.0 * _FOLD_CONF * (r * r * r), y) if r > 0.0 else t
 
     def hess_form(xs, y):
-        x1 = _fold_window(xs, y)
-        return 6.0 * (3.0 * x1 - 2.0 * x1 * x1) * y + 0.0
+        x1, r = xs[0], abs(y) - _FOLD_EDGE
+        return 6.0 * (3.0 * x1 - 2.0 * x1 * x1) * y + (
+            12.0 * _FOLD_CONF * r * r if r > 0.0 else 0.0)
 
     grad_y_g.float_form, hess_yy_g.float_form = grad_form, hess_form
 

@@ -307,9 +307,11 @@ def test_a_post_run_point_fails_its_seed_where_it_is_used(tmp_path, monkeypatch,
 
 # sha256 of the outputs of `run --out out` at T = 50 (the other settings are the
 # defaults) for minimax with the GD follower and fold, double-well and quartic
-# with cubic Newton, K = 10.  The phase plots pin the post-run y_hat.
+# with cubic Newton, K = 10; and fold with cubic Newton at the default K = 200,
+# whose lanes enter the confinement zone y < -1.5.  The phase plots pin the
+# post-run y_hat.
 GOLDEN = {
-    "minimax": (["--seed", "0,7"], {
+    "minimax": ("minimax", ["--seed", "0,7"], {
         "trace_seed0.csv": "4c240d019e6d6a3b666303e26e2f324d732f15442795e83155cba093dce56e63",
         "trace_seed7.csv": "3d460f0ace8ad6e2b832eef16e6192fc9a68be7698e4564cc5e44e7749419cf3",
         "summary_seed0.json": "537196a1eb65d5bb46f34a69d62e409983b33cf0c64611da27f69d589efd1580",
@@ -317,8 +319,8 @@ GOLDEN = {
         "phase_seed0.svg": "2eec561bcf9ef022ae8eb116c1946db32fd47000ddbfc90894bbe46141e686aa",
         "phase_seed7.svg": "56e94ff24ce53b0788fd13be829700dff2c255b11dacaf46c6e6cd816ba1d9f3",
     }),
-    "fold": (["--seed", "11,12", "--set", "lower.method=cubic_newton",
-              "--set", "lower.K=10"], {
+    "fold": ("fold", ["--seed", "11,12", "--set", "lower.method=cubic_newton",
+                      "--set", "lower.K=10"], {
         "trace_seed11.csv": "6e6272af7dbb339936bb6cd3b1d08c96ccf0e664ba64bb259923cc456b8d66bf",
         "trace_seed12.csv": "1084e5046961d6e7dd817f243aba2ab71610de1373e0db64320ccc895bd2c208",
         "summary_seed11.json": "f4598974e1f19b3decb9515bf93411a7b7789c95c543b7c2eb536e046aec8a4a",
@@ -326,8 +328,8 @@ GOLDEN = {
         "phase_seed11.svg": "0c87233c1df746fb37a68655cc407fe18533d7cff6dd257fabaee21d5d5caf2c",
         "phase_seed12.svg": "654f33ba2bfd812ee57eb46d1f18d1f5726cdf819fff4b0461dce2534f5f97c5",
     }),
-    "double-well": (["--seed", "0,1", "--set", "lower.method=cubic_newton",
-                     "--set", "lower.K=10"], {
+    "double-well": ("double-well", ["--seed", "0,1", "--set", "lower.method=cubic_newton",
+                                    "--set", "lower.K=10"], {
         "trace_seed0.csv": "871f0a105336273977de3e07ff051b5b7d7cd6c7bc81929ae87c2358f916d606",
         "trace_seed1.csv": "04dcfdb7fdc74dae95475b70dd30030cf364d4ce049b3e22f98b9d8028311434",
         "summary_seed0.json": "336960e3e99895ea918ed85b5e35719827c9afc5495fa1896c40dc0647d3b63f",
@@ -335,8 +337,8 @@ GOLDEN = {
         "phase_seed0.svg": "8d9d248d053c073730e64b71668c84d73b8c9d792f2fb3144d2fa61546f942e2",
         "phase_seed1.svg": "6c78cf0d8b165267b41df1d12989490e7359aac64fd514af8094ed92ad9e3945",
     }),
-    "quartic": (["--seed", "0,1", "--set", "lower.method=cubic_newton",
-                 "--set", "lower.K=10"], {
+    "quartic": ("quartic", ["--seed", "0,1", "--set", "lower.method=cubic_newton",
+                            "--set", "lower.K=10"], {
         "trace_seed0.csv": "425348132ff625119f1e94efed8cf0598f29e23b3bb7f74eaa4a221900e521c4",
         "trace_seed1.csv": "1a685427c7a4e1accfec23bd8d2aee04dc65458557200cc6647273e12ff106dd",
         "summary_seed0.json": "2af1127310bf1f6c1d3d231985d3f79137085df87efbc7514244817cba97c8e1",
@@ -344,12 +346,20 @@ GOLDEN = {
         "phase_seed0.svg": "e0d3815aa0956a6ba0b41a2ba2e4449e83b4325cb6ef6e80ac466b2deee63a38",
         "phase_seed1.svg": "a1aee3950151b82bc55eccc1a9372e2c6a02a5115725c07a4e1287169bd3820e",
     }),
+    "fold-default-K": ("fold", ["--seed", "0,1", "--set", "lower.method=cubic_newton"], {
+        "trace_seed0.csv": "20f25500df031ad31af3a6401a681093c8af96b9763af2c8581005966bedf104",
+        "trace_seed1.csv": "e0967482c7e09d2c033d861070179e43d5525e6b469879a3fd6df81977054c0b",
+        "summary_seed0.json": "160e900e0981469a4eab1baea141b2b94ce3a7f66bc8d10edbe2c9f0c236978f",
+        "summary_seed1.json": "65a725a37c316923247f024d6abf0d18d6de82f57cd5a4afde7596109d7f6656",
+        "phase_seed0.svg": "5547e72113dea7ba81482718634a92d47f1960deeb018b3da078d19be39e7e51",
+        "phase_seed1.svg": "f652ee226786399ce6effda7191ec87629ebe61aca2925fcc8cadc401f699714",
+    }),
 }
 
 
-@pytest.mark.parametrize("problem", sorted(GOLDEN))
-def test_run_outputs_match_pinned_digests(tmp_path, monkeypatch, problem):
-    args, digests = GOLDEN[problem]
+@pytest.mark.parametrize("row", sorted(GOLDEN))
+def test_run_outputs_match_pinned_digests(tmp_path, monkeypatch, row):
+    problem, args, digests = GOLDEN[row]
     monkeypatch.chdir(tmp_path)  # the summary echoes the output directory
     assert run_cli("run", "--problem", problem, "--out", "out", "--set", "outer.T=50",
                    *args) == 0

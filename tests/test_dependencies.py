@@ -98,6 +98,19 @@ def test_builtin_oracles_index_any_batch_shape():
     assert hits == []
 
 
+def test_problems_spells_powers_as_products():
+    # products round the same on every CPU; numpy's power follows its SIMD
+    # dispatch, so no np.power, numpy.power, math.pow or ** in the builtins
+    with open(os.path.join(SRC, "scinbio", "problems.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    hits = [f"problems.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Pow)
+            or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in {("np", "power"), ("numpy", "power"),
+                                               ("math", "pow")}]
+    assert hits == []
+
+
 def _unused_imports(path):
     """`file:line name` for each name a top-level import binds that the module never reads."""
     with open(path, encoding="utf-8") as fh:

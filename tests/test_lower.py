@@ -666,7 +666,7 @@ def counted(problem):
 # problem, method, x span (None for the box) and y0 span of the property test
 _FLOAT_CASES = [("minimax", "gradient_descent", 6.0, None),
                 ("minimax", "cubic_newton", 6.0, 6.0),
-                ("fold", "cubic_newton", None, 1.5),
+                ("fold", "cubic_newton", None, 4.0),
                 ("double-well", "cubic_newton", None, 3.0),
                 ("quartic", "cubic_newton", None, 200.0)]
 
@@ -735,13 +735,13 @@ def _edge_case(kind):
         # differently
         return well, np.array([[-1.884], [-1.692], [-1.287]]), cfg("double-well", 1), True
     if kind == "leaves the window":
-        # at x1 = 0 the fold's g is 1 on the window; the lane heads for the
-        # root near y = -1.79, so its forms raise and the solve runs lockstep
-        return fold, np.array([[0.0, 0.0], [0.6, 0.2]]), cfg("fold", 200), False
-    # y0 = 2e102 makes the double well's 2 M |g| overflow, which lockstep
-    # steps through as sqrt(2 M) sqrt(|g|) and the float loop hands over
+        # at x1 = 0 the fold's g is 1 on |y| <= 1.5; the lane heads for the
+        # root near y = -1.79, in the confinement zone, which the forms serve
+        return fold, np.array([[0.0, 0.0], [0.6, 0.2]]), cfg("fold", 200), True
+    # y0 = 2e102 makes the double well's 2 M |g| overflow, which both loops
+    # step through as sqrt(2 M) sqrt(|g|)
     return dataclasses.replace(well, y0=2e102), np.array([[0.0]]), \
-        cfg("double-well", 3), False
+        cfg("double-well", 3), True
 
 
 @pytest.mark.parametrize("kind", ["no lanes", "no steps", "nu tie", "tiny gradient",
@@ -792,8 +792,10 @@ def _failing_forms(kind):
     double well: a NaN Hessian once |y| > 0.2 on the lanes with x > 0.3; an
     inf one there, whose step is 0, so that the lane stays where it is; or
     h = -1e308 there, whose step overflows y to inf (the double well's lanes
-    with x = 1 never get there, so x = 0.5 comes second).  The first lane,
-    x = 0, runs clean in each, and the second fails."""
+    with x = 1 never get there, so x = 0.5 comes second).  Cubic Newton on
+    g = y^2 / 2 at M = 5e-324 from y0 = 0.1, where 2 M |g| underflows to 0:
+    h = 0 on the lanes with x > 0.3 makes the step divide by zero.  The
+    first lane, x = 0, runs clean in each, and the second fails."""
     mm, well = builtin_minimax(), builtin_shifted_double_well()
     hot = lambda x1, y: (x1 > 0.3) & (np.abs(y) > 0.2)
     xs = np.array([[0.0], [1.0], [-1.0], [0.5], [-0.5], [0.7]])
@@ -817,6 +819,12 @@ def _failing_forms(kind):
             lambda x, y: np.where((y < 0.7) | (x[..., 0] <= 0.0), -1.0, math.inf),
             lambda x, y: -1.0 if y < 0.7 or x[0] <= 0.0 else math.inf)},
             LowerSolverConfig(eta=0.25, max_iters=3), xs)
+    if kind == "cubic zero division":
+        quad = quadratic_problem(y0=0.1)
+        return (quad, {"grad_y_g": (quad.grad_y_g, lambda x, y: y),
+                       "hess_yy_g": (lambda x, y: np.where(x[..., 0] > 0.3, 0.0, 1.0),
+                                     lambda x, y: 0.0 if x[0] > 0.3 else 1.0)},
+                LowerSolverConfig(method="cubic_newton", M=5e-324, max_iters=4), xs)
     well = dataclasses.replace(well, y0=0.1)
     hess, form = well.hess_yy_g, well.hess_yy_g.float_form
     bad = {"cubic NaN Hessian": math.nan, "cubic inf Hessian": math.inf,
@@ -828,7 +836,8 @@ def _failing_forms(kind):
 
 
 @pytest.mark.parametrize("kind", ["nan", "overflow", "last-step inf", "cubic NaN Hessian",
-                                  "cubic inf Hessian", "cubic overflowing step"])
+                                  "cubic inf Hessian", "cubic overflowing step",
+                                  "cubic zero division"])
 def test_a_failing_float_loop_hands_the_solve_to_the_lockstep_loop(kind):
     problem, forms, cfg, xs = _failing_forms(kind)
     p, calls = with_float_forms(problem, forms)

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,10 +78,11 @@ def _fold_grad_y_g_full(x, y):
     """The fold's grad_y_g with its confinement term always added: the
     formula the oracle reduces to when every y lies in [-1.5, 1.5]."""
     x1 = x[..., 0]
+    r = np.maximum(0.0, np.abs(y) - 1.5)
     t = 3.0 * (3.0 * x1 - 2.0 * x1 * x1) * y
     t *= y
     t += 1.0 - 2.0 * x1
-    t += 40.0 * np.power(np.maximum(0.0, np.abs(y) - 1.5), 3) * np.sign(y)
+    t += 40.0 * (r * r * r) * np.sign(y)
     return t
 
 
@@ -302,18 +306,20 @@ def test_broadcast_batches_equal_flattened_lanes_bit_for_bit(name, data):
 
 
 # y values a float form must round as its lane does: signed zeros,
-# subnormals, the fold's window edges and their neighbours, and NaN
+# subnormals, the edges of the fold's confinement zones and their
+# neighbours, points inside those zones, and NaN
 _FORM_EDGE_YS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.5, -1.5,
                  math.nextafter(1.5, 0.0), math.nextafter(-1.5, 0.0),
-                 math.nextafter(1.5, 2.0), math.nextafter(-1.5, -2.0), 1e6, -1e6, math.nan]
+                 math.nextafter(1.5, 2.0), math.nextafter(-1.5, -2.0), 1.6, -1.6, 2.0, -2.0,
+                 100.0, -100.0, 1e6, -1e6, math.nan]
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_float_forms_have_the_bits_of_their_lanes(name, data):
-    # every builtin's grad_y_g and hess_yy_g declare a float form; off the
-    # fold's window |y| <= 1.5 (NaN included) the fold's forms raise
+    # every builtin's grad_y_g and hess_yy_g declare a float form, which
+    # serves every y
     problem = get_problem(name)
     lo, hi = problem.feasible_set.bbox
     t = data.draw(st.lists(st.floats(0.0, 1.0), min_size=problem.n, max_size=problem.n),
@@ -322,18 +328,60 @@ def test_float_forms_have_the_bits_of_their_lanes(name, data):
     y = data.draw(st.one_of(st.floats(-1e6, 1e6), st.floats(-2.0, 2.0),
                             st.sampled_from(_FORM_EDGE_YS)), label="y")
     for oracle in ("grad_y_g", "hess_yy_g"):
-        form = getattr(problem, oracle).float_form
-        if name == "fold" and not abs(y) <= 1.5:
-            with pytest.raises(ValueError, match="outside the fold's float window"):
-                form(x.tolist(), y)
-            continue
-        value = form(x.tolist(), y)
+        value = getattr(problem, oracle).float_form(x.tolist(), y)
         lane = call_oracle(problem, oracle, x[None, :], np.array([y]))[0]
         assert type(value) is float, oracle
         if math.isnan(y):
             assert math.isnan(value) and np.isnan(lane), oracle
         else:
             assert np.float64(value).tobytes() == lane.tobytes(), (oracle, x, y)
+
+
+def test_fold_float_forms_have_the_bits_of_their_lanes_where_the_term_overflows(fold):
+    # the confinement term's r^3 overflows from |y| ~ 1e103 on, and the
+    # cubic's y^2 from 1e155; the fold's forms still give their lanes' bits,
+    # NaN included (0 * inf at x1 = 0).  These y stay out of _FORM_EDGE_YS:
+    # minimax's math.sin(inf) raises, and the double well's lanes overflow
+    ys = [1e103, -1e103, 1e200, -1e200, math.inf, -math.inf]
+    x = np.stack([np.linspace(0.0, 1.0, 41), np.full(41, 0.3)], axis=-1)
+    with np.errstate(all="ignore"):
+        for oracle in ("grad_y_g", "hess_yy_g"):
+            form = getattr(fold, oracle).float_form
+            for y in ys:
+                lanes = call_oracle(fold, oracle, x, np.full(41, y))
+                values = [form(xs, y) for xs in x.tolist()]
+                assert np.array(values).tobytes() == lanes.tobytes(), (oracle, y)
+
+
+# the fold's grad_y_g on 1,001 lanes across both confinement zones, x1 in
+# [0, 1] against y in [-4, 4], as `digest`
+_FOLD_DIGEST_CODE = """
+import hashlib
+import numpy as np
+from scinbio import get_problem
+from scinbio.problems import call_oracle
+x1 = np.linspace(0.0, 1.0, 1001)
+x, y = np.stack([x1, np.zeros_like(x1)], axis=-1), np.linspace(-4.0, 4.0, 1001)
+digest = hashlib.sha256(call_oracle(get_problem("fold"), "grad_y_g", x, y).tobytes()).hexdigest()
+"""
+
+
+def test_fold_bits_do_not_follow_numpy_cpu_dispatch():
+    """A process with every SIMD target numpy dispatches to turned off
+    (NPY_DISABLE_CPU_FEATURES) computes the fold's grad_y_g with the bits of
+    this one.  A target this CPU lacks only makes numpy warn.  Where numpy
+    dispatches nothing above its baseline, both processes run the same code
+    and the test passes trivially."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    here = {}
+    exec(_FOLD_DIGEST_CODE, here)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    child = subprocess.run([sys.executable, "-c", _FOLD_DIGEST_CODE + "print(digest)"],
+                           env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert child.stdout.split() == [here["digest"]]
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
