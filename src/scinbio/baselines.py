@@ -38,7 +38,6 @@ def gda_field(grad_f, x, y):
 @dataclass
 class GdaTrace:
     points: np.ndarray            # (k+1, 2) phase trajectory
-    step: float
     steps_taken: int
     verdict: str
     cycle_witness: Optional[Tuple[int, int]]
@@ -126,6 +125,6 @@ def run_gda(grad_f, init, step, max_steps, *, integrator="rk4") -> GdaTrace:
         witness = detect_cycle(points)
         if witness is not None:
             verdict = CYCLING
-    return GdaTrace(points=points, step=h, steps_taken=steps_taken,
+    return GdaTrace(points=points, steps_taken=steps_taken,
                     verdict=verdict, cycle_witness=witness,
                     final_window_displacement=disp)

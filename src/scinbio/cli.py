@@ -8,6 +8,9 @@ configuration, so every output JSON echoes the values the run used.  The
 outer, lower and smoothing keys are checked by their config dataclasses.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O failure.
+`run` keeps running the other seeds when one fails and records each seed's
+error in its report; it exits 4 when any seed failed on I/O (an OSError),
+else 3 when any seed failed.
 """
 
 import argparse
@@ -187,6 +190,8 @@ def resolve_config(args):
                 errors.append(f"{_FIELD_KEYS.get(key, key)} {rest}")
     if not cfg["seeds"]:
         errors.append("seeds must be nonempty")
+    if len(set(cfg["seeds"])) < len(cfg["seeds"]):
+        errors.append("seeds must be distinct")
     if any(seed < 0 for seed in cfg["seeds"]):
         errors.append("seeds must be nonnegative")
     for key, least in _AT_LEAST.items():
@@ -202,6 +207,8 @@ def resolve_config(args):
     bad_emit = set(cfg["emit"]) - {"csv", "json", "svg"}
     if bad_emit:
         errors.append(f"emit entries must be csv|json|svg, got {sorted(bad_emit)}")
+    if cfg["audit"] and "json" not in cfg["emit"]:
+        errors.append("audit needs json in emit: the audit is written to the summary")
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -297,7 +304,7 @@ def _run_one_seed(cfg, seed, problem, lower, smoothing, trace, out):
     tail = xs[:-1][-100:]
     phase = xs[::max(1, (len(xs) - 1) // 400)] if "svg" in cfg["emit"] else xs[:0]
     rows = np.concatenate([tail, phase])
-    solve = run_lower_lean(problem, rows, lower) if len(rows) else None
+    solve = run_lower_lean(problem, rows, lower)
 
     # best of the last 100 iterations by hyperfunction value
     if len(tail):
@@ -360,7 +367,7 @@ def cmd_run(cfg):
         outcomes = run_scinbio(problem, outer, lower, smoothings, x0=x0s).traces
     except Exception as exc:  # not one seed's failure: every seed reports it
         outcomes = [exc] * len(seeds)
-    results = {}
+    results, io_failed = {}, False
     for seed, smoothing, outcome in zip(seeds, smoothings, outcomes):
         try:
             if isinstance(outcome, Exception):
@@ -369,24 +376,28 @@ def cmd_run(cfg):
                                           outcome, out)
         except Exception as exc:  # per-seed failures must not abort the sweep
             results[seed] = {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+            io_failed |= isinstance(exc, OSError)
     verdicts = [r.get("verdict") for r in results.values()]
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "run",
-        "config": cfg,
-        "results": {str(seed): results[seed] for seed in sorted(results)},
-        "counts": {
-            "converged": verdicts.count("converged"),
-            "unstable": verdicts.count("unstable"),
-            "short-run": verdicts.count("short-run"),
-            "errors": sum(1 for r in results.values() if "error" in r),
-        },
-    }
-    with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
+    counts = {"converged": verdicts.count("converged"),
+              "unstable": verdicts.count("unstable"),
+              "short-run": verdicts.count("short-run"),
+              "errors": sum(1 for r in results.values() if "error" in r)}
+    path = _write_report(out, "report.json", "run", cfg, results, counts)
+    print(canonical_json({"report": path, "counts": counts}).rstrip())
+    if io_failed:
+        return EXIT_IO
+    return EXIT_NUMERICAL if counts["errors"] else EXIT_OK
+
+
+def _write_report(out, filename, command, cfg, results, counts):
+    """Write the report of a multi-seed command to out/filename; its path."""
+    report = {"schema": REPORT_SCHEMA, "command": command, "config": cfg,
+              "results": {str(seed): results[seed] for seed in sorted(results)},
+              "counts": counts}
+    path = os.path.join(out, filename)
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(report))
-    print(canonical_json({"report": os.path.join(out, "report.json"),
-                          "counts": report["counts"]}).rstrip())
-    return EXIT_NUMERICAL if report["counts"]["errors"] else EXIT_OK
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -509,20 +520,10 @@ def cmd_gda(cfg):
         entry["files"] = files
         results[seed] = entry
     verdicts = [r["verdict"] for r in results.values()]
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "gda",
-        "config": cfg,
-        "results": {str(seed): results[seed] for seed in sorted(results)},
-        "counts": {
-            "cycling": verdicts.count(CYCLING),
-            "converged": verdicts.count("converged"),
-            "budget_exhausted": verdicts.count(BUDGET_EXHAUSTED),
-        },
-    }
-    with open(os.path.join(out, "gda_report.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report))
-    print(canonical_json({"counts": report["counts"]}).rstrip())
+    counts = {"cycling": verdicts.count(CYCLING), "converged": verdicts.count("converged"),
+              "budget_exhausted": verdicts.count(BUDGET_EXHAUSTED)}
+    _write_report(out, "gda_report.json", "gda", cfg, results, counts)
+    print(canonical_json({"counts": counts}).rstrip())
     return EXIT_OK
 
 

@@ -366,10 +366,5 @@ def solve_lower(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
     return _result(config, y_hat, grad_norm, nu_hat, index, last, errors)
 
 
-def run_lower_lean(problem, x, config: LowerSolverConfig) -> LowerSolveResult:
-    """`solve_lower` under the name the estimator and the CLI call it by.
-
-    A profiler that wraps this name times the solves of a run apart from
-    direct `solve_lower` calls (benchmarks/tracing.py does).
-    """
-    return solve_lower(problem, x, config)
+# the name the estimator and the CLI call, which benchmarks/tracing.py wraps
+run_lower_lean = solve_lower

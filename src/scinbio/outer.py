@@ -261,8 +261,7 @@ def _output_point(problem, outer, smoothing, x, mapping_norm):
 def _config_echo(outer, lower, smoothing):
     return {"T": outer.T, "beta": float(outer.beta), "output_rule": outer.output_rule,
             "xi": smoothing.xi, "master_seed": smoothing.master_seed,
-            "lower": {key: getattr(lower, key)
-                      for key in ("method", "eta", "M", "max_iters", "grad_tol")}}
+            "lower": dataclasses.asdict(lower)}
 
 
 def tail_stability(x_history, window=500):

@@ -23,12 +23,14 @@ flow of `minimax_gradient`.
 Float form.  A bundle's grad_y_g and hess_yy_g may carry the attribute
 `float_form(xs, y)`: xs is one lane's x as a list of n floats, y is a float,
 and it returns the oracle there as a float with the bits the array oracle
-gives that lane (any NaN for a NaN), or raises ValueError or OverflowError
-where it makes no such promise (`lower.solve_lower` runs small solves on the
-forms and hands a solve whose form raises to its lockstep loop).  The
-attribute belongs to the function, so a replaced or wrapped oracle has none.
-Every builtin declares both forms, and they serve every y: none raises for a
-finite input.
+gives that lane (any NaN for a NaN), or raises ValueError or an
+ArithmeticError (OverflowError, ZeroDivisionError, ...) where it makes no
+such promise; any other exception propagates.  `lower.solve_lower` runs
+small solves on the forms and runs a solve again in its lockstep loop when a
+form or its own float step raises one of these, or a value turns non-finite.
+The attribute belongs to the function, so a replaced or wrapped oracle has
+none.  Every builtin declares both forms, and they serve every y: none
+raises for a finite input.
 
 Root bound.  A bundle may declare `grad_y_root_bound`, which maps x (..., n)
 to R (...): for every y with |y| >= R(x), the computed grad_y_g(x, y) is

@@ -92,18 +92,16 @@ def estimate_hypergradient(problem, x, n_samples, smoothings, lower: LowerSolver
     counts = np.zeros((S, len(ORACLE_KEYS)), dtype=int)
     feasible = problem.feasible_set.contains(xt)
     values[~feasible] = problem.f_bar
-    solve_errors = {}
-    if feasible.any():
-        lanes = xt[feasible]
-        owner, sample = np.nonzero(feasible)
-        res = run_lower_lean(problem, lanes, lower)
-        with np.errstate(all="ignore"):  # a failed lane's value is NaN; reported below
-            values[feasible] = call_oracle(problem, "f", lanes, res.y_hat)
-        # the solve counts no f; weights=None counts its one call per lane, at y_hat
-        for j, key in enumerate(ORACLE_KEYS):
-            counts[:, j] = np.bincount(owner, weights=res.oracle_counts.get(key), minlength=S)
-        solve_errors = {(int(owner[lane]), int(sample[lane])): exc
-                        for lane, exc in enumerate(res.errors) if exc is not None}
+    lanes = xt[feasible]
+    owner, sample = np.nonzero(feasible)
+    res = run_lower_lean(problem, lanes, lower)
+    with np.errstate(all="ignore"):  # a failed lane's value is NaN; reported below
+        values[feasible] = call_oracle(problem, "f", lanes, res.y_hat)
+    # the solve counts no f; weights=None counts its one call per lane, at y_hat
+    for j, key in enumerate(ORACLE_KEYS):
+        counts[:, j] = np.bincount(owner, weights=res.oracle_counts.get(key), minlength=S)
+    solve_errors = {(int(owner[lane]), int(sample[lane])): exc
+                    for lane, exc in enumerate(res.errors) if exc is not None}
     bad = ~np.isfinite(values)
     for s, i in solve_errors:
         bad[s, i] = True

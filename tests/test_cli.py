@@ -127,6 +127,27 @@ def test_descending_seed_range_exits_2(tmp_path, capsys, text, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "gda"])
+def test_repeated_seeds_exit_2(tmp_path, capsys, command):
+    # a repeated seed would overwrite its own files and count once in the report
+    out = tmp_path / "o"
+    code = run_cli(command, "--seed", "0-2,1", "--out", str(out), "--set", "outer.T=5",
+                   "--set", "lower.K=5", "--set", "gda.max_steps=10")
+    assert code == 2
+    assert "config error: seeds must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_audit_without_json_exits_2(tmp_path, capsys):
+    # the audit is a block of the summary JSON: without json it has no file
+    out = tmp_path / "o"
+    code = run_cli("run", "--seed", "0", "--out", str(out), "--audit", "--set", "emit=csv",
+                   "--set", "outer.T=5", "--set", "lower.K=5")
+    assert code == 2
+    assert "config error: audit needs json in emit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("outer.T = 10\nwhatever = 3\n")
@@ -280,6 +301,19 @@ def test_a_diverging_seed_fails_alone_in_lockstep(tmp_path, monkeypatch):
     assert runs["both"][1]["counts"]["errors"] == 1
     assert not (tmp_path / "both" / "trace_seed7.csv").exists()
     assert_same_seed_files(tmp_path / "both", tmp_path / "zero", 0)
+
+
+def test_an_io_failure_in_one_seed_exits_4_and_the_others_run_on(tmp_path):
+    out = tmp_path / "out"
+    (out / "trace_seed0.csv").mkdir(parents=True)
+    assert run_cli("run", "--seed", "0,1", "--out", str(out), "--set", "outer.T=20",
+                   "--set", "lower.K=20") == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["0"]["error"].startswith("IsADirectoryError: ")
+    assert "error" not in report["results"]["1"]
+    assert report["counts"]["errors"] == 1
+    assert {"trace_seed1.csv", "summary_seed1.json", "phase_seed1.svg"} <= \
+        {f.name for f in out.iterdir()}
 
 
 @pytest.mark.parametrize("row, written", [(0, set()), (100, {"trace_seed0.csv",

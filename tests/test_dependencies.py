@@ -152,3 +152,38 @@ def test_module_all_lists_exist_and_cover_the_package_exports():
             hits += [f"{node.module}.__all__ lacks {alias.name}" for alias in node.names
                      if alias.name not in listed[f"scinbio.{node.module}"]]
     assert hits == []
+
+
+def _python_files(*tops):
+    root = os.path.dirname(SRC)
+    for top in tops:
+        for folder, _, files in sorted(os.walk(os.path.join(root, top))):
+            yield from (os.path.join(folder, name) for name in sorted(files)
+                        if name.endswith(".py"))
+
+
+def _record_fields(tree):
+    """(class, field) for each annotated field of a dataclass or NamedTuple in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            names = {getattr(m, "id", getattr(m, "attr", None)) for m in marks + node.bases}
+            if names & {"dataclass", "NamedTuple"}:
+                yield from ((node.name, stmt.target.id) for stmt in node.body
+                            if isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name))
+
+
+def test_every_record_field_in_src_is_read():
+    # a dataclass or NamedTuple field that no module, test or benchmark reads
+    # as .field is state that nothing uses
+    trees = {}
+    for path in _python_files("src", "tests", "benchmarks"):
+        with open(path, encoding="utf-8") as fh:
+            trees[path] = ast.parse(fh.read(), filename=path)
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{os.path.basename(path)}: {cls}.{field}" for path, tree in trees.items()
+              if path.startswith(SRC + os.sep) for cls, field in _record_fields(tree)
+              if field not in read]
+    assert unread == []
